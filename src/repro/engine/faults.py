@@ -367,6 +367,10 @@ class _StragglerStats:
         """Memory observations pass through unscaled."""
         self._inner.record_memory(worker, resident_tuples)
 
+    def record_wcoj_fallbacks(self, worker: int, scalar_walks: int) -> None:
+        """Fallback counts are observations too: passed through unscaled."""
+        self._inner.record_wcoj_fallbacks(worker, scalar_walks)
+
 
 class FaultSession:
     """One execution's view of a fault plan: resolved targets plus hooks.

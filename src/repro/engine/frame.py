@@ -78,5 +78,11 @@ def atom_frame(
 
 
 def frame_relation(frame: Frame, name: str) -> Relation:
-    """View a frame as a storage relation (columns named by variables)."""
-    return Relation(name, tuple(v.name for v in frame.variables), frame.rows)
+    """View a frame as a storage relation (columns named by variables).
+
+    Shares the frame's row list: frames are produced by the engine's own
+    operators, so the rows need neither a copy nor re-validation.
+    """
+    return Relation.over_rows(
+        name, tuple(v.name for v in frame.variables), frame.rows
+    )

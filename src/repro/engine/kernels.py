@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import Iterator, Optional, Sequence, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -433,7 +433,7 @@ def distinct_prefix_count(
 
 
 def packed_key_levels(
-    columns: np.ndarray,
+    columns: Union[np.ndarray, Sequence[np.ndarray]],
 ) -> Optional[tuple[list[np.ndarray], list[int], list[int]]]:
     """Per-depth packed prefix keys of a sorted ``(width, n)`` column array.
 
@@ -443,30 +443,47 @@ def packed_key_levels(
     globally non-decreasing, so a binary search *within one trie block* is
     the same as a single global ``np.searchsorted`` over ``packed[d]`` —
     which is what lets :mod:`~repro.leapfrog.vectorized` batch the seeks of
-    thousands of sibling trie contexts into one call.
+    thousands of sibling trie contexts into one call.  A row's ``d``-th
+    key is recoverable as ``packed[d] % span_d + low_d``.
+
+    Given a *sequence* of such arrays (equal width, each sorted — one per
+    simulated worker), the keys cover their concatenation and the array's
+    index in the sequence leads every packed key, as a trie level above
+    the first column: the keys stay non-decreasing across array boundaries
+    at the price of ``log2(len(columns))`` key bits.  The keys are written
+    array by array into the preallocated levels, so no concatenated copy of
+    the columns ever exists.
 
     Returns ``(packed levels, lows, spans)``, or ``None`` when the
     cumulative span product does not fit 64 bits (callers fall back to the
     scalar iterator).
     """
-    width, _ = columns.shape
+    segments = [columns] if isinstance(columns, np.ndarray) else list(columns)
+    width = segments[0].shape[0]
+    bounds = np.zeros(len(segments) + 1, dtype=np.int64)
+    np.cumsum([segment.shape[1] for segment in segments], out=bounds[1:])
+    slices = [slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     packed_levels: list[np.ndarray] = []
     lows: list[int] = []
     spans: list[int] = []
-    capacity = 1
+    capacity = len(segments)
     previous: Optional[np.ndarray] = None
     for depth in range(width):
-        column = columns[depth]
-        low = int(column.min())
-        span = int(column.max()) - low + 1
+        low = min(int(segment[depth].min()) for segment in segments)
+        span = max(int(segment[depth].max()) for segment in segments) - low + 1
         capacity *= span
         if capacity >= 2**63:  # conservative headroom below 2**64
             return None
-        offsets = (column - low).astype(np.uint64)
-        if previous is None:
-            current = offsets
-        else:
-            current = previous * np.uint64(span) + offsets
+        current = np.empty(int(bounds[-1]), dtype=np.uint64)
+        stride = np.uint64(span)
+        for index, (segment, rows) in enumerate(zip(segments, slices)):
+            # the offsets are non-negative, so the int64 -> uint64 cast on
+            # the way out is exact
+            np.subtract(segment[depth], low, out=current[rows], casting="unsafe")
+            if previous is not None:
+                current[rows] += previous[rows] * stride
+            elif index:
+                current[rows] += np.uint64(index) * stride
         packed_levels.append(current)
         lows.append(low)
         spans.append(span)
@@ -481,7 +498,7 @@ def run_bounds(packed: np.ndarray, positions: np.ndarray) -> np.ndarray:
     iterator's block-end search after ``open``/``next``/``seek``), answered
     with a single vectorized ``np.searchsorted``.
     """
-    return np.searchsorted(packed, packed[positions], side="right")
+    return packed.searchsorted(packed[positions], side="right")
 
 
 def batched_seek_lower_bounds(
@@ -499,9 +516,11 @@ def batched_seek_lower_bounds(
     ``[0, span]`` makes out-of-range targets resolve to the run start /
     run end exactly like the scalar binary search bounded by the block.
     """
-    offsets = np.clip(values - low, 0, span).astype(np.uint64)
+    # minimum/maximum, not np.clip: the walk calls this on a few dozen
+    # targets at a time, where clip's Python wrapper is half the call
+    offsets = np.minimum(np.maximum(values - low, 0), span).astype(np.uint64)
     targets = prefix_keys * np.uint64(span) + offsets
-    return np.searchsorted(packed, targets, side="left")
+    return packed.searchsorted(targets, side="left")
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,20 @@ and running the multiway leapfrog; this module wraps
 :class:`~repro.leapfrog.tributary.TributaryJoin` over frames and charges
 its sort and seek work to the right worker and phase (the paper separates
 "time on sorting" from "time on TJ", e.g. Table 5 and Fig. 10c).
+
+The entry point takes a *batch* of workers: every worker is accounted on
+its own ledger exactly as if it ran alone, but the trie walks of a batch
+are one shared walk (:func:`~repro.leapfrog.tributary.run_joins`) — a
+simulated worker holds too little data to keep the vectorized kernels busy
+by itself.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from ..leapfrog.tributary import TributaryJoin
+from ..leapfrog.tributary import TributaryJoin, run_joins
+from ..leapfrog.vectorized import BATCH_TUPLE_CAP
 from ..query.atoms import Atom, ConjunctiveQuery, Variable
 from .frame import Frame, frame_relation
 from .memory import MemorySink
@@ -47,6 +54,116 @@ def scanned_query(query: ConjunctiveQuery) -> ConjunctiveQuery:
     )
 
 
+class LocalJoinTask(NamedTuple):
+    """One worker's share of a batched local Tributary join."""
+
+    worker: int
+    frames: Mapping[str, Frame]  # atom alias -> this worker's fragment
+    stats: StatsSink
+    memory: Optional[MemorySink] = None
+
+
+def _input_tuples(task: LocalJoinTask) -> int:
+    """How many tuples the task's join reads (and sorts a copy of)."""
+    return sum(len(frame) for frame in task.frames.values())
+
+
+def _input_capped(tasks: Sequence[LocalJoinTask]) -> list[list[LocalJoinTask]]:
+    """Cut tasks, in order, into the fewest batches of about equal input
+    that keep a batch near or under ``BATCH_TUPLE_CAP`` tuples.
+
+    Balanced rather than filled to the cap: the largest batch sets the
+    walk's peak memory, the number of batches its running time.
+    """
+    sizes = [_input_tuples(task) for task in tasks]
+    count = max(1, -(-sum(sizes) // BATCH_TUPLE_CAP))
+    share = sum(sizes) / count or 1.0  # all-empty inputs: one batch
+    batches: list[list[LocalJoinTask]] = [[] for _ in range(count)]
+    before = 0
+    for task, size in zip(tasks, sizes):
+        # a task joins the batch its midpoint falls into
+        batches[min(count - 1, int((before + size / 2) / share))].append(task)
+        before += size
+    return [batch for batch in batches if batch]
+
+
+def local_tributary_joins(
+    query: ConjunctiveQuery,
+    tasks: Sequence[LocalJoinTask],
+    order: Optional[Sequence[Variable]] = None,
+    sort_phase: str = "sort",
+    join_phase: str = "tributary join",
+) -> tuple[list[list[tuple[int, ...]]], Optional[Exception]]:
+    """Run many workers' Tributary joins of one query, sharing trie walks.
+
+    ``query`` must be a *scanned* query (see :func:`scanned_query`) whose
+    atom aliases key every task's ``frames``.  Each worker is charged on
+    its own ``stats``/``memory`` in the order a lone run charges it —
+    allocate the sorted copies, prepare, (walk,) charge ``n log n`` sort
+    comparisons to ``sort_phase`` and seeks plus result materialization to
+    ``join_phase``, allocate the results, release the copies — only the
+    walk in the middle is shared by a batch of workers.
+
+    Returns ``(rows per task, error)``.  Tasks are in worker-id order; when
+    a task fails (a simulated OOM at either allocation) the rows cover the
+    tasks before it, ``error`` is its exception, its ledger holds what it
+    charged up to the failure, and later tasks are abandoned — the state a
+    one-worker-at-a-time execution stopping at that worker leaves behind.
+    """
+    results: list[list[tuple[int, ...]]] = []
+    for batch in _input_capped(tasks):
+        joins: list[TributaryJoin] = []
+        failure: Optional[Exception] = None
+        for task in batch:
+            try:
+                if task.memory is not None:
+                    # sorting materializes a reordered copy of every input
+                    # fragment; charge it *before* doing the work so a
+                    # simulated OOM fires first
+                    task.memory.allocate(
+                        task.worker, _input_tuples(task), sort_phase
+                    )
+                    task.stats.record_memory(
+                        task.worker, task.memory.resident(task.worker)
+                    )
+                relations = {
+                    alias: frame_relation(frame, alias)
+                    for alias, frame in task.frames.items()
+                }
+                joins.append(TributaryJoin(query, relations, order=order))
+            except Exception as error:
+                failure = error
+                break
+        try:
+            rows_per_join = run_joins(joins)
+        except Exception as error:
+            # the shared walk cannot say whose data broke it: the batch's
+            # first worker fails, so nothing after the last sound ledger
+            # is committed
+            return results, error
+        for task, join, rows in zip(batch, joins, rows_per_join):
+            worker, stats, memory = task.worker, task.stats, task.memory
+            try:
+                stats.charge(
+                    worker, join.stats.sort_cost * SORT_COMPARISON_WEIGHT, sort_phase
+                )
+                stats.charge(worker, join.total_seeks() + len(rows), join_phase)
+                if join.stats.scalar_walks:
+                    stats.record_wcoj_fallbacks(worker, join.stats.scalar_walks)
+                if memory is not None:
+                    memory.allocate(worker, len(rows), join_phase)
+                    stats.record_memory(worker, memory.resident(worker))
+                    # the sorted copies are scratch space, dropped once the
+                    # join is done
+                    memory.release(worker, _input_tuples(task))
+            except Exception as error:
+                return results, error
+            results.append(rows)
+        if failure is not None:
+            return results, failure
+    return results, None
+
+
 def local_tributary_join(
     query: ConjunctiveQuery,
     frames: Mapping[str, Frame],
@@ -57,32 +174,18 @@ def local_tributary_join(
     join_phase: str = "tributary join",
     memory: Optional[MemorySink] = None,
 ) -> list[tuple[int, ...]]:
-    """Run one worker's Tributary join over its local frames.
-
-    ``query`` must be a *scanned* query (see :func:`scanned_query`) whose
-    atom aliases key the ``frames`` mapping.  Sorting work (``n log n``
-    comparisons) is charged to ``sort_phase``; seeks plus result
-    materialization to ``join_phase``.
-    """
-    relations = {
-        alias: frame_relation(frame, alias) for alias, frame in frames.items()
-    }
-    sorted_copies = sum(len(f) for f in frames.values())
-    if memory is not None:
-        # sorting materializes a reordered copy of every input fragment;
-        # charge it *before* doing the work so a simulated OOM fires first
-        memory.allocate(worker, sorted_copies, sort_phase)
-        stats.record_memory(worker, memory.resident(worker))
-    join = TributaryJoin(query, relations, order=order)
-    results = join.run()
-    stats.charge(worker, join.stats.sort_cost * SORT_COMPARISON_WEIGHT, sort_phase)
-    stats.charge(worker, join.total_seeks() + len(results), join_phase)
-    if memory is not None:
-        memory.allocate(worker, len(results), join_phase)
-        stats.record_memory(worker, memory.resident(worker))
-        # the sorted copies are scratch space, dropped once the join is done
-        memory.release(worker, sorted_copies)
-    return results
+    """Run one worker's Tributary join over its local frames: a batch of
+    one through :func:`local_tributary_joins`, raising its failure."""
+    results, error = local_tributary_joins(
+        query,
+        [LocalJoinTask(worker, frames, stats, memory)],
+        order=order,
+        sort_phase=sort_phase,
+        join_phase=join_phase,
+    )
+    if error is not None:
+        raise error
+    return results[0]
 
 
 def dedup_rows(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:

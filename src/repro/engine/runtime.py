@@ -21,6 +21,11 @@ Three runtimes implement the same contract:
   pipe; each worker's ledger is pickled back and merged exactly like the
   thread runtime's.
 
+Local-join rounds reach the runtimes through :meth:`WorkerRuntime.map_local`,
+which hands every executor (the calling thread, a pool thread, a session
+child) its workers as one *batch*: the Tributary joins of a batch share a
+trie walk, while each worker is still accounted on its own ledger.
+
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker
 :class:`~repro.engine.stats.WorkerStats` recorder plus a
@@ -43,6 +48,7 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Optional, Union
 
 from .frame import Frame
@@ -53,9 +59,12 @@ from .stats import ExecutionStats, WorkerStats
 #: a worker task: called with (worker id, its ledger), returns any value
 WorkerTask = Callable[[int, "WorkerLedger"], Any]
 
-#: a structured local task: (worker id, ledger, shipped slot inputs) -> value;
-#: must be picklable (a module-level function or functools.partial of one)
-LocalRunner = Callable[[int, "WorkerLedger", dict], Any]
+#: a structured local runner: called with a batch of ``(worker id, ledger,
+#: shipped slot inputs)`` in worker-id order, returns ``(value, error)`` per
+#: task up to and including the first failing one (later tasks of the batch
+#: are never committed, so it may abandon them); must be picklable (a
+#: module-level function or functools.partial of one)
+LocalRunner = Callable[[list], list]
 
 
 @dataclass
@@ -73,6 +82,22 @@ def _open_ledger(worker: int, memory: MemoryBudget) -> WorkerLedger:
         stats=WorkerStats(worker),
         memory=memory.open_account(worker),
     )
+
+
+def _run_batch(runner: "LocalRunner", batch: list) -> list:
+    """One ``runner`` call over a batch of ``(worker, ledger, inputs)``; its
+    outcomes as ``(worker, value, ledger, error)`` — the ledger the task
+    charged rides along even when it failed.  A runner that raises instead
+    of reporting fails its batch's first worker, so an executor (a session
+    child above all) survives it and nothing past a sound ledger commits."""
+    try:
+        reported = runner(batch)
+    except Exception as error:
+        reported = [(None, error)]
+    return [
+        (worker, value, ledger, error)
+        for (worker, ledger, _), (value, error) in zip(batch, reported)
+    ]
 
 
 class WorkerRuntime:
@@ -114,19 +139,46 @@ class WorkerRuntime:
     ) -> list:
         """Structured variant of :meth:`map_workers` for local-join rounds.
 
-        ``runner`` is a *picklable* callable ``(worker, ledger, inputs) ->
-        value`` and ``payloads[worker]`` holds the slot inputs that worker
-        reads.  In-process runtimes simply wrap the pair into a worker
-        task; :class:`ProcessRuntime` overrides this to ship the payloads
-        to a persistent forked pool (see :meth:`open_session`) instead of
-        re-forking one pool per scheduler phase.  Ordering and
+        ``runner`` is a *picklable* batch callable (see :data:`LocalRunner`)
+        and ``payloads[worker]`` holds the slot inputs that worker reads.
+        Each executor of the runtime is handed its workers as **one batch**
+        (:meth:`_local_batches` says which), so the runner can share work
+        across them — the Tributary joins of a batch share trie walks —
+        while every worker still charges its own ledger.  Ordering and
         commit-before-lowest-failure semantics match :meth:`map_workers`.
         """
+        ids = list(worker_ids)
+        if not ids:
+            return []
+        ledgers = {worker: _open_ledger(worker, memory) for worker in ids}
+        batches = [
+            [(worker, ledgers[worker], payloads[worker]) for worker in group]
+            for group in self._local_batches(ids)
+        ]
+        shipped: dict[int, tuple] = {}
+        for outcomes in self._run_batches(runner, batches):
+            for worker, value, ledger, error in outcomes:
+                shipped[worker] = (value, ledger, error)
+        # a batch stops at its first failure, so workers may be missing
+        # from ``shipped`` — only ever behind a failure with a lower id
+        values = []
+        for worker in ids:
+            value, ledger, error = shipped[worker]
+            self._commit(stats, memory, ledger)
+            if error is not None:
+                raise error
+            values.append(value)
+        return values
 
-        def task(worker: int, ledger: "WorkerLedger"):
-            return runner(worker, ledger, payloads[worker])
+    def _local_batches(self, ids: list[int]) -> list[list[int]]:
+        """How :meth:`map_local` groups worker ids: one batch per executor,
+        each in ascending id order (serial: a single batch)."""
+        return [ids]
 
-        return self.map_workers(worker_ids, task, stats, memory)
+    def _run_batches(self, runner: LocalRunner, batches: list) -> list:
+        """Run every batch; per batch, its ``(worker, value, ledger,
+        error)`` outcomes (see :func:`_run_batch`)."""
+        return [_run_batch(runner, batch) for batch in batches]
 
     def open_session(self) -> None:
         """Start a per-plan worker session (no-op for in-process runtimes).
@@ -212,8 +264,7 @@ class ParallelRuntime(WorkerRuntime):
             return []
         ledgers = {worker: _open_ledger(worker, memory) for worker in ids}
         outcomes: dict[int, tuple[Any, Optional[BaseException]]] = {}
-        pool_size = self.max_workers or min(32, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+        with ThreadPoolExecutor(max_workers=self._pool_size()) as pool:
             futures = {
                 worker: pool.submit(task, worker, ledgers[worker])
                 for worker in ids
@@ -231,6 +282,19 @@ class ParallelRuntime(WorkerRuntime):
                 raise error
             values.append(value)
         return values
+
+    def _pool_size(self) -> int:
+        return self.max_workers or min(32, os.cpu_count() or 1)
+
+    def _local_batches(self, ids: list[int]) -> list[list[int]]:
+        """Deal worker ids round-robin: one batch per pool thread."""
+        size = self._pool_size()
+        return [ids[k::size] for k in range(min(size, len(ids)))]
+
+    def _run_batches(self, runner: LocalRunner, batches: list) -> list:
+        """Run each batch on its own pool thread."""
+        with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+            return list(pool.map(partial(_run_batch, runner), batches))
 
     def __repr__(self) -> str:
         return f"ParallelRuntime(max_workers={self.max_workers})"
@@ -306,12 +370,14 @@ def _fork_invoke(worker: int):
 
 
 def _session_child_main(connection) -> None:
-    """Serve structured local tasks inside one persistent forked child.
+    """Serve structured local batches inside one persistent forked child.
 
     Each message is ``(runner, [(worker, ledger, encoded inputs), ...])``;
-    every task's mutated ledger ships back even when it raised, so the
-    parent honors the commit-before-lowest-failure contract exactly like
-    the fork-per-phase path.  ``None`` (or a closed pipe) ends the loop.
+    the batch runs as one ``runner`` call and every outcome ships back as
+    ``(worker, encoded value, mutated ledger, error)`` — the ledger rides
+    along even when the task raised, so the parent honors the
+    commit-before-lowest-failure contract exactly like the fork-per-phase
+    path.  ``None`` (or a closed pipe) ends the loop.
     """
     while True:
         try:
@@ -321,14 +387,14 @@ def _session_child_main(connection) -> None:
         if message is None:
             break
         runner, batch = message
-        results = []
-        for worker, ledger, payload in batch:
-            try:
-                value = runner(worker, ledger, _decode_value(payload))
-            except Exception as error:
-                results.append((worker, None, ledger, error))
-            else:
-                results.append((worker, _encode_value(value), ledger, None))
+        batch = [
+            (worker, ledger, _decode_value(payload))
+            for worker, ledger, payload in batch
+        ]
+        results = [
+            (worker, _encode_value(value), ledger, error)
+            for worker, value, ledger, error in _run_batch(runner, batch)
+        ]
         try:
             connection.send(results)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
@@ -417,44 +483,52 @@ class ProcessRuntime(WorkerRuntime):
         stats: ExecutionStats,
         memory: MemoryBudget,
     ) -> list:
-        """Dispatch structured local tasks over the persistent session pool.
+        """Dispatch structured local batches over the persistent session pool.
 
         Workers are dealt round-robin over the session children; each child
-        runs its batch sequentially and ships back ``(worker, encoded
-        value, ledger, error)`` per task.  Ledgers commit in worker-id
-        order with the same lowest-failure semantics as every other path.
-        Without an open session (or off-fork platforms) this falls back to
-        the fork-per-call behavior of the base implementation.
+        runs its batch as one ``runner`` call and ships back ``(worker,
+        encoded value, ledger, error)`` per outcome.  Ledgers commit in
+        worker-id order with the same lowest-failure semantics as every
+        other path.  Without an open session the children are forked for
+        this call alone (the fork-per-call cost :meth:`map_workers` pays);
+        off-fork platforms run the batches on the thread pool instead.
         """
-        ids = list(worker_ids)
-        if not ids:
-            return []
+        if self._session is not None:
+            return super().map_local(worker_ids, runner, payloads, stats, memory)
+        self.open_session()
         if self._session is None:
-            return super().map_local(ids, runner, payloads, stats, memory)
-        ledgers = {worker: _open_ledger(worker, memory) for worker in ids}
-        children = self._session
-        batches: list[list] = [[] for _ in children]
-        for index, worker in enumerate(ids):
-            batches[index % len(children)].append(
-                (worker, ledgers[worker], _encode_value(payloads[worker]))
+            return self.fault_safe().map_local(
+                worker_ids, runner, payloads, stats, memory
             )
-        active = []
-        for child, batch in zip(children, batches):
-            if batch:
-                child.connection.send((runner, batch))
-                active.append(child)
-        shipped: dict[int, tuple] = {}
-        for child in active:
-            for worker, value, ledger, error in child.connection.recv():
-                shipped[worker] = (value, ledger, error)
-        values = []
-        for worker in ids:
-            value, ledger, error = shipped[worker]
-            self._commit(stats, memory, ledger)
-            if error is not None:
-                raise error
-            values.append(_decode_value(value))
-        return values
+        try:
+            return super().map_local(worker_ids, runner, payloads, stats, memory)
+        finally:
+            self.close_session()
+
+    def _local_batches(self, ids: list[int]) -> list[list[int]]:
+        """Deal worker ids round-robin: one batch per session child."""
+        size = len(self._session)
+        return [ids[k::size] for k in range(min(size, len(ids)))]
+
+    def _run_batches(self, runner: LocalRunner, batches: list) -> list:
+        """Ship each batch to its session child; collect what they send."""
+        for child, batch in zip(self._session, batches):
+            child.connection.send((
+                runner,
+                [
+                    (worker, ledger, _encode_value(payload))
+                    for worker, ledger, payload in batch
+                ],
+            ))
+        # every shipped value is decoded, delivered or not: a shared-memory
+        # segment is only reclaimed by loading it
+        return [
+            [
+                (worker, _decode_value(value), ledger, error)
+                for worker, value, ledger, error in child.connection.recv()
+            ]
+            for child, _ in zip(self._session, batches)
+        ]
 
     def fault_safe(self) -> WorkerRuntime:
         """Thread-pool stand-in while fault injection is active."""

@@ -52,7 +52,7 @@ from ..query.atoms import Atom, ConjunctiveQuery
 from .cluster import Cluster
 from .frame import Frame, atom_frame
 from .hash_join import apply_comparisons, symmetric_hash_join
-from .local import local_tributary_join
+from .local import LocalJoinTask, local_tributary_joins
 from .runtime import WorkerLedger, WorkerRuntime
 from .shuffle import broadcast, hypercube_shuffle, regular_shuffle
 from .stats import ExecutionStats, recovery_phase
@@ -97,36 +97,93 @@ class ScheduledRun:
     trace: Optional[list[OperatorTrace]] = None
 
 
-def _binary_merge_join(
-    left: Frame,
-    right: Frame,
-    join_vars,
+def _run_join_op(op: PhysicalOp, views: list) -> tuple[int, Optional[Exception]]:
+    """Run one Tributary-join operator for a batch of workers.
+
+    ``views`` are ``(worker, ledger, read, write)`` in worker-id order.  The
+    workers share trie walks (:func:`~.local.local_tributary_joins`) but are
+    accounted one by one.  Returns ``(workers completed, error)``: when a
+    worker fails, the ones before it have written their output and
+    ``error`` is the failing worker's exception.
+    """
+    if isinstance(op, LocalTributaryJoin):
+        query, order, slots, phases = op.query, op.order, op.inputs, {}
+    else:
+        # binary Tributary join == sort-merge join: a 2-atom query over the
+        # two frames, run by the multiway machinery
+        slots = (("L", op.left), ("R", op.right))
+        left, right = views[0][2](op.left), views[0][2](op.right)
+        out_vars = tuple(left.variables) + tuple(
+            v for v in right.variables if v not in set(left.variables)
+        )
+        query = ConjunctiveQuery(
+            name="merge",
+            head=out_vars,
+            atoms=(
+                Atom("L", left.variables, alias="L"),
+                Atom("R", right.variables, alias="R"),
+            ),
+        )
+        order = tuple(op.join_vars) + tuple(
+            v for v in out_vars if v not in set(op.join_vars)
+        )
+        phases = {
+            "sort_phase": f"step{op.step}:sort",
+            "join_phase": f"step{op.step}:join",
+        }
+    inputs = [
+        {alias: read(slot) for alias, slot in slots} for _, _, read, _ in views
+    ]
+    results, error = local_tributary_joins(
+        query,
+        [
+            LocalJoinTask(worker, frames, ledger.stats, ledger.memory)
+            for (worker, ledger, _, _), frames in zip(views, inputs)
+        ],
+        order=order,
+        **phases,
+    )
+    for index, ((worker, ledger, _, write), frames, rows) in enumerate(
+        zip(views, inputs, results)
+    ):
+        consumed = sum(len(frame) for frame in frames.values())
+        try:
+            if isinstance(op, LocalTributaryJoin):
+                if consumed:
+                    ledger.memory.release(worker, consumed)
+                write(op.out, rows)
+            else:
+                _finish_binary_join(
+                    op, worker, ledger, Frame(query.head, rows), consumed, write
+                )
+        except Exception as raised:
+            return index, raised
+    return len(results), error
+
+
+def _finish_binary_join(
+    op: PhysicalOp,
     worker: int,
     ledger: WorkerLedger,
-    step: int,
-) -> Frame:
-    """Binary Tributary join == sort-merge join: build a 2-atom query over
-    the two frames and run the multiway machinery on it."""
-    left_atom = Atom("L", left.variables, alias="L")
-    right_atom = Atom("R", right.variables, alias="R")
-    out_vars = tuple(left.variables) + tuple(
-        v for v in right.variables if v not in set(left.variables)
+    out: Frame,
+    consumed: int,
+    write,
+) -> None:
+    """The tail shared by both binary join operators: filter the pending
+    comparisons, release what left worker memory, bind the output."""
+    produced = len(out.rows)
+    # every worker filters against the full pending list; the deferred
+    # remainder is statically known and the same for all of them
+    out, _ = apply_comparisons(
+        out, list(op.pending), worker, ledger.stats, f"step{op.step}:filter"
     )
-    two_way = ConjunctiveQuery(
-        name="merge", head=out_vars, atoms=(left_atom, right_atom)
-    )
-    order = tuple(join_vars) + tuple(v for v in out_vars if v not in set(join_vars))
-    rows = local_tributary_join(
-        two_way,
-        {"L": left, "R": right},
-        worker,
-        ledger.stats,
-        order=order,
-        sort_phase=f"step{step}:sort",
-        join_phase=f"step{step}:join",
-        memory=ledger.memory,
-    )
-    return Frame(out_vars, rows)
+    # consumed inputs and filter-dropped rows leave worker memory
+    dropped = produced - len(out.rows)
+    if dropped:
+        ledger.memory.release(worker, dropped)
+    if consumed:
+        ledger.memory.release(worker, consumed)
+    write(op.out, out)
 
 
 def _run_local_op(
@@ -137,50 +194,24 @@ def _run_local_op(
     write,
 ) -> None:
     """Execute one local operator against a worker's slot views."""
-    if isinstance(op, (LocalHashJoin, MergeJoinStep)):
+    if isinstance(op, (LocalTributaryJoin, MergeJoinStep)):
+        _, error = _run_join_op(op, [(worker, ledger, read, write)])
+        if error is not None:
+            raise error
+    elif isinstance(op, LocalHashJoin):
         left, right = read(op.left), read(op.right)
-        if isinstance(op, LocalHashJoin):
-            out = symmetric_hash_join(
-                left,
-                right,
-                op.join_vars,
-                worker,
-                ledger.stats,
-                f"step{op.step}:join",
-                ledger.memory,
-            )
-        else:
-            out = _binary_merge_join(
-                left, right, op.join_vars, worker, ledger, op.step
-            )
-        produced = len(out.rows)
-        # every worker filters against the full pending list; the deferred
-        # remainder is statically known and the same for all of them
-        out, _ = apply_comparisons(
-            out, list(op.pending), worker, ledger.stats, f"step{op.step}:filter"
-        )
-        # consumed inputs and filter-dropped rows leave worker memory
-        dropped = produced - len(out.rows)
-        if dropped:
-            ledger.memory.release(worker, dropped)
-        consumed = len(left) + len(right)
-        if consumed:
-            ledger.memory.release(worker, consumed)
-        write(op.out, out)
-    elif isinstance(op, LocalTributaryJoin):
-        frames_of_worker = {alias: read(slot) for alias, slot in op.inputs}
-        rows = local_tributary_join(
-            op.query,
-            frames_of_worker,
+        out = symmetric_hash_join(
+            left,
+            right,
+            op.join_vars,
             worker,
             ledger.stats,
-            order=op.order,
-            memory=ledger.memory,
+            f"step{op.step}:join",
+            ledger.memory,
         )
-        consumed = sum(len(f) for f in frames_of_worker.values())
-        if consumed:
-            ledger.memory.release(worker, consumed)
-        write(op.out, rows)
+        _finish_binary_join(
+            op, worker, ledger, out, len(left) + len(right), write
+        )
     elif isinstance(op, SemiJoinFilter):
         target, key_frame = read(op.target), read(op.keys)
         keys = set(key_frame.rows)
@@ -200,29 +231,51 @@ def _run_local_op(
         raise TypeError(f"unknown local operator {op!r}")
 
 
-def _run_local_task(
-    worker: int, ledger: WorkerLedger, inputs: dict, ops=()
-) -> dict:
-    """Run one round's fused local operators over shipped slot inputs.
+def _run_local_batch(tasks: list, ops=()) -> list:
+    """Run one round's fused local operators for a batch of workers.
 
-    The structured (picklable) counterpart of the scheduler's in-process
-    worker-task closure: ``inputs`` maps slot names to this worker's input
-    payloads, so a persistent process-pool child needs no live driver
-    state.  Returns the slots the operators produced.
+    The structured (picklable) local runner every runtime dispatches:
+    ``tasks`` are ``(worker, ledger, inputs)`` in worker-id order, ``inputs``
+    mapping slot names to that worker's shipped payloads, so a persistent
+    process-pool child needs no live driver state.  Operators run one after
+    another over the whole batch — which is what lets the Tributary joins of
+    a batch share trie walks — while each worker's ledger still sees its own
+    operators in plan order.
+
+    Returns ``(produced slots | None, error | None)`` per task up to and
+    including the first failing worker; later workers are abandoned, as no
+    runtime commits past the lowest failing id.
     """
-    produced: dict[str, SlotValue] = {}
+    produced: list[dict[str, SlotValue]] = [{} for _ in tasks]
+    views = []
+    for (worker, ledger, inputs), outputs in zip(tasks, produced):
 
-    def read(name: str) -> SlotValue:
-        """Resolve a slot: this task's output, else a shipped input."""
-        return produced[name] if name in produced else inputs[name]
+        def read(name: str, inputs=inputs, outputs=outputs) -> SlotValue:
+            """Resolve a slot: this task's output, else a shipped input."""
+            return outputs[name] if name in outputs else inputs[name]
 
-    def write(name: str, value: SlotValue) -> None:
-        """Bind an operator output within this task."""
-        produced[name] = value
-
+        views.append((worker, ledger, read, outputs.__setitem__))
+    failure: Optional[Exception] = None
     for op in ops:
-        _run_local_op(op, worker, ledger, read, write)
-    return produced
+        if not views:
+            break
+        if isinstance(op, (LocalTributaryJoin, MergeJoinStep)):
+            done, error = _run_join_op(op, views)
+        else:
+            done, error = len(views), None
+            for index, (worker, ledger, read, write) in enumerate(views):
+                try:
+                    _run_local_op(op, worker, ledger, read, write)
+                except Exception as raised:
+                    done, error = index, raised
+                    break
+        if error is not None:
+            failure = error
+            views = views[:done]
+    outcomes = [(outputs, None) for outputs in produced[: len(views)]]
+    if failure is not None:
+        outcomes.append((None, failure))
+    return outcomes
 
 
 def _scanned_sizes(slots: dict, aliases) -> dict[str, int]:
@@ -505,7 +558,7 @@ def _run_round(
             worker: {name: slots[name][worker] for name in needed}
             for worker in worker_ids
         }
-        runner = partial(_run_local_task, ops=local)
+        runner = partial(_run_local_batch, ops=local)
         outcomes = runtime.map_local(
             worker_ids, runner, payloads, stats, cluster.memory
         )

@@ -79,6 +79,9 @@ class WorkerStats:
     phase_loads: dict[str, float] = field(default_factory=dict)
     #: high-water resident tuple count observed by this task
     peak_memory: int = 0
+    #: Tributary joins this task walked scalar because their keys
+    #: overflowed the 63-bit pack (see ``ExecutionStats``)
+    wcoj_scalar_walks: int = 0
 
     def _check_worker(self, worker: int) -> None:
         if worker != self.worker:
@@ -96,6 +99,11 @@ class WorkerStats:
         self._check_worker(worker)
         if resident_tuples > self.peak_memory:
             self.peak_memory = resident_tuples
+
+    def record_wcoj_fallbacks(self, worker: int, scalar_walks: int) -> None:
+        """Count packing-overflow fallbacks of this task's Tributary joins."""
+        self._check_worker(worker)
+        self.wcoj_scalar_walks += scalar_walks
 
 
 #: what local operators charge into: the shared stats (serial callers,
@@ -158,6 +166,12 @@ class ExecutionStats:
     _phase_loads: dict[str, dict[int, float]] = field(default_factory=dict)
     #: per-worker high-water materialized tuple count
     peak_memory: dict[int, int] = field(default_factory=dict)
+    #: Tributary joins walked by the scalar iterators because their key
+    #: ranges overflowed the 63-bit pack.  A property of each join's own
+    #: data, so identical across runtimes however workers are batched; an
+    #: observation like ``peak_memory``: it never enters the counted clock
+    #: and survives a Round rollback.
+    wcoj_scalar_walks: int = 0
 
     # -- recording ----------------------------------------------------------
 
@@ -190,6 +204,10 @@ class ExecutionStats:
         if resident_tuples > previous:
             self.peak_memory[worker] = resident_tuples
 
+    def record_wcoj_fallbacks(self, worker: int, scalar_walks: int) -> None:
+        """Count packing-overflow fallbacks of ``worker``'s Tributary joins."""
+        self.wcoj_scalar_walks += scalar_walks
+
     def merge_worker(self, ledger: WorkerStats) -> None:
         """Fold one worker's isolated ledger into the shared stats.
 
@@ -201,6 +219,7 @@ class ExecutionStats:
             self.charge(ledger.worker, amount, phase)
         if ledger.peak_memory > self.peak_memory.get(ledger.worker, 0):
             self.peak_memory[ledger.worker] = ledger.peak_memory
+        self.wcoj_scalar_walks += ledger.wcoj_scalar_walks
 
     def mark_failed(self, reason: str, kind: str = "") -> None:
         """Record a failed outcome with a reason and machine-readable kind."""

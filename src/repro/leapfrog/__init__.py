@@ -10,6 +10,7 @@ from .tributary import (
     TributaryJoin,
     TributaryStats,
     prepare_atom,
+    run_joins,
     tributary_join,
 )
 from .variable_order import (
@@ -36,5 +37,6 @@ __all__ = [
     "full_variable_order",
     "generic_join",
     "prepare_atom",
+    "run_joins",
     "tributary_join",
 ]

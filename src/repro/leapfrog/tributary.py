@@ -69,6 +69,9 @@ class TributaryStats:
     results: int = 0  # tuples emitted (before head projection dedup)
     sort_cost: int = 0  # comparison-count proxy charged for preparing inputs
     sorted_tuples: int = 0  # total input tuples prepared
+    #: times this join was walked by the scalar iterators because its key
+    #: ranges overflowed the 63-bit pack (never part of the counted clock)
+    scalar_walks: int = 0
 
 
 @dataclass
@@ -187,30 +190,32 @@ class TributaryJoin:
 
     def run(self) -> list[tuple[int, ...]]:
         """Execute the join; returns head tuples (deduplicated if non-full)."""
-        results = list(self.iterate())
-        if self.project_head and not self.query.is_full():
-            results = list(dict.fromkeys(results))
-        return results
+        return self._project(list(self.iterate()))
 
     def iterate(self) -> Iterator[tuple[int, ...]]:
         """Stream head tuples (duplicates possible for non-full queries).
 
         Under numpy kernels on the ``sorted`` backend the trie walk runs
         block-at-a-time through :mod:`~repro.leapfrog.vectorized` (same
-        rows, same order, same seek counts — only faster); every other
-        configuration takes the scalar tuple-at-a-time walk.
+        rows, same order, same seek counts — only faster) as a batch of
+        one; every other configuration, and a join whose key ranges
+        overflow the 63-bit pack, takes the scalar tuple-at-a-time walk.
         """
-        if any(p.size == 0 for p in self._prepared):
+        if self.has_empty_atom():
             return
         # function-local import: vectorized imports engine.kernels, which
         # would be circular at module load (engine imports this module)
         from .vectorized import VectorizedTributaryRun
 
-        vectorized = VectorizedTributaryRun.build(self)
+        vectorized = None
+        if VectorizedTributaryRun.supports(self):
+            vectorized = VectorizedTributaryRun.build([self])
+            if vectorized is None:
+                self.stats.scalar_walks += 1
         try:
             if vectorized is not None:
-                for block in vectorized.blocks():
-                    yield from block
+                for rows, _ in vectorized.blocks():
+                    yield from rows
             else:
                 binding = [0] * len(self.order)
                 yield from self._join(0, binding)
@@ -219,6 +224,16 @@ class TributaryJoin:
             # (max_seeks aborts, early-stopping consumers) still record the
             # seeks performed so far
             self.stats.seeks = self.total_seeks()
+
+    def has_empty_atom(self) -> bool:
+        """Whether some atom has no tuples (the join is empty, seek-free)."""
+        return any(p.size == 0 for p in self._prepared)
+
+    def _project(self, results: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Duplicate-eliminate the head tuples of a non-full query."""
+        if self.project_head and not self.query.is_full():
+            return list(dict.fromkeys(results))
+        return results
 
     def _check_seek_budget(self) -> None:
         """Raise :class:`SeekBudgetExceeded` when past ``max_seeks``."""
@@ -292,6 +307,40 @@ def _leapfrog(iterators: list[TrieIterator]) -> Iterator[int]:
                 return
             max_key = iterator.key()
             p = (p + 1) % count
+
+
+def run_joins(joins: Sequence[TributaryJoin]) -> list[list[tuple[int, ...]]]:
+    """Run prepared joins of one query and variable order; rows per join.
+
+    Equivalent to ``[join.run() for join in joins]`` — same rows, order,
+    stats and per-iterator seek counters — but under numpy kernels the
+    non-empty joins share **one** trie walk whose top level is the join's
+    index in the batch (:mod:`~repro.leapfrog.vectorized`), which is what
+    keeps the batched seek kernels fed when each join holds only a
+    worker's sliver of the data.  When the batch does not pack into 63
+    bits the joins are walked one at a time, and only a join that does not
+    pack alone either counts a scalar walk — so ``scalar_walks`` does not
+    depend on how joins were dealt into batches.
+    """
+    from .vectorized import VectorizedTributaryRun
+
+    live = [s for s, join in enumerate(joins) if not join.has_empty_atom()]
+    batch = [joins[s] for s in live]
+    shared = None
+    if len(batch) > 1 and all(map(VectorizedTributaryRun.supports, batch)):
+        shared = VectorizedTributaryRun.build(batch)
+    if shared is None:
+        return [join.run() for join in joins]
+    results: list[list[tuple[int, ...]]] = [[] for _ in joins]
+    try:
+        for rows, bounds in shared.blocks():
+            for s, start, stop in zip(live, bounds, bounds[1:]):
+                if stop > start:
+                    results[s].extend(rows[start:stop])
+    finally:
+        for join in batch:
+            join.stats.seeks = join.total_seeks()
+    return [join._project(rows) for join, rows in zip(joins, results)]
 
 
 def tributary_join(

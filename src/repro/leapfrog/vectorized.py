@@ -1,58 +1,74 @@
 """Block-at-a-time numpy backend for the Tributary join inner loop.
 
 The scalar :class:`~repro.leapfrog.tributary.TributaryJoin` pays a Python
-binary search per ``seek`` — the last tuple-at-a-time hot loop left after
-PR 2 vectorized the shuffle and sort paths.  This module executes the same
-leapfrog trie walk level by level over *arrays of trie contexts*, so the
-seeks of thousands of sibling contexts collapse into a handful of
+binary search per ``seek``.  This module executes the same leapfrog trie
+walk level by level over *arrays of trie contexts*, so the seeks of
+thousands of sibling contexts collapse into a handful of
 ``np.searchsorted`` calls (HoneyComb's batched-intersection idea, arXiv
 2502.06715), and result tuples are emitted in blocks instead of one
 generator yield each.
 
+One walk serves a **batch of prepared joins** — the same query and variable
+order over different workers' fragments.  Per atom, the packed prefix keys
+of the joins' sorted fragments are laid end to end and the join's index in
+the batch (the *segment*) becomes trie level 0: it leads every packed key,
+the frontier starts with one context per join, and everything below is
+oblivious to how many joins share the walk.  A simulated worker holds 1/p
+of the data, so walking workers one at a time feeds the batched kernels
+frontiers a few contexts wide; walking them together is what fills the
+batches.  A single join (:meth:`TributaryJoin.iterate`) is the same walk
+with one segment.
+
 Counted-metric contract (enforced by ``tests/test_wcoj_differential.py``):
 result rows, their order, ``TributaryStats.seeks`` / ``results`` /
 ``sort_cost`` / ``sorted_tuples``, and the per-iterator ``seeks`` counters
-are bit-identical to the scalar backend.  The walk replicates the scalar
-seek accounting exactly:
+of every join are bit-identical to walking it alone with the scalar
+backend.  The walk replicates the scalar seek accounting exactly:
 
 - ``open``      → 1 seek (the block-end upper bound);
 - ``next``      → 1 seek when a new key exists, 0 on exhaustion;
 - ``seek(v)``   → 1 seek (lower bound) always, +1 (upper bound) on a hit.
 
+Seeks are counted per context and folded per (segment, atom) with
+``np.bincount`` into the same ``TrieIterator.seeks`` counters the scalar
+walk increments.
+
 The key observation enabling batching: a :class:`SortedRelation`'s rows are
 sorted lexicographically, so the packed prefix keys of
 :func:`~repro.engine.kernels.packed_key_levels` are globally non-decreasing
-and a per-block binary search equals a single global ``searchsorted``.
+(across segments too — the segment is their most significant digit) and a
+per-block binary search equals a single global ``searchsorted``.
 
 Execution shape:
 
-- **level 0** with one participant is expanded wholesale from precomputed
-  run boundaries; with several participants it is enumerated with the
-  scalar trie iterators (a single context gains nothing from batching, and
-  the scalar walk counts its own seeks);
-- the level-0 domain is split into **chunks** (at least two whenever it has
-  two or more values), each descended to the deepest level and emitted as
-  one block — this is the HoneyComb-style top-variable domain partitioning,
-  and it keeps partially-consumed generators recording strictly fewer
-  seeks than exhausted ones (the PR 2 ``try/finally`` contract);
-- deeper levels run either the **wholesale** single-participant expansion
-  or the **lockstep leapfrog**: per-context cursor arrays advance in the
-  same round-robin order as the scalar algorithm, grouped by acting
-  participant so each step is at most a few ``searchsorted`` calls per
-  participant.
-
-Emissions are restored to depth-first order with a stable sort on the
-context index before recursing, so the output order (which downstream
-dedup, shuffles, and the golden captures pin) matches the scalar walk.
+- a level with one participant is expanded **wholesale** from precomputed
+  run boundaries; with several participants it runs the **lockstep
+  leapfrog**: per-context cursor arrays advance in the same round-robin
+  order as the scalar algorithm, grouped by acting participant so each
+  step is at most a few ``searchsorted`` calls per participant.  The root
+  is a level like any other: one context per join;
+- the level-0 frontier is descended to the deepest level in **chunks** of
+  at most ``_CHUNK_CAP`` contexts, each emitted as one block.  A lone
+  join's frontier is cut into at least two chunks — the HoneyComb-style
+  top-variable domain partitioning — which keeps partially-consumed
+  generators recording strictly fewer seeks than exhausted ones (the PR 2
+  ``try/finally`` contract); a batch is always drained, so it is not;
+- emissions are restored to depth-first order with a stable sort on the
+  context index before recursing.  With the segment on top, depth-first
+  order *is* the per-join concatenation, so a block splits back per join
+  with one ``searchsorted`` on its segment column and each join's rows keep
+  the order the scalar walk emits (which downstream dedup, shuffles, and
+  the golden captures pin).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..engine import kernels
+from ..query.atoms import _COMPARISON_OPS, Constant
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tributary import TributaryJoin
@@ -61,30 +77,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: memory while keeping searchsorted batches large
 _CHUNK_CAP = 65536
 
+#: cap on input tuples (summed over atoms and joins) walked as one batch.
+#: A batch holds its joins' sorted columns and packed prefix keys plus the
+#: frontier at once, so this bounds the walk's transient memory; chosen by
+#: measurement against the benchmark's peak-RSS bound (DESIGN.md)
+BATCH_TUPLE_CAP = 98304
+
+Row = tuple[int, ...]
+
 
 class _AtomArrays:
-    """Columnar search structures for one prepared atom.
+    """Search structures for one atom across a batch of joins.
 
-    Wraps the atom's sorted ``(width, n)`` column array with the packed
-    prefix keys of every depth plus (lazily) the run boundaries per level —
-    everything the batched walk needs, built once per join.
+    ``packed`` holds the prefix keys of every depth over the concatenation
+    of the joins' sorted fragments, the join's index in the batch (the
+    segment) as their leading digit; ``offsets`` are the segments' row
+    boundaries.  The key columns themselves are not copied: a row's key is
+    the low digit of its packed key (:meth:`keys`).  Run boundaries per
+    level are built lazily.
     """
 
-    __slots__ = ("columns", "packed", "lows", "spans", "length", "_runs")
+    __slots__ = ("offsets", "packed", "lows", "spans", "_runs")
 
     def __init__(
         self,
-        columns: np.ndarray,
+        offsets: np.ndarray,
         packed: list[np.ndarray],
         lows: list[int],
         spans: list[int],
     ) -> None:
-        self.columns = columns
+        self.offsets = offsets
         self.packed = packed
         self.lows = lows
         self.spans = spans
-        self.length = columns.shape[1]
         self._runs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def gather(cls, relations) -> Optional["_AtomArrays"]:
+        """Pack one atom's sorted relations; ``None`` when segment and key
+        ranges do not fit 63 bits."""
+        packing = kernels.packed_key_levels(
+            [relation._columns_array for relation in relations]
+        )
+        if packing is None:
+            return None
+        offsets = np.zeros(len(relations) + 1, dtype=np.int64)
+        np.cumsum([len(relation) for relation in relations], out=offsets[1:])
+        return cls(offsets, *packing)
+
+    def keys(self, level: int, rows: np.ndarray) -> np.ndarray:
+        """The ``level``-th key of the given rows, decoded from the pack."""
+        digits = self.packed[level][rows] % np.uint64(self.spans[level])
+        return digits.astype(np.int64) + self.lows[level]
 
     def runs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(starts, ends) of the equal-key runs of ``packed[level]``."""
@@ -104,11 +148,19 @@ class _AtomArrays:
 
 
 class VectorizedTributaryRun:
-    """One batched execution of a prepared :class:`TributaryJoin`."""
+    """One batched walk over prepared joins of one query and variable order.
 
-    def __init__(self, join: "TributaryJoin", arrays: dict[int, _AtomArrays]):
-        self.join = join
+    Every join must have no empty atom (an empty atom makes the scalar walk
+    return before its first seek, so such joins never enter a batch).
+    """
+
+    def __init__(
+        self, joins: Sequence["TributaryJoin"], arrays: list[_AtomArrays]
+    ) -> None:
+        self.joins = list(joins)
         self.arrays = arrays
+        join = self.joins[0]
+        self._depths = len(join.order)
         # order[depth] -> participating prepared-atom indices
         self._participants: list[list[int]] = [
             [
@@ -125,151 +177,124 @@ class VectorizedTributaryRun:
                 self._levels[(i, depth)] = join._prepared[
                     i
                 ].key_variables.index(variable)
-        # seeks counted by the batched walk, flushed into the scalar
-        # iterators' counters so ``total_seeks()`` stays the one source
-        self._pending: dict[int, int] = {
-            i: 0 for i in range(len(join._prepared))
-        }
+        # depth -> atoms still to be walked below it; only their blocks are
+        # carried down (none at the deepest level, the widest frontier)
+        self._carried: list[list[int]] = [
+            sorted({i for part in self._participants[depth + 1:] for i in part})
+            for depth in range(self._depths)
+        ]
+        # comparisons as (operator, left depth, right depth | None, constant)
+        depth_of = {variable: i for i, variable in enumerate(join.order)}
+        self._filters = [
+            [
+                (
+                    _COMPARISON_OPS[c.op],
+                    depth_of[c.left],
+                    None if isinstance(c.right, Constant) else depth_of[c.right],
+                    c.right.value if isinstance(c.right, Constant) else None,
+                )
+                for c in comparisons
+            ]
+            for comparisons in join._comparisons_at_depth
+        ]
+        # seeks counted by the batched walk per (atom, segment), flushed
+        # into the scalar iterators' counters so ``total_seeks()`` stays
+        # the one source
+        self._pending = [
+            np.zeros(len(self.joins), dtype=np.int64) for _ in arrays
+        ]
 
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def supports(join: "TributaryJoin") -> bool:
+        """Whether this join's configuration has a batched walk at all: the
+        ``sorted`` backend prepared under numpy kernels (columnar arrays)."""
+        return (
+            join.backend == "sorted"
+            and kernels.get_backend() == "numpy"
+            and all(
+                p.iterator.relation._columns_array is not None
+                for p in join._prepared
+            )
+        )
 
     @classmethod
-    def build(cls, join: "TributaryJoin") -> Optional["VectorizedTributaryRun"]:
-        """A batched run for this join, or ``None`` when unsupported.
-
-        Requires the ``sorted`` backend under numpy kernels with columnar
-        sorted arrays present, and every atom's key ranges packable into 64
-        bits; anything else falls back to the scalar walk.
-        """
-        if join.backend != "sorted":
-            return None
-        if kernels.get_backend() != "numpy":
-            return None
-        arrays = getattr(join, "_vector_arrays", None)
-        if arrays is None:
-            arrays = {}
-            for i, prepared in enumerate(join._prepared):
-                relation = prepared.iterator.relation
-                columns = getattr(relation, "_columns_array", None)
-                if columns is None:
-                    return None
-                packing = kernels.packed_key_levels(columns)
-                if packing is None and columns.shape[0] > 0:
-                    return None
-                packed, lows, spans = packing if packing else ([], [], [])
-                arrays[i] = _AtomArrays(columns, packed, lows, spans)
-            join._vector_arrays = arrays
-        return cls(join, arrays)
+    def build(
+        cls, joins: Sequence["TributaryJoin"]
+    ) -> Optional["VectorizedTributaryRun"]:
+        """A batched run over supported joins, or ``None`` when some atom's
+        segment and key ranges do not pack into 63 bits (the caller walks
+        the joins some other way and counts the fallback)."""
+        arrays = []
+        for i in range(len(joins[0]._prepared)):
+            gathered = _AtomArrays.gather(
+                [join._prepared[i].iterator.relation for join in joins]
+            )
+            if gathered is None:
+                return None
+            arrays.append(gathered)
+        return cls(joins, arrays)
 
     # ------------------------------------------------------------------
 
-    def blocks(self):
-        """Yield result-tuple blocks in exact scalar emission order."""
-        join = self.join
-        depth_count = len(join.order)
-        root = self._root_frontier()
-        values = root[0]
-        keep = self._filter_mask(0, [values])
-        if keep is not None:
-            values = values[keep]
-            root = (values, {
-                i: (lo[keep], hi[keep]) for i, (lo, hi) in root[1].items()
-            })
-        count = values.size
-        if count == 0:
+    def blocks(self) -> Iterator[tuple[list[Row], list[int]]]:
+        """Yield ``(rows, bounds)`` blocks in exact scalar emission order.
+
+        ``rows`` are head tuples of consecutive joins; join ``s`` of the
+        batch owns ``rows[bounds[s]:bounds[s + 1]]``.
+        """
+        atoms = range(len(self.arrays))
+        frontier = self._descend(
+            0,
+            [],
+            np.arange(len(self.joins), dtype=np.int64),
+            {i: self.arrays[i].offsets[:-1] for i in atoms},
+            {i: self.arrays[i].offsets[1:] for i in atoms},
+        )
+        if frontier is None:
             return
-        block_lo: dict[int, np.ndarray] = {}
-        block_hi: dict[int, np.ndarray] = {}
-        for i in range(len(join._prepared)):
-            if i in root[1]:
-                block_lo[i], block_hi[i] = root[1][i]
-            else:
-                block_lo[i] = np.zeros(count, dtype=np.int64)
-                block_hi[i] = np.full(
-                    count, self.arrays[i].length, dtype=np.int64
-                )
-        chunk = max(1, min(count // 2, _CHUNK_CAP))
+        bindings, segment, block_lo, block_hi = frontier
+        count = segment.size
+        # a lone join streams to a consumer that may stop early, so its
+        # frontier is cut in two at least; a batch is always drained and
+        # descends whole, up to the cap
+        halves = 2 if len(self.joins) == 1 else 1
+        chunk = max(1, min(count // halves, _CHUNK_CAP))
         for start in range(0, count, chunk):
             stop = min(start + chunk, count)
-            bindings = [values[start:stop]]
-            lo = {i: a[start:stop] for i, a in block_lo.items()}
-            hi = {i: a[start:stop] for i, a in block_hi.items()}
-            emptied = False
-            for depth in range(1, depth_count):
-                bindings, lo, hi = self._descend(depth, bindings, lo, hi)
-                if bindings is None:
-                    emptied = True
+            frontier = (
+                [b[start:stop] for b in bindings],
+                segment[start:stop],
+                {i: a[start:stop] for i, a in block_lo.items()},
+                {i: a[start:stop] for i, a in block_hi.items()},
+            )
+            for depth in range(1, self._depths):
+                frontier = self._descend(depth, *frontier)
+                if frontier is None:
                     break
-            if not emptied:
-                yield self._emit(bindings)
+            else:
+                yield self._emit(frontier[0], frontier[1])
 
     # ------------------------------------------------------------------
 
-    def _root_frontier(
-        self,
-    ) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """Enumerate level 0 over the single root context."""
-        join = self.join
-        part = self._participants[0]
-        if len(part) == 1:
-            index = part[0]
-            arrays = self.arrays[index]
-            starts, ends = arrays.runs(self._levels[(index, 0)])
-            # 1 open + one next per further distinct key
-            self._pending[index] += starts.size
-            self._flush_seeks()
-            return arrays.columns[self._levels[(index, 0)]][starts], {
-                index: (starts, ends)
-            }
-        # several participants over one context: the scalar leapfrog is the
-        # batched algorithm at batch size one, minus the numpy overhead —
-        # and it counts its own seeks
-        from .tributary import _leapfrog
-
-        iterators = [join._prepared[i].iterator for i in part]
-        for iterator in iterators:
-            iterator.open()
-        values: list[int] = []
-        captured: dict[int, tuple[list[int], list[int]]] = {
-            i: ([], []) for i in part
-        }
-        try:
-            for value in _leapfrog(iterators):
-                join._check_seek_budget()
-                values.append(value)
-                for i in part:
-                    lo, hi = join._prepared[i].iterator.current_range()
-                    captured[i][0].append(lo)
-                    captured[i][1].append(hi)
-        finally:
-            for iterator in iterators:
-                iterator.up()
-        blocks = {
-            i: (
-                np.asarray(captured[i][0], dtype=np.int64),
-                np.asarray(captured[i][1], dtype=np.int64),
-            )
-            for i in part
-        }
-        return np.asarray(values, dtype=np.int64), blocks
-
-    def _descend(self, depth, bindings, block_lo, block_hi):
-        """Expand every context one level down; ``(None, None, None)`` when
-        the frontier empties."""
-        join = self.join
+    def _descend(self, depth, bindings, segment, block_lo, block_hi):
+        """Expand every context one level down into ``(bindings, segment,
+        block_lo, block_hi)``; ``None`` when the frontier empties."""
         part = self._participants[depth]
-        if len(part) == 1:
-            parent_idx, values, blocks = self._single(part[0], depth, block_lo, block_hi)
-        else:
-            parent_idx, values, blocks = self._lockstep(part, depth, block_lo, block_hi)
+        expand = self._single if len(part) == 1 else self._lockstep
+        parent_idx, values, blocks = expand(
+            part, depth, segment, block_lo, block_hi
+        )
         self._flush_seeks()
         if values.size == 0:
-            return None, None, None
+            return None
         child_bindings = [b[parent_idx] for b in bindings]
         child_bindings.append(values)
+        child_segment = segment[parent_idx]
         child_lo: dict[int, np.ndarray] = {}
         child_hi: dict[int, np.ndarray] = {}
-        for i in range(len(join._prepared)):
+        for i in self._carried[depth]:
             if i in blocks:
                 child_lo[i], child_hi[i] = blocks[i]
             else:
@@ -278,15 +303,23 @@ class VectorizedTributaryRun:
         keep = self._filter_mask(depth, child_bindings)
         if keep is not None:
             child_bindings = [b[keep] for b in child_bindings]
+            child_segment = child_segment[keep]
             child_lo = {i: a[keep] for i, a in child_lo.items()}
             child_hi = {i: a[keep] for i, a in child_hi.items()}
-            if child_bindings[0].size == 0:
-                return None, None, None
-        return child_bindings, child_lo, child_hi
+            if child_segment.size == 0:
+                return None
+        return child_bindings, child_segment, child_lo, child_hi
 
-    def _single(self, index, depth, block_lo, block_hi):
+    def _count(self, index: int, segment: np.ndarray, seeks: np.ndarray) -> None:
+        """Fold per-context seek counts of one atom into its segments."""
+        self._pending[index] += np.bincount(
+            segment, weights=seeks, minlength=len(self.joins)
+        ).astype(np.int64)
+
+    def _single(self, part, depth, segment, block_lo, block_hi):
         """Wholesale expansion of a one-participant level: every context's
         distinct keys are exactly the packed-key runs inside its block."""
+        index = part[0]
         arrays = self.arrays[index]
         level = self._levels[(index, depth)]
         starts, ends = arrays.runs(level)
@@ -299,7 +332,7 @@ class VectorizedTributaryRun:
         counts = last - first
         total = int(counts.sum())
         # 1 open + (distinct - 1) nexts per context = its run count
-        self._pending[index] += total
+        self._count(index, segment, counts)
         offsets = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1])
         )
@@ -311,10 +344,10 @@ class VectorizedTributaryRun:
         child_lo = starts[flat]
         child_hi = ends[flat]
         parent_idx = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
-        values = arrays.columns[level][child_lo]
+        values = arrays.keys(level, child_lo)
         return parent_idx, values, {index: (child_lo, child_hi)}
 
-    def _lockstep(self, part, depth, block_lo, block_hi):
+    def _lockstep(self, part, depth, segment, block_lo, block_hi):
         """Round-robin leapfrog over arrays of contexts.
 
         Per-context state mirrors the scalar algorithm exactly — cursor
@@ -324,133 +357,150 @@ class VectorizedTributaryRun:
         costs at most three ``searchsorted`` batches per participant.
         """
         count = len(part)
-        context_count = block_lo[part[0]].size
+        context_count = segment.size
         levels = [self._levels[(i, depth)] for i in part]
         arrays = [self.arrays[i] for i in part]
-        pos: list[np.ndarray] = []
-        end: list[np.ndarray] = []
-        keys = np.empty((count, context_count), dtype=np.int64)
+        shape = (count, context_count)
+        pos = np.empty(shape, dtype=np.int64)
+        end = np.empty(shape, dtype=np.int64)
+        his = np.empty(shape, dtype=np.int64)
+        keys = np.empty(shape, dtype=np.int64)
         for j, i in enumerate(part):
-            packed = arrays[j].packed[levels[j]]
-            opened = block_lo[i].astype(np.int64, copy=True)
-            pos.append(opened)
-            end.append(kernels.run_bounds(packed, opened).astype(np.int64))
-            self._pending[i] += context_count  # the open() upper bound
-            keys[j] = arrays[j].columns[levels[j]][opened]
-        his = [block_hi[i] for i in part]
+            pos[j] = block_lo[i]
+            end[j] = kernels.run_bounds(arrays[j].packed[levels[j]], pos[j])
+            his[j] = block_hi[i]
+            keys[j] = arrays[j].keys(levels[j], pos[j])
+        # seeks per (participant, context); every open() pays its block-end
+        # upper bound up front
+        seeks = np.ones(shape, dtype=np.int64)
         slot_order = np.argsort(keys, axis=0, kind="stable")
         max_key = keys.max(axis=0)
         pointer = np.zeros(context_count, dtype=np.int64)
-        active = np.ones(context_count, dtype=bool)
+        acting = np.arange(context_count, dtype=np.int64)
+        # whether any participant's hit blocks are needed further down
+        carried = not set(part).isdisjoint(self._carried[depth])
         emit_ctx: list[np.ndarray] = []
         emit_val: list[np.ndarray] = []
-        emit_blocks: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(count)
-        ]
-        while True:
-            acting = np.flatnonzero(active)
-            if acting.size == 0:
-                break
+        emit_pos: list[np.ndarray] = []
+        emit_end: list[np.ndarray] = []
+        while acting.size:
             current = slot_order[pointer[acting], acting]
-            agreed = keys[current, acting] == max_key[acting]
-            hits = acting[agreed]
-            if hits.size:
+            top = max_key[acting]
+            agreed = keys[current, acting] == top
+            # a hit costs its acting iterator one seek (next()'s block-end
+            # bound), a miss two (seek()'s lower bound, then the block end);
+            # an iterator that runs off its block skips the block-end bound
+            seeks[current, acting] += 2 - agreed
+            # next(): hop to the block end (misses are overwritten below)
+            new_pos = end[current, acting]
+            hit_count = np.count_nonzero(agreed)
+            if hit_count:
+                hits = acting[agreed]
                 emit_ctx.append(hits)
-                emit_val.append(max_key[hits])
+                emit_val.append(top[agreed])
+                if carried:
+                    emit_pos.append(pos[:, hits])
+                    emit_end.append(end[:, hits])
+            if hit_count < acting.size:
+                missed = ~agreed
                 for j in range(count):
-                    emit_blocks[j].append((pos[j][hits], end[j][hits]))
-            for j, i in enumerate(part):
-                mine = current == j
-                if not mine.any():
-                    continue
-                contexts = acting[mine]
-                matched = agreed[mine]
-                packed = arrays[j].packed[levels[j]]
-                column = arrays[j].columns[levels[j]]
-                new_pos = np.empty(contexts.size, dtype=np.int64)
-                if matched.any():
-                    # next(): hop to the block end
-                    new_pos[matched] = end[j][contexts[matched]]
-                missed = ~matched
-                if missed.any():
-                    # seek(max_key): one batched lower bound
-                    seeking = contexts[missed]
+                    mine = (missed & (current == j)).nonzero()[0]
+                    if mine.size == 0:
+                        continue
+                    # seek(max_key): one batched lower bound under the
+                    # context's prefix — its segment at the top level
+                    seeking = acting[mine]
                     level = levels[j]
                     if level > 0:
-                        prefixes = arrays[j].packed[level - 1][pos[j][seeking]]
+                        prefixes = arrays[j].packed[level - 1][pos[j, seeking]]
                     else:
-                        prefixes = np.zeros(seeking.size, dtype=np.uint64)
-                    new_pos[missed] = kernels.batched_seek_lower_bounds(
-                        packed,
+                        prefixes = segment[seeking].astype(np.uint64)
+                    new_pos[mine] = kernels.batched_seek_lower_bounds(
+                        arrays[j].packed[level],
                         prefixes,
-                        max_key[seeking],
+                        top[mine],
                         arrays[j].lows[level],
                         arrays[j].spans[level],
                     )
-                    self._pending[i] += int(seeking.size)
-                exhausted = new_pos >= his[j][contexts]
-                active[contexts[exhausted]] = False
-                alive = contexts[~exhausted]
-                if alive.size:
-                    landed = new_pos[~exhausted]
-                    pos[j][alive] = landed
-                    end[j][alive] = kernels.run_bounds(packed, landed)
-                    self._pending[i] += int(alive.size)  # block-end bound
-                    fresh = column[landed]
-                    keys[j, alive] = fresh
-                    max_key[alive] = fresh
-                    pointer[alive] = (pointer[alive] + 1) % count
+            exhausted = new_pos >= his[current, acting]
+            if np.count_nonzero(exhausted):
+                seeks[current[exhausted], acting[exhausted]] -= 1
+                alive = ~exhausted
+                acting = acting[alive]
+                if acting.size == 0:
+                    break
+                current = current[alive]
+                new_pos = new_pos[alive]
+            pos[current, acting] = new_pos
+            for j in range(count):
+                mine = (current == j).nonzero()[0]
+                if mine.size == 0:
+                    continue
+                landed = new_pos[mine]
+                contexts = acting[mine]
+                level = levels[j]
+                end[j, contexts] = kernels.run_bounds(
+                    arrays[j].packed[level], landed
+                )
+                fresh = arrays[j].keys(level, landed)
+                keys[j, contexts] = fresh
+                max_key[contexts] = fresh
+            pointer[acting] = (pointer[acting] + 1) % count
+        for j, i in enumerate(part):
+            self._count(i, segment, seeks[j])
         if not emit_ctx:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty, {i: (empty, empty) for i in part}
+            return empty, empty, {}
         all_ctx = np.concatenate(emit_ctx)
-        all_val = np.concatenate(emit_val)
         # chronological emissions per context are ascending; a stable sort
         # on the context index restores global depth-first order
         order = np.argsort(all_ctx, kind="stable")
         blocks = {}
-        for j, i in enumerate(part):
-            lo = np.concatenate([c[0] for c in emit_blocks[j]])[order]
-            hi = np.concatenate([c[1] for c in emit_blocks[j]])[order]
-            blocks[i] = (lo, hi)
-        return all_ctx[order], all_val[order], blocks
+        if carried:
+            all_pos = np.concatenate(emit_pos, axis=1)[:, order]
+            all_end = np.concatenate(emit_end, axis=1)[:, order]
+            blocks = {i: (all_pos[j], all_end[j]) for j, i in enumerate(part)}
+        return all_ctx[order], np.concatenate(emit_val)[order], blocks
 
     # ------------------------------------------------------------------
 
     def _filter_mask(self, depth, bindings) -> Optional[np.ndarray]:
-        """Comparison-predicate mask at this depth (``None`` = keep all)."""
-        comparisons = self.join._comparisons_at_depth[depth]
-        if not comparisons:
-            return None
-        order = self.join.order
-        columns = [b.tolist() for b in bindings]
-        keep = np.ones(len(columns[0]), dtype=bool)
-        for row in range(len(columns[0])):
-            bound = {
-                order[i]: columns[i][row] for i in range(depth + 1)
-            }
-            if not all(c.evaluate(bound) for c in comparisons):
-                keep[row] = False
+        """Comparison-predicate mask at this depth (``None`` = keep all).
+
+        A comparison fires at the deepest variable it mentions, so both of
+        its sides are bound here and the mask is one array expression.
+        """
+        keep = None
+        for compare, left, right, constant in self._filters[depth]:
+            mask = compare(
+                bindings[left], constant if right is None else bindings[right]
+            )
+            keep = mask if keep is None else keep & mask
         return keep
 
-    def _emit(self, bindings) -> list[tuple[int, ...]]:
-        """Materialize one chunk's head tuples in scalar emission order."""
-        join = self.join
-        total = bindings[0].size
-        join.stats.results += total
-        head = join._head_positions
+    def _emit(self, bindings, segment) -> tuple[list[Row], list[int]]:
+        """Materialize one chunk's head tuples in scalar emission order,
+        with the per-join split points of the (sorted) segment column."""
+        joins = self.joins
+        bounds = np.searchsorted(
+            segment, np.arange(len(joins) + 1, dtype=np.int64)
+        ).tolist()
+        for s, join in enumerate(joins):
+            join.stats.results += bounds[s + 1] - bounds[s]
+        total = segment.size
+        head = joins[0]._head_positions
         if not head:
-            return [()] * total
+            return [()] * total, bounds
         columns = [bindings[p].tolist() for p in head]
         if len(columns) == 1:
-            return [(value,) for value in columns[0]]
-        return list(zip(*columns))
+            return [(value,) for value in columns[0]], bounds
+        return list(zip(*columns)), bounds
 
     def _flush_seeks(self) -> None:
-        """Commit batched seek counts to the iterators, then check budget."""
-        prepared = self.join._prepared
-        for i, pending in self._pending.items():
-            if pending:
-                prepared[i].iterator.seeks += pending
-                self._pending[i] = 0
-        self.join._check_seek_budget()
+        """Commit batched seek counts to the iterators, then check budgets."""
+        for i, pending in enumerate(self._pending):
+            for s in np.flatnonzero(pending).tolist():
+                self.joins[s]._prepared[i].iterator.seeks += int(pending[s])
+            pending[:] = 0
+        for join in self.joins:
+            join._check_seek_budget()

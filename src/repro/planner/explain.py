@@ -366,6 +366,11 @@ class AnalyzedPlan:
             f"peak memory: {peak:,} tuples on the fullest worker "
             f"({len(stats.peak_memory)} workers tracked)"
         )
+        if stats.wcoj_scalar_walks:
+            lines.append(
+                f"wcoj fallbacks: {stats.wcoj_scalar_walks} join(s) walked "
+                "scalar (keys overflow the 63-bit pack)"
+            )
         if stats.failed:
             lines.append(f"FAILED: {stats.failure} (trace is partial)")
         return "\n".join(lines)

@@ -121,6 +121,22 @@ class Atom:
             raise ValueError(f"atom {self.relation} must have at least one term")
         if not self.alias:
             object.__setattr__(self, "alias", self.relation)
+        # the atom is frozen, so what planning asks of its terms thousands
+        # of times per lowering is derived once (not fields: eq/hash/repr
+        # stay those of relation, terms, alias)
+        positions: dict[Term, list[int]] = {}
+        for position, term in enumerate(self.terms):
+            positions.setdefault(term, []).append(position)
+        object.__setattr__(
+            self,
+            "_positions",
+            {term: tuple(found) for term, found in positions.items()},
+        )
+        object.__setattr__(
+            self,
+            "_variables",
+            tuple(term for term in positions if isinstance(term, Variable)),
+        )
 
     @property
     def arity(self) -> int:
@@ -128,11 +144,7 @@ class Atom:
 
     def variables(self) -> tuple[Variable, ...]:
         """The distinct variables of this atom, in first-occurrence order."""
-        seen: list[Variable] = []
-        for term in self.terms:
-            if isinstance(term, Variable) and term not in seen:
-                seen.append(term)
-        return tuple(seen)
+        return self._variables
 
     def constants(self) -> tuple[tuple[int, Constant], ...]:
         """(position, constant) pairs for the constant terms of this atom."""
@@ -144,9 +156,7 @@ class Atom:
 
     def positions_of(self, variable: Variable) -> tuple[int, ...]:
         """All argument positions where ``variable`` occurs."""
-        return tuple(
-            position for position, term in enumerate(self.terms) if term == variable
-        )
+        return self._positions.get(variable, ())
 
     def __repr__(self) -> str:
         args = ", ".join(repr(term) for term in self.terms)

@@ -10,7 +10,10 @@ Every statistic is computed on the relation *after* the atom's constant
 selections (selection pushdown, the paper's footnote 3) and memoized:
 
 - the filtered relation itself is cached per ``(relation, constants)``;
-- distinct-prefix counts are cached per ``(relation, constants, positions)``;
+- distinct-prefix counts are cached per ``(relation, constants, positions)``
+  and, underneath, on the immutable relation they were counted over
+  (:meth:`~repro.storage.relation.Relation.distinct_count`), so a fresh
+  catalog over an unchanged database does not recount them;
 - heavy-hitter counts (the largest key group, used by the cost-based
   optimizer's skew estimates) are cached the same way.
 
@@ -61,7 +64,7 @@ class Catalog:
         if key in self._prefix_cache:
             return self._prefix_cache[key]
         relation = self.database[relation_name]
-        count = _distinct_count(relation, tuple(positions))
+        count = relation.distinct_count(positions)
         self._prefix_cache[key] = count
         return count
 
@@ -100,7 +103,7 @@ class Catalog:
         key = (atom.relation, atom.constants(), tuple(positions))
         if key in self._atom_prefix_cache:
             return self._atom_prefix_cache[key]
-        count = _distinct_count(self._filtered(atom), tuple(positions))
+        count = self._filtered(atom).distinct_count(positions)
         self._atom_prefix_cache[key] = count
         return count
 
@@ -223,14 +226,6 @@ class Catalog:
             relation = relation.select(position, self.database.encode(constant.value))
         self._filtered_cache[key] = relation
         return relation
-
-
-def _distinct_count(relation: Relation, positions: tuple[int, ...]) -> int:
-    """Distinct combinations of ``positions`` (empty prefix: 1 if non-empty)."""
-    if not positions:
-        return 1 if len(relation) else 0
-    seen = {tuple(row[p] for p in positions) for row in relation.rows}
-    return len(seen)
 
 
 def cardinalities_for(

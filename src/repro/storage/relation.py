@@ -26,12 +26,28 @@ class Relation:
             raise ValueError(f"relation {name} needs at least one column")
         self._rows: list[tuple[int, ...]] = list(rows)
         self._digest: Union[int, None] = None
+        self._distinct: dict[tuple[int, ...], int] = {}
         arity = len(self.columns)
         for row in self._rows:
             if len(row) != arity:
                 raise ValueError(
                     f"row {row} has arity {len(row)}, expected {arity} in {name}"
                 )
+
+    @classmethod
+    def over_rows(
+        cls, name: str, columns: Sequence[str], rows: list[tuple[int, ...]]
+    ) -> "Relation":
+        """A relation over a row list the engine already owns and validated.
+
+        Adopts ``rows`` as is — no copy, no per-row arity check — so it is
+        only for internal callers whose rows came out of a relation or an
+        operator (a frame's rows, a scan filter's output).  Rows arriving
+        from outside go through the validating constructor.
+        """
+        relation = cls(name, columns, ())
+        relation._rows = rows
+        return relation
 
     @property
     def arity(self) -> int:
@@ -91,20 +107,35 @@ class Relation:
             self._digest = hash(tuple(self._rows))
         return self._digest
 
+    def distinct_count(self, positions: Sequence[int]) -> int:
+        """Distinct combinations of ``positions``, memoized like the digest.
+
+        The empty prefix counts 1 for a non-empty relation.  Statistics
+        catalogs are rebuilt per planning call while relations live as long
+        as the database, so the count is cached here, on the immutable
+        data it describes.
+        """
+        key = tuple(positions)
+        count = self._distinct.get(key)
+        if count is None:
+            if not key:
+                count = 1 if self._rows else 0
+            else:
+                count = len({tuple(row[p] for p in key) for row in self._rows})
+            self._distinct[key] = count
+        return count
+
     def with_rows(self, rows: list[tuple[int, ...]]) -> "Relation":
         """Same schema over a subset of this relation's rows.
 
         Skips arity validation — the rows must come from this relation (e.g.
         a scan filter's output), where they were already validated.
         """
-        relation = Relation(self.name, self.columns, ())
-        relation._rows = rows
-        return relation
+        return Relation.over_rows(self.name, self.columns, rows)
 
     def renamed(self, name: str) -> "Relation":
-        relation = Relation(name, self.columns, ())
-        relation._rows = self._rows  # share the row storage; rows are immutable
-        return relation
+        # share the row storage; rows are immutable
+        return Relation.over_rows(name, self.columns, self._rows)
 
 
 Value = Union[int, str]

@@ -9,7 +9,6 @@ cache's hit/invalidation semantics, and the auto-vs-explicit differential:
 
 import pytest
 
-import repro.query.catalog as catalog_module
 from repro.planner import (
     ALL_STRATEGIES,
     AUTO_STRATEGY,
@@ -24,7 +23,7 @@ from repro.query.atoms import Atom, Constant, Variable
 from repro.query.catalog import Catalog
 from repro.query.parser import parse_query
 from repro.storage.generators import twitter_database
-from repro.storage.relation import Database
+from repro.storage.relation import Database, Relation
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -61,13 +60,13 @@ class TestAtomPrefixCountCache:
         catalog = Catalog(small_db())
         atom = Atom("R", (X, Y), alias="R1")
         calls = []
-        real = catalog_module._distinct_count
+        real = Relation.distinct_count
 
         def counting(relation, positions):
             calls.append(positions)
             return real(relation, positions)
 
-        monkeypatch.setattr(catalog_module, "_distinct_count", counting)
+        monkeypatch.setattr(Relation, "distinct_count", counting)
         first = catalog.atom_prefix_count(atom, (X, Y), 1)
         second = catalog.atom_prefix_count(atom, (X, Y), 1)
         assert first == second == 3
@@ -77,13 +76,13 @@ class TestAtomPrefixCountCache:
         catalog = Catalog(small_db())
         atom = Atom("R", (X, Y), alias="R1")
         calls = []
-        real = catalog_module._distinct_count
+        real = Relation.distinct_count
 
         def counting(relation, positions):
             calls.append(positions)
             return real(relation, positions)
 
-        monkeypatch.setattr(catalog_module, "_distinct_count", counting)
+        monkeypatch.setattr(Relation, "distinct_count", counting)
         via_order = catalog.atom_prefix_count(atom, (Y, X), 1)
         via_positions = catalog.atom_prefix_count_positions(atom, [1])
         assert via_order == via_positions == 3
