@@ -278,6 +278,14 @@ class InjectedFault(Exception):
         self.worker = worker
         self.phase = phase
 
+    def __reduce__(self):
+        """Pickle support, as for :class:`~repro.engine.memory.OutOfMemoryError`:
+        a fault fired inside a session child crosses the worker pipe."""
+        return (
+            InjectedFault,
+            (self.spec, self.round_index, self.round_label, self.worker, self.phase),
+        )
+
 
 @dataclass(frozen=True)
 class FailureReport:
@@ -377,9 +385,12 @@ class FaultSession:
 
     Built by the executor when a non-empty plan is supplied.  Worker targets
     left as ``None`` in the plan are resolved here with the plan's seed, so
-    a session is deterministic given (plan, cluster size).  The scheduler
-    calls the hooks at well-defined points; each hook either returns quietly
-    or raises :class:`InjectedFault`:
+    a session is deterministic given (plan, cluster size) — and immutable
+    after construction: every hook is a pure function of its arguments, so
+    the session pickles into the local runner and fires identically on the
+    driver, a pool thread, or a session child.  The scheduler calls the
+    hooks at well-defined points; each hook either returns quietly or
+    raises :class:`InjectedFault`:
 
     - :meth:`at_worker` — a worker task is starting (Round-boundary crashes
       and injected OOMs fire here);

@@ -6,25 +6,24 @@ another on a single core.  HoneyComb (Wu & Suciu, 2025) makes the case that
 worst-case-optimal distributed joins only pay off at scale when local
 evaluation exploits multicores — this module is that seam.
 
-Three runtimes implement the same contract:
+There is one way to run a worker task: :meth:`WorkerRuntime.map_local`
+hands every executor its workers as one *batch* of ``(worker, ledger,
+inputs)`` and calls a picklable runner on it, so the Tributary joins of a
+batch share a trie walk while each worker is still accounted on its own
+ledger.  The three runtimes differ only in who the executors are
+(:meth:`~WorkerRuntime._local_batches`, :meth:`~WorkerRuntime._run_batches`):
 
-- :class:`SerialRuntime` — runs worker tasks in worker-id order on the
-  calling thread (bit-identical to the historical behavior);
-- :class:`ParallelRuntime` — runs them concurrently on a
+- :class:`SerialRuntime` — the calling thread runs every worker as a single
+  batch (bit-identical to the historical behavior);
+- :class:`ParallelRuntime` — one batch per thread of a
   :class:`concurrent.futures.ThreadPoolExecutor`;
-- :class:`ProcessRuntime` — runs them on a forked
-  :class:`multiprocessing.Pool` (``--runtime parallel:N:proc``), the only
-  mode that escapes the GIL for true multicore wall-clock speedup.
-  Inbound state (relation fragments, slots, closures) reaches the children
-  through fork copy-on-write; large result blocks return through
-  :mod:`~repro.engine.shm` shared-memory segments instead of the pickle
-  pipe; each worker's ledger is pickled back and merged exactly like the
-  thread runtime's.
-
-Local-join rounds reach the runtimes through :meth:`WorkerRuntime.map_local`,
-which hands every executor (the calling thread, a pool thread, a session
-child) its workers as one *batch*: the Tributary joins of a batch share a
-trie walk, while each worker is still accounted on its own ledger.
+- :class:`ProcessRuntime` — one batch per forked, pipe-connected session
+  child (``--runtime parallel:N:proc``), the only mode that escapes the GIL
+  for true multicore wall-clock speedup.  Everything a child needs — the
+  runner, the slot inputs, the ledgers — is shipped to it; row blocks above
+  a size threshold cross in either direction through :mod:`~repro.engine.shm`
+  shared-memory segments instead of the pickle pipe, and each worker's
+  ledger is pickled back and merged exactly like the thread runtime's.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker
@@ -35,10 +34,10 @@ operator calls.  Ledgers are merged back into the shared
 :class:`~repro.engine.stats.ExecutionStats` and
 :class:`~repro.engine.memory.MemoryBudget` in worker-id order, making result
 rows and every counted metric (CPU charges, wall clock, peak memory, skews)
-identical across runtimes.  Failure is deterministic too: when workers run
-out of memory, the runtime commits the ledgers of every worker *before* the
-lowest failing worker id (plus that worker's partial ledger) and re-raises
-its :class:`~repro.engine.memory.OutOfMemoryError` — exactly the state a
+identical across runtimes.  Failure is deterministic too: when workers fail
+(out of memory, or hit by an injected fault), the runtime commits the
+ledgers of every worker *before* the lowest failing worker id (plus that
+worker's partial ledger) and re-raises its error — exactly the state a
 serial execution leaves behind.
 """
 
@@ -55,9 +54,6 @@ from .frame import Frame
 from .memory import MemoryBudget, WorkerMemoryAccount
 from .shm import SharedRows, share_rows
 from .stats import ExecutionStats, WorkerStats
-
-#: a worker task: called with (worker id, its ledger), returns any value
-WorkerTask = Callable[[int, "WorkerLedger"], Any]
 
 #: a structured local runner: called with a batch of ``(worker id, ledger,
 #: shipped slot inputs)`` in worker-id order, returns ``(value, error)`` per
@@ -101,33 +97,13 @@ def _run_batch(runner: "LocalRunner", batch: list) -> list:
 
 
 class WorkerRuntime:
-    """Contract shared by the serial and parallel runtimes."""
+    """The contract every runtime shares: :meth:`map_local`.
+
+    Subclasses only choose the executors (:meth:`_local_batches`,
+    :meth:`_run_batches`); the base runs one batch on the calling thread.
+    """
 
     name = "abstract"
-
-    def map_workers(
-        self,
-        worker_ids: Iterable[int],
-        task: WorkerTask,
-        stats: ExecutionStats,
-        memory: MemoryBudget,
-    ) -> list:
-        """Run ``task`` once per worker id; return values in worker order.
-
-        Ledgers are committed into ``stats``/``memory`` in worker-id order.
-        If any task raises, the error of the lowest failing worker id is
-        re-raised after committing the ledgers of all earlier workers plus
-        the failing worker's partial ledger (discarding later workers),
-        which matches a serial execution stopping at the first failure.
-        """
-        raise NotImplementedError
-
-    @staticmethod
-    def _commit(
-        stats: ExecutionStats, memory: MemoryBudget, ledger: WorkerLedger
-    ) -> None:
-        stats.merge_worker(ledger.stats)
-        memory.commit(ledger.memory)
 
     def map_local(
         self,
@@ -137,15 +113,21 @@ class WorkerRuntime:
         stats: ExecutionStats,
         memory: MemoryBudget,
     ) -> list:
-        """Structured variant of :meth:`map_workers` for local-join rounds.
+        """Run one local round: ``runner`` over every worker id, values
+        returned in worker order.
 
         ``runner`` is a *picklable* batch callable (see :data:`LocalRunner`)
         and ``payloads[worker]`` holds the slot inputs that worker reads.
         Each executor of the runtime is handed its workers as **one batch**
         (:meth:`_local_batches` says which), so the runner can share work
         across them — the Tributary joins of a batch share trie walks —
-        while every worker still charges its own ledger.  Ordering and
-        commit-before-lowest-failure semantics match :meth:`map_workers`.
+        while every worker still charges its own ledger.
+
+        Ledgers are committed into ``stats``/``memory`` in worker-id order.
+        If any worker fails, the error of the lowest failing worker id is
+        re-raised after committing the ledgers of all earlier workers plus
+        the failing worker's partial ledger (discarding later workers),
+        which matches a serial execution stopping at the first failure.
         """
         ids = list(worker_ids)
         if not ids:
@@ -164,7 +146,8 @@ class WorkerRuntime:
         values = []
         for worker in ids:
             value, ledger, error = shipped[worker]
-            self._commit(stats, memory, ledger)
+            stats.merge_worker(ledger.stats)
+            memory.commit(ledger.memory)
             if error is not None:
                 raise error
             values.append(value)
@@ -193,49 +176,18 @@ class WorkerRuntime:
     def close_session(self) -> None:
         """End the per-plan worker session (no-op for in-process runtimes)."""
 
-    def fault_safe(self) -> "WorkerRuntime":
-        """The runtime to substitute while a fault session is active.
-
-        Fault injection mutates driver-side session state (fired specs,
-        straggler ledger wrappers) from inside worker tasks; a forked child
-        would lose those mutations, so :class:`ProcessRuntime` degrades to
-        the thread pool here.  In-process runtimes return themselves.
-        """
-        return self
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 class SerialRuntime(WorkerRuntime):
-    """Run worker tasks one after another on the calling thread."""
+    """Run every worker as one batch on the calling thread."""
 
     name = "serial"
 
-    def map_workers(
-        self,
-        worker_ids: Iterable[int],
-        task: WorkerTask,
-        stats: ExecutionStats,
-        memory: MemoryBudget,
-    ) -> list:
-        """Run ``task`` for each worker sequentially, committing each
-        ledger (even on failure) before moving on."""
-        values = []
-        for worker in worker_ids:
-            ledger = _open_ledger(worker, memory)
-            try:
-                value = task(worker, ledger)
-            except Exception:
-                self._commit(stats, memory, ledger)
-                raise
-            self._commit(stats, memory, ledger)
-            values.append(value)
-        return values
-
 
 class ParallelRuntime(WorkerRuntime):
-    """Run worker tasks concurrently on a thread pool.
+    """Run worker batches concurrently on a thread pool.
 
     ``max_workers=None`` sizes the pool to the machine's core count.  The
     ledger isolation + ordered merge makes results and counted metrics
@@ -249,39 +201,6 @@ class ParallelRuntime(WorkerRuntime):
         if max_workers is not None and max_workers < 1:
             raise ValueError("ParallelRuntime needs at least one pool worker")
         self.max_workers = max_workers
-
-    def map_workers(
-        self,
-        worker_ids: Iterable[int],
-        task: WorkerTask,
-        stats: ExecutionStats,
-        memory: MemoryBudget,
-    ) -> list:
-        """Run ``task`` for each worker on the pool, then merge ledgers
-        in worker order so counted metrics match :class:`SerialRuntime`."""
-        ids = list(worker_ids)
-        if not ids:
-            return []
-        ledgers = {worker: _open_ledger(worker, memory) for worker in ids}
-        outcomes: dict[int, tuple[Any, Optional[BaseException]]] = {}
-        with ThreadPoolExecutor(max_workers=self._pool_size()) as pool:
-            futures = {
-                worker: pool.submit(task, worker, ledgers[worker])
-                for worker in ids
-            }
-            for worker in ids:
-                try:
-                    outcomes[worker] = (futures[worker].result(), None)
-                except Exception as error:
-                    outcomes[worker] = (None, error)
-        values = []
-        for worker in ids:
-            value, error = outcomes[worker]
-            self._commit(stats, memory, ledgers[worker])
-            if error is not None:
-                raise error
-            values.append(value)
-        return values
 
     def _pool_size(self) -> int:
         return self.max_workers or min(32, os.cpu_count() or 1)
@@ -303,12 +222,6 @@ class ParallelRuntime(WorkerRuntime):
 # ----------------------------------------------------------------------
 # Process-backed runtime
 # ----------------------------------------------------------------------
-
-#: (task, ledgers) handed to forked children; worker tasks are closures
-#: over live scheduler state and cannot pickle, so they travel by fork
-#: inheritance instead — set immediately before the pool forks, cleared
-#: right after it joins
-_FORK_STATE: Optional[tuple[WorkerTask, dict[int, WorkerLedger]]] = None
 
 
 @dataclass
@@ -353,22 +266,6 @@ def _decode_value(value: Any) -> Any:
     return _decode_payload(value)
 
 
-def _fork_invoke(worker: int):
-    """Run one worker task inside a forked pool child.
-
-    Returns ``(worker, encoded value, mutated ledger, error)``; the ledger
-    rides back even when the task raised, so the parent can honor the
-    commit-before-lowest-failure contract exactly like the other runtimes.
-    """
-    task, ledgers = _FORK_STATE
-    ledger = ledgers[worker]
-    try:
-        value = task(worker, ledger)
-    except Exception as error:
-        return worker, None, ledger, error
-    return worker, _encode_value(value), ledger, None
-
-
 def _session_child_main(connection) -> None:
     """Serve structured local batches inside one persistent forked child.
 
@@ -376,8 +273,8 @@ def _session_child_main(connection) -> None:
     the batch runs as one ``runner`` call and every outcome ships back as
     ``(worker, encoded value, mutated ledger, error)`` — the ledger rides
     along even when the task raised, so the parent honors the
-    commit-before-lowest-failure contract exactly like the fork-per-phase
-    path.  ``None`` (or a closed pipe) ends the loop.
+    commit-before-lowest-failure contract exactly like the in-process
+    runtimes.  ``None`` (or a closed pipe) ends the loop.
     """
     while True:
         try:
@@ -428,7 +325,7 @@ class _SessionWorker:
 
 
 class ProcessRuntime(WorkerRuntime):
-    """Run worker tasks on a forked :class:`multiprocessing.Pool`.
+    """Run worker batches on forked, pipe-connected session children.
 
     The only runtime that escapes the GIL: worker-local joins run on real
     cores, so wall-clock time drops with core count while every counted
@@ -436,17 +333,16 @@ class ProcessRuntime(WorkerRuntime):
     plain picklable dataclasses; floats survive the pickle round trip
     exactly).  ``processes=None`` sizes the pool to the machine.
 
-    Requires the ``fork`` start method (closures and live cluster state
-    reach children by inheritance); on platforms without it, falls back to
-    the thread pool with identical semantics.  Fault-injected executions
-    degrade to threads too — see :meth:`WorkerRuntime.fault_safe`.
-
     Within one plan execution the scheduler opens a *session*
-    (:meth:`open_session`): a pool of pipe-connected children forked once
-    and reused by every structured local round (:meth:`map_local`), with
-    slot inputs and ledgers shipped per phase — short hybrid stages no
-    longer pay a fork per Round.  Unstructured :meth:`map_workers` calls
-    (closures over live driver state) still fork per call.
+    (:meth:`open_session`): children forked once and reused by every local
+    round, with the runner, slot inputs and ledgers shipped per phase — so
+    a child needs no live driver state, and fault-injected rounds run here
+    like any other (the fault session rides inside the runner).  A child
+    that dies mid-round fails its batch's first worker and the session is
+    dropped; the next one reforks.
+
+    Requires the ``fork`` start method; on platforms without it, falls back
+    to the thread pool with identical semantics.
     """
 
     name = "process"
@@ -483,21 +379,16 @@ class ProcessRuntime(WorkerRuntime):
         stats: ExecutionStats,
         memory: MemoryBudget,
     ) -> list:
-        """Dispatch structured local batches over the persistent session pool.
+        """:meth:`WorkerRuntime.map_local` over the session children.
 
-        Workers are dealt round-robin over the session children; each child
-        runs its batch as one ``runner`` call and ships back ``(worker,
-        encoded value, ledger, error)`` per outcome.  Ledgers commit in
-        worker-id order with the same lowest-failure semantics as every
-        other path.  Without an open session the children are forked for
-        this call alone (the fork-per-call cost :meth:`map_workers` pays);
-        off-fork platforms run the batches on the thread pool instead.
+        Without an open session the children are forked for this call
+        alone; off-fork platforms run the batches on the thread pool.
         """
         if self._session is not None:
             return super().map_local(worker_ids, runner, payloads, stats, memory)
         self.open_session()
         if self._session is None:
-            return self.fault_safe().map_local(
+            return ParallelRuntime(max_workers=self.processes).map_local(
                 worker_ids, runner, payloads, stats, memory
             )
         try:
@@ -513,63 +404,39 @@ class ProcessRuntime(WorkerRuntime):
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
         """Ship each batch to its session child; collect what they send."""
         for child, batch in zip(self._session, batches):
-            child.connection.send((
+            message = (
                 runner,
                 [
                     (worker, ledger, _encode_value(payload))
                     for worker, ledger, payload in batch
                 ],
-            ))
-        # every shipped value is decoded, delivered or not: a shared-memory
-        # segment is only reclaimed by loading it
-        return [
-            [
-                (worker, _decode_value(value), ledger, error)
-                for worker, value, ledger, error in child.connection.recv()
-            ]
-            for child, _ in zip(self._session, batches)
-        ]
-
-    def fault_safe(self) -> WorkerRuntime:
-        """Thread-pool stand-in while fault injection is active."""
-        return ParallelRuntime(max_workers=self.processes)
-
-    def map_workers(
-        self,
-        worker_ids: Iterable[int],
-        task: WorkerTask,
-        stats: ExecutionStats,
-        memory: MemoryBudget,
-    ) -> list:
-        """Fork a pool, run every worker task, merge the shipped-back
-        ledgers in worker order; values return via shm above the size
-        threshold, the pickle pipe below it."""
-        ids = list(worker_ids)
-        if not ids:
-            return []
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return ParallelRuntime(max_workers=self.processes).map_workers(
-                ids, task, stats, memory
             )
-        global _FORK_STATE
-        ledgers = {worker: _open_ledger(worker, memory) for worker in ids}
-        pool_size = min(self.processes or (os.cpu_count() or 1), len(ids))
-        context = multiprocessing.get_context("fork")
-        _FORK_STATE = (task, ledgers)
-        try:
-            with context.Pool(processes=pool_size) as pool:
-                outcomes = pool.map(_fork_invoke, ids)
-        finally:
-            _FORK_STATE = None
-        shipped = {outcome[0]: outcome for outcome in outcomes}
-        values = []
-        for worker in ids:
-            _, value, ledger, error = shipped[worker]
-            self._commit(stats, memory, ledger)
-            if error is not None:
-                raise error
-            values.append(_decode_value(value))
-        return values
+            try:
+                child.connection.send(message)
+            except OSError:
+                pass  # the child is gone: its missing reply reports it below
+        # every child is heard out and every shipped value decoded, delivered
+        # or not: a shared-memory segment is only reclaimed by loading it
+        outcomes, broken = [], False
+        for child, batch in zip(self._session, batches):
+            try:
+                reply = child.connection.recv()
+            except (EOFError, OSError):
+                broken = True
+                child.process.join(timeout=10)
+                worker, ledger, _ = batch[0]
+                died = RuntimeError(
+                    f"session child {child.process.pid} died "
+                    f"(exit code {child.process.exitcode})"
+                )
+                reply = [(worker, None, ledger, died)]
+            outcomes.append([
+                (worker, _decode_value(value), ledger, error)
+                for worker, value, ledger, error in reply
+            ])
+        if broken:
+            self.close_session()  # the next open_session() reforks
+        return outcomes
 
     def __repr__(self) -> str:
         return f"ProcessRuntime(processes={self.processes})"

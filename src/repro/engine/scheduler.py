@@ -193,12 +193,9 @@ def _run_local_op(
     read,
     write,
 ) -> None:
-    """Execute one local operator against a worker's slot views."""
-    if isinstance(op, (LocalTributaryJoin, MergeJoinStep)):
-        _, error = _run_join_op(op, [(worker, ledger, read, write)])
-        if error is not None:
-            raise error
-    elif isinstance(op, LocalHashJoin):
+    """Execute one non-Tributary local operator against a worker's slot
+    views (the Tributary joins run batch-wide: :func:`_run_join_op`)."""
+    if isinstance(op, LocalHashJoin):
         left, right = read(op.left), read(op.right)
         out = symmetric_hash_join(
             left,
@@ -231,7 +228,18 @@ def _run_local_op(
         raise TypeError(f"unknown local operator {op!r}")
 
 
-def _run_local_batch(tasks: list, ops=()) -> list:
+def _each_view(step, views: list) -> tuple[int, Optional[Exception]]:
+    """Call ``step(worker, ledger, read, write)`` view by view; ``(views
+    completed, error)`` like :func:`_run_join_op`."""
+    for index, view in enumerate(views):
+        try:
+            step(*view)
+        except Exception as raised:
+            return index, raised
+    return len(views), None
+
+
+def _run_local_batch(tasks: list, ops=(), hooks: Optional[tuple] = None) -> list:
     """Run one round's fused local operators for a batch of workers.
 
     The structured (picklable) local runner every runtime dispatches:
@@ -242,36 +250,54 @@ def _run_local_batch(tasks: list, ops=()) -> list:
     a batch share trie walks — while each worker's ledger still sees its own
     operators in plan order.
 
+    ``hooks`` is ``(fault session, round index, round label, attempt)`` on a
+    fault-injected run: the session's worker hooks fire here, on whichever
+    executor runs the batch — at each task's start (which also slows a
+    straggler's ledger) and per surviving worker after each operator.
+
     Returns ``(produced slots | None, error | None)`` per task up to and
-    including the first failing worker; later workers are abandoned, as no
-    runtime commits past the lowest failing id.
+    including the first failing worker — out of memory or hit by an injected
+    fault alike; later workers are abandoned, as no runtime commits past the
+    lowest failing id.
     """
+    faults, round_index, label, attempt = hooks or (None,) * 4
     produced: list[dict[str, SlotValue]] = [{} for _ in tasks]
     views = []
+    failure: Optional[Exception] = None
+
+    def stop_at(done: int, error: Optional[Exception]) -> None:
+        """Keep the ``done`` views before a failing worker; note its error."""
+        nonlocal views, failure
+        if error is not None:
+            views, failure = views[:done], error
+
+    def fire(hook, *args) -> None:
+        """Consult a worker hook of the fault session, view by view."""
+        stop_at(*_each_view(
+            lambda worker, *_: hook(round_index, label, attempt, worker, *args),
+            views,
+        ))
+
     for (worker, ledger, inputs), outputs in zip(tasks, produced):
+        if faults is not None:
+            ledger = faults.wrap_ledger(round_index, label, ledger)
 
         def read(name: str, inputs=inputs, outputs=outputs) -> SlotValue:
             """Resolve a slot: this task's output, else a shipped input."""
             return outputs[name] if name in outputs else inputs[name]
 
         views.append((worker, ledger, read, outputs.__setitem__))
-    failure: Optional[Exception] = None
+    if faults is not None:
+        fire(faults.at_worker)
     for op in ops:
         if not views:
             break
         if isinstance(op, (LocalTributaryJoin, MergeJoinStep)):
-            done, error = _run_join_op(op, views)
+            stop_at(*_run_join_op(op, views))
         else:
-            done, error = len(views), None
-            for index, (worker, ledger, read, write) in enumerate(views):
-                try:
-                    _run_local_op(op, worker, ledger, read, write)
-                except Exception as raised:
-                    done, error = index, raised
-                    break
-        if error is not None:
-            failure = error
-            views = views[:done]
+            stop_at(*_each_view(partial(_run_local_op, op), views))
+        if faults is not None:
+            fire(faults.after_local_op, op)
     outcomes = [(outputs, None) for outputs in produced[: len(views)]]
     if failure is not None:
         outcomes.append((None, failure))
@@ -374,9 +400,10 @@ def _run_round(
     """Execute one Round: global operators, then the fused local task.
 
     With a fault session, injection hooks are consulted after every global
-    operator, at each worker task's start, and after every local operator;
-    without one (``faults is None``) the hooks are never touched and the
-    Round runs exactly as the fault-free golden captures pin down.
+    operator here and — shipped inside the local runner — at each worker
+    task's start and after every local operator; without one the hooks are
+    never touched and the Round runs exactly as the fault-free golden
+    captures pin down.
     """
     encoder = cluster.encoder()
     workers = cluster.workers
@@ -542,50 +569,25 @@ def _run_round(
     else:
         worker_ids = range(workers)
 
-    if faults is None:
-        # Structured path: ship each worker's input slot values explicitly so
-        # session-based runtimes (persistent process pools) can transfer only
-        # the per-phase payload instead of re-pickling a fresh closure.
-        needed = list(
-            dict.fromkeys(
-                name
-                for op in local
-                for name in op.input_slots()
-                if name in slots
-            )
+    # ship each worker's input slot values explicitly, so a session child
+    # receives only the per-phase payload and needs no live driver state
+    needed = list(
+        dict.fromkeys(
+            name for op in local for name in op.input_slots() if name in slots
         )
-        payloads = {
-            worker: {name: slots[name][worker] for name in needed}
-            for worker in worker_ids
-        }
-        runner = partial(_run_local_batch, ops=local)
-        outcomes = runtime.map_local(
-            worker_ids, runner, payloads, stats, cluster.memory
-        )
-    else:
-
-        def local_task(worker: int, ledger: WorkerLedger, ops=local):
-            """Run the round's fused local operators as one worker task."""
-            faults.at_worker(round_index, label, attempt, worker)
-            ledger = faults.wrap_ledger(round_index, label, ledger)
-            produced: dict[str, SlotValue] = {}
-
-            def read(name: str) -> SlotValue:
-                """Resolve a slot: task output, else the shared binding."""
-                return produced[name] if name in produced else slots[name][worker]
-
-            def write(name: str, value: SlotValue) -> None:
-                """Bind an operator output within this task."""
-                produced[name] = value
-
-            for op in ops:
-                _run_local_op(op, worker, ledger, read, write)
-                faults.after_local_op(round_index, label, attempt, worker, op)
-            return produced
-
-        outcomes = runtime.map_workers(
-            worker_ids, local_task, stats, cluster.memory
-        )
+    )
+    payloads = {
+        worker: {name: slots[name][worker] for name in needed}
+        for worker in worker_ids
+    }
+    hooks = None if faults is None else (faults, round_index, label, attempt)
+    outcomes = runtime.map_local(
+        worker_ids,
+        partial(_run_local_batch, ops=local, hooks=hooks),
+        payloads,
+        stats,
+        cluster.memory,
+    )
     local_positions = [
         i for i, candidate in enumerate(round_.ops) if not candidate.GLOBAL
     ]
@@ -718,8 +720,6 @@ class PlanExecution:
         faults: Optional[FaultSession] = None,
         manage_session: bool = True,
     ) -> None:
-        if faults is not None:
-            runtime = runtime.fault_safe()
         self.plan = plan
         self.cluster = cluster
         self.stats = stats
@@ -881,11 +881,9 @@ def run_plan(
     session's recovery policy (checkpoint, retry-with-recompute, or
     :class:`~repro.engine.faults.FaultAbort`), and stragglers slow their
     target workers in every Round.  With ``faults=None`` execution is
-    bit-identical to the fault-free golden captures.  An active session
-    swaps the runtime for its in-process stand-in
-    (:meth:`~repro.engine.runtime.WorkerRuntime.fault_safe`): injection
-    hooks mutate driver-side session state from inside worker tasks, which
-    forked processes would silently lose.
+    bit-identical to the fault-free golden captures.  A session is
+    immutable once built, so its worker hooks ship inside the local runner
+    and fault runs use the requested runtime — forked processes included.
 
     This is :class:`PlanExecution` stepped to completion in one call — the
     one-query path and the serving layer's interleaved path execute the

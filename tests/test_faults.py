@@ -111,35 +111,41 @@ class TestEmptyPlanIsFaultFree:
 class TestDeterminism:
     """Same FaultPlan seed => identical metrics/rows everywhere."""
 
-    FAULTS = {
-        "seed": 11,
-        "faults": [
+    PLANS = {
+        "seeded-crash": [
             # round 2 has local worker tasks under every strategy
             # ("step 2" for RS, the local join round for BR/HC)
             {"kind": "crash", "round": 2},  # worker drawn from seed
             {"kind": "straggler", "worker": 0, "factor": 2.5},
         ],
+        # fires inside a worker task, after the operator charging the phase
+        "phase-crash": [{"kind": "crash", "worker": 1, "phase": "step1:join"}],
+        "oom": [{"kind": "oom", "round": 2}],
     }
+    #: HC plans have no ``step1:join`` phase — not firing is the same everywhere
+    NEVER_FIRES = ("phase-crash", "HC_TJ")
 
     @pytest.mark.parametrize("strategy", ["RS_HJ", "HC_TJ"])
     def test_identical_across_runtimes_and_kernels(self, db, strategy):
-        signatures = []
-        for runtime in ("serial", "parallel:4"):
-            for kernels in ("python", "numpy"):
-                result = run_query(
-                    TRIANGLE,
-                    db,
-                    strategy=strategy,
-                    workers=4,
-                    runtime=runtime,
-                    kernels=kernels,
-                    faults=self.FAULTS,
-                    recovery="retry",
-                )
-                signatures.append(metrics_signature(result))
-        assert all(sig == signatures[0] for sig in signatures[1:])
-        assert signatures[0]["faults_injected"] >= 1
-        assert signatures[0]["retries"] >= 1
+        for name, specs in self.PLANS.items():
+            signatures = []
+            for runtime in ("serial", "parallel:4", "parallel:2:proc"):
+                for kernels in ("python", "numpy"):
+                    result = run_query(
+                        TRIANGLE,
+                        db,
+                        strategy=strategy,
+                        workers=4,
+                        runtime=runtime,
+                        kernels=kernels,
+                        faults={"seed": 11, "faults": specs},
+                        recovery="retry",
+                    )
+                    signatures.append(metrics_signature(result))
+            assert all(sig == signatures[0] for sig in signatures[1:]), name
+            fired = 0 if (name, strategy) == self.NEVER_FIRES else 1
+            assert signatures[0]["faults_injected"] == fired, name
+            assert signatures[0]["retries"] == fired, name
 
     def test_seeded_worker_draw_is_stable(self):
         plan = FaultPlan(faults=(FaultSpec(kind="crash"),), seed=11)

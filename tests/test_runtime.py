@@ -1,9 +1,18 @@
 """Unit tests for the pluggable worker runtimes and their ledger merge."""
 
+import os
+import signal
 from functools import partial
 
 import pytest
 
+from repro.engine.faults import (
+    FaultPlan,
+    FaultSession,
+    FaultSpec,
+    InjectedFault,
+    RecoveryPolicy,
+)
 from repro.engine.frame import Frame
 from repro.engine.local import scanned_query
 from repro.engine.memory import MemoryBudget, OutOfMemoryError
@@ -11,11 +20,10 @@ from repro.engine.runtime import (
     ParallelRuntime,
     ProcessRuntime,
     SerialRuntime,
-    WorkerRuntime,
     _open_ledger,
     resolve_runtime,
 )
-from repro.engine.scheduler import _run_join_op, _run_local_batch, _run_local_op
+from repro.engine.scheduler import _run_join_op, _run_local_batch
 from repro.engine.shm import SHARED_MIN_ROWS
 from repro.engine.stats import ExecutionStats
 from repro.planner.physical import LocalTributaryJoin
@@ -79,25 +87,81 @@ class TestResolveRuntime:
             ProcessRuntime(processes=0)
 
 
+def _per_worker(task, batch):
+    """Lift a per-worker ``task(worker, ledger, inputs)`` into a batch runner
+    that stops, as the contract asks, at its first failing worker."""
+    outcomes = []
+    for worker, ledger, inputs in batch:
+        try:
+            outcomes.append((task(worker, ledger, inputs), None))
+        except Exception as error:
+            outcomes.append((None, error))
+            break
+    return outcomes
+
+
+def _map(runtime, worker_ids, task, stats, memory, payloads=None):
+    """One ``map_local`` round of a module-level (so picklable) task."""
+    ids = list(worker_ids)
+    return runtime.map_local(
+        ids, partial(_per_worker, task), payloads or dict.fromkeys(ids),
+        stats, memory,
+    )
+
+
+def _times_ten(worker, ledger, inputs):
+    return worker * 10
+
+
+def _charge_two_phases(worker, ledger, inputs):
+    ledger.stats.charge(worker, 5.0 * (worker + 1), "join")
+    ledger.stats.charge(worker, 1.0, "filter")
+
+
+def _allocate_then_release(worker, ledger, inputs):
+    ledger.memory.allocate(worker, 50, "join")
+    ledger.stats.record_memory(worker, ledger.memory.resident(worker))
+    ledger.memory.release(worker, 120)  # consumed inputs + scratch
+
+
+def _allocate_and_peek(worker, ledger, shared_budget):
+    ledger.memory.allocate(worker, 10, "join")
+    # the shared budget must not see the allocation mid-task
+    return shared_budget.resident(worker)
+
+
+def _overflow_on_1_and_3(worker, ledger, inputs):
+    ledger.stats.charge(worker, 7.0, "join")
+    ledger.memory.allocate(worker, 200 if worker in (1, 3) else 10, "join")
+
+
+def _mixed_task(worker, ledger, inputs):
+    ledger.stats.charge(worker, 2.5 * worker, "a")
+    ledger.stats.charge(worker, 1.0, "b")
+    ledger.memory.allocate(worker, worker + 1, "a")
+    ledger.stats.record_memory(worker, ledger.memory.resident(worker))
+    return worker * worker
+
+
+def _merged_state(runtime, workers=8):
+    stats = ExecutionStats(workers=workers)
+    memory = MemoryBudget()
+    values = _map(runtime, range(workers), _mixed_task, stats, memory)
+    return _state(values, stats, memory, workers)
+
+
 @pytest.mark.parametrize("runtime", RUNTIMES, ids=RUNTIME_IDS)
 class TestMapWorkers:
+    """What ``map_local`` promises about each worker, on every runtime."""
+
     def test_values_in_worker_order(self, runtime):
         stats = ExecutionStats(workers=4)
-        memory = MemoryBudget()
-        values = runtime.map_workers(
-            range(4), lambda w, ledger: w * 10, stats, memory
-        )
+        values = _map(runtime, range(4), _times_ten, stats, MemoryBudget())
         assert values == [0, 10, 20, 30]
 
     def test_charges_merge_into_shared_stats(self, runtime):
         stats = ExecutionStats(workers=3)
-        memory = MemoryBudget()
-
-        def task(worker, ledger):
-            ledger.stats.charge(worker, 5.0 * (worker + 1), "join")
-            ledger.stats.charge(worker, 1.0, "filter")
-
-        runtime.map_workers(range(3), task, stats, memory)
+        _map(runtime, range(3), _charge_two_phases, stats, MemoryBudget())
         assert stats.worker_loads("join") == {0: 5.0, 1: 10.0, 2: 15.0}
         assert stats.worker_loads("filter") == {0: 1.0, 1: 1.0, 2: 1.0}
         assert stats.total_cpu == 33.0
@@ -108,13 +172,7 @@ class TestMapWorkers:
         memory = MemoryBudget()
         memory.allocate(0, 100, "scan")
         memory.allocate(1, 100, "scan")
-
-        def task(worker, ledger):
-            ledger.memory.allocate(worker, 50, "join")
-            ledger.stats.record_memory(worker, ledger.memory.resident(worker))
-            ledger.memory.release(worker, 120)  # consumed inputs + scratch
-
-        runtime.map_workers(range(2), task, stats, memory)
+        _map(runtime, range(2), _allocate_then_release, stats, memory)
         for worker in range(2):
             assert memory.resident(worker) == 30
             assert memory.peak(worker) == 150
@@ -122,25 +180,21 @@ class TestMapWorkers:
 
     def test_empty_worker_set(self, runtime):
         stats = ExecutionStats()
-        assert runtime.map_workers(
-            [], lambda worker, ledger: worker, stats, MemoryBudget()
-        ) == []
+        assert _map(runtime, [], _times_ten, stats, MemoryBudget()) == []
 
     def test_ledger_isolated_until_commit(self, runtime):
         """Operators inside a task never touch the shared budget directly.
 
-        The observation is returned from the task (not written to a shared
-        dict) so the same assertion holds under forked workers, whose
-        side effects never reach the parent."""
+        The shared budget reaches the task as its payload: the very object
+        in-process, a copy in a forked child — unchanged mid-task either
+        way, and the observation is returned (a child's side effects never
+        reach the parent)."""
         stats = ExecutionStats(workers=2)
         memory = MemoryBudget()
-
-        def task(worker, ledger):
-            ledger.memory.allocate(worker, 10, "join")
-            # the shared budget must not see the allocation mid-task
-            return memory.resident(worker)
-
-        observed = runtime.map_workers(range(2), task, stats, memory)
+        observed = _map(
+            runtime, range(2), _allocate_and_peek, stats, memory,
+            payloads=dict.fromkeys(range(2), memory),
+        )
         assert observed == [0, 0]
         assert memory.resident(0) == 10 and memory.resident(1) == 10
 
@@ -149,14 +203,8 @@ class TestMapWorkers:
         state must match a serial execution stopping at worker 1."""
         stats = ExecutionStats(workers=4)
         memory = MemoryBudget(per_worker_tuples=100)
-
-        def task(worker, ledger):
-            ledger.stats.charge(worker, 7.0, "join")
-            tuples = 200 if worker in (1, 3) else 10
-            ledger.memory.allocate(worker, tuples, "join")
-
         with pytest.raises(OutOfMemoryError) as excinfo:
-            runtime.map_workers(range(4), task, stats, memory)
+            _map(runtime, range(4), _overflow_on_1_and_3, stats, memory)
         assert excinfo.value.worker == 1
         # workers 0 and 1 committed (1 partially); 2 and 3 discarded
         assert stats.worker_loads("join") == {0: 7.0, 1: 7.0}
@@ -166,37 +214,13 @@ class TestMapWorkers:
 
 class TestSerialParallelEquivalence:
     def test_identical_merged_state(self):
-        def task(worker, ledger):
-            ledger.stats.charge(worker, 2.5 * worker, "a")
-            ledger.stats.charge(worker, 1.0, "b")
-            ledger.memory.allocate(worker, worker + 1, "a")
-            ledger.stats.record_memory(worker, ledger.memory.resident(worker))
-            return worker * worker
-
-        results = {}
-        for runtime in (SerialRuntime(), ParallelRuntime(max_workers=4)):
-            stats = ExecutionStats(workers=8)
-            memory = MemoryBudget()
-            values = runtime.map_workers(range(8), task, stats, memory)
-            results[runtime.name] = (
-                values,
-                stats.phases(),
-                stats.worker_loads(),
-                stats.peak_memory,
-                [memory.resident(w) for w in range(8)],
-            )
-        assert results["serial"] == results["parallel"]
-
-    def test_contract_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            WorkerRuntime().map_workers(
-                range(1), lambda worker, ledger: worker,
-                ExecutionStats(), MemoryBudget(),
-            )
+        assert _merged_state(SerialRuntime()) == _merged_state(
+            ParallelRuntime(max_workers=4)
+        )
 
 
 class TestProcessRuntime:
-    """Process-specific behavior beyond the shared map_workers battery.
+    """Process-specific behavior beyond the shared per-worker battery.
 
     The shared battery above already pins that forked execution merges
     ledgers, values, and OOM failures identically to serial — including
@@ -204,38 +228,9 @@ class TestProcessRuntime:
     cover the process-only surface."""
 
     def test_merged_state_matches_serial(self):
-        def task(worker, ledger):
-            ledger.stats.charge(worker, 2.5 * worker, "a")
-            ledger.stats.charge(worker, 1.0, "b")
-            ledger.memory.allocate(worker, worker + 1, "a")
-            ledger.stats.record_memory(worker, ledger.memory.resident(worker))
-            return worker * worker
-
-        results = {}
-        for runtime in (SerialRuntime(), ProcessRuntime(processes=3)):
-            stats = ExecutionStats(workers=8)
-            memory = MemoryBudget()
-            values = runtime.map_workers(range(8), task, stats, memory)
-            results[runtime.name] = (
-                values,
-                stats.phases(),
-                stats.worker_loads(),
-                stats.peak_memory,
-                [memory.resident(w) for w in range(8)],
-            )
-        assert results["serial"] == results["process"]
-
-    def test_fault_safe_degrades_to_threads(self):
-        """Fault sessions hold driver-side mutable state a forked worker
-        cannot observe; the scheduler swaps in the thread runtime."""
-        runtime = ProcessRuntime(processes=4)
-        safe = runtime.fault_safe()
-        assert isinstance(safe, ParallelRuntime)
-        assert safe.max_workers == 4
-
-    def test_fault_safe_is_identity_elsewhere(self):
-        for runtime in (SerialRuntime(), ParallelRuntime(max_workers=2)):
-            assert runtime.fault_safe() is runtime
+        assert _merged_state(SerialRuntime()) == _merged_state(
+            ProcessRuntime(processes=3)
+        )
 
     def test_oom_error_survives_pickling(self):
         import pickle
@@ -245,6 +240,18 @@ class TestProcessRuntime:
         assert (clone.worker, clone.phase, clone.resident, clone.budget) == (
             3, "join", 150, 100,
         )
+        assert str(clone) == str(error)
+
+    def test_injected_fault_survives_pickling(self):
+        import pickle
+
+        spec = FaultSpec(kind="crash", round="step 1", worker=2, phase="step1:join")
+        error = InjectedFault(spec, 1, "step 1", 2, "step1:join")
+        clone = pickle.loads(pickle.dumps(error))
+        assert (
+            clone.spec, clone.round_index, clone.round_label, clone.worker,
+            clone.phase,
+        ) == (spec, 1, "step 1", 2, "step1:join")
         assert str(clone) == str(error)
 
     def test_repr_names_pool_size(self):
@@ -272,46 +279,43 @@ def _star(n, center=0):
     }
 
 
-def _map_local(runtime, payloads, budget):
-    """State left by one batched local round (the join, then nothing)."""
+def _map_local(runtime, payloads, budget, crash_on=None):
+    """State left by one batched local round (the join, then nothing), with
+    a round-boundary crash injected on worker ``crash_on``."""
     stats = ExecutionStats(workers=len(payloads))
     memory = MemoryBudget(per_worker_tuples=budget)
+    hooks = None
+    if crash_on is not None:
+        plan = FaultPlan(faults=(FaultSpec(kind="crash", worker=crash_on),))
+        hooks = (FaultSession(plan, RecoveryPolicy(), len(payloads)), 0, "r", 0)
     runtime.open_session()
     try:
         outcome = runtime.map_local(
             range(len(payloads)),
-            partial(_run_local_batch, ops=(LOCAL_JOIN,)),
+            partial(_run_local_batch, ops=(LOCAL_JOIN,), hooks=hooks),
             dict(enumerate(payloads)),
             stats,
             memory,
         )
     except OutOfMemoryError as error:
         outcome = (error.worker, error.phase, error.resident)
+    except InjectedFault as fault:
+        outcome = (fault.worker, fault.spec.kind)
     finally:
         runtime.close_session()
     return _state(outcome, stats, memory, len(payloads))
 
 
-def _one_worker_at_a_time(payloads, budget):
-    """The reference: per-worker closures, the fault-injected rounds' path."""
-    stats = ExecutionStats(workers=len(payloads))
-    memory = MemoryBudget(per_worker_tuples=budget)
+class _OneWorkerBatches(SerialRuntime):
+    """Every worker a batch of its own: no trie walk is shared."""
 
-    def task(worker, ledger):
-        produced = {}
-        _run_local_op(
-            LOCAL_JOIN, worker, ledger,
-            payloads[worker].__getitem__, produced.__setitem__,
-        )
-        return produced
+    def _local_batches(self, ids):
+        return [[worker] for worker in ids]
 
-    try:
-        outcome = SerialRuntime().map_workers(
-            range(len(payloads)), task, stats, memory
-        )
-    except OutOfMemoryError as error:
-        outcome = (error.worker, error.phase, error.resident)
-    return _state(outcome, stats, memory, len(payloads))
+
+def _one_worker_at_a_time(payloads, budget, crash_on=None):
+    """The reference: ``_run_local_batch`` called with one task at a time."""
+    return _map_local(_OneWorkerBatches(), payloads, budget, crash_on)
 
 
 def _state(outcome, stats, memory, workers):
@@ -367,6 +371,21 @@ class TestMapLocalBatches:
         assert expected[0] == (1, "sort", 60)
         assert _map_local(make_runtime(), payloads, 40) == expected
 
+    @pytest.mark.parametrize(
+        "crash_on, outcome", [(0, (0, "crash")), (4, (2, "sort", 60))]
+    )
+    def test_crash_and_oom_in_one_batch_raise_the_lower_worker(
+        self, make_runtime, crash_on, outcome
+    ):
+        """Worker 2 really runs out of memory and a round-boundary crash is
+        injected on another worker of its batch (0, 2 and 4 share one under
+        every runtime): whichever has the lower id is the round's failure."""
+        payloads = [_star(n) for n in (3, 2, 30, 2, 3)]
+        expected = _one_worker_at_a_time(payloads, 40, crash_on)
+        assert expected[0] == outcome
+        assert _map_local(make_runtime(), payloads, 40, crash_on) == expected
+        assert sorted(expected[2]) == list(range(outcome[0]))
+
 
 def _broken_runner(batch):
     """A runner that breaks its contract: charges, then raises."""
@@ -376,8 +395,6 @@ def _broken_runner(batch):
 
 
 def _pid_runner(batch):
-    import os
-
     return [(os.getpid(), None) for _ in batch]
 
 
@@ -406,6 +423,74 @@ def test_raising_runner_fails_its_first_worker_and_spares_the_executor(
         runtime.close_session()
 
 
+def _exit_with_worker_1(batch):
+    """Kills the executor handed worker 1; any other ships a charge and a
+    shared-memory-sized row block per worker."""
+    if any(worker == 1 for worker, _, _ in batch):
+        os._exit(1)
+    for worker, ledger, _ in batch:
+        ledger.stats.charge(worker, 3, "alive")
+    return [
+        ([(worker, i) for i in range(SHARED_MIN_ROWS)], None)
+        for worker, _, _ in batch
+    ]
+
+
+def _shm_segments():
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm to inspect")
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _round(runtime, runner, stats=None):
+    return runtime.map_local(
+        range(4), runner, dict.fromkeys(range(4)),
+        stats or ExecutionStats(workers=4), MemoryBudget(per_worker_tuples=None),
+    )
+
+
+def test_session_child_dying_mid_round_fails_its_first_worker():
+    """Worker 1's child exits under it: that is worker 1 failing — worker 0
+    committed, the surviving child's reply (and its shm segments) drained —
+    and the runtime reforks for the next round."""
+    before = _shm_segments()
+    runtime = ProcessRuntime(processes=2)
+    stats = ExecutionStats(workers=4)
+    runtime.open_session()
+    try:
+        doomed = runtime._session[1].process.pid
+        with pytest.raises(
+            RuntimeError, match=rf"session child {doomed} died \(exit code 1\)"
+        ):
+            _round(runtime, _exit_with_worker_1, stats)
+        assert stats.worker_loads() == {0: 3}
+        assert not _shm_segments() - before
+        assert runtime._session is None
+        assert len(set(_round(runtime, _pid_runner))) == 2  # forked for the call
+        runtime.open_session()
+        assert all(child.process.is_alive() for child in runtime._session)
+        assert len(set(_round(runtime, _pid_runner))) == 2
+    finally:
+        runtime.close_session()
+
+
+def test_session_child_killed_between_rounds_is_reported_by_the_next():
+    runtime = ProcessRuntime(processes=2)
+    runtime.open_session()
+    try:
+        victim = runtime._session[0].process
+        victim.kill()
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        with pytest.raises(
+            RuntimeError,
+            match=rf"session child {victim.pid} died \(exit code -{int(signal.SIGKILL)}\)",
+        ):
+            _round(runtime, _pid_runner)
+    finally:
+        runtime.close_session()
+
+
 def test_failure_after_the_shared_walk_is_its_own_workers():
     """An error binding worker 2's output stops the batch at worker 2: the
     workers before it have written theirs."""
@@ -430,13 +515,8 @@ def test_failure_after_the_shared_walk_is_its_own_workers():
 
 
 def test_process_map_local_without_a_session_forks_for_the_call():
-    import os
-
     runtime = resolve_runtime("parallel:2:proc")
-    pids = runtime.map_local(
-        range(4), _pid_runner, dict.fromkeys(range(4)),
-        ExecutionStats(workers=4), MemoryBudget(per_worker_tuples=None),
-    )
+    pids = _round(runtime, _pid_runner)
     assert len(set(pids)) == 2 and os.getpid() not in pids
     assert runtime._session is None
 
@@ -445,18 +525,10 @@ def test_failed_round_leaks_no_shared_memory():
     """Worker 1 fails; worker 2 — the other child's — ships its 16 384-row
     result through shared memory, which must be reclaimed although the
     value is never delivered."""
-    import os
-
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm to inspect")
+    before = _shm_segments()
     side = 128
     assert side * side >= SHARED_MIN_ROWS
     payloads = [_star(2), _star(10_000), _star(side), _star(2)]
-    before = set(os.listdir("/dev/shm"))
     state = _map_local(resolve_runtime("parallel:2:proc"), payloads, 17_000)
     assert state[0] == (1, "sort", 20_000)
-    leaked = {
-        name for name in set(os.listdir("/dev/shm")) - before
-        if name.startswith("psm_")
-    }
-    assert leaked == set()
+    assert not _shm_segments() - before

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.frame import Frame
 from repro.engine.memory import MemoryBudget
 from repro.engine.runtime import ProcessRuntime
 from repro.engine.shm import SHARED_MIN_ROWS, share_rows
@@ -49,31 +50,38 @@ class TestShareRows:
         assert handle.load() == rows
 
 
+def _echo(batch):
+    """Ship every worker's inputs straight back."""
+    return [(inputs, None) for _, _, inputs in batch]
+
+
 class TestTransportThroughRuntime:
-    """Large row blocks returned by forked workers arrive intact."""
+    """Row blocks cross to a session child and back intact, whichever side
+    of the shared-memory threshold they fall on."""
+
+    PAYLOADS = {
+        0: _rows(SHARED_MIN_ROWS),
+        1: _rows(SHARED_MIN_ROWS - 1),
+        2: {
+            "big": Frame(("x", "y"), _rows(SHARED_MIN_ROWS + 2, width=2)),
+            "small": Frame(("x",), _rows(3, width=1)),
+        },
+    }
+
+    def _echoed(self):
+        return ProcessRuntime(processes=2).map_local(
+            range(3), _echo, self.PAYLOADS, ExecutionStats(workers=3),
+            MemoryBudget(),
+        )
 
     def test_large_row_block_returns_through_shared_memory(self):
-        expected = {w: _rows(SHARED_MIN_ROWS + w) for w in range(3)}
-
-        def task(worker, ledger):
-            return _rows(SHARED_MIN_ROWS + worker)
-
-        runtime = ProcessRuntime(processes=2)
-        values = runtime.map_workers(
-            range(3), task, ExecutionStats(workers=3), MemoryBudget()
-        )
-        assert values == [expected[w] for w in range(3)]
+        assert self._echoed() == [self.PAYLOADS[worker] for worker in range(3)]
 
     def test_no_segments_leak(self):
         import os
 
-        def task(worker, ledger):
-            return _rows(SHARED_MIN_ROWS)
-
         before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-        ProcessRuntime(processes=2).map_workers(
-            range(2), task, ExecutionStats(workers=2), MemoryBudget()
-        )
+        self._echoed()
         if os.path.isdir("/dev/shm"):
             leaked = {
                 n for n in set(os.listdir("/dev/shm")) - before
