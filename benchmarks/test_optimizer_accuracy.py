@@ -7,10 +7,12 @@ of the evaluation matrix, the strategy it picks from statistics alone must
 equal the strategy the measured six-configuration grid crowns (lowest
 modeled wall clock among non-failed runs).
 
-The full predicted-vs-measured matrix is written to
-``BENCH_optimizer.json`` at the repository root (the CI
-``optimizer-accuracy`` job uploads it as an artifact).  Reproduce locally
-with::
+The full predicted-vs-measured matrix is written to the repository root.
+Only the default configuration (bench scale, 64 workers) writes the
+committed ``BENCH_optimizer.json``; any other writes the git-ignored
+``BENCH_optimizer.<scale>.w<workers>.json``, so the quick run the CI
+``optimizer-accuracy`` job makes (and uploads) never overwrites the
+committed artifact.  Reproduce that run locally with::
 
     REPRO_BENCH_SCALE=unit REPRO_BENCH_WORKERS=16 \
         PYTHONPATH=src python -m pytest benchmarks/test_optimizer_accuracy.py -q
@@ -30,7 +32,11 @@ from repro.workloads import PAPER_ORDER
 #: the pinned query set the optimizer must get right
 PINNED = tuple(PAPER_ORDER)
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_optimizer.json"
+ARTIFACT = Path(__file__).resolve().parent.parent / (
+    "BENCH_optimizer.json"
+    if (SCALE, WORKERS) == ("bench", 64)
+    else f"BENCH_optimizer.{SCALE}.w{WORKERS}.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +72,7 @@ def test_predicted_winner_matches_measured(accuracy_report, name):
 
 
 def test_artifact_written(accuracy_report):
-    """BENCH_optimizer.json exists and round-trips as JSON."""
+    """The artifact exists and round-trips as JSON."""
     persisted = json.loads(ARTIFACT.read_text())
     assert persisted["queries"] == accuracy_report["queries"]
     assert persisted["accuracy"] == accuracy_report["accuracy"]

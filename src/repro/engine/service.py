@@ -60,8 +60,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from ..planner.optimizer import AUTO_STRATEGY, GLOBAL_PLAN_CACHE, PlanCache, optimize
-from ..planner.physical import PhysicalPlan, lower
+from ..planner.api import _plan
+from ..planner.optimizer import AUTO_STRATEGY, GLOBAL_PLAN_CACHE, PlanCache
+from ..planner.physical import PhysicalPlan
 from ..query.atoms import ConjunctiveQuery, Variable
 from ..query.catalog import Catalog
 from ..query.parser import parse_query
@@ -539,31 +540,22 @@ class QueryService:
         baking a grant into the plan-cache key would shatter the cache.
         """
         request = pending.request
-        parsed = self._parse(request)
-        if request.strategy == AUTO_STRATEGY:
-            optimized = optimize(
-                parsed,
-                self._catalog(request.database),
-                workers=request.workers,
-                memory_tuples=None,
-                variable_order=request.variable_order,
-                cache=self.plan_cache,
-            )
-            if optimized.cache_hit:
+        pending.physical, report, pending.cache_hit = _plan(
+            self._parse(request),
+            request.strategy,
+            self._catalog(request.database),
+            workers=request.workers,
+            memory_tuples=None,
+            variable_order=request.variable_order,
+            cache=self.plan_cache,
+        )
+        predicted = None
+        if report is not None:
+            if pending.cache_hit:
                 self.stats.cache_hits += 1
             else:
                 self.stats.cache_misses += 1
-            pending.physical = optimized.physical
-            pending.cache_hit = optimized.cache_hit
-            predicted = optimized.report.cost_of(optimized.choice).peak_memory
-        else:
-            pending.physical = lower(
-                parsed,
-                request.strategy,
-                self._catalog(request.database),
-                variable_order=request.variable_order,
-            )
-            predicted = None
+            predicted = report.cost_of(report.choice).peak_memory
         pending.demand = self._demand(request, predicted)
 
     def _demand(

@@ -1,14 +1,14 @@
 """Shared-memory row transport for the process-backed runtime.
 
 The process runtime (:class:`~repro.engine.runtime.ProcessRuntime`) forks
-its worker pool, so *inbound* data — the cluster's relation fragments,
-frames, and column arrays — reaches every worker for free through
-copy-on-write page sharing.  The expensive direction is the way back:
-a worker's result rows would otherwise be pickled tuple by tuple through
-the pool's result pipe.  This module moves large row blocks through
-``multiprocessing.shared_memory`` instead: the child packs the block into
+its session children once per plan, before any Round has run, so nothing a
+Round reads arrives by copy-on-write: each Round's slot inputs are shipped
+to the child that runs them, and its results are shipped back.  Either way
+the rows would otherwise be pickled tuple by tuple through the session
+pipe.  This module moves large row blocks through
+``multiprocessing.shared_memory`` instead: the sender packs the block into
 one int64 column-major array in ``/dev/shm``, ships only the segment name,
-and the parent reattaches, materializes, and unlinks it.
+and the receiver reattaches, materializes, and unlinks it.
 
 Small payloads stay on the pickle path — below a few tens of thousands of
 rows the copy into shared memory costs more than pickling saves, so

@@ -18,6 +18,7 @@ from .optimizer import (
     StrategyCost,
     estimate_costs,
     optimize,
+    price_plan,
 )
 from .physical import (
     HYBRID_STRATEGY,
@@ -84,6 +85,7 @@ __all__ = [
     "lower_semijoin",
     "make_cluster",
     "optimize",
+    "price_plan",
     "run_all_strategies",
     "run_query",
     "shared_variables",

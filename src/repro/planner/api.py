@@ -22,10 +22,15 @@ from ..query.catalog import Catalog
 from ..query.parser import parse_query
 from ..storage.relation import Database
 from .executor import ExecutionResult, execute, execute_physical
-from .optimizer import AUTO_STRATEGY, optimize
-from .physical import HYBRID_STRATEGY, lower
+from .optimizer import (
+    AUTO_STRATEGY,
+    GLOBAL_PLAN_CACHE,
+    CostReport,
+    PlanCache,
+    optimize,
+)
+from .physical import PhysicalPlan, lower
 from .plans import ALL_STRATEGIES, Strategy
-from .semijoin import execute_semijoin
 
 QueryLike = Union[str, ConjunctiveQuery]
 
@@ -34,6 +39,32 @@ def _as_query(query: QueryLike) -> ConjunctiveQuery:
     if isinstance(query, ConjunctiveQuery):
         return query
     return parse_query(query)
+
+
+def _plan(
+    query: ConjunctiveQuery,
+    strategy: Union[str, Strategy],
+    catalog: Catalog,
+    workers: int = 64,
+    memory_tuples: Optional[int] = None,
+    variable_order: Optional[Sequence[Variable]] = None,
+    cache: Optional[PlanCache] = GLOBAL_PLAN_CACHE,
+) -> tuple[PhysicalPlan, Optional[CostReport], bool]:
+    """The one planning dispatch: any strategy spelling to a lowered plan.
+
+    ``"auto"`` goes through the cost-based optimizer and ``cache``; every
+    other spelling :func:`~repro.planner.physical.lower` accepts is lowered
+    directly.  Returns the plan, the optimizer's cost report (``None`` for
+    an explicit strategy) and whether the plan cache answered.
+    """
+    if strategy == AUTO_STRATEGY:
+        optimized = optimize(
+            query, catalog, workers=workers, memory_tuples=memory_tuples,
+            variable_order=variable_order, cache=cache,
+        )
+        return optimized.physical, optimized.report, optimized.cache_hit
+    physical = lower(query, strategy, catalog, variable_order=variable_order)
+    return physical, None, False
 
 
 def make_cluster(
@@ -78,52 +109,18 @@ def run_query(
     ``faults``/``recovery`` enable deterministic fault injection — see
     :func:`~repro.planner.executor.execute_physical`.
     """
-    parsed = _as_query(query)
     cluster = make_cluster(database, workers=workers, memory_tuples=memory_tuples)
-    if isinstance(strategy, str) and strategy == AUTO_STRATEGY:
-        optimized = optimize(
-            parsed,
-            Catalog(database),
-            workers=workers,
-            memory_tuples=memory_tuples,
-            variable_order=variable_order,
-        )
-        result = execute_physical(
-            optimized.physical,
-            cluster,
-            runtime=runtime,
-            kernels=kernels,
-            faults=faults,
-            recovery=recovery,
-        )
-        result.cost_report = optimized.report
-        return result
-    if isinstance(strategy, str) and strategy == "SJ_HJ":
-        return execute_semijoin(
-            parsed, cluster, runtime=runtime, kernels=kernels,
-            faults=faults, recovery=recovery,
-        )
-    if isinstance(strategy, str) and strategy == HYBRID_STRATEGY:
-        physical = lower(
-            parsed, HYBRID_STRATEGY, Catalog(database),
-            variable_order=variable_order,
-        )
-        return execute_physical(
-            physical, cluster, runtime=runtime, kernels=kernels,
-            faults=faults, recovery=recovery,
-        )
-    if isinstance(strategy, str):
-        strategy = Strategy.parse(strategy)
-    return execute(
-        parsed,
-        cluster,
-        strategy,
+    physical, cost_report, _ = _plan(
+        _as_query(query), strategy, Catalog(database),
+        workers=workers, memory_tuples=memory_tuples,
         variable_order=variable_order,
-        runtime=runtime,
-        kernels=kernels,
-        faults=faults,
-        recovery=recovery,
     )
+    result = execute_physical(
+        physical, cluster, runtime=runtime, kernels=kernels,
+        faults=faults, recovery=recovery,
+    )
+    result.cost_report = cost_report
+    return result
 
 
 def run_all_strategies(

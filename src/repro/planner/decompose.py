@@ -379,15 +379,14 @@ def default_decomposition(
 ) -> Decomposition:
     """The shape an explicit ``strategy="HYBRID"`` run uses.
 
-    Prices every shape with the optimizer's full hybrid estimator (stage-1
-    binary chain + boundary + stage-2 HyperCube/Tributary round) against a
-    nominal :data:`DEFAULT_SHAPE_WORKERS`-worker cluster and picks the
-    cheapest, breaking ties on the rendered shape and then toward smaller
-    binary stages — fully deterministic, and the same ranking
-    ``--strategy auto`` searches.  Raises ``ValueError`` when the query
-    admits no hybrid shape.
+    Lowers every shape and prices the lowered plan
+    (:func:`~repro.planner.optimizer.price_plan`) against a nominal
+    :data:`DEFAULT_SHAPE_WORKERS`-worker cluster and picks the cheapest,
+    breaking ties on the rendered shape and then toward smaller binary
+    stages — fully deterministic, and the same ranking ``--strategy auto``
+    searches.  Raises ``ValueError`` when the query admits no hybrid shape.
     """
-    from .optimizer import _estimate_hybrid  # deferred: optimizer imports us
+    from .optimizer import price_plan  # deferred: optimizer imports us
 
     shapes = enumerate_decompositions(query)
     if not shapes:
@@ -398,8 +397,10 @@ def default_decomposition(
     return min(
         shapes,
         key=lambda shape: (
-            _estimate_hybrid(
-                query, catalog, DEFAULT_SHAPE_WORKERS, None, shape
+            price_plan(
+                lower_hybrid(query, catalog, decomposition=shape),
+                catalog,
+                DEFAULT_SHAPE_WORKERS,
             ).cost,
             shape.describe(),
             len(shape.stage_one),

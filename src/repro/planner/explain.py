@@ -23,7 +23,7 @@ and the per-exchange tuple counts sum to ``tuples_shuffled``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ..engine.faults import FaultsLike, PolicyLike
 from ..engine.runtime import RuntimeLike
@@ -45,20 +45,12 @@ from ..leapfrog.variable_order import OrderCost, best_join_order, full_variable_
 from ..query.atoms import ConjunctiveQuery, Variable
 from ..query.catalog import Catalog, cardinalities_for
 from ..query.hypergraph import Hypergraph
-from ..query.parser import parse_query
 from ..storage.relation import Database
+from .api import QueryLike, _as_query, _plan, make_cluster
 from .binary import LeftDeepPlan, left_deep_plan
 from .executor import ExecutionResult, execute_physical
-from .optimizer import AUTO_STRATEGY, CostReport, optimize
-from .physical import Exchange, PhysicalPlan, lower
-
-QueryLike = Union[str, ConjunctiveQuery]
-
-
-def _as_query(query: QueryLike) -> ConjunctiveQuery:
-    if isinstance(query, ConjunctiveQuery):
-        return query
-    return parse_query(query)
+from .optimizer import CostReport
+from .physical import Exchange, PhysicalPlan
 
 
 @dataclass(frozen=True)
@@ -152,15 +144,11 @@ def explain(
     shares = {v: float(d) for v, d in config.dims.items()}
     cost_report: Optional[CostReport] = None
     physical: Optional[PhysicalPlan] = None
-    if strategy == AUTO_STRATEGY:
-        optimized = optimize(
-            query, catalog, workers=workers, memory_tuples=memory_tuples
+    if strategy is not None:
+        physical, cost_report, _ = _plan(
+            query, strategy, catalog, workers=workers, memory_tuples=memory_tuples
         )
-        cost_report = optimized.report
-        physical = optimized.physical
-        strategy = optimized.choice
-    elif strategy is not None:
-        physical = lower(query, strategy, catalog)
+        strategy = physical.strategy  # under "auto", the optimizer's choice
     return Explanation(
         query=query,
         workers=workers,
@@ -435,22 +423,12 @@ def explain_analyze(
     re-plans a broadcast strategy, the annotations describe the fallback
     plan that actually ran.
     """
-    from ..engine.cluster import Cluster
-    from ..engine.memory import MemoryBudget
-
     parsed = _as_query(query)
-    cluster = Cluster(workers, MemoryBudget(per_worker_tuples=memory_tuples))
-    cluster.load(database)
+    cluster = make_cluster(database, workers=workers, memory_tuples=memory_tuples)
     catalog = Catalog(database)
-    cost_report: Optional[CostReport] = None
-    if strategy == AUTO_STRATEGY:
-        optimized = optimize(
-            parsed, catalog, workers=workers, memory_tuples=memory_tuples
-        )
-        cost_report = optimized.report
-        physical = optimized.physical
-    else:
-        physical = lower(parsed, strategy, catalog)
+    physical, cost_report, _ = _plan(
+        parsed, strategy, catalog, workers=workers, memory_tuples=memory_tuples
+    )
     trace: list[OperatorTrace] = []
     result = execute_physical(
         physical, cluster, runtime=runtime, kernels=kernels, trace=trace,

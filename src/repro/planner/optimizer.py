@@ -2,58 +2,42 @@
 
 The paper's central claim (Secs. 4-5) is that cheap catalog statistics
 *predict* which of the six evaluated configurations wins a query.  This
-module is that prediction: :func:`estimate_costs` prices every strategy from
-:class:`~repro.query.catalog.Catalog` statistics alone — no execution — and
-:func:`optimize` lowers the cheapest one to a
-:class:`~repro.planner.physical.PhysicalPlan` through the same lowering
-functions an explicitly chosen strategy uses, so an ``"auto"`` execution is
-bit-identical to naming the winner by hand.
+module is that prediction.  :func:`price_plan` prices any lowered
+:class:`~repro.planner.physical.PhysicalPlan` from
+:class:`~repro.query.catalog.Catalog` statistics alone — no execution — by
+walking it round by round with one cost rule per operator type, in the
+engine's counted units: ``wall_clock`` sums, phase by phase, the *heaviest*
+worker's charge (a round is as slow as its slowest worker); ``total_cpu``
+sums over all workers, replicas counted.  A rule re-decides nothing the
+lowering already wrote into the plan — exchange keys, the broadcast anchor,
+the HyperCube configuration, the variable order, the hybrid stage split —
+and tracks per slot how many tuples it holds and how they are laid out.
+:func:`estimate_costs` lowers the six strategies (and every hybrid shape)
+once each and prices them; :func:`optimize` returns the cheapest row's
+already-lowered plan, so an ``"auto"`` execution is bit-identical to naming
+the winner by hand.
 
-The cost model mirrors the simulator's counted-cost accounting phase by
-phase.  The engine defines ``wall_clock`` as the sum over phases of the
-*maximum* per-worker charge (a communication round is as slow as its
-slowest worker); the estimator prices each phase the same way:
-
-- **shuffles** charge one unit per tuple sent plus one per tuple received;
-  the receive side of a hash shuffle is scaled by a consumer-skew estimate
-  ``max(1, p * f, p / V(key))`` where ``f`` is the heaviest key group's
-  fraction of its relation (:meth:`Catalog.atom_max_group`) — every tuple
-  of a heavy hitter lands on one worker;
-- **hash joins** charge ``2*(|L| + |R|) + |out|`` per worker, with
-  intermediate sizes from the System-R estimates of the left-deep plan;
-- **Tributary joins** charge ``0.25 * n log2 n`` for sorting (the engine's
-  ``SORT_COMPARISON_WEIGHT``) plus seeks estimated by the Sec. 5
-  variable-order cost model, plus output materialization;
-- **broadcast** replicates every non-anchor relation to all workers, and
-  **HyperCube** replicates each atom ``prod of unbound dims`` times under
-  the Algorithm-1 configuration — both computed from post-selection
-  cardinalities exactly as the runtime's data-driven operators do.
-
-Strategies whose estimated per-worker peak residency exceeds the cluster's
-memory budget are predicted to FAIL (cost = infinity), reproducing the
-paper's Fig. 9 outcome where RS_TJ runs out of memory on Q4.
-
-Chosen plans are cached in a :class:`PlanCache` keyed on the *normalized*
-query (rule name ignored), the catalog fingerprint (content digest of every
-relation, so data mutation invalidates), and the cluster configuration
-(workers, memory budget).
-
-When prediction can miss: the System-R intermediate estimates assume
-independence and can be off by orders of magnitude on correlated data; the
-seek estimate prices the *best* variable order, not pathological ones; and
-ties inside the estimate's error bars (strategies within a few percent)
-can flip.  EXPLAIN prints the full per-strategy table so a miss is visible.
+Plans whose predicted per-worker peak residency exceeds the memory budget
+are predicted to FAIL (cost = infinity), reproducing the paper's Fig. 9
+outcome where RS_TJ runs out of memory on Q4.  Chosen plans are cached in a
+:class:`PlanCache`.  DESIGN.md tabulates the rules and says when prediction
+can miss; EXPLAIN prints the per-strategy table so a miss is visible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from ..engine.local import SORT_COMPARISON_WEIGHT
-from ..hypercube.config import HyperCubeConfig, optimize_config
-from ..leapfrog.variable_order import best_join_order, estimate_order_cost
+from ..hypercube.config import optimize_config
+from ..leapfrog.variable_order import (
+    best_join_order,
+    estimate_order_cost,
+    full_variable_order,
+)
 from ..query.atoms import Atom, ConjunctiveQuery, Variable
 from ..query.catalog import Catalog
 from .binary import LeftDeepPlan, left_deep_plan, shared_variables
@@ -66,8 +50,20 @@ from .decompose import (
     stage_one_query,
     stage_two_query,
 )
-from .physical import HYBRID_STRATEGY, PhysicalPlan, canonical_key, lower
-from .plans import ALL_STRATEGIES, HC_TJ, RS_HJ, JoinKind, ShuffleKind, Strategy
+from .physical import (
+    ChooseAnchor,
+    ConfigureHyperCube,
+    Exchange,
+    ExchangeKind,
+    LocalHashJoin,
+    LocalTributaryJoin,
+    MergeJoinStep,
+    PhysicalPlan,
+    Scan,
+    ScanIntermediate,
+    lower,
+)
+from .plans import ALL_STRATEGIES
 
 #: the strategy name callers pass to request cost-based selection
 AUTO_STRATEGY = "auto"
@@ -98,6 +94,8 @@ class StrategyCost:
     predicted_oom: bool = False
     #: extra shape description (hybrid rows carry their decomposition)
     detail: str = ""
+    #: the lowered plan this row prices (None on hand-built rows)
+    physical: Optional[PhysicalPlan] = field(default=None, compare=False, repr=False)
 
     @property
     def cost(self) -> float:
@@ -119,8 +117,11 @@ class CostReport:
     #: multi-stage shapes priced alongside the pure strategies (at most the
     #: cheapest hybrid; empty when hybrid search was off or found no shape)
     hybrids: tuple[StrategyCost, ...] = ()
-    #: the decomposition behind the cheapest hybrid row, for lowering
-    hybrid_decomposition: Optional[Decomposition] = None
+
+    @property
+    def hybrid_decomposition(self) -> Optional[Decomposition]:
+        """The decomposition behind the cheapest hybrid row, if any."""
+        return _decomposition_of(self.hybrids[0].physical) if self.hybrids else None
 
     def cost_of(self, strategy: str) -> StrategyCost:
         """Look up one strategy's predicted cost row (pure or hybrid)."""
@@ -174,48 +175,65 @@ class CostReport:
 
 
 # ----------------------------------------------------------------------
-# The estimator
+# Pricing a lowered plan
 # ----------------------------------------------------------------------
 
 
-class _Estimator:
-    """Shared per-query state for pricing all six strategies.
+class _Layout(Enum):
+    """How a slot's tuples are spread over the workers."""
 
-    Pulls every statistic through the :class:`Catalog` caches, so pricing
-    six strategies costs one pass over the base relations, not six.
+    PARTITIONED = "split over all p workers"
+    REPLICATED = "a full copy on every worker"
+    HYPERCUBE = "copied along each HyperCube dimension it leaves unbound"
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """What the cost rules read about one plan slot."""
+
+    rows: float  # logical rows, replicas not counted
+    total: float  # tuples held over all workers, replicas counted
+    heaviest: float  # the heaviest worker's share
+    layout: _Layout
+    skew: float = 1.0  # the heaviest share over the average share
+
+
+class _PlanWalk:
+    """One pricing pass over a lowered plan: statistics, slots, running cost.
+
+    Every statistic comes through the :class:`Catalog` caches, so pricing a
+    query's candidates costs one pass over the base relations, not one per
+    plan.  A hybrid plan is priced stage by stage, each stage on the
+    statistics of its own subquery (:meth:`_enter_stage`).
     """
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        catalog: Catalog,
-        workers: int,
-        memory_tuples: Optional[int],
-        plan: Optional[LeftDeepPlan] = None,
-        variable_order: Optional[Sequence[Variable]] = None,
-    ) -> None:
+    def __init__(self, physical: PhysicalPlan, catalog: Catalog, workers: int):
+        self.physical = physical
+        self.workers = max(1, workers)
+        self.p = float(self.workers)
+        self.slots: dict[str, _Slot] = {}
+        self.anchor: Optional[str] = None
+        self.wall = self.cpu = self.shuffled = 0.0
+        #: residency on the heaviest worker: the stage's resident inputs,
+        #: the live intermediate, and the worst point seen so far
+        self.inputs = self.live = self.peak = 0.0
+        self.intermediates: list[float] = []
+        self.shape = _decomposition_of(physical)
+        query = physical.query
+        if self.shape is not None:
+            query = stage_one_query(query, self.shape)
+        self._enter_stage(query, catalog, physical.left_deep)
+
+    def _enter_stage(self, query: ConjunctiveQuery, catalog: Catalog, plan=None):
+        """Point the statistics helpers at one stage's subquery."""
         self.query = query
         self.catalog = catalog
-        self.workers = max(1, workers)
-        self.memory_tuples = memory_tuples
         self.atoms = {atom.alias: atom for atom in query.atoms}
         #: exact post-selection cardinalities, clamped >= 1 exactly like the
         #: runtime's _scanned_sizes (so Algorithm 1 sees identical inputs)
-        self.cards = {
-            atom.alias: max(1, catalog.atom_cardinality(atom))
-            for atom in query.atoms
-        }
+        self.cards = {a.alias: max(1, catalog.atom_cardinality(a)) for a in query.atoms}
         self.plan = plan or left_deep_plan(query, catalog)
         self.sizes = self._step_sizes()
-        # seeks for the Tributary strategies: the Sec. 5 cost model's
-        # per-level sizes for the order execution will actually use
-        if variable_order is not None:
-            join_set = set(query.join_variables())
-            join_order = tuple(v for v in variable_order if v in join_set)
-            self.order = estimate_order_cost(query, catalog, join_order)
-        else:
-            self.order = best_join_order(query, catalog)
-        self.result_size = self.sizes[-1] if self.sizes else 1.0
 
     # -- shared sub-estimates ------------------------------------------------
 
@@ -381,252 +399,6 @@ class _Estimator:
             return 0.0
         return SORT_COMPARISON_WEIGHT * tuples * math.log2(tuples)
 
-    # -- the six strategies --------------------------------------------------
-
-    def estimate(self, strategy: Strategy) -> StrategyCost:
-        """Price one strategy (dispatch on its shuffle kind)."""
-        if strategy.shuffle is ShuffleKind.REGULAR:
-            return self._estimate_regular(strategy)
-        if strategy.shuffle is ShuffleKind.BROADCAST:
-            return self._estimate_broadcast(strategy)
-        return self._estimate_hypercube(strategy)
-
-    def _finish(
-        self,
-        strategy: Strategy,
-        wall: float,
-        cpu: float,
-        shuffled: float,
-        peak: float,
-        intermediates: tuple[float, ...],
-    ) -> StrategyCost:
-        """Assemble the cost row and apply the memory-budget verdict."""
-        predicted_oom = (
-            self.memory_tuples is not None and peak > float(self.memory_tuples)
-        )
-        return StrategyCost(
-            strategy=strategy.name,
-            wall_clock=wall,
-            total_cpu=cpu,
-            tuples_shuffled=shuffled,
-            peak_memory=peak,
-            intermediate_sizes=intermediates,
-            predicted_oom=predicted_oom,
-        )
-
-    def _estimate_regular(self, strategy: Strategy) -> StrategyCost:
-        """RS_HJ / RS_TJ: shuffle both sides of every step, join locally."""
-        p = float(self.workers)
-        order = self.plan.order
-        wall = cpu = shuffled = 0.0
-        # scan residency: every atom's fragments are registered up front
-        scan_resident = sum(self.cards[alias] for alias in order) / p
-        resident = scan_resident
-        peak = resident
-        intermediates: list[float] = []
-        current_vars: tuple[Variable, ...] = self.atoms[order[0]].variables()
-        current_size = self.sizes[0]
-        partition_key: Optional[frozenset[Variable]] = None
-
-        for step, alias in enumerate(order[1:], start=1):
-            atom = self.atoms[alias]
-            join_vars = shared_variables(current_vars, atom)
-            right_size = float(self.cards[alias])
-            out_size = self.sizes[step]
-            intermediates.append(out_size)
-
-            if join_vars:
-                key = canonical_key(join_vars)
-                skew = self._consumer_skew(key)
-                moved = right_size
-                if partition_key != frozenset(key):
-                    moved += current_size
-                partition_key = frozenset(key)
-                # send side spreads over producers; receive side is skewed
-                phase_wall = moved / p + skew * moved / p
-            else:
-                # cartesian step: broadcast the disconnected atom
-                skew = 1.0
-                moved = right_size * p
-                phase_wall = right_size + right_size
-            shuffled += moved
-            cpu += 2.0 * moved
-            wall += phase_wall
-
-            left_w = skew * current_size / p
-            right_w = skew * right_size / p
-            out_w = skew * out_size / p
-            if strategy.join is JoinKind.HASH:
-                wall += 2.0 * (left_w + right_w) + out_w
-                cpu += 2.0 * (current_size + right_size) + out_size
-                step_peak = resident + left_w + right_w + out_w
-            else:
-                sort_w = self._sort_units(left_w) + self._sort_units(right_w)
-                join_w = left_w + right_w + out_w
-                wall += sort_w + join_w
-                cpu += p * sort_w + (current_size + right_size + out_size)
-                # the merge join holds a sorted scratch copy of both inputs
-                step_peak = resident + 2.0 * (left_w + right_w) + out_w
-            peak = max(peak, step_peak)
-            # the consumed inputs are released; the intermediate stays
-            resident = scan_resident + out_w
-            current_vars = tuple(
-                dict.fromkeys(tuple(current_vars) + atom.variables())
-            )
-            current_size = out_size
-
-        return self._finish(
-            strategy, wall, cpu, shuffled, peak, tuple(intermediates)
-        )
-
-    def _anchor(self) -> str:
-        """The broadcast anchor: largest post-selection input, earliest wins."""
-        return max(
-            (atom.alias for atom in self.query.atoms),
-            key=lambda alias: self.cards[alias],
-        )
-
-    def _estimate_broadcast(self, strategy: Strategy) -> StrategyCost:
-        """BR_HJ / BR_TJ: anchor the largest input, broadcast the rest."""
-        p = float(self.workers)
-        anchor = self._anchor()
-        order = self.plan.order
-        wall = cpu = shuffled = 0.0
-        # broadcast phase: every producer sends its fragment p times; every
-        # worker receives each non-anchor relation in full — no skew
-        replicated = sum(
-            self.cards[alias] for alias in order if alias != anchor
-        )
-        shuffled += replicated * p
-        cpu += 2.0 * replicated * p
-        wall += replicated + replicated
-        # per-worker fragment sizes after the broadcast
-        local = {
-            alias: (self.cards[alias] / p if alias == anchor else float(self.cards[alias]))
-            for alias in order
-        }
-        resident = sum(local.values())
-        peak = resident
-        intermediates: list[float] = []
-
-        if strategy.join is JoinKind.TRIBUTARY:
-            sort_w = sum(self._sort_units(size) for size in local.values())
-            # only the hash partition of the anchor shrinks a worker's
-            # search: the first anchor variable in the order divides the
-            # running product by p, everything before it is paid in full
-            anchor_vars = set(self.atoms[anchor].variables())
-            state = {"divided": False}
-
-            def anchor_scale(variable: Variable) -> float:
-                if not state["divided"] and variable in anchor_vars:
-                    state["divided"] = True
-                    return p
-                return 1.0
-
-            seeks_w = self._partitioned_seeks(anchor_scale)
-            out_w = self.result_size / p
-            wall += sort_w + seeks_w + out_w
-            cpu += p * (sort_w + seeks_w) + self.result_size
-            peak = max(peak, 2.0 * resident + out_w)
-            return self._finish(strategy, wall, cpu, shuffled, peak, ())
-
-        # local left-deep hash pipeline on every worker
-        anchored = order[0] == anchor
-        current_w = local[order[0]]
-        current_vars = self.atoms[order[0]].variables()
-        for step, alias in enumerate(order[1:], start=1):
-            anchored = anchored or alias == anchor
-            out_size = self.sizes[step]
-            intermediates.append(out_size)
-            out_w = out_size / p if anchored else out_size
-            right_w = local[alias]
-            wall += 2.0 * (current_w + right_w) + out_w
-            cpu += p * (2.0 * (current_w + right_w) + out_w)
-            peak = max(peak, resident + out_w)
-            resident = sum(local.values()) + out_w
-            current_w = out_w
-            current_vars = tuple(
-                dict.fromkeys(tuple(current_vars) + self.atoms[alias].variables())
-            )
-        return self._finish(
-            strategy, wall, cpu, shuffled, peak, tuple(intermediates)
-        )
-
-    def _hc_config(self) -> HyperCubeConfig:
-        """Algorithm 1 on the post-selection cardinalities (as the runtime)."""
-        return optimize_config(self.query, self.cards, self.workers)
-
-    def _estimate_hypercube(self, strategy: Strategy) -> StrategyCost:
-        """HC_HJ / HC_TJ: one HyperCube shuffle, one local round."""
-        p = float(self.workers)
-        config = self._hc_config()
-        used = float(max(1, config.workers_used))
-        dims = {v: float(config.dim(v)) for v in config.order}
-
-        def replication(variables: Sequence[Variable]) -> float:
-            bound = set(variables)
-            copies = 1.0
-            for variable, dim in dims.items():
-                if variable not in bound:
-                    copies *= dim
-            return copies
-
-        # hypercube shuffle: every atom replicated along its unbound dims
-        wall = cpu = shuffled = 0.0
-        skew = self._hc_skew(dims)
-        received = 0.0
-        for atom in self.query.atoms:
-            moved = self.cards[atom.alias] * replication(atom.variables())
-            shuffled += moved
-            cpu += 2.0 * moved
-            received += moved
-        wall += received / p + skew * received / used
-        local_total = {
-            atom.alias: self.cards[atom.alias]
-            * replication(atom.variables())
-            for atom in self.query.atoms
-        }
-        local = {alias: total / used for alias, total in local_total.items()}
-        resident = skew * sum(local.values())
-        peak = resident
-        intermediates: list[float] = []
-
-        if strategy.join is JoinKind.TRIBUTARY:
-            sort_w = sum(self._sort_units(size * skew) for size in local.values())
-            # each hypercube dimension hashes its variable into dim buckets,
-            # shrinking that level's residual domain on every worker
-            seeks_w = self._partitioned_seeks(lambda v: dims.get(v, 1.0))
-            out_w = skew * self.result_size / used
-            wall += sort_w + seeks_w + out_w
-            cpu += used * (sort_w + seeks_w) + self.result_size
-            peak = max(peak, 2.0 * resident + out_w)
-            return self._finish(strategy, wall, cpu, shuffled, peak, ())
-
-        # local left-deep hash pipeline over the hypercube fragments
-        order = self.plan.order
-        current_vars = self.atoms[order[0]].variables()
-        current_w = skew * local[order[0]]
-        current_total = local_total[order[0]]
-        for step, alias in enumerate(order[1:], start=1):
-            out_size = self.sizes[step]
-            intermediates.append(out_size)
-            out_vars = tuple(
-                dict.fromkeys(tuple(current_vars) + self.atoms[alias].variables())
-            )
-            out_total = out_size * replication(out_vars)
-            out_w = skew * out_total / used
-            right_w = skew * local[alias]
-            wall += 2.0 * (current_w + right_w) + out_w
-            cpu += 2.0 * (current_total + local_total[alias]) + out_total
-            peak = max(peak, resident + out_w)
-            resident = skew * sum(local.values()) + out_w
-            current_vars = out_vars
-            current_w = out_w
-            current_total = out_total
-        return self._finish(
-            strategy, wall, cpu, shuffled, peak, tuple(intermediates)
-        )
-
     def _hc_skew(self, dims: Mapping[Variable, float]) -> float:
         """Receive skew of the HyperCube shuffle (Table 3's ~1.05).
 
@@ -647,51 +419,222 @@ class _Estimator:
                 skew = max(skew, min(dim, dim * heavy / size))
         return skew
 
+    def _partitioned(self, rows: float, skew: float = 1.0) -> _Slot:
+        return _Slot(rows, rows, skew * rows / self.p, _Layout.PARTITIONED, skew)
 
-def _estimate_hybrid(
-    query: ConjunctiveQuery,
-    catalog: Catalog,
-    workers: int,
-    memory_tuples: Optional[int],
-    decomposition: Decomposition,
-) -> StrategyCost:
-    """Price one hybrid shape: RS_HJ stage, boundary, HC_TJ stage.
+    def _replicated(self, rows: float) -> _Slot:
+        return _Slot(rows, rows * self.p, rows, _Layout.REPLICATED)
 
-    Stage one is priced by the regular-shuffle estimator on the stage-one
-    subquery; the stage boundary charges one unit per stage-one output tuple
-    (the re-scan/projection) spread evenly over workers; stage two is priced
-    by the HyperCube estimator on the residual subquery, reading the
-    intermediate's statistics through a :class:`HybridCatalog` overlay.
-    The phases are sequential, so walls and CPU add and peak residency is
-    the worse of the two stages.
-    """
-    stage_one = stage_one_query(query, decomposition)
-    stage_two = stage_two_query(query, decomposition)
-    overlay = {
-        decomposition.alias: estimate_intermediate(query, catalog, decomposition)
+    def _on_cube(self, rows: float, variables: Sequence[Variable]) -> _Slot:
+        """A HyperCube slot: one copy per cell of its unbound dimensions."""
+        total = rows * math.prod(
+            dim for variable, dim in self.dims.items() if variable not in variables
+        )
+        heaviest = self.hc_skew * total / self.used
+        return _Slot(rows, total, heaviest, _Layout.HYPERCUBE, self.hc_skew)
+
+    def _joined(
+        self, inputs: Sequence[_Slot], rows: float, variables: Sequence[Variable]
+    ) -> _Slot:
+        """A local join's output: on the cube if an input is; else
+        partitioned if one is (with its skew); replicated if all are."""
+        if any(slot.layout is _Layout.HYPERCUBE for slot in inputs):
+            return self._on_cube(rows, variables)
+        skews = [s.skew for s in inputs if s.layout is _Layout.PARTITIONED]
+        if skews:
+            return self._partitioned(rows, max(skews))
+        return self._replicated(rows)
+
+    # -- one cost rule per operator ------------------------------------------
+
+    def _scan(self, op: Scan) -> None:
+        """A scan charges nothing; its fragments become resident inputs."""
+        rows = float(max(1, self.catalog.atom_cardinality(op.atom)))
+        self.slots[op.out] = self._partitioned(rows)
+        if op.atom.alias in self.atoms:  # a later stage's scans are its own
+            self.inputs += rows / self.p
+            self.peak = max(self.peak, self.inputs)
+
+    def _choose_anchor(self, op: ChooseAnchor) -> None:
+        """The largest post-selection input stays in place; earliest wins."""
+        self.anchor = max(op.aliases, key=lambda alias: self.slots[alias].rows)
+
+    def _configure_hypercube(self, op: ConfigureHyperCube) -> None:
+        """Algorithm 1 on the post-selection cardinalities (as the runtime)."""
+        config = op.config or optimize_config(self.query, self.cards, self.workers)
+        self.dims = {v: float(config.dim(v)) for v in config.order}
+        self.used = float(max(1, config.workers_used))
+        self.hc_skew = self._hc_skew(self.dims)
+
+    def _exchange(self, op: Exchange) -> None:
+        """One unit per tuple sent, spread over the producers, and one per
+        tuple received, as heavy as the receiving layout's heaviest share."""
+        rows = self.slots[op.input].rows
+        if op.skip_if_anchor and op.input == self.anchor:
+            self.slots[op.out] = self.slots[op.input]  # the anchor never moves
+            return
+        if op.kind is ExchangeKind.REGULAR:
+            received = self._partitioned(rows, self._consumer_skew(op.key))
+        elif op.kind is ExchangeKind.BROADCAST:
+            received = self._replicated(rows)
+        else:
+            received = self._on_cube(rows, op.atom.variables())
+        self.shuffled += received.total
+        self.cpu += 2.0 * received.total
+        self.wall += received.total / self.p + received.heaviest
+        self.slots[op.out] = received
+
+    def _hash_join(self, op: LocalHashJoin) -> None:
+        """Build and probe both inputs, emit the output."""
+        left, right = self.slots[op.left], self.slots[op.right]
+        out = self._joined((left, right), self.sizes[op.step], op.out_variables)
+        self.wall += 2.0 * (left.heaviest + right.heaviest) + out.heaviest
+        self.cpu += 2.0 * (left.total + right.total) + out.total
+        self.intermediates.append(out.rows)
+        self.slots[op.out] = out
+
+    def _merge_join(self, op: MergeJoinStep) -> None:
+        """Sort both inputs, then one pass over inputs and output."""
+        left, right = self.slots[op.left], self.slots[op.right]
+        out = self._joined((left, right), self.sizes[op.step], op.out_variables)
+        sort_w = self._sort_units(left.heaviest) + self._sort_units(right.heaviest)
+        self.wall += sort_w + (left.heaviest + right.heaviest + out.heaviest)
+        self.cpu += self.p * sort_w + (left.total + right.total + out.total)
+        self.intermediates.append(out.rows)
+        self.slots[op.out] = out
+
+    def _tributary_join(self, op: LocalTributaryJoin) -> None:
+        """Sort every fragment, seek per the Sec. 5 model, emit the result."""
+        inputs = [self.slots[name] for _, name in op.inputs]
+        out = self._joined(inputs, self.sizes[-1], self.query.variables())
+        join_set = set(self.query.join_variables())
+        self.order = estimate_order_cost(
+            self.query, self.catalog, tuple(v for v in op.order if v in join_set)
+        )
+        if out.layout is _Layout.HYPERCUBE:
+            # each hypercube dimension hashes its variable into dim buckets,
+            # shrinking that level's residual domain on every worker
+            scale, consumers = self.dims, self.used
+        else:
+            # only a hash-partitioned input shrinks a worker's search: its
+            # first variable in the order divides the running product by p,
+            # everything before it is paid in full
+            split: set[Variable] = set()
+            for (alias, _), slot in zip(op.inputs, inputs):
+                if slot.layout is _Layout.PARTITIONED:
+                    split.update(self.atoms[alias].variables())
+            first = next((v for v in self.order.order if v in split), None)
+            scale, consumers = {first: self.p}, self.p
+        sort_w = sum(self._sort_units(slot.heaviest) for slot in inputs)
+        seeks_w = self._partitioned_seeks(lambda v: scale.get(v, 1.0))
+        self.wall += sort_w + seeks_w + out.heaviest
+        self.cpu += consumers * (sort_w + seeks_w) + out.total
+        self.slots[op.out] = out
+
+    def _scan_intermediate(self, op: ScanIntermediate) -> None:
+        """The stage boundary: one unit per stage-one output tuple, spread
+        evenly over the workers; then the residual subquery's statistics,
+        the intermediate's estimated through a :class:`HybridCatalog`."""
+        rows = self.slots[op.input].rows
+        self.cpu += rows
+        self.wall += rows / self.p
+        query = self.physical.query
+        estimate = estimate_intermediate(query, self.catalog, self.shape)
+        self._enter_stage(
+            stage_two_query(query, self.shape),
+            HybridCatalog(self.catalog, {op.out: estimate}),
+        )
+        self.intermediates.append(estimate.cardinality)
+        self.slots[op.out] = self._partitioned(float(self.cards[op.out]))
+
+    _RULES = {
+        Scan: _scan,
+        ChooseAnchor: _choose_anchor,
+        ConfigureHyperCube: _configure_hypercube,
+        Exchange: _exchange,
+        LocalHashJoin: _hash_join,
+        MergeJoinStep: _merge_join,
+        LocalTributaryJoin: _tributary_join,
+        ScanIntermediate: _scan_intermediate,
     }
-    first = _Estimator(stage_one, catalog, workers, memory_tuples)
-    one = first._estimate_regular(RS_HJ)
-    boundary_cpu = first.result_size
-    boundary_wall = first.result_size / max(1, workers)
-    second = _Estimator(
-        stage_two, HybridCatalog(catalog, overlay), workers, memory_tuples
+
+    def price(self, memory_tuples: Optional[int]) -> StrategyCost:
+        """Walk the plan round by round: cost rules, then residency.
+
+        The residency model, conservative on purpose (DESIGN.md): while a
+        local join builds its output the heaviest worker holds the stage's
+        resident inputs, the previous intermediate and the output; a join
+        in a round that has exchanges also holds its inputs as receive
+        buffers, and a Tributary operator a sorted copy of them.  Such a
+        round leaves the scans resident; a shuffle-only round (broadcast,
+        HyperCube) replaces what was resident with what it delivered.
+        """
+        for round_ in self.physical.rounds:
+            exchanges = [op for op in round_.ops if isinstance(op, Exchange)]
+            for op in round_.ops:
+                if type(op) not in self._RULES:
+                    raise TypeError(f"no cost rule for operator: {op.describe()}")
+                self._RULES[type(op)](self, op)
+                if op.GLOBAL:
+                    continue
+                held = sum(self.slots[name].heaviest for name in op.input_slots())
+                buffers = held if exchanges else 0.0
+                sorts = isinstance(op, (MergeJoinStep, LocalTributaryJoin))
+                scratch = held if sorts else 0.0
+                out = self.slots[op.out].heaviest
+                self.peak = max(
+                    self.peak, self.inputs + self.live + buffers + scratch + out
+                )
+                self.live = out
+            if exchanges and not round_.local_ops():
+                self.inputs = sum(self.slots[op.out].heaviest for op in exchanges)
+                self.live = 0.0
+                self.peak = max(self.peak, self.inputs)
+        return StrategyCost(
+            self.physical.strategy, self.wall, self.cpu, self.shuffled, self.peak,
+            intermediate_sizes=tuple(self.intermediates),
+            predicted_oom=memory_tuples is not None and self.peak > memory_tuples,
+            detail=self.shape.describe() if self.shape is not None else "",
+            physical=self.physical,
+        )
+
+
+def _decomposition_of(physical: PhysicalPlan) -> Optional[Decomposition]:
+    """Read a hybrid plan's shape back off its stage boundary (else None)."""
+    boundary = [
+        op for _, _, _, op in physical.operators() if isinstance(op, ScanIntermediate)
+    ]
+    if not boundary:
+        return None
+    first = set(physical.left_deep.order)
+    aliases = [atom.alias for atom in physical.query.atoms]
+    return Decomposition(
+        stage_one=tuple(alias for alias in aliases if alias in first),
+        residual=tuple(alias for alias in aliases if alias not in first),
+        keep=boundary[0].variables,
+        alias=boundary[0].out,
+        dedup=boundary[0].dedup,
     )
-    two = second._estimate_hypercube(HC_TJ)
-    return StrategyCost(
-        strategy=HYBRID_STRATEGY,
-        wall_clock=one.wall_clock + boundary_wall + two.wall_clock,
-        total_cpu=one.total_cpu + boundary_cpu + two.total_cpu,
-        tuples_shuffled=one.tuples_shuffled + two.tuples_shuffled,
-        peak_memory=max(one.peak_memory, two.peak_memory),
-        intermediate_sizes=(
-            one.intermediate_sizes
-            + (overlay[decomposition.alias].cardinality,)
-            + two.intermediate_sizes
-        ),
-        predicted_oom=one.predicted_oom or two.predicted_oom,
-        detail=decomposition.describe(),
-    )
+
+
+def price_plan(
+    physical: PhysicalPlan,
+    catalog: Catalog,
+    workers: int = 64,
+    memory_tuples: Optional[int] = None,
+) -> StrategyCost:
+    """Price any lowered plan, pure or hybrid, from catalog statistics alone.
+
+    Walks the plan round by round with one cost rule per operator type, in
+    the engine's counted units, and marks a predicted peak residency above
+    ``memory_tuples`` as ``predicted_oom``.  A query with an empty
+    post-selection atom returns no rows under any plan and prices at zero —
+    no cost ratios are formed over zero counts.  Raises ``TypeError`` for an
+    operator without a cost rule (the semijoin operators have none).
+    """
+    if catalog.empty_atoms(physical.query):
+        return StrategyCost(physical.strategy, 0.0, 0.0, 0.0, 0.0, physical=physical)
+    return _PlanWalk(physical, catalog, workers).price(memory_tuples)
 
 
 def estimate_costs(
@@ -705,66 +648,53 @@ def estimate_costs(
 ) -> CostReport:
     """Price all six strategies for a query from catalog statistics alone.
 
-    Returns a :class:`CostReport` whose ``choice`` is the cheapest predicted
-    strategy (ties break in the paper's presentation order, matching the
-    measured grid's tie-breaking).  A query with an empty post-selection
-    atom short-circuits to a trivial report — every strategy returns zero
-    rows, so the least data movement wins by fiat and no cost ratios are
-    formed over zero counts.
+    Each strategy is lowered once, with one left-deep plan and variable
+    order (the caller's, or what an explicit run would compute), and
+    :func:`price_plan` prices the lowered plan, which its row keeps.
+    ``choice`` is the cheapest predicted strategy (ties break in the
+    paper's presentation order, matching the measured grid's).  A query
+    with an empty post-selection atom gets a trivial report — every
+    strategy returns zero rows, so the least data movement wins by fiat.
 
-    With ``hybrid=True`` the search additionally enumerates multi-stage
-    binary+WCOJ decompositions (:func:`enumerate_decompositions`); the
-    cheapest shape is reported in ``hybrids`` and can win ``choice``.
-    ``costs`` always holds exactly the six pure rows either way.
+    With ``hybrid=True`` the search additionally lowers and prices every
+    multi-stage binary+WCOJ decomposition
+    (:func:`enumerate_decompositions`); the cheapest shape is reported in
+    ``hybrids`` and can win ``choice``.  ``costs`` always holds exactly the
+    six pure rows either way.
     """
-    if catalog.empty_atoms(query):
-        costs = tuple(
-            StrategyCost(
-                strategy=strategy.name,
-                wall_clock=0.0,
-                total_cpu=0.0,
-                tuples_shuffled=0.0,
-                peak_memory=0.0,
-            )
-            for strategy in ALL_STRATEGIES
+    trivial = bool(catalog.empty_atoms(query))
+    plan = plan or left_deep_plan(query, catalog)
+    if variable_order is None:
+        variable_order = full_variable_order(
+            query, best_join_order(query, catalog).order
         )
-        return CostReport(
-            query=query,
-            workers=workers,
-            memory_tuples=memory_tuples,
-            costs=costs,
-            choice=TRIVIAL_STRATEGY,
-            trivial=True,
-        )
-    estimator = _Estimator(
-        query, catalog, workers, memory_tuples,
-        plan=plan, variable_order=variable_order,
+
+    def price(physical: PhysicalPlan) -> StrategyCost:
+        return price_plan(physical, catalog, workers, memory_tuples)
+
+    costs = tuple(
+        price(lower(query, strategy, catalog, plan=plan, variable_order=variable_order))
+        for strategy in ALL_STRATEGIES
     )
-    costs = tuple(estimator.estimate(strategy) for strategy in ALL_STRATEGIES)
     hybrids: tuple[StrategyCost, ...] = ()
-    hybrid_decomposition: Optional[Decomposition] = None
-    if hybrid:
-        shapes = enumerate_decompositions(query)
-        if shapes:
-            priced = [
-                (_estimate_hybrid(query, catalog, workers, memory_tuples, d), d)
-                for d in shapes
-            ]
-            best, hybrid_decomposition = min(
-                priced, key=lambda pair: (pair[0].cost, pair[0].detail)
-            )
-            hybrids = (best,)
+    shapes = enumerate_decompositions(query) if hybrid and not trivial else ()
+    if shapes:
+        priced = [
+            price(lower_hybrid(query, catalog, decomposition=shape))
+            for shape in shapes
+        ]
+        hybrids = (min(priced, key=lambda row: (row.cost, row.detail)),)
     choice = min(costs + hybrids, key=lambda entry: entry.cost).strategy
-    if all(entry.predicted_oom for entry in costs + hybrids):
-        choice = TRIVIAL_STRATEGY  # everything predicted to fail: move least
+    if trivial or all(entry.predicted_oom for entry in costs + hybrids):
+        choice = TRIVIAL_STRATEGY  # nothing to win, or all fail: move least
     return CostReport(
         query=query,
         workers=workers,
         memory_tuples=memory_tuples,
         costs=costs,
         choice=choice,
+        trivial=trivial,
         hybrids=hybrids,
-        hybrid_decomposition=hybrid_decomposition,
     )
 
 
@@ -869,14 +799,13 @@ def optimize(
     variable_order: Optional[Sequence[Variable]] = None,
     cache: Optional[PlanCache] = GLOBAL_PLAN_CACHE,
 ) -> OptimizedPlan:
-    """Cost every strategy, lower the winner, and cache the result.
+    """Cost every strategy, return the winner's lowered plan, cache the result.
 
-    The winner is lowered through :func:`~repro.planner.physical.lower`
-    with exactly the arguments an explicit-strategy execution would use, so
-    ``strategy="auto"`` output is bit-identical to naming the chosen
-    strategy by hand.  Pass ``cache=None`` to bypass caching (the explicit
-    ``plan``/``variable_order`` overrides also bypass it — the cache key
-    does not describe them).
+    Every candidate went through :func:`~repro.planner.physical.lower` with
+    the arguments an explicit-strategy execution uses, so ``strategy="auto"``
+    output is bit-identical to naming the chosen strategy by hand.  Pass
+    ``cache=None`` to bypass caching (explicit ``plan``/``variable_order``
+    overrides bypass it too — the cache key does not describe them).
     """
     use_cache = cache is not None and plan is None and variable_order is None
     key: Optional[tuple] = None
@@ -892,15 +821,9 @@ def optimize(
         # only search them when the caller left planning entirely to us
         hybrid=plan is None and variable_order is None,
     )
-    if report.choice == HYBRID_STRATEGY:
-        physical = lower_hybrid(
-            query, catalog, decomposition=report.hybrid_decomposition
-        )
-    else:
-        physical = lower(
-            query, report.choice, catalog, plan=plan, variable_order=variable_order
-        )
-    optimized = OptimizedPlan(report=report, physical=physical)
+    optimized = OptimizedPlan(
+        report=report, physical=report.cost_of(report.choice).physical
+    )
     if use_cache and key is not None:
         cache.store(key, optimized)
     return optimized

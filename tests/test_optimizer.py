@@ -3,27 +3,38 @@
 Covers the two catalog regressions this change fixed (prefix-count cache
 misses, empty-selection zero-cardinality handling), the statistics the
 optimizer consumes (group histograms, exact join products), the plan
-cache's hit/invalidation semantics, and the auto-vs-explicit differential:
-``strategy="auto"`` must be bit-identical to naming the chosen strategy.
+cache's hit/invalidation semantics, the auto-vs-explicit differential
+(``strategy="auto"`` must be bit-identical to naming the chosen strategy),
+and the predictions themselves: pinned against golden captures, against
+the committed accuracy artifact, and against counted executions.
 """
+
+import json
+import os
 
 import pytest
 
+from repro.experiments.harness import predict_workload
+from repro.leapfrog import variable_order as variable_order_module
 from repro.planner import (
     ALL_STRATEGIES,
     AUTO_STRATEGY,
     PlanCache,
+    enumerate_decompositions,
     estimate_costs,
     explain,
+    lower,
     optimize,
     run_query,
 )
-from repro.planner.optimizer import TRIVIAL_STRATEGY, normalize_query
+from repro.planner.optimizer import TRIVIAL_STRATEGY, normalize_query, price_plan
 from repro.query.atoms import Atom, Constant, Variable
 from repro.query.catalog import Catalog
 from repro.query.parser import parse_query
 from repro.storage.generators import twitter_database
 from repro.storage.relation import Database, Relation
+from repro.workloads.registry import PAPER_ORDER, get_workload
+from tests.golden.capture_optimizer_predictions import predict
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -327,3 +338,123 @@ class TestAutoGoldenDifferential:
         result = run_query(TRIANGLE, db, strategy=AUTO_STRATEGY, workers=8)
         assert result.cost_report is not None
         assert result.cost_report.choice == result.stats.strategy
+
+
+# ----------------------------------------------------------------------
+# The predictions: goldens, the committed artifact, counted executions
+# ----------------------------------------------------------------------
+
+REPO_ROOT = os.path.dirname(os.path.dirname(__file__))
+
+with open(
+    os.path.join(REPO_ROOT, "tests", "golden", "optimizer_predictions.json")
+) as _handle:
+    GOLDEN_PREDICTIONS = json.load(_handle)
+
+
+def assert_matches(actual, expected, path):
+    """Structural equality with floats held to 1e-9 relative."""
+    if isinstance(expected, dict):
+        assert set(actual) == set(expected), path
+        for key in expected:
+            assert_matches(actual[key], expected[key], f"{path}/{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for index, (got, want) in enumerate(zip(actual, expected)):
+            assert_matches(got, want, f"{path}[{index}]")
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-9, abs=0.0), path
+    else:
+        assert actual == expected, path
+
+
+class TestPredictionGoldens:
+    @pytest.mark.parametrize("cell", sorted(GOLDEN_PREDICTIONS))
+    def test_estimate_costs_matches_golden(self, cell):
+        name, workers = cell.split("/w")
+        assert_matches(predict(name, int(workers)), GOLDEN_PREDICTIONS[cell], cell)
+
+    def test_committed_accuracy_artifact_is_reproduced(self):
+        """BENCH_optimizer.json (bench scale, 64 workers) is not regenerated
+        by a pricing refactor: every predicted wall in it still comes out."""
+        with open(os.path.join(REPO_ROOT, "BENCH_optimizer.json")) as handle:
+            artifact = json.load(handle)
+        assert (artifact["scale"], artifact["workers"]) == ("bench", 64)
+        assert [row["query"] for row in artifact["queries"]] == list(PAPER_ORDER)
+        for row in artifact["queries"]:
+            report = predict_workload(row["query"], "bench", 64)
+            assert report.choice == row["predicted"]
+            walls = {
+                cost.strategy: None if cost.predicted_oom else cost.wall_clock
+                for cost in report.costs
+            }
+            assert_matches(walls, row["predicted_wall"], row["query"])
+
+
+CARTESIAN = "Q(x, y, z, w) :- R:Twitter(x, y), S:Twitter(z, w)."
+
+
+class TestCartesianStep:
+    @pytest.mark.parametrize("workers", [8, 64])
+    def test_predicted_cpu_equals_counted(self, workers):
+        """A cartesian step broadcasts its right side: every worker holds
+        all of it, so the join is charged for |R| + p*|S| inputs."""
+        db = twitter_database(nodes=60, edges=200)
+        query = parse_query(CARTESIAN)
+        report = estimate_costs(query, Catalog(db), workers=workers)
+        counted = run_query(query, db, strategy="RS_HJ", workers=workers)
+        predicted = report.cost_of("RS_HJ")
+        assert predicted.total_cpu == counted.stats.total_cpu
+        assert predicted.tuples_shuffled == counted.stats.tuples_shuffled
+
+
+class TestOneLoweringPerCandidate:
+    @pytest.mark.parametrize("name", ["Q1", "Q6", "Q8"])
+    def test_cold_optimize_searches_each_order_once(self, name, monkeypatch):
+        """One Sec. 5 order search for the six pure candidates plus one per
+        hybrid shape (its residual stage) — and none on a cache hit."""
+        workload = get_workload(name)
+        catalog = Catalog(workload.dataset("unit"))
+        searches = []
+        real = variable_order_module.best_join_order
+
+        def counting(query, *args, **kwargs):
+            searches.append(query.name)
+            return real(query, *args, **kwargs)
+
+        for module in ("repro.planner.optimizer", "repro.planner.physical",
+                       "repro.planner.decompose"):
+            monkeypatch.setattr(f"{module}.best_join_order", counting)
+        cache = PlanCache()
+        cold = optimize(workload.query, catalog, workers=8, cache=cache)
+        shapes = enumerate_decompositions(workload.query)
+        assert len(searches) == 1 + len(shapes)
+        searches.clear()
+        warm = optimize(workload.query, catalog, workers=8, cache=cache)
+        assert warm.cache_hit and warm.physical is cold.physical
+        assert searches == []
+
+    def test_optimize_returns_the_plan_its_winning_row_priced(self):
+        catalog = Catalog(graph_db())
+        optimized = optimize(TRIANGLE, catalog, workers=8, cache=None)
+        assert optimized.physical is optimized.report.cost_of(
+            optimized.choice
+        ).physical
+        explicit = lower(TRIANGLE, optimized.choice, catalog)
+        assert optimized.physical.rounds == explicit.rounds
+        assert optimized.physical.render() == explicit.render()
+
+
+class TestPricePlan:
+    def test_prices_an_explicitly_lowered_plan_like_the_report(self):
+        catalog = Catalog(graph_db())
+        report = estimate_costs(TRIANGLE, catalog, workers=16)
+        for name in STRATEGY_NAMES:
+            priced = price_plan(lower(TRIANGLE, name, catalog), catalog, workers=16)
+            assert priced == report.cost_of(name)
+
+    def test_operator_without_a_rule_raises(self):
+        db = graph_db()
+        path = parse_query("Q(x, z) :- R:Twitter(x, y), S:Twitter(y, z).")
+        with pytest.raises(TypeError, match="no cost rule"):
+            price_plan(lower(path, "SJ_HJ", Catalog(db)), Catalog(db), workers=8)
