@@ -19,14 +19,15 @@ query over the synthetic Twitter graph:
 
 import time
 
+from repro.leapfrog.btree_iterator import BTreeTributaryJoin
 from repro.leapfrog.tributary import TributaryJoin
 from repro.storage.generators import twitter_graph
 from repro.workloads import Q1
 
 
-def _run(backend, graph):
+def _run(join_class, graph):
     relations = {atom.alias: graph for atom in Q1.atoms}
-    join = TributaryJoin(Q1, relations, backend=backend)
+    join = join_class(Q1, relations)
     started = time.perf_counter()
     rows = join.run()
     elapsed = time.perf_counter() - started
@@ -37,9 +38,9 @@ def test_btree_vs_sort(benchmark):
     graph = twitter_graph(nodes=3_000, edges=9_000)
 
     sorted_join, sorted_rows, sorted_time = benchmark.pedantic(
-        _run, args=("sorted", graph), rounds=1, iterations=1
+        _run, args=(TributaryJoin, graph), rounds=1, iterations=1
     )
-    btree_join, btree_rows, btree_time = _run("btree", graph)
+    btree_join, btree_rows, btree_time = _run(BTreeTributaryJoin, graph)
 
     print(
         f"\nSec. 2.2 — backend comparison on Q1 ({len(graph):,} edges):"

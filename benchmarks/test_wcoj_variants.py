@@ -13,6 +13,7 @@ the family-level invariants:
 
 import time
 
+from repro.leapfrog.btree_iterator import BTreeTributaryJoin
 from repro.leapfrog.generic_join import GenericJoin
 from repro.leapfrog.tributary import TributaryJoin
 from repro.storage.generators import twitter_graph
@@ -24,7 +25,7 @@ def _variants(graph):
     outcomes = {}
     for label, factory in (
         ("tributary/sorted", lambda: TributaryJoin(Q1, relations)),
-        ("tributary/btree", lambda: TributaryJoin(Q1, relations, backend="btree")),
+        ("tributary/btree", lambda: BTreeTributaryJoin(Q1, relations)),
         ("generic join", lambda: GenericJoin(Q1, relations)),
     ):
         join = factory()

@@ -60,7 +60,6 @@ from .planner import (
     lower,
     make_cluster,
     optimize,
-    run_all_strategies,
     run_query,
 )
 from .query import Atom, ConjunctiveQuery, Variable, parse_query
@@ -116,7 +115,6 @@ __all__ = [
     "parse_query",
     "resolve_runtime",
     "round_down_config",
-    "run_all_strategies",
     "run_query",
     "twitter_database",
     "twitter_graph",

@@ -21,7 +21,7 @@ from .kernels import (
     set_backend,
     use_backend,
 )
-from .local import dedup_rows, local_tributary_join, scanned_query
+from .local import local_tributary_join, scanned_query
 from .memory import MemoryBudget, OutOfMemoryError, WorkerMemoryAccount
 from .runtime import (
     ParallelRuntime,
@@ -89,7 +89,6 @@ __all__ = [
     "apply_comparisons",
     "atom_frame",
     "broadcast",
-    "dedup_rows",
     "frame_relation",
     "get_backend",
     "hash_row",

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from .runtime import WorkerLedger
 from .stats import WorkerStats

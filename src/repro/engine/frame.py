@@ -51,10 +51,6 @@ class Frame:
         rows = list(dict.fromkeys(projected)) if dedup else list(projected)
         return Frame(tuple(variables), rows)
 
-    def empty_like(self) -> "Frame":
-        """A zero-row frame with this frame's schema."""
-        return Frame(self.variables, [])
-
     def __repr__(self) -> str:
         names = ", ".join(v.name for v in self.variables)
         return f"Frame([{names}], {len(self.rows)} rows)"

@@ -146,20 +146,6 @@ def _hash_columns(columns: Sequence[np.ndarray], salt: int, count: int) -> np.nd
     return mixed
 
 
-def hash_rows(
-    rows: Sequence[Row],
-    key_indices: Sequence[int],
-    salt: int = 0,
-    backend: Optional[str] = None,
-) -> list[int]:
-    """Batched :func:`hash_row` of each row's key columns."""
-    if resolve_backend(backend) == "numpy" and rows:
-        n = len(rows)
-        columns = [_column(rows, i, n) for i in key_indices]
-        return [int(h) for h in _hash_columns(columns, salt, n)]
-    return [hash_row([row[i] for i in key_indices], salt) for row in rows]
-
-
 # ----------------------------------------------------------------------
 # Shuffle routing / partitioning
 # ----------------------------------------------------------------------

@@ -186,8 +186,3 @@ def local_tributary_join(
     if error is not None:
         raise error
     return results[0]
-
-
-def dedup_rows(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Order-preserving duplicate elimination."""
-    return list(dict.fromkeys(rows))

@@ -1,10 +1,8 @@
 """Pluggable worker runtimes for the per-worker local-join phases.
 
-The simulator's "workers" are logical partitions; the executor's local-join
-loops (``for worker in range(p): ...``) historically ran them one after
-another on a single core.  HoneyComb (Wu & Suciu, 2025) makes the case that
-worst-case-optimal distributed joins only pay off at scale when local
-evaluation exploits multicores — this module is that seam.
+The simulator's "workers" are logical partitions.  HoneyComb (Wu & Suciu,
+2025) makes the case that worst-case-optimal distributed joins only pay off
+at scale when local evaluation exploits multicores — this module is that seam.
 
 There is one way to run a worker task: :meth:`WorkerRuntime.map_local`
 hands every executor its workers as one *batch* of ``(worker, ledger,
@@ -13,8 +11,7 @@ batch share a trie walk while each worker is still accounted on its own
 ledger.  The three runtimes differ only in who the executors are
 (:meth:`~WorkerRuntime._local_batches`, :meth:`~WorkerRuntime._run_batches`):
 
-- :class:`SerialRuntime` — the calling thread runs every worker as a single
-  batch (bit-identical to the historical behavior);
+- :class:`SerialRuntime` — the calling thread runs every worker as one batch;
 - :class:`ParallelRuntime` — one batch per thread of a
   :class:`concurrent.futures.ThreadPoolExecutor`;
 - :class:`ProcessRuntime` — one batch per forked, pipe-connected session
@@ -43,6 +40,7 @@ serial execution leaves behind.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -164,14 +162,9 @@ class WorkerRuntime:
         return [_run_batch(runner, batch) for batch in batches]
 
     def open_session(self) -> None:
-        """Start a per-plan worker session (no-op for in-process runtimes).
-
-        The scheduler brackets each plan execution with
-        ``open_session()`` / ``close_session()``; :class:`ProcessRuntime`
-        uses the bracket to keep one forked pool alive across every phase
-        of the plan, shipping per-phase slot inputs and ledger diffs over
-        pipes rather than paying a fork per Round.
-        """
+        """Start a per-plan worker session (no-op for in-process runtimes):
+        the scheduler brackets each plan execution with ``open_session()`` /
+        ``close_session()``, and :class:`ProcessRuntime` forks its pool here."""
 
     def close_session(self) -> None:
         """End the per-plan worker session (no-op for in-process runtimes)."""
@@ -202,12 +195,9 @@ class ParallelRuntime(WorkerRuntime):
             raise ValueError("ParallelRuntime needs at least one pool worker")
         self.max_workers = max_workers
 
-    def _pool_size(self) -> int:
-        return self.max_workers or min(32, os.cpu_count() or 1)
-
     def _local_batches(self, ids: list[int]) -> list[list[int]]:
         """Deal worker ids round-robin: one batch per pool thread."""
-        size = self._pool_size()
+        size = self.max_workers or min(32, os.cpu_count() or 1)
         return [ids[k::size] for k in range(min(size, len(ids)))]
 
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
@@ -299,6 +289,17 @@ def _session_child_main(connection) -> None:
     connection.close()
 
 
+def _trim_heap() -> None:
+    """Give the allocator's freed pages back to the OS (glibc; else a no-op).
+    A forked child starts with every page its parent has resident, and glibc
+    keeps up to 64 MB of freed buffers — how much depends on pipe timing — so
+    without this a pool's footprint moves by tens of MB from plan to plan."""
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError):  # pragma: no cover - not glibc
+        pass
+
+
 class _SessionWorker:
     """One persistent forked child of a :class:`ProcessRuntime` session."""
 
@@ -360,6 +361,7 @@ class ProcessRuntime(WorkerRuntime):
         if "fork" not in multiprocessing.get_all_start_methods():
             return
         context = multiprocessing.get_context("fork")
+        _trim_heap()  # the children inherit the live heap only
         size = self.processes or (os.cpu_count() or 1)
         self._session = [_SessionWorker(context) for _ in range(size)]
 

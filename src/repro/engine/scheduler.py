@@ -8,21 +8,25 @@ then fuse the round's local operators into a single worker task dispatched
 through the pluggable worker runtime (:mod:`~repro.engine.runtime`).  Each
 worker task charges an isolated :class:`~repro.engine.runtime.WorkerLedger`
 merged back in worker-id order, so serial and parallel runtimes produce
-identical counted metrics — exactly the contract the hand-written
-per-strategy loops upheld, now enforced in one place.
+identical counted metrics.
 
-The scheduler reproduces the historical executor's metric stream
-byte-for-byte: the same shuffle record order, the same phase insertion
-order, the same memory registration/release points (scans register
-residency, exchanges stream their input out before receive buffers fill,
-joins release consumed inputs and filter-dropped rows), and the same
-:class:`~repro.engine.memory.OutOfMemoryError` propagation — the
-differential suite pins all of it against golden seed-executor captures.
+The scheduler *reads* the plan: everything statically knowable — join
+variables, output schemas, sort orders, phase names, which slots an operator
+reads and binds — was decided at lowering time and is stored on the
+operators, so nothing here is derived a second time.  Its metric stream is
+pinned byte-for-byte by the differential suite against golden seed-executor
+captures: the shuffle record order, the phase insertion order, the memory
+registration/release points (scans register residency, exchanges stream
+their input out before receive buffers fill, joins release consumed inputs
+and filter-dropped rows), and the
+:class:`~repro.engine.memory.OutOfMemoryError` propagation.
 
 Alongside execution the scheduler appends one :class:`OperatorTrace` per
-operator into a caller-supplied list — tuples in/out, the index of the
-shuffle record an exchange produced, whether a broadcast was skipped as the
-anchor.  Traces are appended as operators complete, so a failed (OOM) run
+operator into a caller-supplied list, by one rule: once an operator has
+bound its slots, ``tuples_in`` / ``tuples_out`` are the sizes of the slots
+its ``input_slots()`` / ``output_slots()`` name; only an exchange adds
+anything (the index of its shuffle record, or that it was skipped as the
+anchor).  Traces are appended as operators complete, so a failed (OOM) run
 leaves a truthful partial trace; the EXPLAIN ANALYZE layer
 (:mod:`~repro.planner.explain`) joins traces with
 :class:`~repro.engine.stats.ExecutionStats` phases to annotate the plan.
@@ -107,30 +111,21 @@ def _run_join_op(op: PhysicalOp, views: list) -> tuple[int, Optional[Exception]]
     ``error`` is the failing worker's exception.
     """
     if isinstance(op, LocalTributaryJoin):
-        query, order, slots, phases = op.query, op.order, op.inputs, {}
+        query, slots = op.query, op.inputs
     else:
         # binary Tributary join == sort-merge join: a 2-atom query over the
         # two frames, run by the multiway machinery
         slots = (("L", op.left), ("R", op.right))
-        left, right = views[0][2](op.left), views[0][2](op.right)
-        out_vars = tuple(left.variables) + tuple(
-            v for v in right.variables if v not in set(left.variables)
-        )
+        schema_of = views[0][2]  # every worker's frames share one schema
         query = ConjunctiveQuery(
             name="merge",
-            head=out_vars,
-            atoms=(
-                Atom("L", left.variables, alias="L"),
-                Atom("R", right.variables, alias="R"),
+            head=op.out_variables,
+            atoms=tuple(
+                Atom(alias, schema_of(slot).variables, alias=alias)
+                for alias, slot in slots
             ),
         )
-        order = tuple(op.join_vars) + tuple(
-            v for v in out_vars if v not in set(op.join_vars)
-        )
-        phases = {
-            "sort_phase": f"step{op.step}:sort",
-            "join_phase": f"step{op.step}:join",
-        }
+    sort_phase, join_phase = op.phases[:2]
     inputs = [
         {alias: read(slot) for alias, slot in slots} for _, _, read, _ in views
     ]
@@ -140,8 +135,9 @@ def _run_join_op(op: PhysicalOp, views: list) -> tuple[int, Optional[Exception]]
             LocalJoinTask(worker, frames, ledger.stats, ledger.memory)
             for (worker, ledger, _, _), frames in zip(views, inputs)
         ],
-        order=order,
-        **phases,
+        order=op.order,
+        sort_phase=sort_phase,
+        join_phase=join_phase,
     )
     for index, ((worker, ledger, _, write), frames, rows) in enumerate(
         zip(views, inputs, results)
@@ -410,18 +406,27 @@ def _run_round(
     slots = state.slots
     label = round_.label
 
-    def record(entry: OperatorTrace) -> None:
-        """Append a trace entry when the caller asked for tracing."""
-        if trace is not None:
-            trace.append(entry)
+    def slot_tuples(names) -> int:
+        """Total tuples currently bound to the named slots across workers."""
+        return sum(len(value) for name in names for value in slots[name])
 
-    def slot_tuples(name: str) -> int:
-        """Total tuples currently bound to one slot across workers."""
-        return sum(len(value) for value in slots[name])
+    def record(op_index: int, op: PhysicalOp, **noted) -> None:
+        """Trace an operator that has bound its slots: its tuple flow is
+        what the plan says it reads and binds."""
+        if trace is not None:
+            trace.append(
+                OperatorTrace(
+                    round_index, op_index, op,
+                    tuples_in=slot_tuples(op.input_slots()),
+                    tuples_out=slot_tuples(op.output_slots()),
+                    **noted,
+                )
+            )
 
     for op_index, op in enumerate(round_.ops):
         if not op.GLOBAL:
             continue
+        noted = {}
         if isinstance(op, Scan):
             per_worker: list[Frame] = []
             for worker in range(workers):
@@ -445,16 +450,9 @@ def _run_round(
                 if len(frame):
                     cluster.memory.allocate(worker, len(frame), "scan")
                     stats.record_memory(worker, cluster.memory.resident(worker))
-            record(
-                OperatorTrace(
-                    round_index, op_index, op,
-                    tuples_out=slot_tuples(op.out),
-                )
-            )
         elif isinstance(op, ChooseAnchor):
             sizes = _scanned_sizes(slots, op.aliases)
             state.anchor = max(sizes, key=lambda alias: sizes[alias])
-            record(OperatorTrace(round_index, op_index, op))
         elif isinstance(op, ConfigureHyperCube):
             sizes = _scanned_sizes(slots, op.aliases)
             # hybrid plans configure per stage: the boundary round carries
@@ -463,11 +461,9 @@ def _run_round(
                 op.query or plan.query, sizes, workers
             )
             state.mapping = HyperCubeMapping(state.hc_config, seed=op.seed)
-            record(OperatorTrace(round_index, op_index, op))
         elif isinstance(op, ScanIntermediate):
-            source = slots[op.input]
             projected: list[Frame] = []
-            for worker, frame in enumerate(source):
+            for worker, frame in enumerate(slots[op.input]):
                 stats.charge(worker, len(frame), op.phase)
                 out_frame = frame.project(op.variables, dedup=op.dedup)
                 dropped = len(frame) - len(out_frame)
@@ -477,87 +473,41 @@ def _run_round(
                     cluster.memory.release(worker, dropped)
                 projected.append(out_frame)
             slots[op.out] = projected
-            record(
-                OperatorTrace(
-                    round_index, op_index, op,
-                    tuples_in=sum(len(f) for f in source),
-                    tuples_out=slot_tuples(op.out),
-                )
-            )
         elif isinstance(op, Exchange):
             frames = slots[op.input]
             if op.skip_if_anchor and op.input == state.anchor:
                 # anchor fragments stay in place; the scan already
-                # registered their residency, so nothing moves
+                # registered their residency, so nothing moves — and nothing
+                # ran that a fault could strike, so no hook is consulted
                 slots[op.out] = frames
-                record(
-                    OperatorTrace(
-                        round_index, op_index, op,
-                        tuples_in=slot_tuples(op.input),
-                        tuples_out=slot_tuples(op.out),
-                        skipped=True,
-                    )
-                )
+                record(op_index, op, skipped=True)
                 continue
             if op.release_input:
                 # the exchange streams the old partitioning out as it
                 # sends, so its residency is freed before receive
                 # buffers fill
                 cluster.release_frames(frames)
+            charged = dict(name=op.name, phase=op.phase, memory=cluster.memory)
             if op.kind is ExchangeKind.REGULAR:
                 slots[op.out] = regular_shuffle(
-                    frames,
-                    op.key,
-                    workers,
-                    stats,
-                    name=op.name,
-                    phase=op.phase,
-                    memory=cluster.memory,
+                    frames, op.key, workers, stats, **charged
                 )
             elif op.kind is ExchangeKind.BROADCAST:
-                slots[op.out] = broadcast(
-                    frames,
-                    workers,
-                    stats,
-                    name=op.name,
-                    phase=op.phase,
-                    memory=cluster.memory,
-                )
+                slots[op.out] = broadcast(frames, workers, stats, **charged)
             else:
                 slots[op.out] = hypercube_shuffle(
-                    frames,
-                    op.atom,
-                    state.mapping,
-                    workers,
-                    stats,
-                    name=op.name,
-                    phase=op.phase,
-                    memory=cluster.memory,
+                    frames, op.atom, state.mapping, workers, stats, **charged
                 )
-            record(
-                OperatorTrace(
-                    round_index, op_index, op,
-                    tuples_in=sum(len(f) for f in frames),
-                    tuples_out=slot_tuples(op.out),
-                    shuffle_index=len(stats.shuffles) - 1,
-                )
-            )
+            noted["shuffle_index"] = len(stats.shuffles) - 1
         elif isinstance(op, SemiJoinProject):
-            source = slots[op.source]
-            projected: list[Frame] = []
-            for worker, frame in enumerate(source):
+            projected = []
+            for worker, frame in enumerate(slots[op.source]):
                 stats.charge(worker, len(frame), op.phase)
                 projected.append(frame.project(op.key, dedup=True))
             slots[op.out] = projected
-            record(
-                OperatorTrace(
-                    round_index, op_index, op,
-                    tuples_in=sum(len(f) for f in source),
-                    tuples_out=slot_tuples(op.out),
-                )
-            )
         else:  # pragma: no cover - lowering only emits the ops above
             raise TypeError(f"unknown global operator {op!r}")
+        record(op_index, op, **noted)
         if faults is not None:
             faults.after_global_op(round_index, label, attempt, op)
 
@@ -588,28 +538,12 @@ def _run_round(
         stats,
         cluster.memory,
     )
-    local_positions = [
-        i for i, candidate in enumerate(round_.ops) if not candidate.GLOBAL
-    ]
-    for op_offset, op in enumerate(local):
-        inputs = list(op.input_slots())
-        tuples_in = sum(slot_tuples(name) for name in inputs if name in slots)
+    # bind every local output first, then trace in plan order
+    for op in local:
         slots[op.out] = [produced[op.out] for produced in outcomes]
-        record(
-            OperatorTrace(
-                round_index,
-                local_positions[op_offset],
-                op,
-                tuples_in=tuples_in
-                + sum(
-                    len(produced[name])
-                    for produced in outcomes
-                    for name in inputs
-                    if name not in slots
-                ),
-                tuples_out=slot_tuples(op.out),
-            )
-        )
+    for op_index, op in enumerate(round_.ops):
+        if not op.GLOBAL:
+            record(op_index, op)
 
 
 def _run_round_recovering(

@@ -43,9 +43,12 @@ Four cooperating mechanisms:
   grant to the governor.
 
 Every query finishes with a structured :class:`QueryOutcome` — status
-``ok`` / ``failed`` / ``timeout`` / ``cancelled`` / ``rejected`` — and
-the service aggregates :class:`ServiceStats` (admissions, outcomes,
-plan-cache hit rate, peak in-flight and granted memory).
+``ok`` / ``failed`` / ``timeout`` / ``cancelled`` / ``rejected`` — and a
+failed query never stops the drain: whatever one query's planning, Round
+or finalization raises becomes that query's ``failed`` outcome, with its
+residency and grant released.  The service aggregates
+:class:`ServiceStats` (admissions, outcomes, plan-cache hit rate, peak
+in-flight and granted memory).
 
 The solo-query path is untouched: :func:`~repro.engine.scheduler.run_plan`
 is :class:`~repro.engine.scheduler.PlanExecution` stepped in a loop, so a
@@ -55,6 +58,7 @@ captures pin down.
 
 from __future__ import annotations
 
+import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -81,6 +85,8 @@ __all__ = [
     "QueryService",
     "ServiceStats",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 #: terminal outcome statuses a query can finish with
 STATUS_OK = "ok"
@@ -420,6 +426,9 @@ class QueryService:
                 active.execution.stats.mark_failed(str(oom), kind="oom")
                 self._finish(active, STATUS_FAILED, detail=str(oom))
             return bool(self._queue or self._runnable)
+        except Exception as error:
+            self._fail(active, error)
+            return bool(self._queue or self._runnable)
         self.stats.rounds_executed += 1
         active.outcome.rounds_completed = active.execution.rounds_done
         if (
@@ -440,10 +449,14 @@ class QueryService:
                 "last round rolled back",
             )
         elif active.execution.finished:
-            with use_backend(self.kernels):
-                run = active.execution.finalize()
-            active.outcome.rows = run.rows
-            self._finish(active, STATUS_OK)
+            try:
+                with use_backend(self.kernels):
+                    run = active.execution.finalize()
+            except Exception as error:
+                self._fail(active, error)
+            else:
+                active.outcome.rows = run.rows
+                self._finish(active, STATUS_OK)
         else:
             self._runnable.append(active)
         return bool(self._queue or self._runnable)
@@ -662,6 +675,21 @@ class QueryService:
         """Evict an in-flight query: free all residency, return the grant."""
         active.execution.release_residency()
         self._finish(active, status, detail)
+
+    def _fail(self, active: _ActiveQuery, error: Exception) -> None:
+        """Contain one tenant's unexpected exception as its own outcome.
+
+        Whatever a query's Round or finalization raises belongs to that
+        query: it is evicted as ``failed`` (traceback logged, residency and
+        grant released) and the drain goes on for everyone else.
+        """
+        _LOG.error(
+            "query %d (%s) failed", active.query_id, active.outcome.label,
+            exc_info=error,
+        )
+        detail = f"{type(error).__name__}: {error}"
+        active.execution.stats.mark_failed(detail, kind="error")
+        self._evict(active, STATUS_FAILED, detail)
 
     def _grant_escalatable(self, active: _ActiveQuery) -> bool:
         """Whether an OOM under a *derived* grant can retry with a bigger one.

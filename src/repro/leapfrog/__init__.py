@@ -1,11 +1,10 @@
 """Worst-case-optimal joins: the Tributary join (LFTJ over sorted arrays or
 B-trees), the NPRR-style Generic Join, and the variable-order optimizer."""
 
-from .btree_iterator import BTreeTrieIterator
+from .btree_iterator import BTreeTributaryJoin, BTreeTrieIterator
 from .generic_join import GenericJoin, GenericJoinStats, generic_join
 from .iterator import TrieIterator
 from .tributary import (
-    BACKENDS,
     SeekBudgetExceeded,
     TributaryJoin,
     TributaryStats,
@@ -22,7 +21,7 @@ from .variable_order import (
 )
 
 __all__ = [
-    "BACKENDS",
+    "BTreeTributaryJoin",
     "BTreeTrieIterator",
     "GenericJoin",
     "GenericJoinStats",

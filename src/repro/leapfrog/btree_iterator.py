@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..query.atoms import Atom
 from ..storage.btree import BPlusTree, _Node
+from ..storage.relation import Relation
+from .tributary import Encoder, TributaryJoin, _PreparedAtom, select_atom
 
 #: sentinel smaller than any value ever stored in a tuple position
 _NEG = -(2**62)
@@ -115,3 +118,28 @@ class BTreeTrieIterator:
         if self.at_end:
             raise RuntimeError("seek past the end")
         self._seek_tuple(self._pad(value))
+
+
+class BTreeTributaryJoin(TributaryJoin):
+    """The Tributary join walking B+-trees instead of sorted arrays — the
+    LogicBlox layout, kept for the Sec. 2.2 comparison (it always takes the
+    scalar walk; ``stats.sort_cost`` counts build node visits)."""
+
+    def _prepare_atom(
+        self, atom: Atom, relation: Relation, encoder: Encoder
+    ) -> _PreparedAtom:
+        """Index one atom by tuple-at-a-time insertion: the "on the fly"
+        build the paper rejects as more expensive than sorting."""
+        filtered, key_variables, key_positions = select_atom(
+            atom, relation, self.order, encoder
+        )
+        tree = BPlusTree()
+        for row in filtered.rows:
+            tree.insert(tuple(row[p] for p in key_positions))
+        return _PreparedAtom(
+            atom,
+            BTreeTrieIterator(tree, key_depth=len(key_variables)),
+            key_variables,
+            size=len(tree),
+            prepare_cost=tree.node_visits,
+        )

@@ -68,7 +68,6 @@ class GenericJoin:
         relations: Mapping[str, Relation],
         order: Optional[Sequence[Variable]] = None,
         encoder: Encoder = _identity_encoder,
-        project_head: bool = True,
     ) -> None:
         self.query = query
         self.order = tuple(order) if order is not None else query.variables()
@@ -77,7 +76,6 @@ class GenericJoin:
                 f"order {self.order} must cover all query variables "
                 f"{query.variables()}"
             )
-        self.project_head = project_head
         self.stats = GenericJoinStats()
         self._indexed: list[_IndexedAtom] = []
         for atom in query.atoms:
@@ -124,7 +122,7 @@ class GenericJoin:
 
     def run(self) -> list[tuple[int, ...]]:
         results = list(self.iterate())
-        if self.project_head and not self.query.is_full():
+        if not self.query.is_full():
             results = list(dict.fromkeys(results))
         return results
 

@@ -23,18 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from ..query.atoms import Atom, Comparison, ConjunctiveQuery, Variable
-from ..storage.btree import BPlusTree
 from ..storage.relation import Relation
 from ..storage.sorted import SortedRelation
-from .btree_iterator import BTreeTrieIterator
 from .iterator import TrieIterator
 
 Encoder = Callable[[Union[int, str]], int]
-
-#: LFTJ backends: "sorted" is the paper's Tributary join (sort + binary
-#: search); "btree" is the LogicBlox layout (on-the-fly B-tree build +
-#: finger-search seeks) included for the Sec. 2.2 comparison.
-BACKENDS = ("sorted", "btree")
 
 
 def _identity_encoder(value: Union[int, str]) -> int:
@@ -77,23 +70,22 @@ class TributaryStats:
 @dataclass
 class _PreparedAtom:
     atom: Atom
-    iterator: Union[TrieIterator, BTreeTrieIterator]
+    iterator: TrieIterator  # or any cursor with its API (the B-tree one)
     key_variables: tuple[Variable, ...]
     size: int  # tuples after filtering
     prepare_cost: int  # sort comparisons or B-tree build node visits
 
 
-def prepare_atom(
+def select_atom(
     atom: Atom,
     relation: Relation,
     order: Sequence[Variable],
     encoder: Encoder = _identity_encoder,
-    backend: str = "sorted",
-) -> _PreparedAtom:
-    """Filter an atom's relation by its constants / repeated variables and
-    build the chosen LFTJ backend over it (sorted array or B-tree)."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; use one of {BACKENDS}")
+) -> tuple[Relation, tuple[Variable, ...], list[int]]:
+    """Filter an atom's relation by its constants / repeated variables.
+
+    Returns the filtered relation, the atom's variables in ``order`` (its
+    trie levels) and the column each one is read from."""
     # function-local import: ``engine`` imports this module, so a top-level
     # import of the kernel layer would be circular
     from ..engine.kernels import atom_selection, filter_atom_rows
@@ -105,27 +97,27 @@ def prepare_atom(
     if set(key_variables) != set(atom.variables()):
         missing = set(atom.variables()) - set(key_variables)
         raise ValueError(f"variable order misses {missing} of atom {atom.alias}")
-    key_positions = [atom.positions_of(v)[0] for v in key_variables]
-    if backend == "sorted":
-        sorted_relation = SortedRelation(filtered, key_positions, keep_rest=False)
-        return _PreparedAtom(
-            atom,
-            TrieIterator(sorted_relation, key_depth=len(key_variables)),
-            key_variables,
-            size=len(sorted_relation),
-            prepare_cost=sorted_relation.sort_cost,
-        )
-    # B-tree backend: tuple-at-a-time insertion, the "on the fly" build the
-    # paper rejects as more expensive than sorting
-    tree = BPlusTree()
-    for row in filtered.rows:
-        tree.insert(tuple(row[p] for p in key_positions))
+    return filtered, key_variables, [atom.positions_of(v)[0] for v in key_variables]
+
+
+def prepare_atom(
+    atom: Atom,
+    relation: Relation,
+    order: Sequence[Variable],
+    encoder: Encoder = _identity_encoder,
+) -> _PreparedAtom:
+    """Select an atom's tuples (:func:`select_atom`) and sort them into the
+    array a :class:`~repro.leapfrog.iterator.TrieIterator` walks."""
+    filtered, key_variables, key_positions = select_atom(
+        atom, relation, order, encoder
+    )
+    sorted_relation = SortedRelation(filtered, key_positions, keep_rest=False)
     return _PreparedAtom(
         atom,
-        BTreeTrieIterator(tree, key_depth=len(key_variables)),
+        TrieIterator(sorted_relation, key_depth=len(key_variables)),
         key_variables,
-        size=len(tree),
-        prepare_cost=tree.node_visits,
+        size=len(sorted_relation),
+        prepare_cost=sorted_relation.sort_cost,
     )
 
 
@@ -147,8 +139,6 @@ class TributaryJoin:
         relations: Mapping[str, Relation],
         order: Optional[Sequence[Variable]] = None,
         encoder: Encoder = _identity_encoder,
-        project_head: bool = True,
-        backend: str = "sorted",
         max_seeks: Optional[int] = None,
     ) -> None:
         self.query = query
@@ -158,14 +148,12 @@ class TributaryJoin:
                 f"order {self.order} must cover all query variables "
                 f"{query.variables()}"
             )
-        self.project_head = project_head
-        self.backend = backend
         self.max_seeks = max_seeks
         self.stats = TributaryStats()
         self._prepared: list[_PreparedAtom] = []
         for atom in query.atoms:
             relation = relations[atom.alias] if atom.alias in relations else relations[atom.relation]
-            prepared = prepare_atom(atom, relation, self.order, encoder, backend)
+            prepared = self._prepare_atom(atom, relation, encoder)
             self.stats.sort_cost += prepared.prepare_cost
             self.stats.sorted_tuples += prepared.size
             self._prepared.append(prepared)
@@ -186,6 +174,13 @@ class TributaryJoin:
             self._comparisons_at_depth[fire_depth].append(comparison)
         self._head_positions = [depth_of[v] for v in query.head]
 
+    def _prepare_atom(
+        self, atom: Atom, relation: Relation, encoder: Encoder
+    ) -> _PreparedAtom:
+        """Index one atom for the trie walk: here, sort it.  The one method
+        a variant over another index (the B-tree ablation) overrides."""
+        return prepare_atom(atom, relation, self.order, encoder)
+
     # ------------------------------------------------------------------
 
     def run(self) -> list[tuple[int, ...]]:
@@ -195,7 +190,7 @@ class TributaryJoin:
     def iterate(self) -> Iterator[tuple[int, ...]]:
         """Stream head tuples (duplicates possible for non-full queries).
 
-        Under numpy kernels on the ``sorted`` backend the trie walk runs
+        Under numpy kernels the trie walk over sorted arrays runs
         block-at-a-time through :mod:`~repro.leapfrog.vectorized` (same
         rows, same order, same seek counts — only faster) as a batch of
         one; every other configuration, and a join whose key ranges
@@ -231,7 +226,7 @@ class TributaryJoin:
 
     def _project(self, results: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Duplicate-eliminate the head tuples of a non-full query."""
-        if self.project_head and not self.query.is_full():
+        if not self.query.is_full():
             return list(dict.fromkeys(results))
         return results
 

@@ -69,6 +69,7 @@ import numpy as np
 
 from ..engine import kernels
 from ..query.atoms import _COMPARISON_OPS, Constant
+from .iterator import TrieIterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tributary import TributaryJoin
@@ -208,15 +209,12 @@ class VectorizedTributaryRun:
 
     @staticmethod
     def supports(join: "TributaryJoin") -> bool:
-        """Whether this join's configuration has a batched walk at all: the
-        ``sorted`` backend prepared under numpy kernels (columnar arrays)."""
-        return (
-            join.backend == "sorted"
-            and kernels.get_backend() == "numpy"
-            and all(
-                p.iterator.relation._columns_array is not None
-                for p in join._prepared
-            )
+        """Whether this join has a batched walk at all: every atom a sorted
+        array prepared under numpy kernels (columnar), not a B-tree."""
+        return kernels.get_backend() == "numpy" and all(
+            isinstance(p.iterator, TrieIterator)
+            and p.iterator.relation._columns_array is not None
+            for p in join._prepared
         )
 
     @classmethod

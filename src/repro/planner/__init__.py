@@ -1,6 +1,6 @@
 """Plan strategies, the physical-plan IR, the executor, and EXPLAIN."""
 
-from .api import make_cluster, run_all_strategies, run_query
+from .api import make_cluster, run_query
 from .binary import LeftDeepPlan, left_deep_plan, shared_variables
 from .decompose import (
     Decomposition,
@@ -86,7 +86,6 @@ __all__ = [
     "make_cluster",
     "optimize",
     "price_plan",
-    "run_all_strategies",
     "run_query",
     "shared_variables",
 ]

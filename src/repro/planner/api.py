@@ -21,7 +21,7 @@ from ..query.atoms import ConjunctiveQuery, Variable
 from ..query.catalog import Catalog
 from ..query.parser import parse_query
 from ..storage.relation import Database
-from .executor import ExecutionResult, execute, execute_physical
+from .executor import ExecutionResult, execute_physical
 from .optimizer import (
     AUTO_STRATEGY,
     GLOBAL_PLAN_CACHE,
@@ -30,7 +30,7 @@ from .optimizer import (
     optimize,
 )
 from .physical import PhysicalPlan, lower
-from .plans import ALL_STRATEGIES, Strategy
+from .plans import Strategy
 
 QueryLike = Union[str, ConjunctiveQuery]
 
@@ -121,22 +121,3 @@ def run_query(
     )
     result.cost_report = cost_report
     return result
-
-
-def run_all_strategies(
-    query: QueryLike,
-    database: Database,
-    workers: int = 64,
-    memory_tuples: Optional[int] = None,
-    runtime: RuntimeLike = None,
-    kernels: Optional[str] = None,
-) -> dict[str, ExecutionResult]:
-    """Run a query under all six configurations (the paper's Figs. 3-17)."""
-    parsed = _as_query(query)
-    results = {}
-    for strategy in ALL_STRATEGIES:
-        cluster = make_cluster(database, workers=workers, memory_tuples=memory_tuples)
-        results[strategy.name] = execute(
-            parsed, cluster, strategy, runtime=runtime, kernels=kernels
-        )
-    return results

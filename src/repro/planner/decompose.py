@@ -42,12 +42,11 @@ pure rename and stays duplicate-free).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 from ..engine.local import scanned_query
-from ..leapfrog.variable_order import best_join_order, full_variable_order
 from ..query.atoms import Atom, ConjunctiveQuery, Variable
 from ..query.catalog import Catalog
 from .binary import left_deep_plan
@@ -56,17 +55,16 @@ from .physical import (
     LOCAL_HC,
     RESULT_ROWS,
     ConfigureHyperCube,
-    Exchange,
     ExchangeKind,
-    LocalTributaryJoin,
-    PhysicalOp,
     PhysicalPlan,
     Round,
     ScanIntermediate,
-    _regular_rounds,
+    _replicating_exchanges,
+    _resolve_order,
     _scan_round,
+    _step_rounds,
+    _tributary_round,
 )
-from .plans import RS_HJ
 
 
 @dataclass(frozen=True)
@@ -418,110 +416,65 @@ def lower_hybrid(
 ) -> PhysicalPlan:
     """Lower a query to a multi-stage hybrid :class:`PhysicalPlan`.
 
-    Stage 1 is the regular shuffle-then-hash-join pipeline over the binary
-    stage's atoms (the RS_HJ lowering, reused verbatim); the stage boundary
-    projects the stage-1 output onto the kept schema and re-partitions it —
-    together with the residual scans — through a per-stage HyperCube
-    configuration; stage 2 is one Tributary round on the configuration's
-    workers.  Slot lineage threads through :class:`ScanIntermediate`, so
-    checkpoint/recovery works at every round boundary unchanged.
+    Composed from the builders of :mod:`~repro.planner.physical`: stage 1 is
+    the shuffled step pipeline over the binary stage's atoms (as in RS_HJ);
+    the stage boundary projects its output onto the kept schema and
+    replicates it — with the residual scans — through a per-stage HyperCube
+    configuration; stage 2 is the Tributary round of HC_TJ over the
+    stage-two subquery.  Slot lineage threads through
+    :class:`ScanIntermediate`, so checkpoint/recovery works at every round
+    boundary unchanged.
     """
     if decomposition is None:
         decomposition = default_decomposition(query, catalog)
     stage1 = stage_one_query(query, decomposition)
-    stage2_stats = stage_two_query(query, decomposition)
-    stage2_local = scanned_query(stage2_stats)
+    stage2 = stage_two_query(query, decomposition)
 
-    scan_round, pending = _scan_round(query)
-    scan_round = replace(scan_round, stage=1)
+    scan_round, pending = _scan_round(query, stage=1)
     stage_vars = {v for atom in stage1.atoms for v in atom.variables()}
-    stage1_pending = tuple(
-        c for c in pending if set(c.variables()) <= stage_vars
-    )
-    cross_pending = tuple(
-        c for c in pending if not set(c.variables()) <= stage_vars
-    )
-    slot_of = {atom.alias: atom.alias for atom in stage1.atoms}
     stage1_plan = left_deep_plan(stage1, catalog)
-    step_rounds, stage1_slot, _stage1_vars = _regular_rounds(
-        stage1, RS_HJ, stage1_plan, stage1_pending, slot_of
+    step_rounds, stage1_slot, _ = _step_rounds(
+        stage1,
+        stage1_plan,
+        tuple(c for c in pending if set(c.variables()) <= stage_vars),
+        {atom.alias: atom.alias for atom in stage1.atoms},
+        stage=1,
     )
-    step_rounds = [replace(round_, stage=1) for round_ in step_rounds]
 
-    overlay = {
-        decomposition.alias: estimate_intermediate(
-            query, catalog, decomposition
-        )
-    }
-    hybrid_catalog = HybridCatalog(catalog, overlay)
-    if variable_order is not None:
-        order = tuple(variable_order)
-    else:
-        best = best_join_order(stage2_stats, hybrid_catalog)
-        order = full_variable_order(stage2_stats, best.order)
-
-    intermediate = decomposition.intermediate_atom()
-    residual_atoms = {
-        atom.alias: atom
-        for atom in query.atoms
-        if atom.alias in set(decomposition.residual)
-    }
-    aliases = (decomposition.alias,) + decomposition.residual
-    boundary_ops: list[PhysicalOp] = [
-        ScanIntermediate(
-            input=stage1_slot,
-            out=decomposition.alias,
-            variables=decomposition.keep,
-            phase="stage boundary",
-            dedup=decomposition.dedup,
-        ),
-        ConfigureHyperCube(
-            aliases=aliases, seed=hc_seed, query=stage2_local
-        ),
-        Exchange(
-            kind=ExchangeKind.HYPERCUBE,
-            input=decomposition.alias,
-            out=f"{decomposition.alias}@hc",
-            atom=intermediate,
-            name=f"HCS {decomposition.alias}",
-            phase="hypercube shuffle",
-        ),
-    ]
-    for alias in decomposition.residual:
-        boundary_ops.append(
-            Exchange(
-                kind=ExchangeKind.HYPERCUBE,
-                input=alias,
-                out=f"{alias}@hc",
-                atom=residual_atoms[alias],
-                name=f"HCS {alias}",
-                phase="hypercube shuffle",
-            )
-        )
+    estimate = estimate_intermediate(query, catalog, decomposition)
+    overlaid = HybridCatalog(catalog, {decomposition.alias: estimate})
+    order = _resolve_order(stage2, overlaid, variable_order)
+    exchanges, slot_of = _replicating_exchanges(stage2.atoms, ExchangeKind.HYPERCUBE)
+    stage2_local = scanned_query(stage2)
     boundary_round = Round(
-        label="stage boundary", ops=tuple(boundary_ops), stage=2
-    )
-
-    local = LocalTributaryJoin(
-        query=stage2_local,
-        inputs=tuple((alias, f"{alias}@hc") for alias in aliases),
-        out="result",
-        order=order,
-    )
-    tributary_round = Round(
-        label="local tributary join",
-        ops=(local,),
-        local_workers=LOCAL_HC,
+        label="stage boundary",
+        ops=(
+            ScanIntermediate(
+                input=stage1_slot,
+                out=decomposition.alias,
+                variables=decomposition.keep,
+                phase="stage boundary",
+                dedup=decomposition.dedup,
+            ),
+            ConfigureHyperCube(
+                aliases=tuple(slot_of), seed=hc_seed, query=stage2_local
+            ),
+            *exchanges,
+        ),
         stage=2,
     )
     return PhysicalPlan(
         query=query,
         strategy=HYBRID_STRATEGY,
-        rounds=(scan_round, *step_rounds, boundary_round, tributary_round),
+        rounds=(
+            scan_round,
+            *step_rounds,
+            boundary_round,
+            _tributary_round(stage2_local, slot_of, order, LOCAL_HC, stage=2),
+        ),
         result="result",
         result_kind=RESULT_ROWS,
         dedup_full=True,
         left_deep=stage1_plan,
         variable_order=order,
-        pending=cross_pending,
     )

@@ -10,14 +10,20 @@ holding driver-side **global** operators (scans, exchanges, the data-driven
 configuration steps) followed by per-worker **local** operators executed in
 one worker task through the runtime (:mod:`~repro.engine.runtime`).
 
-Each of the six strategies — plus the Sec. 3.6 semijoin reduction — is a
-small pure *lowering* function ``query -> PhysicalPlan``; a single
-interpreter (:mod:`~repro.engine.scheduler`) executes any plan.  Lowering is
-fully static: join variables, output schemas, comparison deferral, phase
-names, and head projections are all computed from the query and catalog, so
-the same plan can be rendered before execution (EXPLAIN), executed on any
-cluster size, and annotated with counted metrics afterwards (EXPLAIN
-ANALYZE, :mod:`~repro.planner.explain`).
+Lowering ``query -> PhysicalPlan`` is composition, as in the paper, from two
+builders: the *step builder* (:func:`_step_rounds`: the left-deep binary
+pipeline, one shuffled Round per step or fused behind a replication) and the
+*replicating-exchange builder* (:func:`_replicating_exchanges`: one broadcast
+or HyperCube exchange per atom), which feeds that pipeline or the one
+Tributary round; the semijoin plan puts reduction rounds in front of the
+pipeline and the hybrid plan (:mod:`~repro.planner.decompose`) chains both.
+A single interpreter (:mod:`~repro.engine.scheduler`) executes any plan.
+Lowering is fully static: join variables, output schemas, sort orders,
+comparison deferral, phase names, and head projections are computed from the
+query and catalog and stored on the operators — the scheduler reads them, it
+derives nothing twice — so the same plan can be rendered before execution
+(EXPLAIN), executed on any cluster size, and annotated with counted metrics
+afterwards (EXPLAIN ANALYZE, :mod:`~repro.planner.explain`).
 
 Two decisions are data-dependent and stay in the plan as explicit operators
 rather than branches in executor code: the broadcast strategy keeps the
@@ -28,13 +34,13 @@ configuration is optimized from post-selection cardinalities
 
 Phase names and memory registration/release semantics are part of each
 operator's contract (declared by ``phases`` and documented per operator),
-which is what makes the scheduler's counted metrics bit-identical to the
-historical per-strategy execution loops.
+which is what keeps the scheduler's counted metrics bit-identical to the
+golden seed-executor captures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -268,16 +274,14 @@ class Exchange(PhysicalOp):
 
 
 @dataclass(frozen=True)
-class LocalHashJoin(PhysicalOp):
-    """One per-worker symmetric hash join step of a left-deep pipeline.
-
-    Charges build+probe+output units into ``step{k}:join``, applies every
-    ready pending comparison (``step{k}:filter``), and releases the consumed
-    inputs plus filter-dropped rows so only the live intermediate stays
-    resident.
-    """
+class _BinaryJoinStep(PhysicalOp):
+    """What the two per-worker binary joins of a left-deep step share: both
+    apply every ready pending comparison (``step{k}:filter``) and release the
+    consumed inputs plus the filter-dropped rows, so only the live
+    intermediate stays resident."""
 
     GLOBAL = False
+    NAME = ""
 
     left: str
     right: str
@@ -287,13 +291,8 @@ class LocalHashJoin(PhysicalOp):
     out_variables: tuple[Variable, ...]
     pending: tuple[Comparison, ...] = ()
 
-    @property
-    def phases(self) -> tuple[str, ...]:
-        """Join and filter phases, unique to this step."""
-        return (f"step{self.step}:join", f"step{self.step}:filter")
-
     def input_slots(self) -> tuple[str, ...]:
-        """Build and probe sides, left first."""
+        """The two joined sides, left first."""
         return (self.left, self.right)
 
     def output_slots(self) -> tuple[str, ...]:
@@ -305,31 +304,38 @@ class LocalHashJoin(PhysicalOp):
         on = f"({_names(self.join_vars)})" if self.join_vars else "(cartesian)"
         note = f", filter {len(self.pending)} pending" if self.pending else ""
         return (
-            f"hash-join {self.left} >< {self.right} on {on}"
+            f"{self.NAME} {self.left} >< {self.right} on {on}"
             f" -> {self.out} [step {self.step}]{note}"
         )
 
 
 @dataclass(frozen=True)
-class MergeJoinStep(PhysicalOp):
-    """One per-worker binary merge join (a degenerate 2-atom Tributary join).
+class LocalHashJoin(_BinaryJoinStep):
+    """One per-worker symmetric hash join step of a left-deep pipeline.
 
-    Sorting charges ``n log n`` comparisons into ``step{k}:sort`` (and a
-    scratch sorted copy of both inputs against memory); seeks plus output
-    materialization go to ``step{k}:join``; ready comparisons filter in
-    ``step{k}:filter``; consumed inputs and dropped rows are released.
+    Charges build+probe+output units into ``step{k}:join``.
     """
 
-    GLOBAL = False
+    NAME = "hash-join"
 
-    left: str
-    right: str
-    out: str
-    join_vars: tuple[Variable, ...]
-    step: int
-    out_variables: tuple[Variable, ...]
+    @property
+    def phases(self) -> tuple[str, ...]:
+        """Join and filter phases, unique to this step."""
+        return (f"step{self.step}:join", f"step{self.step}:filter")
+
+
+@dataclass(frozen=True)
+class MergeJoinStep(_BinaryJoinStep):
+    """One per-worker binary merge join (a degenerate 2-atom Tributary join).
+
+    Sorting by ``order`` charges ``n log n`` comparisons into
+    ``step{k}:sort`` (and a scratch sorted copy of both inputs against
+    memory); seeks plus output materialization go to ``step{k}:join``.
+    """
+
+    NAME = "merge-join"
+
     order: tuple[Variable, ...] = ()
-    pending: tuple[Comparison, ...] = ()
 
     @property
     def phases(self) -> tuple[str, ...]:
@@ -338,23 +344,6 @@ class MergeJoinStep(PhysicalOp):
             f"step{self.step}:sort",
             f"step{self.step}:join",
             f"step{self.step}:filter",
-        )
-
-    def input_slots(self) -> tuple[str, ...]:
-        """The two sorted-and-merged sides, left first."""
-        return (self.left, self.right)
-
-    def output_slots(self) -> tuple[str, ...]:
-        """The joined (and filtered) intermediate."""
-        return (self.out,)
-
-    def describe(self) -> str:
-        """One-line rendering for EXPLAIN output."""
-        on = f"({_names(self.join_vars)})" if self.join_vars else "(cartesian)"
-        note = f", filter {len(self.pending)} pending" if self.pending else ""
-        return (
-            f"merge-join {self.left} >< {self.right} on {on}"
-            f" -> {self.out} [step {self.step}]{note}"
         )
 
 
@@ -491,10 +480,6 @@ class Round:
     local_workers: str = LOCAL_ALL
     stage: int = 0
 
-    def global_ops(self) -> tuple[PhysicalOp, ...]:
-        """The driver-side operators of this round, in execution order."""
-        return tuple(op for op in self.ops if op.GLOBAL)
-
     def local_ops(self) -> tuple[PhysicalOp, ...]:
         """The per-worker operators of this round, in execution order."""
         return tuple(op for op in self.ops if not op.GLOBAL)
@@ -515,15 +500,6 @@ class Round:
                     consumed.append(name)
             produced.update(op.output_slots())
         return tuple(consumed)
-
-    def produced_slots(self) -> tuple[str, ...]:
-        """Slots this round binds, in first-bind order."""
-        produced: list[str] = []
-        for op in self.ops:
-            for name in op.output_slots():
-                if name not in produced:
-                    produced.append(name)
-        return tuple(produced)
 
 
 #: how the final slot is interpreted: per-worker frames or bare row lists
@@ -552,7 +528,6 @@ class PhysicalPlan:
     dedup_full: bool = False
     left_deep: Optional[LeftDeepPlan] = None
     variable_order: Optional[tuple[Variable, ...]] = None
-    pending: tuple[Comparison, ...] = field(default=())
 
     def operators(self):
         """Yield ``(round_index, op_index, round, op)`` over the whole plan."""
@@ -613,7 +588,7 @@ class PhysicalPlan:
 
 
 # ----------------------------------------------------------------------
-# Lowering: query -> PhysicalPlan, one small pure function per strategy
+# Lowering: query -> PhysicalPlan, composed from two builders
 # ----------------------------------------------------------------------
 
 
@@ -646,157 +621,168 @@ def split_scan_comparisons(
     )
 
 
-def _scan_round(query: ConjunctiveQuery) -> tuple[Round, tuple[Comparison, ...]]:
+def _scan_round(
+    query: ConjunctiveQuery, stage: int = 0
+) -> tuple[Round, tuple[Comparison, ...]]:
     """The scan round shared by every strategy, plus the deferred filters."""
     coverable, pending = split_scan_comparisons(query)
     ops = tuple(
         Scan(atom=atom, out=atom.alias, filters=coverable[atom.alias])
         for atom in query.atoms
     )
-    return Round(label="scan", ops=ops), pending
+    return Round(label="scan", ops=ops, stage=stage), pending
 
 
-def _defer(
-    pending: Sequence[Comparison], available: Sequence[Variable]
-) -> tuple[Comparison, ...]:
-    """Comparisons still missing a variable after this step's output."""
-    out = set(available)
-    return tuple(c for c in pending if set(c.variables()) - out)
+def _hash_exchange(
+    moved: str, out: str, key: tuple[Variable, ...], name: str, phase: str,
+    release_input: bool = True,
+) -> Exchange:
+    """A regular shuffle co-partitioning slot ``moved`` on ``h(key)``."""
+    return Exchange(
+        kind=ExchangeKind.REGULAR,
+        input=moved,
+        out=out,
+        key=key,
+        name=f"{name} -> h{tuple(v.name for v in key)}",
+        phase=phase,
+        release_input=release_input,
+    )
 
 
-def _regular_rounds(
+def _step_rounds(
     query: ConjunctiveQuery,
-    strategy: Strategy,
     plan: LeftDeepPlan,
     pending: tuple[Comparison, ...],
     slot_of: dict[str, str],
+    join: JoinKind = JoinKind.HASH,
+    shuffle: bool = True,
+    local_workers: str = LOCAL_ALL,
+    stage: int = 0,
 ) -> tuple[list[Round], str, tuple[Variable, ...]]:
-    """Lower the left-deep shuffle-then-join pipeline over scanned slots.
+    """The step builder: the left-deep binary pipeline over ``slot_of``.
 
-    Shared by RS_HJ/RS_TJ and the semijoin plan's final join phase (which
-    runs it over reduced relations).  Returns the step rounds, the final
-    slot, and its variables."""
+    With ``shuffle`` every step is its own Round, led by the exchanges that
+    co-partition its two inputs on the join key (RS_HJ / RS_TJ, the semijoin
+    plan's final phase, a hybrid plan's stage one).  Without, the inputs
+    already sit where they are joined and the steps fuse into one Round on
+    ``local_workers`` (the BR/HC hash pipeline).  Returns the rounds, the
+    final slot, and its variables."""
     atoms = {atom.alias: atom for atom in query.atoms}
-    rounds: list[Round] = []
-    first = atoms[plan.order[0]]
-    current_slot = slot_of[first.alias]
-    current_vars: tuple[Variable, ...] = first.variables()
-    partition_key: Optional[frozenset[Variable]] = None
+    slot = slot_of[plan.order[0]]
+    variables: tuple[Variable, ...] = atoms[plan.order[0]].variables()
+    partition_key: Optional[tuple[Variable, ...]] = None
+    steps: list[list[PhysicalOp]] = []
 
     for step, alias in enumerate(plan.order[1:], start=1):
         atom = atoms[alias]
-        join_vars = shared_variables(current_vars, atom)
-        shuffle_phase = f"step{step}:shuffle"
+        join_vars = shared_variables(variables, atom)
         ops: list[PhysicalOp] = []
-        if join_vars:
-            key = canonical_key(join_vars)
-            if partition_key != frozenset(key):
-                left_slot = f"left@step{step}"
+        right = slot_of[alias]
+        if shuffle:
+            phase = f"step{step}:shuffle"
+            received = f"{alias}@step{step}"
+            if join_vars:
+                key = canonical_key(join_vars)
+                if partition_key != key:
+                    left = f"left@step{step}"
+                    name = f"RS {query.name} step{step} left"
+                    ops.append(_hash_exchange(slot, left, key, name, phase))
+                    slot = left
+                ops.append(
+                    _hash_exchange(right, received, key, f"RS {alias}", phase)
+                )
+                partition_key = key
+            else:
+                # Cartesian step: replicate the disconnected atom everywhere.
                 ops.append(
                     Exchange(
-                        kind=ExchangeKind.REGULAR,
-                        input=current_slot,
-                        out=left_slot,
-                        key=key,
-                        name=(
-                            f"RS {query.name} step{step} left -> "
-                            f"h{tuple(v.name for v in key)}"
-                        ),
-                        phase=shuffle_phase,
+                        kind=ExchangeKind.BROADCAST,
+                        input=right,
+                        out=received,
+                        name=f"BR {alias} (cartesian)",
+                        phase=phase,
                     )
                 )
-                current_slot = left_slot
-            right_slot = f"{alias}@step{step}"
-            ops.append(
-                Exchange(
-                    kind=ExchangeKind.REGULAR,
-                    input=slot_of[alias],
-                    out=right_slot,
-                    key=key,
-                    name=f"RS {alias} -> h{tuple(v.name for v in key)}",
-                    phase=shuffle_phase,
-                )
-            )
-            partition_key = frozenset(key)
-        else:
-            # Cartesian step: replicate the disconnected atom everywhere.
-            right_slot = f"{alias}@step{step}"
-            ops.append(
-                Exchange(
-                    kind=ExchangeKind.BROADCAST,
-                    input=slot_of[alias],
-                    out=right_slot,
-                    name=f"BR {alias} (cartesian)",
-                    phase=shuffle_phase,
-                )
-            )
+            right = received
 
-        out_slot = f"join@step{step}"
-        out_vars = join_output_variables(current_vars, atom.variables())
-        if strategy.join is JoinKind.HASH:
-            ops.append(
-                LocalHashJoin(
-                    left=current_slot,
-                    right=right_slot,
-                    out=out_slot,
-                    join_vars=join_vars,
-                    step=step,
-                    out_variables=out_vars,
-                    pending=pending,
-                )
-            )
-        else:
-            order = tuple(join_vars) + tuple(
-                v for v in out_vars if v not in set(join_vars)
-            )
-            ops.append(
-                MergeJoinStep(
-                    left=current_slot,
-                    right=right_slot,
-                    out=out_slot,
-                    join_vars=join_vars,
-                    step=step,
-                    out_variables=out_vars,
-                    order=order,
-                    pending=pending,
-                )
-            )
-        pending = _defer(pending, out_vars)
-        rounds.append(Round(label=f"step {step}", ops=tuple(ops)))
-        current_slot, current_vars = out_slot, out_vars
-    return rounds, current_slot, current_vars
-
-
-def _hash_pipeline_ops(
-    query: ConjunctiveQuery,
-    plan: LeftDeepPlan,
-    pending: tuple[Comparison, ...],
-    slot_of: dict[str, str],
-) -> tuple[list[PhysicalOp], str, tuple[Variable, ...]]:
-    """The fused per-worker left-deep hash pipeline (BR/HC local phase)."""
-    atoms = {atom.alias: atom for atom in query.atoms}
-    current_slot = slot_of[plan.order[0]]
-    current_vars: tuple[Variable, ...] = atoms[plan.order[0]].variables()
-    ops: list[PhysicalOp] = []
-    for step, alias in enumerate(plan.order[1:], start=1):
-        atom = atoms[alias]
-        join_vars = shared_variables(current_vars, atom)
-        out_vars = join_output_variables(current_vars, atom.variables())
-        out_slot = f"join@step{step}"
-        ops.append(
-            LocalHashJoin(
-                left=current_slot,
-                right=slot_of[alias],
-                out=out_slot,
-                join_vars=join_vars,
-                step=step,
-                out_variables=out_vars,
-                pending=pending,
-            )
+        out_vars = join_output_variables(variables, atom.variables())
+        joined = dict(
+            left=slot,
+            right=right,
+            out=f"join@step{step}",
+            join_vars=join_vars,
+            step=step,
+            out_variables=out_vars,
+            pending=pending,
         )
-        pending = _defer(pending, out_vars)
-        current_slot, current_vars = out_slot, out_vars
-    return ops, current_slot, current_vars
+        if join is JoinKind.HASH:
+            ops.append(LocalHashJoin(**joined))
+        else:  # sorted on the join key first, then the other output columns
+            order = join_output_variables(join_vars, out_vars)
+            ops.append(MergeJoinStep(order=order, **joined))
+        steps.append(ops)
+        # comparisons still missing a variable wait for a later step
+        pending = tuple(c for c in pending if set(c.variables()) - set(out_vars))
+        slot, variables = joined["out"], out_vars
+
+    if shuffle:
+        rounds = [
+            Round(label=f"step {step}", ops=tuple(ops), stage=stage)
+            for step, ops in enumerate(steps, start=1)
+        ]
+    else:
+        fused = tuple(op for ops in steps for op in ops)
+        rounds = [Round("local hash pipeline", fused, local_workers, stage)]
+    return rounds, slot, variables
+
+
+#: per replicating exchange kind: slot suffix, shuffle-record prefix, and
+#: stat phase (which is also the round's label)
+_REPLICATING = {
+    ExchangeKind.BROADCAST: ("bcast", "Broadcast", "broadcast"),
+    ExchangeKind.HYPERCUBE: ("hc", "HCS", "hypercube shuffle"),
+}
+
+
+def _replicating_exchanges(
+    atoms: Sequence[Atom], kind: ExchangeKind
+) -> tuple[list[PhysicalOp], dict[str, str]]:
+    """The replicating-exchange builder: one ``BROADCAST`` or ``HYPERCUBE``
+    :class:`Exchange` per atom, and the slot each atom lands in."""
+    hypercube = kind is ExchangeKind.HYPERCUBE
+    suffix, prefix, phase = _REPLICATING[kind]
+    slot_of = {atom.alias: f"{atom.alias}@{suffix}" for atom in atoms}
+    ops: list[PhysicalOp] = [
+        Exchange(
+            kind=kind,
+            input=atom.alias,
+            out=slot_of[atom.alias],
+            name=f"{prefix} {atom.alias}",
+            phase=phase,
+            atom=atom if hypercube else None,
+            skip_if_anchor=not hypercube,
+        )
+        for atom in atoms
+    ]
+    return ops, slot_of
+
+
+def _tributary_round(
+    query: ConjunctiveQuery,
+    slot_of: dict[str, str],
+    order: tuple[Variable, ...],
+    local_workers: str,
+    stage: int = 0,
+) -> Round:
+    """One multiway Tributary join of the scanned ``query`` (see
+    :func:`~repro.engine.local.scanned_query`) over its replicated atoms."""
+    local = LocalTributaryJoin(
+        query=query,
+        inputs=tuple((atom.alias, slot_of[atom.alias]) for atom in query.atoms),
+        out="result",
+        order=order,
+    )
+    return Round("local tributary join", (local,), local_workers, stage)
 
 
 def _resolve_order(
@@ -805,10 +791,16 @@ def _resolve_order(
     variable_order: Optional[Sequence[Variable]],
 ) -> tuple[Variable, ...]:
     """The Tributary variable order: supplied, or the Sec. 5 cost model."""
-    if variable_order is not None:
-        return tuple(variable_order)
-    best = best_join_order(query, catalog)
-    return full_variable_order(query, best.order)
+    if variable_order is None:
+        best = best_join_order(query, catalog)
+        return full_variable_order(query, best.order)
+    order = tuple(variable_order)
+    if set(order) != set(query.variables()):
+        raise ValueError(
+            f"variable order ({_names(order)}) must cover exactly the "
+            f"variables of {query.name} ({_names(query.variables())})"
+        )
+    return order
 
 
 def _head_indices(
@@ -818,6 +810,64 @@ def _head_indices(
     return tuple(variables.index(v) for v in query.head)
 
 
+def _lower_pipeline(
+    query: ConjunctiveQuery,
+    strategy: str,
+    join: JoinKind,
+    catalog: Catalog,
+    plan: Optional[LeftDeepPlan],
+    reductions: Sequence[tuple[str, str, str]] = (),
+) -> PhysicalPlan:
+    """Scan, run ``(target, source, phase)`` semijoin reductions, then the
+    shuffled step pipeline over what is left of every atom."""
+    plan = plan or left_deep_plan(query, catalog)
+    scan_round, pending = _scan_round(query)
+    atoms = {atom.alias: atom for atom in query.atoms}
+    slot_of = {alias: alias for alias in atoms}
+    rounds = [scan_round]
+    for target, source, phase in reductions:
+        key = canonical_key(
+            shared_variables(atoms[target].variables(), atoms[source])
+        )
+        if not key:
+            continue
+        # one distributed semijoin: project keys, co-partition, filter
+        label = f"{target}<-{source}"
+        shuffle = f"{phase}:shuffle"
+        keys, moved = f"keys@{phase}", f"{target}@{phase}"
+        ops = (
+            SemiJoinProject(
+                source=slot_of[source], out=keys, key=key, phase=f"{phase}:project"
+            ),
+            _hash_exchange(
+                slot_of[target], moved, key, f"SJ {label} target", shuffle
+            ),
+            # the projected keys were never registered as resident
+            _hash_exchange(
+                keys, f"{keys}.part", key, f"SJ {label} keys", shuffle,
+                release_input=False,
+            ),
+            SemiJoinFilter(
+                target=moved,
+                keys=f"{keys}.part",
+                out=f"{moved}.reduced",
+                key=key,
+                phase=f"{phase}:semijoin",
+            ),
+        )
+        rounds.append(Round(label=f"semijoin {label} [{phase}]", ops=ops))
+        slot_of[target] = f"{moved}.reduced"
+    steps, result, variables = _step_rounds(query, plan, pending, slot_of, join)
+    return PhysicalPlan(
+        query=query,
+        strategy=strategy,
+        rounds=(*rounds, *steps),
+        result=result,
+        head_indices=_head_indices(query, variables),
+        left_deep=plan,
+    )
+
+
 def lower_regular(
     query: ConjunctiveQuery,
     strategy: Strategy,
@@ -825,21 +875,73 @@ def lower_regular(
     plan: Optional[LeftDeepPlan] = None,
 ) -> PhysicalPlan:
     """Lower RS_HJ / RS_TJ: a left-deep shuffle-then-join pipeline."""
-    plan = plan or left_deep_plan(query, catalog)
-    scan_round, pending = _scan_round(query)
-    slot_of = {atom.alias: atom.alias for atom in query.atoms}
-    rounds, result, result_vars = _regular_rounds(
-        query, strategy, plan, pending, slot_of
+    return _lower_pipeline(query, strategy.name, strategy.join, catalog, plan)
+
+
+def lower_semijoin(
+    query: ConjunctiveQuery,
+    catalog: Catalog,
+) -> PhysicalPlan:
+    """Lower the Sec. 3.6 semijoin plan: a bottom-up then top-down pass of
+    distributed semijoin rounds over the join tree, then the RS_HJ pipeline
+    over the reduced relations — all in the same IR.
+
+    Raises ``ValueError`` for cyclic queries — only acyclic queries admit
+    full semijoin reductions."""
+    tree = join_tree(query)  # raises for cyclic queries
+    # bottom-up each removed ear reduces its parent; top-down, in reverse
+    # removal order, parents reduce their children
+    passes = [
+        (tree.parents[child], child, f"semijoin-up{position}")
+        for position, child in enumerate(tree.removal_order)
+    ] + [
+        (child, tree.parents[child], f"semijoin-down{position}")
+        for position, child in enumerate(reversed(tree.removal_order))
+    ]
+    reductions = [r for r in passes if None not in r]  # the root has no parent
+    return _lower_pipeline(
+        query, SEMIJOIN_STRATEGY, JoinKind.HASH, catalog, None, reductions
     )
+
+
+def _lower_replicated(
+    query: ConjunctiveQuery,
+    strategy: Strategy,
+    catalog: Catalog,
+    plan: Optional[LeftDeepPlan],
+    variable_order: Optional[Sequence[Variable]],
+    head: PhysicalOp,
+) -> PhysicalPlan:
+    """Replicate every atom behind ``head`` (:class:`ChooseAnchor` for a
+    broadcast, :class:`ConfigureHyperCube` for a HyperCube shuffle), then
+    evaluate the whole query locally: one Tributary join or the fused hash
+    pipeline."""
+    hypercube = isinstance(head, ConfigureHyperCube)
+    kind = ExchangeKind.HYPERCUBE if hypercube else ExchangeKind.BROADCAST
+    local_workers = LOCAL_HC if hypercube else LOCAL_ALL
+    scan_round, pending = _scan_round(query)
+    exchanges, slot_of = _replicating_exchanges(query.atoms, kind)
+    replicate = Round(label=_REPLICATING[kind][2], ops=(head, *exchanges))
+    if strategy.join is JoinKind.TRIBUTARY:
+        order = _resolve_order(query, catalog, variable_order)
+        local = [
+            _tributary_round(scanned_query(query), slot_of, order, local_workers)
+        ]
+        tail = dict(result="result", result_kind=RESULT_ROWS, variable_order=order)
+    else:
+        plan = plan or left_deep_plan(query, catalog)
+        local, slot, variables = _step_rounds(
+            query, plan, pending, slot_of,
+            shuffle=False, local_workers=local_workers,
+        )
+        tail = dict(result=slot, head_indices=_head_indices(query, variables))
     return PhysicalPlan(
         query=query,
         strategy=strategy.name,
-        rounds=(scan_round, *rounds),
-        result=result,
-        result_kind=RESULT_FRAMES,
-        head_indices=_head_indices(query, result_vars),
+        rounds=(scan_round, replicate, *local),
+        dedup_full=hypercube,
         left_deep=plan,
-        pending=pending,
+        **tail,
     )
 
 
@@ -852,63 +954,11 @@ def lower_broadcast(
 ) -> PhysicalPlan:
     """Lower BR_HJ / BR_TJ: anchor the largest input, broadcast the rest,
     then evaluate the whole query locally on every worker."""
-    plan = plan or left_deep_plan(query, catalog)
-    scan_round, pending = _scan_round(query)
     aliases = tuple(atom.alias for atom in query.atoms)
-    exchange_ops: list[PhysicalOp] = [ChooseAnchor(aliases=aliases)]
-    slot_of: dict[str, str] = {}
-    for atom in query.atoms:
-        out = f"{atom.alias}@bcast"
-        exchange_ops.append(
-            Exchange(
-                kind=ExchangeKind.BROADCAST,
-                input=atom.alias,
-                out=out,
-                name=f"Broadcast {atom.alias}",
-                phase="broadcast",
-                skip_if_anchor=True,
-            )
-        )
-        slot_of[atom.alias] = out
-    broadcast_round = Round(label="broadcast", ops=tuple(exchange_ops))
-
-    if strategy.join is JoinKind.TRIBUTARY:
-        order = _resolve_order(query, catalog, variable_order)
-        local = LocalTributaryJoin(
-            query=scanned_query(query),
-            inputs=tuple((alias, slot_of[alias]) for alias in aliases),
-            out="result",
-            order=order,
-        )
-        return PhysicalPlan(
-            query=query,
-            strategy=strategy.name,
-            rounds=(
-                scan_round,
-                broadcast_round,
-                Round(label="local tributary join", ops=(local,)),
-            ),
-            result="result",
-            result_kind=RESULT_ROWS,
-            left_deep=plan,
-            variable_order=order,
-            pending=pending,
-        )
-
-    ops, result, result_vars = _hash_pipeline_ops(query, plan, pending, slot_of)
-    return PhysicalPlan(
-        query=query,
-        strategy=strategy.name,
-        rounds=(
-            scan_round,
-            broadcast_round,
-            Round(label="local hash pipeline", ops=tuple(ops)),
-        ),
-        result=result,
-        result_kind=RESULT_FRAMES,
-        head_indices=_head_indices(query, result_vars),
-        left_deep=plan,
-        pending=pending,
+    plan = plan or left_deep_plan(query, catalog)
+    return _lower_replicated(
+        query, strategy, catalog, plan, variable_order,
+        ChooseAnchor(aliases=aliases),
     )
 
 
@@ -923,195 +973,10 @@ def lower_hypercube(
 ) -> PhysicalPlan:
     """Lower HC_HJ / HC_TJ: one HyperCube shuffle of every atom, then a
     single local evaluation round on the configuration's used workers."""
-    scan_round, pending = _scan_round(query)
     aliases = tuple(atom.alias for atom in query.atoms)
-    shuffle_ops: list[PhysicalOp] = [
-        ConfigureHyperCube(aliases=aliases, config=hc_config, seed=hc_seed)
-    ]
-    slot_of: dict[str, str] = {}
-    for atom in query.atoms:
-        out = f"{atom.alias}@hc"
-        shuffle_ops.append(
-            Exchange(
-                kind=ExchangeKind.HYPERCUBE,
-                input=atom.alias,
-                out=out,
-                atom=atom,
-                name=f"HCS {atom.alias}",
-                phase="hypercube shuffle",
-            )
-        )
-        slot_of[atom.alias] = out
-    shuffle_round = Round(label="hypercube shuffle", ops=tuple(shuffle_ops))
-
-    if strategy.join is JoinKind.TRIBUTARY:
-        order = _resolve_order(query, catalog, variable_order)
-        local = LocalTributaryJoin(
-            query=scanned_query(query),
-            inputs=tuple((alias, slot_of[alias]) for alias in aliases),
-            out="result",
-            order=order,
-        )
-        return PhysicalPlan(
-            query=query,
-            strategy=strategy.name,
-            rounds=(
-                scan_round,
-                shuffle_round,
-                Round(
-                    label="local tributary join",
-                    ops=(local,),
-                    local_workers=LOCAL_HC,
-                ),
-            ),
-            result="result",
-            result_kind=RESULT_ROWS,
-            dedup_full=True,
-            left_deep=plan,
-            variable_order=order,
-            pending=pending,
-        )
-
-    plan = plan or left_deep_plan(query, catalog)
-    ops, result, result_vars = _hash_pipeline_ops(query, plan, pending, slot_of)
-    return PhysicalPlan(
-        query=query,
-        strategy=strategy.name,
-        rounds=(
-            scan_round,
-            shuffle_round,
-            Round(
-                label="local hash pipeline",
-                ops=tuple(ops),
-                local_workers=LOCAL_HC,
-            ),
-        ),
-        result=result,
-        result_kind=RESULT_FRAMES,
-        head_indices=_head_indices(query, result_vars),
-        dedup_full=True,
-        left_deep=plan,
-        pending=pending,
-    )
-
-
-def lower_semijoin(
-    query: ConjunctiveQuery,
-    catalog: Catalog,
-) -> PhysicalPlan:
-    """Lower the Sec. 3.6 semijoin plan: a bottom-up then top-down pass of
-    distributed semijoin rounds over the join tree, then the RS_HJ pipeline
-    over the reduced relations — all in the same IR.
-
-    Raises ``ValueError`` for cyclic queries — only acyclic queries admit
-    full semijoin reductions."""
-    from .plans import RS_HJ
-
-    tree = join_tree(query)  # raises for cyclic queries
-    scan_round, pending = _scan_round(query)
-    atoms = {atom.alias: atom for atom in query.atoms}
-    slot_of = {atom.alias: atom.alias for atom in query.atoms}
-
-    def shared_of(a: str, b: str) -> tuple[Variable, ...]:
-        """Variables atom ``a`` shares with atom ``b``, in ``a``'s order."""
-        return tuple(
-            v for v in atoms[a].variables() if v in set(atoms[b].variables())
-        )
-
-    def semijoin_round(
-        target: str, source: str, label: str, phase: str,
-        shared: tuple[Variable, ...],
-    ) -> Round:
-        """One distributed semijoin: project keys, co-partition, filter."""
-        key = canonical_key(shared)
-        keys_slot = f"keys@{phase}"
-        keys_part = f"{keys_slot}.part"
-        target_part = f"{target}@{phase}"
-        reduced = f"{target}@{phase}.reduced"
-        ops: tuple[PhysicalOp, ...] = (
-            SemiJoinProject(
-                source=slot_of[source],
-                out=keys_slot,
-                key=key,
-                phase=f"{phase}:project",
-            ),
-            Exchange(
-                kind=ExchangeKind.REGULAR,
-                input=slot_of[target],
-                out=target_part,
-                key=key,
-                name=f"SJ {label} target -> h{tuple(v.name for v in key)}",
-                phase=f"{phase}:shuffle",
-            ),
-            Exchange(
-                kind=ExchangeKind.REGULAR,
-                input=keys_slot,
-                out=keys_part,
-                key=key,
-                name=f"SJ {label} keys -> h{tuple(v.name for v in key)}",
-                phase=f"{phase}:shuffle",
-                release_input=False,
-            ),
-            SemiJoinFilter(
-                target=target_part,
-                keys=keys_part,
-                out=reduced,
-                key=key,
-                phase=f"{phase}:semijoin",
-            ),
-        )
-        slot_of[target] = reduced
-        return Round(label=f"semijoin {label} [{phase}]", ops=ops)
-
-    rounds: list[Round] = []
-    # Bottom-up: each removed ear reduces its parent.
-    for position, child in enumerate(tree.removal_order):
-        parent = tree.parents[child]
-        if parent is None:
-            continue
-        shared = shared_of(parent, child)
-        if not shared:
-            continue
-        rounds.append(
-            semijoin_round(
-                target=parent,
-                source=child,
-                label=f"{parent}<-{child}",
-                phase=f"semijoin-up{position}",
-                shared=shared,
-            )
-        )
-    # Top-down: parents reduce their children, in reverse removal order.
-    for position, child in enumerate(reversed(tree.removal_order)):
-        parent = tree.parents[child]
-        if parent is None:
-            continue
-        shared = shared_of(child, parent)
-        if not shared:
-            continue
-        rounds.append(
-            semijoin_round(
-                target=child,
-                source=parent,
-                label=f"{child}<-{parent}",
-                phase=f"semijoin-down{position}",
-                shared=shared,
-            )
-        )
-
-    plan = left_deep_plan(query, catalog)
-    join_rounds, result, result_vars = _regular_rounds(
-        query, RS_HJ, plan, pending, slot_of
-    )
-    return PhysicalPlan(
-        query=query,
-        strategy=SEMIJOIN_STRATEGY,
-        rounds=(scan_round, *rounds, *join_rounds),
-        result=result,
-        result_kind=RESULT_FRAMES,
-        head_indices=_head_indices(query, result_vars),
-        left_deep=plan,
-        pending=pending,
+    return _lower_replicated(
+        query, strategy, catalog, plan, variable_order,
+        ConfigureHyperCube(aliases=aliases, config=hc_config, seed=hc_seed),
     )
 
 

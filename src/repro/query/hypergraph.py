@@ -9,9 +9,9 @@ pieces of theory the paper builds on:
   (paper Sec. 3.6 and Fig. 16).
 - **Fractional edge cover LP** — yields the AGM bound on the output size,
   the quantity worst-case-optimal joins are measured against.
-- **Fractional share exponents LP** (Beame, Koutris, Suciu) — yields the
-  theoretically optimal (fractional) HyperCube shares which Sec. 4 of the
-  paper rounds into practical integral configurations.
+
+The fractional HyperCube share LP (Beame, Koutris, Suciu) lives with its
+rounding in :mod:`~repro.hypercube.shares`.
 """
 
 from __future__ import annotations
@@ -145,31 +145,6 @@ class Hypergraph:
             raise RuntimeError(f"edge cover LP failed: {result.message}")
         return {edge.alias: float(weight) for edge, weight in zip(self.edges, result.x)}
 
-    def fractional_edge_packing(self) -> dict[str, float]:
-        """Maximum fractional edge packing of the query hypergraph.
-
-        Maximizes ``sum_j u_j`` subject to ``sum_{j : x in vars(j)} u_j <= 1``
-        per variable.  Beame et al. prove the optimal HyperCube shares are
-        tied to this packing (it is the LP dual of the vertex-cover side of
-        the share program); for the triangle query its value is 3/2.
-        """
-        edge_count = len(self.edges)
-        rows = []
-        for vertex in self.vertices:
-            rows.append(
-                [1.0 if vertex in edge.variables else 0.0 for edge in self.edges]
-            )
-        result = linprog(
-            c=-np.ones(edge_count),  # maximize sum u_j
-            A_ub=np.array(rows),
-            b_ub=np.ones(len(self.vertices)),
-            bounds=[(0, None)] * edge_count,
-            method="highs",
-        )
-        if not result.success:
-            raise RuntimeError(f"edge packing LP failed: {result.message}")
-        return {edge.alias: float(weight) for edge, weight in zip(self.edges, result.x)}
-
     def agm_bound(self, cardinalities: Mapping[str, int]) -> float:
         """The AGM worst-case output-size bound ``prod_j |R_j|^{u_j}``."""
         cover = self.fractional_edge_cover(cardinalities)
@@ -178,75 +153,6 @@ class Hypergraph:
             for alias, weight in cover.items()
         )
         return math.exp(log_bound)
-
-    # ------------------------------------------------------------------
-    # Fractional HyperCube shares (Beame et al.)
-    # ------------------------------------------------------------------
-
-    def fractional_share_exponents(
-        self,
-        cardinalities: Mapping[str, int],
-        servers: int,
-    ) -> dict[Variable, float]:
-        """Optimal fractional share *exponents* ``e_i`` with ``sum e_i = 1``.
-
-        Following Beame et al., shares are ``p_i = p**e_i`` and the per-server
-        load from relation ``R_j`` is ``|R_j| / p**(sum of e_i over its
-        variables)``.  We minimize the maximum per-relation load, which is a
-        linear program in ``(e, L)`` after taking logs::
-
-            minimize  L
-            s.t.      log|R_j| - (sum_{i in vars(j)} e_i) log p  <=  L
-                      sum_i e_i = 1,   e_i >= 0
-
-        Returns a map variable -> exponent.
-        """
-        if servers < 1:
-            raise ValueError("servers must be >= 1")
-        if servers == 1:
-            return {variable: 0.0 for variable in self.vertices}
-        log_p = math.log(servers)
-        variables = list(self.vertices)
-        var_index = {variable: i for i, variable in enumerate(variables)}
-        n_vars = len(variables)
-        # decision vector: [e_1..e_k, L]
-        costs = np.zeros(n_vars + 1)
-        costs[-1] = 1.0
-        a_ub = []
-        b_ub = []
-        for edge in self.edges:
-            row = np.zeros(n_vars + 1)
-            for variable in edge.variables:
-                row[var_index[variable]] = -log_p
-            row[-1] = -1.0
-            a_ub.append(row)
-            b_ub.append(-math.log(max(2, cardinalities[edge.alias])))
-        a_eq = np.zeros((1, n_vars + 1))
-        a_eq[0, :n_vars] = 1.0
-        bounds = [(0.0, 1.0)] * n_vars + [(None, None)]
-        result = linprog(
-            c=costs,
-            A_ub=np.array(a_ub),
-            b_ub=np.array(b_ub),
-            A_eq=a_eq,
-            b_eq=np.array([1.0]),
-            bounds=bounds,
-            method="highs",
-        )
-        if not result.success:
-            raise RuntimeError(f"share exponent LP failed: {result.message}")
-        return {variable: float(result.x[var_index[variable]]) for variable in variables}
-
-    def fractional_shares(
-        self,
-        cardinalities: Mapping[str, int],
-        servers: int,
-    ) -> dict[Variable, float]:
-        """Optimal fractional shares ``p_i = p**e_i`` (product equals ``p``)."""
-        exponents = self.fractional_share_exponents(cardinalities, servers)
-        return {
-            variable: servers**exponent for variable, exponent in exponents.items()
-        }
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.planner.api import make_cluster, run_all_strategies, run_query
+from repro.experiments.harness import run_grid
+from repro.planner.api import make_cluster, run_query
 from repro.planner.plans import HC_TJ
 from repro.storage.generators import twitter_database
 from repro.workloads import Q1
@@ -55,9 +56,9 @@ class TestRunQuery:
         assert result.variable_order == order
 
 
-class TestRunAllStrategies:
+class TestRunGrid:
     def test_runs_six_configurations(self, db):
-        results = run_all_strategies(Q1, db, workers=4)
+        results = run_grid(Q1, db, workers=4).results
         assert len(results) == 6
         row_sets = {frozenset(r.rows) for r in results.values()}
         assert len(row_sets) == 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.leapfrog.btree_iterator import BTreeTrieIterator
+from repro.leapfrog.btree_iterator import BTreeTributaryJoin
 from repro.leapfrog.tributary import TributaryJoin, prepare_atom
 from repro.query.parser import parse_query
 from repro.storage.btree import BPlusTree
@@ -107,9 +108,7 @@ class TestBackendEquivalence:
         relation = Relation("E", ("a", "b"), list(dict.fromkeys(edges)))
         relations = {"R": relation, "S": relation, "T": relation}
         sorted_run = set(TributaryJoin(TRIANGLE, relations).run())
-        btree_run = set(
-            TributaryJoin(TRIANGLE, relations, backend="btree").run()
-        )
+        btree_run = set(BTreeTributaryJoin(TRIANGLE, relations).run())
         assert sorted_run == btree_run
 
     def test_comparisons_and_projection_work_on_btree(self):
@@ -118,26 +117,20 @@ class TestBackendEquivalence:
         sorted_run = TributaryJoin(
             query, {"R": relation, "S": relation}
         ).run()
-        btree_run = TributaryJoin(
-            query, {"R": relation, "S": relation}, backend="btree"
+        btree_run = BTreeTributaryJoin(
+            query, {"R": relation, "S": relation}
         ).run()
         assert set(sorted_run) == set(btree_run)
-
-    def test_unknown_backend_rejected(self):
-        relation = Relation("E", ("a", "b"), [(1, 2)])
-        with pytest.raises(ValueError, match="backend"):
-            TributaryJoin(
-                TRIANGLE,
-                {"R": relation, "S": relation, "T": relation},
-                backend="rocksdb",
-            )
 
     def test_prepare_cost_reported_for_both(self):
         relation = Relation("E", ("a", "b"), [(i, i + 1) for i in range(50)])
         atom = TRIANGLE.atom_by_alias("R")
-        order = TRIANGLE.variables()
-        sorted_prep = prepare_atom(atom, relation, order)
-        btree_prep = prepare_atom(atom, relation, order, backend="btree")
+        sorted_prep = prepare_atom(atom, relation, TRIANGLE.variables())
+        btree_join = BTreeTributaryJoin(
+            TRIANGLE, {"R": relation, "S": relation, "T": relation}
+        )
+        btree_prep = btree_join._prepared[0]
+        assert btree_prep.atom is atom
         assert sorted_prep.prepare_cost > 0
         assert btree_prep.prepare_cost > 0
         assert sorted_prep.size == btree_prep.size == 50

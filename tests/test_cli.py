@@ -188,23 +188,3 @@ class TestExitCodes:
                      "--strategy", "RS_HJ", "--analyze",
                      "--faults", str(plan), "--recovery", "retry:2"])
         assert code == EXIT_FAULT
-
-
-def test_fractional_edge_packing_triangle():
-    from repro.query.hypergraph import Hypergraph
-    from repro.query.parser import parse_query
-
-    triangle = parse_query("T(x,y,z) :- R:E(x,y), S:E(y,z), T:E(z,x).")
-    packing = Hypergraph(triangle).fractional_edge_packing()
-    assert sum(packing.values()) == pytest.approx(1.5, rel=1e-6)
-    # per-vertex capacity respected
-    for vertex in ("x", "y", "z"):
-        covering = sum(
-            weight
-            for alias, weight in packing.items()
-            for atom_vars in [
-                {v.name for v in triangle.atom_by_alias(alias).variables()}
-            ]
-            if vertex in atom_vars
-        )
-        assert covering <= 1 + 1e-9

@@ -10,6 +10,8 @@ under-cover ``total_cpu`` by exactly the in-flight operator's work — the
 trace never over-attributes.
 """
 
+import json
+
 import pytest
 
 from repro.engine.cluster import Cluster
@@ -21,6 +23,7 @@ from repro.query.catalog import Catalog
 from repro.query.parser import parse_query
 from repro.storage.generators import twitter_database
 from repro.workloads.registry import get_workload
+from tests.golden import capture_analyzed_plans
 
 GRID = [s.name for s in ALL_STRATEGIES]
 TRIANGLE = "T(x,y,z) :- R:Twitter(x,y), S:Twitter(y,z), T:Twitter(z,x)."
@@ -164,3 +167,30 @@ def test_accepts_parsed_query():
     )
     assert plan.physical.query is parsed
     assert_conserved(plan)
+
+
+# ----------------------------------------------------------------------
+# Golden renders: the traced numbers themselves, byte for byte
+# ----------------------------------------------------------------------
+
+with open(capture_analyzed_plans.OUT_PATH) as _handle:
+    ANALYZED_GOLDEN = json.load(_handle)
+
+ANALYZED_CASES = list(capture_analyzed_plans.cases())
+
+
+def test_analyzed_golden_covers_every_case():
+    assert sorted(ANALYZED_GOLDEN) == sorted(key for key, *_ in ANALYZED_CASES)
+
+
+@pytest.mark.parametrize(
+    "key,name,strategy,extra",
+    ANALYZED_CASES,
+    ids=[key for key, *_ in ANALYZED_CASES],
+)
+def test_analyzed_render_matches_golden(key, name, strategy, extra):
+    """``tuples in/out``, the skipped anchor, every shuffle record and every
+    charge render exactly as ``tests/golden/analyzed_plans.json`` captured
+    them (``tests/golden/capture_analyzed_plans.py`` regenerates it)."""
+    rendered = capture_analyzed_plans.render_case(name, strategy, extra)
+    assert rendered == ANALYZED_GOLDEN[key]

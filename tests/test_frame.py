@@ -31,12 +31,6 @@ class TestFrame:
         frame = Frame((X, Y), [(1, 2), (1, 3)])
         assert frame.project([X], dedup=True).rows == [(1,)]
 
-    def test_empty_like(self):
-        frame = Frame((X, Y), [(1, 2)])
-        empty = frame.empty_like()
-        assert empty.variables == (X, Y)
-        assert len(empty) == 0
-
 
 class TestAtomFrame:
     def _encoder(self):

@@ -25,6 +25,7 @@ from repro.planner.decompose import (
     default_decomposition,
     enumerate_decompositions,
     intermediate_alias,
+    lower_hybrid,
     stage_one_query,
     stage_two_query,
 )
@@ -34,6 +35,7 @@ from repro.planner.optimizer import estimate_costs, optimize
 from repro.planner.physical import (
     HYBRID_STRATEGY,
     ConfigureHyperCube,
+    Exchange,
     ScanIntermediate,
     lower,
 )
@@ -174,6 +176,38 @@ def test_stage_tags_render_only_for_multistage(q8, q8_catalog):
     assert "[stage 1]" in hybrid.render() and "[stage 2]" in hybrid.render()
     pure = lower(q8.query, "RS_HJ", q8_catalog)
     assert "[stage" not in pure.render()
+
+
+@pytest.mark.parametrize("case", ["Q8", "PathCycle"])
+def test_stage_two_is_the_hc_tj_composition(case, q8, q8_catalog):
+    # the hybrid's second stage is not a copy of the HC_TJ lowering: both
+    # come out of the same builders, so lowering the stage-two subquery on
+    # its own yields the very same exchanges and Tributary round
+    if case == "Q8":
+        query, catalog = q8.query, q8_catalog
+    else:
+        query = PATH_CYCLE
+        catalog = Catalog(get_workload("Q1").dataset("unit"))
+    shape = default_decomposition(query, catalog)
+    hybrid = lower_hybrid(query, catalog, decomposition=shape)
+    pure = lower(
+        stage_two_query(query, shape), "HC_TJ", catalog,
+        variable_order=hybrid.variable_order,
+    )
+    boundary, tributary = hybrid.rounds[-2:]
+    _, shuffle, local = pure.rounds
+
+    def exchanges(round_):
+        return [op for op in round_.ops if isinstance(op, Exchange)]
+
+    assert len(exchanges(boundary)) == len(shape.residual) + 1
+    assert exchanges(boundary) == exchanges(shuffle)
+    assert tributary.ops == local.ops
+    assert tributary.local_workers == local.local_workers
+    # equal operators render equally: the plans describe() the same stage
+    assert [op.describe() for op in exchanges(boundary) + list(tributary.ops)] == [
+        op.describe() for op in exchanges(shuffle) + list(local.ops)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,4 @@
-"""Tests for hypergraph theory: GYO, join trees, edge cover LPs, share LPs."""
-
-import math
+"""Tests for hypergraph theory: GYO, join trees, edge cover LPs."""
 
 import pytest
 
@@ -93,40 +91,3 @@ class TestEdgeCover:
         m = 1000
         bound = Hypergraph(CLIQUE4).agm_bound(uniform_cardinalities(CLIQUE4, m))
         assert bound == pytest.approx(m**2, rel=1e-4)
-
-
-class TestShareLP:
-    def test_triangle_equal_sizes_gives_cube_root_shares(self):
-        hg = Hypergraph(TRIANGLE)
-        shares = hg.fractional_shares(uniform_cardinalities(TRIANGLE, 10**6), 64)
-        for share in shares.values():
-            assert share == pytest.approx(4.0, rel=1e-3)
-
-    def test_skewed_sizes_push_shares_to_shared_variable(self):
-        # paper Sec. 2.1: |S1| << |S2| = |S3| -> p1 = p2 = 1, p3 = p
-        # (hash-partition S2, S3 on their shared variable, broadcast S1)
-        query = parse_query("Q(x1,x2,x3) :- S1(x1,x2), S2(x2,x3), S3(x3,x1).")
-        hg = Hypergraph(query)
-        cards = {"S1": 10, "S2": 10**6, "S3": 10**6}
-        shares = hg.fractional_shares(cards, 64)
-        from repro.query.atoms import Variable
-
-        assert shares[Variable("x3")] == pytest.approx(64.0, rel=1e-2)
-        assert shares[Variable("x1")] == pytest.approx(1.0, abs=1e-2)
-        assert shares[Variable("x2")] == pytest.approx(1.0, abs=1e-2)
-
-    def test_share_product_equals_server_count(self):
-        hg = Hypergraph(TRIANGLE)
-        shares = hg.fractional_shares(uniform_cardinalities(TRIANGLE, 1000), 63)
-        product = math.prod(shares.values())
-        assert product == pytest.approx(63.0, rel=1e-3)
-
-    def test_single_server_all_shares_one(self):
-        hg = Hypergraph(TRIANGLE)
-        shares = hg.fractional_shares(uniform_cardinalities(TRIANGLE, 1000), 1)
-        assert all(s == 1.0 for s in shares.values())
-
-    def test_invalid_server_count(self):
-        hg = Hypergraph(TRIANGLE)
-        with pytest.raises(ValueError):
-            hg.fractional_share_exponents(uniform_cardinalities(TRIANGLE, 10), 0)

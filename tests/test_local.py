@@ -5,7 +5,6 @@ import pytest
 from repro.engine.frame import Frame
 from repro.engine.local import (
     SORT_COMPARISON_WEIGHT,
-    dedup_rows,
     local_tributary_join,
     scanned_query,
 )
@@ -88,7 +87,3 @@ class TestLocalTributaryJoin:
             join_phase="phase-b",
         )
         assert set(stats.phases()) == {"phase-a", "phase-b"}
-
-
-def test_dedup_rows_preserves_order():
-    assert dedup_rows([(2,), (1,), (2,), (3,), (1,)]) == [(2,), (1,), (3,)]

@@ -1,5 +1,6 @@
 """Unit tests for the pluggable worker runtimes and their ledger merge."""
 
+import ctypes
 import os
 import signal
 from functools import partial
@@ -519,6 +520,31 @@ def test_process_map_local_without_a_session_forks_for_the_call():
     pids = _round(runtime, _pid_runner)
     assert len(set(pids)) == 2 and os.getpid() not in pids
     assert runtime._session is None
+
+
+def _resident_mb():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def _resident_runner(batch):
+    return [(_resident_mb(), None) for _ in batch]
+
+
+@pytest.mark.skipif(
+    not hasattr(ctypes.CDLL(None), "malloc_trim"), reason="glibc only"
+)
+def test_session_children_do_not_inherit_freed_heap():
+    """60 MB of buffers are freed with every 50th kept, so the allocator
+    cannot shrink the heap by itself; a pool forked now must not start with
+    those pages resident (how much dead heap a parent holds varies from run
+    to run, and every child would carry it into its peak)."""
+    blocks = [b"x" * 60_000 for _ in range(1000)]
+    pins = blocks[::50]
+    del blocks
+    before = _resident_mb()
+    children = _round(ProcessRuntime(processes=2), _resident_runner)
+    assert len(pins) == 20 and max(children) < before - 30
 
 
 def test_failed_round_leaks_no_shared_memory():

@@ -21,8 +21,12 @@ from repro.engine.service import (
     QueryRequest,
     QueryService,
 )
+from repro.engine.scheduler import PlanExecution
 from repro.planner.api import run_query
 from repro.planner.optimizer import PlanCache
+from repro.query.atoms import Variable
+from repro.query.parser import parse_query
+from repro.storage.generators import twitter_database
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.traffic import percentile, zipf_mix
 
@@ -233,6 +237,67 @@ class TestEviction:
         )
         assert service.stats.cancelled == 2
         assert not service.cancel(running)  # already finished
+
+
+class TestContainment:
+    """A failed query never stops the drain (chaos: one tenant in three)."""
+
+    TRIANGLE = "T(x,y,z) :- R:Twitter(x,y), S:Twitter(y,z), T:Twitter(z,x)."
+
+    def _serve_three(self, middle_overrides):
+        database = twitter_database(nodes=200, edges=800)
+        query = parse_query(self.TRIANGLE)
+        common = dict(
+            query=query, database=database, workers=4, memory_demand=20_000
+        )
+        service = QueryService(
+            max_inflight=3, memory_tuples=100_000, plan_cache=PlanCache()
+        )
+        service.submit(QueryRequest(strategy="RS_HJ", label="first", **common))
+        service.submit(
+            QueryRequest(label="chaos", **{**common, **middle_overrides})
+        )
+        service.submit(QueryRequest(strategy="HC_TJ", label="last", **common))
+        outcomes = service.run_until_complete()
+        assert [o.status for o in outcomes] == [
+            STATUS_OK, STATUS_FAILED, STATUS_OK
+        ]
+        assert service.governor.granted == 0
+        assert service.inflight == 0 and service.queued == 0
+        assert service.stats.failed == 1 and service.stats.completed == 2
+        for outcome, strategy in ((outcomes[0], "RS_HJ"), (outcomes[2], "HC_TJ")):
+            solo = run_query(query, database, strategy=strategy, workers=4)
+            assert sorted(outcome.rows) == sorted(solo.rows)
+            assert _counted(outcome.stats) == _counted(solo.stats)
+        return outcomes[1]
+
+    def test_bad_variable_order_fails_at_planning(self):
+        x, y = Variable("x"), Variable("y")  # misses z
+        failed = self._serve_three(
+            dict(strategy="HC_TJ", variable_order=(x, y))
+        )
+        assert "planning failed" in failed.detail
+        assert "variable order" in failed.detail
+
+    @pytest.mark.parametrize("method", ["step", "finalize"])
+    def test_exception_in_flight_is_that_querys_failure(
+        self, method, monkeypatch, caplog
+    ):
+        real = getattr(PlanExecution, method)
+
+        def chaotic(execution):
+            if execution.plan.strategy == "BR_HJ" and (
+                method == "finalize" or execution.rounds_done == 1
+            ):
+                raise RuntimeError("tenant blew up")
+            return real(execution)
+
+        monkeypatch.setattr(PlanExecution, method, chaotic)
+        failed = self._serve_three(dict(strategy="BR_HJ"))
+        assert failed.detail == "RuntimeError: tenant blew up"
+        assert failed.stats.failed and failed.stats.failure_kind == "error"
+        assert all(failed.memory.resident(worker) == 0 for worker in range(4))
+        assert "tenant blew up" in caplog.text  # the traceback is logged
 
 
 class TestPlanCache:

@@ -61,6 +61,8 @@ class TestFractionalShares:
         result = fractional_shares(query, {"S1": 2, "S2": 10**6, "S3": 10**6}, 64)
         shares = {v.name: s for v, s in result.shares.items()}
         assert shares["x3"] == pytest.approx(64.0, rel=1e-2)
+        assert shares["x1"] == pytest.approx(1.0, abs=1e-2)
+        assert shares["x2"] == pytest.approx(1.0, abs=1e-2)
 
 
 class TestLoads:
