@@ -72,8 +72,11 @@ class Cluster:
         """One worker's fragment, viewed as a Relation."""
         if self.database is None:
             raise RuntimeError("cluster has no loaded database")
-        base = self.database[relation_name]
-        return Relation(base.name, base.columns, self.fragments(relation_name)[worker])
+        # the fragment's rows are the base relation's own, validated when it
+        # was built, and nothing downstream writes to them: share, don't copy
+        return self.database[relation_name].with_rows(
+            self.fragments(relation_name)[worker]
+        )
 
     def encoder(self):
         """The database's dictionary encoder (for string query constants)."""

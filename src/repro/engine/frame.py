@@ -4,6 +4,15 @@ Once an atom's relation is scanned, columns stop being attribute names and
 become *query variables*; every operator downstream of the scan (shuffles,
 joins, projections) is defined over variables.  A :class:`Frame` is that
 runtime unit: an ordered tuple of variables plus rows.
+
+What ``rows`` *is* follows the kernel backend (:mod:`~repro.engine.kernels`).
+Under ``python`` it is a list of tuples throughout.  Under ``numpy`` a scan
+still hands out a row list — stored relations are row lists — and from the
+first kernel on (an exchange, a join, a projection, a filter) it is a
+:class:`~repro.engine.kernels.ColumnBlock`, one int64 array per variable,
+which stays a block until the result is finalized.  Either way it is a
+``Sequence`` of tuples of Python ints, and nothing mutates it once a frame
+holds it.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ class Frame:
     """Rows labelled by query variables."""
 
     variables: tuple[Variable, ...]
-    rows: list[tuple[int, ...]] = field(default_factory=list)
+    rows: Sequence[tuple[int, ...]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(set(self.variables)) != len(self.variables):
@@ -47,9 +56,9 @@ class Frame:
         """Reorder/restrict columns to ``variables``; ``dedup`` drops
         duplicate rows while preserving first-seen order."""
         indices = self.indices_of(variables)
-        projected = (tuple(row[i] for i in indices) for row in self.rows)
-        rows = list(dict.fromkeys(projected)) if dedup else list(projected)
-        return Frame(tuple(variables), rows)
+        return Frame(
+            tuple(variables), kernels.project_rows(self.rows, indices, dedup=dedup)
+        )
 
     def __repr__(self) -> str:
         names = ", ".join(v.name for v in self.variables)
@@ -76,8 +85,10 @@ def atom_frame(
 def frame_relation(frame: Frame, name: str) -> Relation:
     """View a frame as a storage relation (columns named by variables).
 
-    Shares the frame's row list: frames are produced by the engine's own
-    operators, so the rows need neither a copy nor re-validation.
+    Shares the frame's rows: frames are produced by the engine's own
+    operators, so the rows need neither a copy nor re-validation — and when
+    they are a column block, sorting them for the Tributary join reads the
+    columns as they are.
     """
     return Relation.over_rows(
         name, tuple(v.name for v in frame.variables), frame.rows

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from ..query.atoms import Comparison, Variable
 from .frame import Frame
-from .kernels import hash_join_rows
+from .kernels import hash_join_rows, select_rows
 from .memory import MemorySink
 from .stats import StatsSink
 
@@ -46,8 +46,9 @@ def symmetric_hash_join(
     ]
 
     # build/probe runs through the kernel layer: the numpy backend encodes
-    # keys columnar and expands match ranges vectorized, with output rows in
-    # the exact order of the tuple-at-a-time build/probe loop
+    # keys columnar, expands match ranges vectorized and gathers the output
+    # as a column block, its rows in the exact order of the tuple-at-a-time
+    # build/probe loop
     output_rows = hash_join_rows(
         left.rows, right.rows, left_key, right_key, right_extra
     )
@@ -82,11 +83,6 @@ def apply_comparisons(
     deferred = [c for c in comparisons if set(c.variables()) - available]
     if not ready:
         return frame, deferred
-    index = {v: i for i, v in enumerate(frame.variables)}
-    kept: list[tuple[int, ...]] = []
-    for row in frame.rows:
-        binding = {v: row[i] for v, i in index.items()}
-        if all(comparison.evaluate(binding) for comparison in ready):
-            kept.append(row)
+    kept = select_rows(frame.rows, frame.variables, ready)
     stats.charge(worker, len(frame.rows), phase)
     return Frame(frame.variables, kept), deferred

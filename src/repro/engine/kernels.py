@@ -7,11 +7,21 @@ seam between the two: every per-tuple loop in the shuffle, sort, and join
 hot paths is expressed as a kernel with two interchangeable backends,
 
 - ``python`` — the original tuple-at-a-time loops, kept verbatim as the
-  reference implementation;
+  reference implementation: row lists in, row lists out;
 - ``numpy``  — columnar, vectorized implementations of the same kernels
-  (batched multiplicative hashing, stable argsort partitioning,
-  ``np.lexsort`` sorting, ``np.searchsorted`` seeks, group-by join
-  build/probe).
+  (batched multiplicative hashing, radix-sort partitioning, ``np.lexsort``
+  sorting, ``np.searchsorted`` seeks, group-by join build/probe) over
+  :class:`ColumnBlock` values, one int64 array per column.
+
+Under numpy the block is what flows between kernels.  A kernel handed a
+row list (a scanned base fragment, a test's input) converts it once at
+entry (:func:`block_from_rows`) and every kernel returns blocks — a
+partition's buckets are slices of one gathered block, a projection selects
+columns, a join gathers its output — so rows are converted once, at the
+first kernel that sees a row list, and tuples are made once, at the result
+(:func:`row_tuples`).  A block *is* a ``Sequence[Row]``: anything that
+iterates, indexes or compares it sees the tuples of Python ints a row list
+would hold.
 
 Backends are *semantics-preserving by construction*: destinations, row
 orders, result rows, and every counted metric are bit-identical between
@@ -30,8 +40,10 @@ Backend selection, in priority order:
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, TYPE_CHECKING, Union
+from itertools import chain
+from typing import Optional, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -105,6 +117,131 @@ def use_backend(name: Optional[str]) -> Iterator[str]:
 
 
 # ----------------------------------------------------------------------
+# The column block: the numpy backend's row container
+# ----------------------------------------------------------------------
+
+
+class ColumnBlock(Sequence):
+    """Rows held as one int64 array per column, plus a row count.
+
+    Immutable once built — kernels share column arrays between blocks
+    (a projection selects columns, a slice is a view) and the scheduler
+    checkpoints slots by reference.  Read as a sequence it yields the same
+    tuples of Python ints as the row list it stands for, and compares equal
+    to it; an empty block equals any empty sequence, whatever its width.
+    It pickles as its arrays, a slice as the rows it covers.
+    """
+
+    __slots__ = ("columns", "length")
+    __hash__ = None  # compares by content, like the row list it stands for
+
+    def __init__(self, columns: Sequence[np.ndarray], length: int) -> None:
+        self.columns = tuple(columns)
+        self.length = length
+
+    def __reduce__(self):
+        return ColumnBlock, (self.columns, self.length)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ColumnBlock(
+                [column[index] for column in self.columns],
+                len(range(*index.indices(self.length))),
+            )
+        if not -self.length <= index < self.length:
+            raise IndexError("block row index out of range")
+        return tuple(int(column[index]) for column in self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (ColumnBlock, list, tuple)):
+            return self.tolist() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ColumnBlock({len(self.columns)} columns, {self.length} rows)"
+
+    def take(self, indices: np.ndarray) -> "ColumnBlock":
+        """The rows at ``indices`` (an integer array), in that order."""
+        return ColumnBlock(
+            [column[indices] for column in self.columns], len(indices)
+        )
+
+    def tolist(self) -> list[Row]:
+        """The rows as a list of tuples of Python ints."""
+        if not self.columns:
+            return [()] * self.length
+        return list(zip(*(column.tolist() for column in self.columns)))
+
+
+def block_from_rows(rows: Sequence[Row]) -> ColumnBlock:
+    """*The* row-list -> block conversion; everything else keeps blocks.
+
+    int64 is the numpy backend's value domain: a value outside it is
+    reported here, by value, instead of as numpy's bare ``OverflowError``.
+    """
+    count = len(rows)
+    width = len(rows[0]) if count else 0
+    if not width:
+        return ColumnBlock((), count)
+    try:
+        flat = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=count * width
+        )
+    except OverflowError:
+        bound = 2**63
+        value = next(v for row in rows for v in row if not -bound <= v < bound)
+        raise ValueError(
+            f"value {value} does not fit int64: the numpy kernel backend "
+            "holds every column as an int64 array (kernels='python' has no "
+            "such limit)"
+        ) from None
+    # one contiguous array per column
+    return ColumnBlock(np.ascontiguousarray(flat.reshape(count, width).T), count)
+
+
+def as_block(rows: Sequence[Row]) -> ColumnBlock:
+    """``rows`` as a block: itself when it already is one."""
+    return rows if isinstance(rows, ColumnBlock) else block_from_rows(rows)
+
+
+def _empty_block(width: int) -> ColumnBlock:
+    return ColumnBlock([np.empty(0, dtype=np.int64)] * width, 0)
+
+
+def row_tuples(rows: Sequence[Row]) -> list[Row]:
+    """``rows`` as a list of tuples — the result boundary, where a block's
+    cells are boxed into Python ints, once."""
+    return rows.tolist() if isinstance(rows, ColumnBlock) else rows
+
+
+def concat_rows(
+    parts: Sequence[Sequence[Row]],
+    width: int,
+    backend: Optional[str] = None,
+) -> Sequence[Row]:
+    """The rows of ``parts`` (each ``width`` wide), one part after another:
+    one block on the numpy backend, one list on the python backend."""
+    if resolve_backend(backend) != "numpy":
+        return [row for part in parts for row in part]
+    blocks = [as_block(part) for part in parts if len(part)]
+    if not blocks:
+        return _empty_block(width)
+    return ColumnBlock(
+        [
+            np.concatenate([block.columns[i] for block in blocks])
+            for i in range(width)
+        ],
+        sum(block.length for block in blocks),
+    )
+
+
+# ----------------------------------------------------------------------
 # Hashing
 # ----------------------------------------------------------------------
 
@@ -127,22 +264,27 @@ def dim_hash(value: int, salt: int, dim: int) -> int:
     return mixed % dim
 
 
-def _column(rows: Sequence[Row], position: int, count: int) -> np.ndarray:
-    """One column of a row list as an int64 array."""
-    return np.fromiter((row[position] for row in rows), dtype=np.int64, count=count)
+def _mix(mixed: np.ndarray) -> np.ndarray:
+    """One multiply-mask-fold round of the hash, in place."""
+    mixed *= _U_KNUTH
+    mixed &= _U_MASK
+    mixed ^= mixed >> _U16
+    return mixed
 
 
 def _hash_columns(columns: Sequence[np.ndarray], salt: int, count: int) -> np.ndarray:
-    """Vectorized :func:`hash_row` over parallel key columns.
+    """Vectorized :func:`hash_row` over parallel int64 key columns.
 
     Every step re-masks to 32 bits, so 64-bit wraparound in the product
     never diverges from Python's arbitrary-precision arithmetic: the low 32
     bits of ``(a * _KNUTH) mod 2**64`` equal those of the exact product.
+    The columns are read through uint64 *views* and the running hash is
+    updated in place: routing a block allocates the one array it returns.
     """
     mixed = np.full(count, np.uint64(salt & _MASK), dtype=np.uint64)
     for column in columns:
-        mixed = ((mixed ^ column.astype(np.uint64)) * _U_KNUTH) & _U_MASK
-        mixed ^= mixed >> _U16
+        mixed ^= column.view(np.uint64)
+        _mix(mixed)
     return mixed
 
 
@@ -153,32 +295,42 @@ def _hash_columns(columns: Sequence[np.ndarray], salt: int, count: int) -> np.nd
 
 _U32 = np.uint64(32)
 
+#: the radix partition packs (destination, flat row index) into one uint64
+#: with the index in the low 32 bits, so it takes inputs below this many
+#: routed copies; beyond it the scalar loops run over the block's tuples
+_INDEX_LIMIT = 2**32
+
 
 def _bucketize(
-    rows: Sequence[Row],
+    block: ColumnBlock,
     destinations: np.ndarray,
     buckets: int,
     copies: int = 1,
-) -> list[list[Row]]:
-    """Split rows into destination buckets, preserving scan order.
+) -> list[ColumnBlock]:
+    """Split a block into destination buckets, preserving scan order.
 
-    ``destinations`` is a flat uint64 array of ``len(rows) * copies``
+    ``destinations`` is a flat uint64 array of ``len(block) * copies``
     destination ids in scan-major order (row ``i``'s copies at positions
-    ``i*copies .. i*copies+copies-1``).  Packs ``(destination, flat index)``
-    into one uint64 so a single non-indirect radix sort replaces a stable
-    argsort; the embedded index keeps the within-bucket order identical to
-    the python backends' append order.
+    ``i*copies .. i*copies+copies-1``); it is consumed as scratch space.
+    Packs ``(destination, flat index)`` into one uint64 so a single
+    non-indirect radix sort replaces a stable argsort; the embedded index
+    keeps the within-bucket order identical to the python backend's append
+    order.  The block is gathered once into destination order and the
+    buckets are slices of that one gathered block.
     """
     total = destinations.size
-    packed = (destinations << _U32) | np.arange(total, dtype=np.uint64)
+    packed = destinations
+    packed <<= _U32
+    packed |= np.arange(total, dtype=np.uint64)
     packed.sort()
-    sources = packed & _U_MASK
-    if copies != 1:
-        sources //= np.uint64(copies)
-    reordered = [rows[i] for i in sources.tolist()]
     boundaries = np.arange(1, buckets, dtype=np.uint64) << _U32
     cuts = [0, *np.searchsorted(packed, boundaries).tolist(), total]
-    return [reordered[cuts[b]: cuts[b + 1]] for b in range(buckets)]
+    packed &= _U_MASK
+    sources = packed.view(np.int64)
+    if copies != 1:
+        sources //= copies
+    gathered = block.take(sources)
+    return [gathered[cuts[b]: cuts[b + 1]] for b in range(buckets)]
 
 
 def shuffle_partition(
@@ -187,17 +339,20 @@ def shuffle_partition(
     workers: int,
     salt: int = 0,
     backend: Optional[str] = None,
-) -> list[list[Row]]:
+) -> list[Sequence[Row]]:
     """Hash-partition rows on their key columns into ``workers`` buckets.
 
     Rows keep their scan order within each bucket (the numpy path's stable
     partitioning matches the python path's append order exactly).
     """
-    if resolve_backend(backend) == "numpy" and rows and len(rows) < _MASK:
-        n = len(rows)
-        columns = [_column(rows, i, n) for i in key_indices]
-        destinations = _hash_columns(columns, salt, n) % np.uint64(workers)
-        return _bucketize(rows, destinations, workers)
+    if resolve_backend(backend) == "numpy" and len(rows) < _INDEX_LIMIT:
+        block = as_block(rows)
+        if not block.length:
+            return [block] * workers
+        columns = [block.columns[i] for i in key_indices]
+        destinations = _hash_columns(columns, salt, block.length)
+        destinations %= np.uint64(workers)
+        return _bucketize(block, destinations, workers)
     outputs: list[list[Row]] = [[] for _ in range(workers)]
     for row in rows:
         destination = hash_row([row[i] for i in key_indices], salt) % workers
@@ -211,7 +366,7 @@ def hypercube_partition(
     offsets: Sequence[int],
     workers: int,
     backend: Optional[str] = None,
-) -> list[list[Row]]:
+) -> list[Sequence[Row]]:
     """Route rows to their hypercube coordinates (with replication).
 
     ``bound`` holds one ``(column, salt, dim, stride)`` entry per hypercube
@@ -225,23 +380,25 @@ def hypercube_partition(
     copies = len(offsets)
     if (
         resolve_backend(backend) == "numpy"
-        and rows
         and copies
-        and len(rows) * copies < _MASK
+        and len(rows) * copies < _INDEX_LIMIT
     ):
-        n = len(rows)
-        base = np.zeros(n, dtype=np.uint64)
+        block = as_block(rows)
+        if not block.length:
+            return [block] * workers
+        base = np.zeros(block.length, dtype=np.uint64)
         for column, salt, dim, stride in bound:
             if dim == 1:
                 continue
-            values = _column(rows, column, n).astype(np.uint64)
-            mixed = ((values + np.uint64(salt & _MASK)) * _U_KNUTH) & _U_MASK
-            mixed ^= mixed >> _U16
-            base += (mixed % np.uint64(dim)) * np.uint64(stride)
+            mixed = block.columns[column].view(np.uint64) + np.uint64(salt & _MASK)
+            _mix(mixed)
+            mixed %= np.uint64(dim)
+            mixed *= np.uint64(stride)
+            base += mixed
         destinations = (
             base[:, None] + np.asarray(offsets, dtype=np.uint64)[None, :]
         ).ravel()  # row-major == (scan order, offset order)
-        return _bucketize(rows, destinations, workers, copies=copies)
+        return _bucketize(block, destinations, workers, copies=copies)
     outputs: list[list[Row]] = [[] for _ in range(workers)]
     for row in rows:
         base = 0
@@ -287,6 +444,16 @@ def _pack_columns(
     return packed, capacity
 
 
+def _key_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """One uint64 per row, equal exactly when the rows' key tuples are."""
+    packing = _pack_columns(columns)
+    if packing is not None:
+        return packing[0]
+    # ranges too wide for 64-bit packing: dense ids via np.unique
+    _, inverse = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+    return inverse.reshape(-1).astype(np.uint64)
+
+
 def _lex_order(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Stable lexicographic argsort of parallel columns (primary first)."""
     packing = _pack_columns(columns)
@@ -325,7 +492,8 @@ def sort_projected(
         width = len(positions)
         if n == 0 or width == 0:
             return None, np.empty((width, n), dtype=np.int64)
-        columns = [_column(rows, p, n) for p in positions]
+        block = as_block(rows)
+        columns = [block.columns[p] for p in positions]
         order = _lex_order(columns)
         sorted_columns = np.empty((width, n), dtype=np.int64)
         for i, column in enumerate(columns):
@@ -521,15 +689,18 @@ def hash_join_rows(
     right_key: Sequence[int],
     right_extra: Sequence[int],
     backend: Optional[str] = None,
-) -> list[Row]:
-    """Equi-join two row lists: for each right row (in order), emit
+) -> Sequence[Row]:
+    """Equi-join two row sets: for each right row (in order), emit
     ``left_row + right_extra_columns`` for every matching left row in left
     scan order — the exact output order of the tuple-at-a-time build/probe.
 
     An empty key joins everything with everything (cross product).
     """
-    if resolve_backend(backend) == "numpy" and left_rows and right_rows:
-        return _hash_join_numpy(left_rows, right_rows, left_key, right_key, right_extra)
+    if resolve_backend(backend) == "numpy":
+        left, right = as_block(left_rows), as_block(right_rows)
+        if not left.length or not right.length:
+            return _empty_block(len(left.columns) + len(right_extra))
+        return _hash_join_numpy(left, right, left_key, right_key, right_extra)
     table: dict[Row, list[Row]] = {}
     for row in left_rows:
         table.setdefault(tuple(row[i] for i in left_key), []).append(row)
@@ -545,86 +716,49 @@ def hash_join_rows(
 
 
 def _encode_join_keys(
-    left_rows: Sequence[Row],
-    right_rows: Sequence[Row],
+    left: ColumnBlock,
+    right: ColumnBlock,
     left_key: Sequence[int],
     right_key: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar key ids with exact tuple-equality semantics for both sides."""
-    n_left, n_right = len(left_rows), len(right_rows)
     if not left_key:  # cross product: a single shared key
         return (
-            np.zeros(n_left, dtype=np.uint64),
-            np.zeros(n_right, dtype=np.uint64),
+            np.zeros(left.length, dtype=np.uint64),
+            np.zeros(right.length, dtype=np.uint64),
         )
-    merged = [
-        np.concatenate([_column(left_rows, li, n_left), _column(right_rows, ri, n_right)])
+    ids = _key_ids([
+        np.concatenate([left.columns[li], right.columns[ri]])
         for li, ri in zip(left_key, right_key)
-    ]
-    packing = _pack_columns(merged)
-    if packing is None:
-        # ranges too wide for 64-bit packing: dense ids via np.unique
-        _, inverse = np.unique(np.stack(merged, axis=1), axis=0, return_inverse=True)
-        packed = inverse.reshape(-1).astype(np.uint64)
-    else:
-        packed = packing[0]
-    return packed[:n_left], packed[n_left:]
+    ])
+    return ids[: left.length], ids[left.length:]
 
 
 def _hash_join_numpy(
-    left_rows: Sequence[Row],
-    right_rows: Sequence[Row],
+    left: ColumnBlock,
+    right: ColumnBlock,
     left_key: Sequence[int],
     right_key: Sequence[int],
     right_extra: Sequence[int],
-) -> list[Row]:
-    n_left, n_right = len(left_rows), len(right_rows)
-    left_ids, right_ids = _encode_join_keys(left_rows, right_rows, left_key, right_key)
+) -> ColumnBlock:
+    left_ids, right_ids = _encode_join_keys(left, right, left_key, right_key)
     order = np.argsort(left_ids, kind="stable")  # (key id, left scan order)
     sorted_ids = left_ids[order]
     starts = np.searchsorted(sorted_ids, right_ids, side="left")
     ends = np.searchsorted(sorted_ids, right_ids, side="right")
     counts = ends - starts
     total = int(counts.sum())
-    if total == 0:
-        return []
-    if total > 4 * (n_left + n_right):
-        # Output-dominated join: materialization cost rules.  Emitting
-        # ``left_row + extra`` reuses the input rows' boxed ints, while the
-        # columnar gather below would box a fresh int per output cell —
-        # slower than the scalar loop for large outputs.
-        starts_list = starts.tolist()
-        ends_list = ends.tolist()
-        sorted_left = [left_rows[i] for i in order.tolist()]
-        output: list[Row] = []
-        append = output.append
-        for j, row in enumerate(right_rows):
-            lo, hi = starts_list[j], ends_list[j]
-            if lo == hi:
-                continue
-            extra = tuple(row[i] for i in right_extra)
-            for left_row in sorted_left[lo:hi]:
-                append(left_row + extra)
-        return output
     # expand each right row's [start, end) slice of the sorted left side
     output_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    flat = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(output_starts, counts)
-        + np.repeat(starts, counts)
-    )
+    flat = np.arange(total, dtype=np.int64)
+    flat += np.repeat(starts - output_starts, counts)
     left_take = order[flat]
-    right_take = np.repeat(np.arange(n_right, dtype=np.int64), counts)
-    left_width = len(left_rows[0])
-    output_columns = [
-        _column(left_rows, i, n_left)[left_take] for i in range(left_width)
-    ]
-    output_columns.extend(
-        _column(right_rows, i, n_right)[right_take] for i in right_extra
+    right_take = np.repeat(np.arange(right.length, dtype=np.int64), counts)
+    return ColumnBlock(
+        [column[left_take] for column in left.columns]
+        + [right.columns[i][right_take] for i in right_extra],
+        total,
     )
-    if not output_columns:  # zero-arity join output
-        return [()] * total
-    return list(zip(*(column.tolist() for column in output_columns)))
 
 
 # ----------------------------------------------------------------------
@@ -663,12 +797,12 @@ def filter_atom_rows(
     Returns ``rows`` itself (same object) when there is nothing to filter,
     so callers can keep zero-copy fast paths; otherwise a new list.
 
-    Deliberately scalar on both backends: scan filters run exactly once per
-    fragment over row-major tuples, so a vectorized mask would first have to
-    convert the filtered columns — and that conversion alone costs more than
-    the plain list comprehension (measured ~2-4x slower at 100k rows).
-    Vectorization pays only where the conversion is amortized over more work
-    (sort, shuffle routing) or the data is already columnar (seeks).  The
+    Deliberately scalar on both backends: stored relations and the
+    cluster's fragments are row lists, and a scan filter runs exactly once
+    per fragment, so a vectorized mask would first have to convert the
+    columns it tests — and that conversion alone costs more than the plain
+    list comprehension (measured ~2-4x slower at 100k rows).  What survives
+    the filter is converted once, by the first kernel downstream.  The
     ``backend`` parameter is accepted for interface uniformity.
     """
     if not constant_filters and not repeat_groups:
@@ -688,10 +822,52 @@ def project_rows(
     rows: Sequence[Row],
     indices: Sequence[int],
     backend: Optional[str] = None,
-) -> list[Row]:
-    """Gather the given columns of every row (columnar on numpy)."""
-    if resolve_backend(backend) == "numpy" and rows and indices:
-        count = len(rows)
-        columns = [_column(rows, i, count) for i in indices]
-        return list(zip(*(column.tolist() for column in columns)))
-    return [tuple(row[i] for i in indices) for row in rows]
+    dedup: bool = False,
+) -> Sequence[Row]:
+    """The given columns of every row; ``dedup`` drops duplicate rows,
+    keeping first-seen order.  On numpy a projection selects column arrays
+    (nothing is copied) and de-duplication is one ``np.unique``."""
+    if resolve_backend(backend) == "numpy":
+        block = as_block(rows)
+        if not block.length:
+            return _empty_block(len(indices))
+        block = ColumnBlock([block.columns[i] for i in indices], block.length)
+        return _distinct(block) if dedup else block
+    projected = (tuple(row[i] for i in indices) for row in rows)
+    return list(dict.fromkeys(projected)) if dedup else list(projected)
+
+
+def _distinct(block: ColumnBlock) -> ColumnBlock:
+    """A non-empty block's distinct rows, in first-seen order."""
+    if not block.columns:
+        return block[:1]
+    _, first_seen = np.unique(_key_ids(block.columns), return_index=True)
+    first_seen.sort()
+    return block.take(first_seen)
+
+
+def select_rows(
+    rows: Sequence[Row],
+    variables: Sequence,
+    comparisons: Sequence,
+    backend: Optional[str] = None,
+) -> Sequence[Row]:
+    """The rows that pass every comparison, in order; ``variables`` label
+    the columns.  :meth:`~repro.query.atoms.Comparison.evaluate` takes a
+    column per variable as readily as a value, so on numpy the comparisons
+    are one boolean mask over the block."""
+    if resolve_backend(backend) == "numpy":
+        block = as_block(rows)
+        if not block.length:
+            return block
+        binding = dict(zip(variables, block.columns))
+        mask = np.ones(block.length, dtype=bool)
+        for comparison in comparisons:
+            mask &= comparison.evaluate(binding)
+        return block.take(np.flatnonzero(mask))
+    kept: list[Row] = []
+    for row in rows:
+        binding = dict(zip(variables, row))
+        if all(comparison.evaluate(binding) for comparison in comparisons):
+            kept.append(row)
+    return kept

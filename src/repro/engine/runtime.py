@@ -17,9 +17,10 @@ ledger.  The three runtimes differ only in who the executors are
 - :class:`ProcessRuntime` — one batch per forked, pipe-connected session
   child (``--runtime parallel:N:proc``), the only mode that escapes the GIL
   for true multicore wall-clock speedup.  Everything a child needs — the
-  runner, the slot inputs, the ledgers — is shipped to it; row blocks above
+  runner, the slot inputs, the ledgers — is shipped to it; row *lists* above
   a size threshold cross in either direction through :mod:`~repro.engine.shm`
-  shared-memory segments instead of the pickle pipe, and each worker's
+  shared-memory segments instead of the pickle pipe (the numpy backend's
+  column blocks pickle as their arrays and stay on it), and each worker's
   ledger is pickled back and merged exactly like the thread runtime's.
 
 Determinism is guaranteed by construction rather than by locking: every
@@ -223,9 +224,12 @@ class _SharedFrame:
 
 
 def _encode_payload(item: Any) -> Any:
-    """Swap large row blocks for shared-memory handles before pickling."""
+    """Swap large row lists for shared-memory handles before pickling.
+
+    A frame whose rows are a column block stays on the pipe: its arrays
+    pickle as a memcpy, which is all a shared segment would save."""
     if isinstance(item, Frame):
-        shared = share_rows(item.rows)
+        shared = share_rows(item.rows) if isinstance(item.rows, list) else None
         if shared is not None:
             return _SharedFrame(item.variables, shared)
     elif isinstance(item, list) and item and isinstance(item[0], tuple):
@@ -254,6 +258,16 @@ def _decode_value(value: Any) -> Any:
     if isinstance(value, dict):
         return {key: _decode_payload(item) for key, item in value.items()}
     return _decode_payload(value)
+
+
+def _shared_handles(value: Any) -> list[SharedRows]:
+    """The shared-memory handles inside an encoded value."""
+    items = value.values() if isinstance(value, dict) else [value]
+    return [
+        item.shared if isinstance(item, _SharedFrame) else item
+        for item in items
+        if isinstance(item, (_SharedFrame, SharedRows))
+    ]
 
 
 def _session_child_main(connection) -> None:
@@ -405,26 +419,30 @@ class ProcessRuntime(WorkerRuntime):
 
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
         """Ship each batch to its session child; collect what they send."""
+        shipped = []  # per child, the shm segments its message points at
         for child, batch in zip(self._session, batches):
-            message = (
-                runner,
-                [
-                    (worker, ledger, _encode_value(payload))
-                    for worker, ledger, payload in batch
-                ],
+            encoded = [
+                (worker, ledger, _encode_value(payload))
+                for worker, ledger, payload in batch
+            ]
+            shipped.append(
+                [h for _, _, value in encoded for h in _shared_handles(value)]
             )
             try:
-                child.connection.send(message)
+                child.connection.send((runner, encoded))
             except OSError:
                 pass  # the child is gone: its missing reply reports it below
         # every child is heard out and every shipped value decoded, delivered
-        # or not: a shared-memory segment is only reclaimed by loading it
+        # or not: a shared-memory segment is only reclaimed by loading it —
+        # or, when the child that should have loaded it never answers, here
         outcomes, broken = [], False
-        for child, batch in zip(self._session, batches):
+        for child, batch, handles in zip(self._session, batches, shipped):
             try:
                 reply = child.connection.recv()
             except (EOFError, OSError):
                 broken = True
+                for handle in handles:
+                    handle.discard()
                 child.process.join(timeout=10)
                 worker, ledger, _ = batch[0]
                 died = RuntimeError(

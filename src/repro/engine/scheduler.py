@@ -53,6 +53,7 @@ from .faults import FaultAbort, FaultSession, FailureReport, InjectedFault
 from ..hypercube.config import HyperCubeConfig, optimize_config
 from ..hypercube.mapping import HyperCubeMapping
 from ..query.atoms import Atom, ConjunctiveQuery
+from . import kernels
 from .cluster import Cluster
 from .frame import Frame, atom_frame
 from .hash_join import apply_comparisons, symmetric_hash_join
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 #: a slot's per-worker payload: frames (most operators) or raw result rows
-#: (the Tributary join emits projected head rows directly)
+#: (the Tributary join emits projected head rows directly, as a list)
 SlotValue = Union[Frame, list]
 
 
@@ -432,17 +433,10 @@ def _run_round(
             for worker in range(workers):
                 relation = cluster.fragment_relation(op.atom.relation, worker)
                 frame = atom_frame(op.atom, relation, encoder)
-                for comparison in op.filters:
-                    index = {v: i for i, v in enumerate(frame.variables)}
+                if op.filters:
                     frame = Frame(
                         frame.variables,
-                        [
-                            row
-                            for row in frame.rows
-                            if comparison.evaluate(
-                                {v: row[i] for v, i in index.items()}
-                            )
-                        ],
+                        kernels.select_rows(frame.rows, frame.variables, op.filters),
                     )
                 per_worker.append(frame)
             slots[op.out] = per_worker
@@ -756,14 +750,18 @@ class PlanExecution:
         plan = self.plan
         slots = self._state.slots
         if plan.result_kind == RESULT_ROWS:
-            per_worker_rows = slots[plan.result]
+            # the Tributary join emitted head tuples already
+            rows = [row for worker_rows in slots[plan.result] for row in worker_rows]
         else:
-            per_worker_rows = [frame.rows for frame in slots[plan.result]]
-        rows: list = []
-        for worker_rows in per_worker_rows:
-            rows.extend(worker_rows)
-        if plan.head_indices is not None:
-            rows = [tuple(row[i] for i in plan.head_indices) for row in rows]
+            # frames: concatenate and project as the backend holds them
+            # (column blocks on numpy), and only then make the tuples
+            frames = slots[plan.result]
+            rows = kernels.concat_rows(
+                [frame.rows for frame in frames], len(frames[0].variables)
+            )
+            if plan.head_indices is not None:
+                rows = kernels.project_rows(rows, plan.head_indices)
+            rows = kernels.row_tuples(rows)
         if not plan.query.is_full():
             rows = list(dict.fromkeys(rows))
         self.stats.result_count = len(rows)

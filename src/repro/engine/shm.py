@@ -8,7 +8,11 @@ the rows would otherwise be pickled tuple by tuple through the session
 pipe.  This module moves large row blocks through
 ``multiprocessing.shared_memory`` instead: the sender packs the block into
 one int64 column-major array in ``/dev/shm``, ships only the segment name,
-and the receiver reattaches, materializes, and unlinks it.
+and the receiver reattaches, materializes, and unlinks it; a sender whose
+receiver died unlinks what it shipped itself (:meth:`SharedRows.discard`).
+Only row *lists* travel this way — the python kernel backend's frames and
+the Tributary join's result rows; a numpy-backend frame is a column block,
+whose arrays pickle as a memcpy and stay on the pipe.
 
 Small payloads stay on the pickle path — below a few tens of thousands of
 rows the copy into shared memory costs more than pickling saves, so
@@ -54,6 +58,16 @@ class SharedRows:
         if self.width == 0:
             return [()] * self.count
         return list(zip(*data.tolist()))
+
+    def discard(self) -> None:
+        """Release the segment unread — its receiver is gone.  A segment the
+        receiver did load (and so unlinked) before going is not an error."""
+        try:
+            segment = shared_memory.SharedMemory(name=self.name)
+        except FileNotFoundError:
+            return
+        segment.close()
+        segment.unlink()
 
 
 def share_rows(rows: Sequence[Row]) -> Optional[SharedRows]:

@@ -17,10 +17,14 @@ sent (producer side) and 1 per tuple received (consumer side) — so consumer
 skew translates into wall-clock penalty exactly as the paper observes — and
 registers received tuples against the consumers' memory budget.
 
-Destination routing runs through the kernel layer
-(:mod:`~repro.engine.kernels`): the numpy backend hashes key columns in one
-vectorized batch and partitions via a single radix sort instead of per-row
-appends, with bit-identical destinations and within-bucket order.
+Every exchange is **one** kernel call over the producers' concatenation
+(:mod:`~repro.engine.kernels`), not one per producer: concatenating in
+producer order and partitioning stably leaves every bucket in (producer,
+scan[, offset]) order, which is the order per-producer appends would give.
+The numpy backend concatenates column blocks, hashes the key columns in
+one vectorized batch, radix-sorts once, gathers once and hands every
+consumer a slice of that gathered block; a broadcast hands every consumer
+the *same* block, which is safe because frames are never mutated.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Optional, Sequence
 from ..hypercube.mapping import HyperCubeMapping
 from ..query.atoms import Atom, Variable
 from .frame import Frame
-from .kernels import hash_row, hypercube_partition, shuffle_partition
+from .kernels import concat_rows, hash_row, hypercube_partition, shuffle_partition
 from .memory import MemoryBudget
 from .stats import ExecutionStats
 
@@ -74,19 +78,15 @@ def regular_shuffle(
     if not frames:
         raise ValueError("no input frames")
     variables = frames[0].variables
-    key_indices = frames[0].indices_of(key)
-    outputs: list[list[tuple[int, ...]]] = [[] for _ in range(workers)]
-    sent = [0] * len(frames)
-    for producer, frame in enumerate(frames):
-        buckets = shuffle_partition(frame.rows, key_indices, workers, salt)
-        for destination, bucket in enumerate(buckets):
-            if bucket:
-                outputs[destination].extend(bucket)
-        sent[producer] = len(frame.rows)
-    received = [len(rows) for rows in outputs]
+    rows = concat_rows([frame.rows for frame in frames], len(variables))
+    outputs = shuffle_partition(
+        rows, frames[0].indices_of(key), workers, salt
+    )
+    sent = [len(frame) for frame in frames]
+    received = [len(bucket) for bucket in outputs]
     stats.record_shuffle(name, sent, received)
     _charge_shuffle(stats, phase, sent, received, memory)
-    return [Frame(variables, rows) for rows in outputs]
+    return [Frame(variables, bucket) for bucket in outputs]
 
 
 def broadcast(
@@ -99,15 +99,12 @@ def broadcast(
 ) -> list[Frame]:
     """Replicate the union of all fragments to every worker."""
     variables = frames[0].variables
-    all_rows: list[tuple[int, ...]] = []
-    sent = [0] * len(frames)
-    for producer, frame in enumerate(frames):
-        all_rows.extend(frame.rows)
-        sent[producer] = len(frame.rows) * workers
-    received = [len(all_rows)] * workers
+    rows = concat_rows([frame.rows for frame in frames], len(variables))
+    sent = [len(frame) * workers for frame in frames]
+    received = [len(rows)] * workers
     stats.record_shuffle(name, sent, received)
     _charge_shuffle(stats, phase, sent, received, memory)
-    return [Frame(variables, list(all_rows)) for _ in range(workers)]
+    return [Frame(variables, rows) for _ in range(workers)]
 
 
 def hypercube_shuffle(
@@ -136,17 +133,11 @@ def hypercube_shuffle(
             f"frame variables {variables} do not match atom {atom.alias}"
         )
     bound, offsets = mapping.frame_routing(atom, variables)
-    copies = len(offsets)
-    outputs: list[list[tuple[int, ...]]] = [[] for _ in range(workers)]
-    sent = [0] * len(frames)
-    for producer, frame in enumerate(frames):
-        buckets = hypercube_partition(frame.rows, bound, offsets, workers)
-        for destination, bucket in enumerate(buckets):
-            if bucket:
-                outputs[destination].extend(bucket)
-        sent[producer] = len(frame.rows) * copies
-    received = [len(rows) for rows in outputs]
+    rows = concat_rows([frame.rows for frame in frames], len(variables))
+    outputs = hypercube_partition(rows, bound, offsets, workers)
+    sent = [len(frame) * len(offsets) for frame in frames]
+    received = [len(bucket) for bucket in outputs]
     # idle workers beyond the integral configuration are not consumers
     stats.record_shuffle(name, sent, received[: mapping.workers_used])
     _charge_shuffle(stats, phase, sent, received, memory)
-    return [Frame(variables, rows) for rows in outputs]
+    return [Frame(variables, bucket) for bucket in outputs]

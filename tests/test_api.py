@@ -6,6 +6,7 @@ from repro.experiments.harness import run_grid
 from repro.planner.api import make_cluster, run_query
 from repro.planner.plans import HC_TJ
 from repro.storage.generators import twitter_database
+from repro.storage.relation import Database
 from repro.workloads import Q1
 
 TRIANGLE_TEXT = (
@@ -68,3 +69,36 @@ def test_make_cluster_loads_database(db):
     cluster = make_cluster(db, workers=3)
     assert cluster.workers == 3
     assert sum(len(f) for f in cluster.fragments("Twitter")) == len(db["Twitter"])
+
+
+class TestValueDomain:
+    """The python kernel backend computes over arbitrary ints; the numpy
+    backend's columns are int64, and a value outside is named."""
+
+    EDGES = [(1, 2), (2, 2**63), (2**63, 1), (2, 3)]
+    TRIANGLES = {(1, 2, 2**63), (2, 2**63, 1), (2**63, 1, 2)}
+    QUERY = "T(x,y,z) :- R(x,y), S(y,z), T(z,x)."
+
+    def database(self):
+        database = Database()
+        for name in "RST":
+            database.add_rows(name, ("a", "b"), self.EDGES)
+        return database
+
+    @pytest.mark.parametrize("strategy", ["RS_HJ", "HC_TJ"])
+    def test_python_backend_answers_beyond_int64(self, strategy):
+        result = run_query(
+            self.QUERY, self.database(), strategy=strategy, workers=4,
+            kernels="python",
+        )
+        assert len(result.rows) == 3 and set(result.rows) == self.TRIANGLES
+
+    @pytest.mark.parametrize("strategy", ["RS_HJ", "HC_TJ"])
+    def test_numpy_backend_names_the_value_it_cannot_hold(self, strategy):
+        with pytest.raises(
+            ValueError, match=rf"value {2**63} does not fit int64.*numpy"
+        ):
+            run_query(
+                self.QUERY, self.database(), strategy=strategy, workers=4,
+                kernels="numpy",
+            )

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.engine.cluster import Cluster
+from repro.engine.frame import atom_frame
+from repro.query.parser import parse_query
 from repro.storage.relation import Database
 
 
@@ -34,6 +36,22 @@ class TestCluster:
         fragment = cluster.fragment_relation("R", 1)
         assert fragment.columns == ("a", "b")
         assert fragment.rows == [(1, 2), (3, 4)]
+
+    def test_fragment_relation_shares_the_fragment_and_a_scan_leaves_it_alone(self):
+        """``fragment_relation`` runs once per worker, atom and query, over
+        rows the database validated when it was built: it neither copies nor
+        re-checks them, and the frame a scan hands out is the scan's own."""
+        cluster = Cluster(2)
+        cluster.load(make_db(6))
+        fragment = cluster.fragments("R")[1]
+        snapshot = list(fragment)
+        relation = cluster.fragment_relation("R", 1)
+        assert relation.rows is fragment
+        assert (relation.name, relation.columns) == ("R", ("a", "b"))
+        atom = parse_query("Q(x,y) :- R(x,y).").atoms[0]
+        frame = atom_frame(atom, relation, cluster.encoder())
+        assert frame.rows == snapshot and frame.rows is not fragment
+        assert fragment == snapshot and cluster.fragments("R")[1] is fragment
 
     def test_unknown_relation(self):
         cluster = Cluster(2)

@@ -8,6 +8,7 @@ projections, replicated hypercube routing, cross products).
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -63,6 +64,102 @@ def test_invalid_env_var_rejected(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# The column block
+# ----------------------------------------------------------------------
+
+
+ROWS = [(3, -1, 7), (0, 5, 2**40), (3, -1, 7), (9, 9, 9)]
+
+
+def test_block_reads_like_the_row_list_it_stands_for():
+    block = kernels.block_from_rows(ROWS)
+    assert len(block) == 4 and len(block.columns) == 3
+    assert all(column.dtype == np.int64 for column in block.columns)
+    assert list(block) == ROWS and block.tolist() == ROWS
+    assert [block[i] for i in range(4)] == ROWS
+    assert block[-1] == (9, 9, 9) and block[-4] == ROWS[0]
+    for out_of_range in (4, -5):
+        with pytest.raises(IndexError):
+            block[out_of_range]
+    # tuples of Python ints, never np.int64: results are hashed and printed
+    assert type(block[1]) is tuple and type(block[1][2]) is int
+    assert all(type(value) is int for row in block for value in row)
+    assert (3, -1, 7) in block and (3, -1, 8) not in block
+    assert kernels.as_block(block) is block
+    assert kernels.row_tuples(block) == ROWS and kernels.row_tuples(ROWS) is ROWS
+
+
+def test_block_slices_are_views():
+    block = kernels.block_from_rows(ROWS)
+    middle = block[1:3]
+    assert isinstance(middle, kernels.ColumnBlock)
+    assert middle == ROWS[1:3] and len(middle) == 2
+    assert all(
+        np.shares_memory(view, column)
+        for view, column in zip(middle.columns, block.columns)
+    )
+    assert block[::2] == ROWS[::2] and block[5:] == [] and block[:] == block
+
+
+def test_block_equality_is_by_content_both_ways():
+    block = kernels.block_from_rows(ROWS)
+    assert block == ROWS and ROWS == block
+    assert [block, block[:1]] == [ROWS, ROWS[:1]]  # as bucket lists compare
+    assert block != ROWS[:-1] and ROWS[::-1] != block
+    assert block == kernels.block_from_rows(list(ROWS))
+    assert block != kernels.block_from_rows([row[:2] for row in ROWS])
+    assert (block == 7) is False
+    with pytest.raises(TypeError):
+        hash(block)
+
+
+def test_block_pickles_as_the_rows_it_covers():
+    block = kernels.block_from_rows(random_rows(5000, 3, seed=30))
+    piece = block[100:110]
+    shipped = pickle.dumps(piece)
+    assert len(shipped) < 2000  # the slice's ten rows, not its 5000-row base
+    restored = pickle.loads(shipped)
+    assert isinstance(restored, kernels.ColumnBlock)
+    assert restored == piece and restored.tolist() == piece.tolist()
+
+
+def test_block_with_no_rows_or_no_columns():
+    empty = kernels.block_from_rows([])
+    assert len(empty) == 0 and empty == [] and list(empty) == [] and not empty
+    assert empty == kernels._empty_block(3)  # an empty block has no width to differ in
+    assert kernels._empty_block(3)[0:0] == []
+    unit = kernels.block_from_rows([(), (), ()])
+    assert len(unit) == 3 and unit.columns == ()
+    assert unit == [(), (), ()] and unit[1] == () and unit[1:] == [(), ()]
+    assert pickle.loads(pickle.dumps(unit)) == unit
+    with pytest.raises(IndexError):
+        unit[3]
+
+
+def test_value_outside_int64_is_named():
+    """int64 is the numpy backend's value domain; the one conversion says so
+    instead of numpy's bare OverflowError."""
+    rows = [(1, 2), (2, 2**63), (3, 4)]
+    with pytest.raises(ValueError, match=rf"value {2**63} does not fit int64"):
+        kernels.block_from_rows(rows)
+    with pytest.raises(ValueError, match=r"value -\d+ does not fit int64.*numpy"):
+        kernels.shuffle_partition([(0, -2**63 - 1)], [0], 4, backend="numpy")
+    # the python backend has no such limit; int64's own extremes fit
+    assert sum(map(len, kernels.shuffle_partition(rows, [1], 4, backend="python"))) == 3
+    extremes = [(-2**63, 2**63 - 1)]
+    assert kernels.block_from_rows(extremes).tolist() == extremes
+
+
+def test_concat_rows_follows_the_backend():
+    parts = [ROWS[:1], [], kernels.block_from_rows(ROWS[1:])]
+    merged = kernels.concat_rows(parts, 3, backend="numpy")
+    assert isinstance(merged, kernels.ColumnBlock) and merged == ROWS
+    assert kernels.concat_rows(parts, 3, backend="python") == ROWS
+    nothing = kernels.concat_rows([[], []], 3, backend="numpy")
+    assert len(nothing) == 0 and len(nothing.columns) == 3
+
+
+# ----------------------------------------------------------------------
 # Hashing and shuffle routing
 # ----------------------------------------------------------------------
 
@@ -91,6 +188,42 @@ def test_shuffle_partition_empty_and_single():
     one = [(7, 8)]
     assert kernels.shuffle_partition(one, [1], 4, backend="numpy") == \
         kernels.shuffle_partition(one, [1], 4, backend="python")
+
+
+def test_numpy_partitions_are_slices_of_one_gathered_block():
+    rows = random_rows(700, 2, seed=3)
+    buckets = kernels.shuffle_partition(rows, [0], 8, salt=5, backend="numpy")
+    assert all(isinstance(bucket, kernels.ColumnBlock) for bucket in buckets)
+    bases = {id(bucket.columns[0].base) for bucket in buckets if len(bucket)}
+    assert len(bases) == 1  # gathered once, then cut
+    # a block in, the same buckets out — nothing to convert
+    again = kernels.shuffle_partition(
+        kernels.block_from_rows(rows), [0], 8, salt=5, backend="numpy"
+    )
+    assert again == buckets
+
+
+def test_partitions_past_the_packed_index_limit_take_the_scalar_loop(monkeypatch):
+    """The radix partition keeps the flat row index in 32 bits; an exchange
+    beyond that runs the scalar loop over the block's tuples — same buckets."""
+    query = parse_query("T(x,y,z) :- R(x,y), S(y,z), T(z,x).")
+    mapping = HyperCubeMapping(
+        optimize_config(query, {a.alias: 1000 for a in query.atoms}, 16), seed=4
+    )
+    bound, offsets = mapping.frame_routing(query.atoms[0], query.atoms[0].variables())
+    assert len(offsets) > 1
+    rows = random_rows(300, 2, seed=3)
+    block = kernels.block_from_rows(rows)
+    expected = (
+        kernels.shuffle_partition(rows, [0], 4, backend="python"),
+        kernels.hypercube_partition(rows, bound, offsets, 16, backend="python"),
+    )
+    for limit in (300, 301, 300 * len(offsets), 300 * len(offsets) + 1):
+        monkeypatch.setattr(kernels, "_INDEX_LIMIT", limit)
+        assert (
+            kernels.shuffle_partition(block, [0], 4, backend="numpy"),
+            kernels.hypercube_partition(block, bound, offsets, 16, backend="numpy"),
+        ) == expected
 
 
 def test_hypercube_partition_matches_destinations_reference():
@@ -194,7 +327,8 @@ def test_hash_join_identical_with_duplicates():
 
 
 def test_hash_join_output_dominated_path():
-    # heavy-hitter key: output >> inputs exercises the scalar-emission path
+    # heavy-hitter key, output >> inputs: every right row fans out over all
+    # 200 matching left rows, in left scan order within right scan order
     left = [(1, i) for i in range(200)] + [(2, 0)]
     right = [(1, j) for j in range(200)]
     out = _join_both(left, right, [0], [0], [1])
@@ -208,6 +342,19 @@ def test_hash_join_cross_product_and_no_extra():
     # no new right columns: output rows are exactly the matching left rows
     out = _join_both(left, right, [0], [0], [])
     assert all(row in left for row in out)
+
+
+def test_hash_join_on_numpy_gathers_one_block():
+    left = kernels.block_from_rows(random_rows(300, 2, hi=30, seed=10))
+    right = random_rows(250, 2, hi=30, seed=11)
+    out = kernels.hash_join_rows(left, right, [1], [0], [1], backend="numpy")
+    assert isinstance(out, kernels.ColumnBlock) and len(out.columns) == 3
+    assert out == kernels.hash_join_rows(
+        left.tolist(), right, [1], [0], [1], backend="python"
+    )
+    # no match at all is an empty block of the output's width
+    disjoint = kernels.hash_join_rows(left, [(99, 1)], [1], [0], [1], backend="numpy")
+    assert len(disjoint) == 0 and len(disjoint.columns) == 3
 
 
 def test_hash_join_empty_sides():
@@ -254,6 +401,29 @@ def test_project_rows_identical():
         vec = kernels.project_rows(rows, indices, backend="numpy")
         assert py == vec
     assert kernels.project_rows([], [0], backend="numpy") == []
+
+
+def test_project_rows_dedup_keeps_first_seen_order():
+    rows = random_rows(400, 3, hi=4, seed=15)  # 64 possible rows: many repeats
+    wide = [(r[0] * 2**40, r[1] * 2**40, r[2]) for r in rows]  # unpackable keys
+    for source in (rows, wide):
+        for indices in ([0, 1, 2], [2, 0], [1], []):
+            py = kernels.project_rows(source, indices, backend="python", dedup=True)
+            vec = kernels.project_rows(source, indices, backend="numpy", dedup=True)
+            assert py == vec and isinstance(vec, kernels.ColumnBlock)
+            assert len(py) == len(set(py))
+
+
+def test_select_rows_is_one_mask_on_numpy():
+    query = parse_query("C(x,y,z) :- R(x,y), S(y,z), x < z, y >= 10, y != 12.")
+    x, y, z = query.head
+    rows = random_rows(500, 3, hi=25, seed=16)
+    py = kernels.select_rows(rows, (x, y, z), query.comparisons, backend="python")
+    vec = kernels.select_rows(rows, (x, y, z), query.comparisons, backend="numpy")
+    assert py == vec and isinstance(vec, kernels.ColumnBlock)
+    assert py == [r for r in rows if r[0] < r[2] and r[1] >= 10 and r[1] != 12]
+    # a comparison on a variable the rows do not bind is deferred, not applied
+    assert kernels.select_rows(rows, (x, y), query.comparisons[:1], backend="numpy") == rows
 
 
 # ----------------------------------------------------------------------

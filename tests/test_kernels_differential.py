@@ -10,13 +10,22 @@ backend interchangeably.
 
 import pytest
 
-from repro.engine.kernels import use_backend
+from repro.engine import kernels, runtime as runtime_module
+from repro.engine.frame import Frame
+from repro.engine.kernels import ColumnBlock, use_backend
+from repro.engine.runtime import resolve_runtime
+from repro.engine.scheduler import PlanExecution
+from repro.engine.shm import SHARED_MIN_ROWS
+from repro.engine.stats import ExecutionStats
 from repro.leapfrog.tributary import SeekBudgetExceeded, TributaryJoin
-from repro.planner.api import run_query
+from repro.planner.api import make_cluster, run_query
+from repro.planner.physical import Exchange, LocalHashJoin, Scan, lower
 from repro.planner.plans import ALL_STRATEGIES
+from repro.query.catalog import Catalog
 from repro.query.parser import parse_query
 from repro.storage.generators import twitter_database
 from repro.storage.relation import Relation
+from repro.workloads.registry import WORKLOADS
 
 TRIANGLE = parse_query(
     "T(x,y,z) :- R:Twitter(x,y), S:Twitter(y,z), T:Twitter(z,x)."
@@ -100,6 +109,124 @@ def test_kernels_compose_with_parallel_runtime():
         TRIANGLE, db, strategy="HC_TJ", workers=6, runtime="parallel:3",
         kernels="numpy",
     )
+    assert_identical(python, numpy)
+
+
+# ----------------------------------------------------------------------
+# The representation: columnar from the first exchange to the result
+# ----------------------------------------------------------------------
+
+
+def _stepped(strategy, backend, monkeypatch):
+    """Q1 at unit scale, stepped to the end under ``backend``: the plan, the
+    slots the scheduler bound, the result, and the size of every row list
+    that was converted into a block on the way."""
+    workload = WORKLOADS["Q1"]
+    database = workload.dataset("unit")
+    converted = []
+    convert = kernels.block_from_rows
+
+    def spying_conversion(rows):
+        converted.append(len(rows))
+        return convert(rows)
+
+    monkeypatch.setattr(kernels, "block_from_rows", spying_conversion)
+    physical = lower(workload.query, strategy, Catalog(database))
+    cluster = make_cluster(database, workers=8)
+    stats = ExecutionStats(
+        query=workload.query.name, strategy=strategy, workers=cluster.workers
+    )
+    with use_backend(backend):
+        execution = PlanExecution(physical, cluster, stats, resolve_runtime("serial"))
+        try:
+            while not execution.finished:
+                execution.step()
+        finally:
+            execution.close()
+        run = execution.finalize()
+    return physical, execution._state.slots, run, converted
+
+
+@pytest.mark.parametrize("strategy", ["RS_HJ", "BR_HJ", "HC_HJ", "HC_TJ"])
+def test_numpy_frames_are_converted_once_and_stay_columnar(strategy, monkeypatch):
+    physical, slots, run, converted = _stepped(strategy, "numpy", monkeypatch)
+    ops = [op for round_ in physical.rounds for op in round_.ops]
+    scanned = sum(
+        len(frame) for op in ops if isinstance(op, Scan) for frame in slots[op.out]
+    )
+    # every scanned row became columnar exactly once, and nothing else ever
+    # did: no intermediate is converted (or converted back) between operators
+    assert scanned and sum(converted) == scanned
+    bound = 0
+    for op in ops:
+        if isinstance(op, Exchange) and op.skip_if_anchor and op.input == run.anchor:
+            continue  # the broadcast anchor stays where the scan put it
+        if isinstance(op, (Exchange, LocalHashJoin)):
+            assert all(isinstance(frame.rows, ColumnBlock) for frame in slots[op.out])
+            bound += 1
+    assert bound >= 3
+    # ... and tuples are made once, at the result: plain ints in plain tuples
+    assert type(run.rows) is list and run.rows
+    assert all(type(row) is tuple for row in run.rows)
+    assert all(type(value) is int for row in run.rows for value in row)
+
+
+@pytest.mark.parametrize("strategy", ["RS_HJ", "HC_TJ"])
+def test_python_frames_are_lists_throughout(strategy, monkeypatch):
+    _, slots, run, converted = _stepped(strategy, "python", monkeypatch)
+    assert not converted
+    frames = [v for values in slots.values() for v in values if isinstance(v, Frame)]
+    assert frames and all(type(frame.rows) is list for frame in frames)
+    assert type(run.rows) is list and all(type(row) is tuple for row in run.rows)
+
+
+@pytest.mark.parametrize(
+    "name, strategy",
+    [
+        ("Q7", "RS_HJ"),  # scan filter: y >= 1990 AND y < 2000
+        ("Q7", "HC_HJ"),
+        ("Q4", "RS_HJ"),  # join filter: f1 > f2
+        ("Q8", "HYBRID"),  # de-duplicating ScanIntermediate at the boundary
+    ],
+)
+def test_filters_and_dedup_identical_across_kernel_backends(name, strategy):
+    workload = WORKLOADS[name]
+    database = workload.dataset("unit")
+    python = run_query(
+        workload.query, database, strategy=strategy, workers=8, kernels="python"
+    )
+    numpy = run_query(
+        workload.query, database, strategy=strategy, workers=8, kernels="numpy"
+    )
+    assert not python.failed and python.rows
+    assert_identical(python, numpy)  # row for row, order included
+
+
+def test_large_blocks_cross_the_process_pipe_as_blocks(monkeypatch):
+    """Per-worker frames above the size the shared-memory transport starts
+    at: on numpy kernels they are column blocks and are pickled as they are."""
+    shipped = []
+    encode = runtime_module._encode_payload
+
+    def spying_encode(item):
+        encoded = encode(item)
+        if isinstance(item, Frame):
+            shipped.append((item, encoded))
+        return encoded
+
+    monkeypatch.setattr(runtime_module, "_encode_payload", spying_encode)
+    db = twitter_database(nodes=30_000, edges=34_000, seed=3)
+    numpy = run_query(
+        TWO_PATH, db, strategy="RS_HJ", workers=2, runtime="parallel:2:proc",
+        kernels="numpy",
+    )
+    assert any(
+        len(frame) > SHARED_MIN_ROWS and isinstance(frame.rows, ColumnBlock)
+        for frame, _ in shipped
+    )
+    assert all(encoded is frame for frame, encoded in shipped)
+    python = run_query(TWO_PATH, db, strategy="RS_HJ", workers=2, kernels="python")
+    assert len(python.rows) > SHARED_MIN_ROWS
     assert_identical(python, numpy)
 
 

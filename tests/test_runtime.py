@@ -7,6 +7,7 @@ from functools import partial
 
 import pytest
 
+from repro.engine import runtime as runtime_module
 from repro.engine.faults import (
     FaultPlan,
     FaultSession,
@@ -25,7 +26,7 @@ from repro.engine.runtime import (
     resolve_runtime,
 )
 from repro.engine.scheduler import _run_join_op, _run_local_batch
-from repro.engine.shm import SHARED_MIN_ROWS
+from repro.engine.shm import SHARED_MIN_ROWS, share_rows
 from repro.engine.stats import ExecutionStats
 from repro.planner.physical import LocalTributaryJoin
 from repro.query.atoms import Variable
@@ -490,6 +491,42 @@ def test_session_child_killed_between_rounds_is_reported_by_the_next():
             _round(runtime, _pid_runner)
     finally:
         runtime.close_session()
+
+
+def test_inputs_shipped_to_a_dead_child_are_unlinked(monkeypatch):
+    """The second child is killed before the round: the row-list frame
+    encoded for it sits in ``/dev/shm`` with nobody left to load it, so the
+    runtime that reports the missing reply reclaims it too (the survivor's
+    segment is unlinked by the survivor loading it)."""
+    _shm_segments()  # skips where there is no /dev/shm
+    handles = []
+
+    def spying_share_rows(rows):
+        handle = share_rows(rows)
+        handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(runtime_module, "share_rows", spying_share_rows)
+    runtime = ProcessRuntime(processes=2)
+    runtime.open_session()
+    try:
+        victim = runtime._session[1].process
+        victim.kill()
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        payloads = {
+            worker: {"in": Frame(("x", "y"), [(worker, i) for i in range(20_000)])}
+            for worker in range(2)
+        }
+        with pytest.raises(RuntimeError, match=rf"session child {victim.pid} died"):
+            runtime.map_local(
+                range(2), _pid_runner, payloads, ExecutionStats(workers=2),
+                MemoryBudget(per_worker_tuples=None),
+            )
+    finally:
+        runtime.close_session()
+    assert len(handles) == 2 and None not in handles  # one segment per child
+    assert not {handle.name for handle in handles} & _shm_segments()
 
 
 def test_failure_after_the_shared_walk_is_its_own_workers():
