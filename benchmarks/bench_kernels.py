@@ -176,13 +176,14 @@ def bench_workload(workload, scale: str, repeats: int) -> dict:
         # seek the median second-column value of each run: realistic
         # mid-block landings, deterministic per dataset
         targets = sorted_columns[1][(starts + ends) // 2]
-        prefixes = level0[starts]
+        ceiling = min(lows[1] + spans[1], 2**63 - 1)
+        shift = level0[starts] * spans[1] - lows[1]
         seek_args = list(zip(targets.tolist(), starts.tolist(), ends.tolist()))
 
         def run_seeks():
             if kernels.get_backend() == "numpy":
-                return kernels.batched_seek_lower_bounds(
-                    packed_levels[1], prefixes, targets, lows[1], spans[1]
+                return packed_levels[1].searchsorted(
+                    kernels.seek_targets(targets, ceiling, shift)
                 ).tolist()
             return [
                 kernels.lower_bound(sorted_rows, 1, value, lo, hi)

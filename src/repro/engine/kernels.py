@@ -591,14 +591,14 @@ def packed_key_levels(
 ) -> Optional[tuple[list[np.ndarray], list[int], list[int]]]:
     """Per-depth packed prefix keys of a sorted ``(width, n)`` column array.
 
-    ``packed[d]`` holds one uint64 per row encoding the row's key prefix of
+    ``packed[d]`` holds one int64 per row encoding the row's key prefix of
     length ``d + 1`` (``packed[d] = packed[d-1] * span_d + (col_d - low_d)``).
     Because the rows are sorted lexicographically, every ``packed[d]`` is
     globally non-decreasing, so a binary search *within one trie block* is
     the same as a single global ``np.searchsorted`` over ``packed[d]`` —
     which is what lets :mod:`~repro.leapfrog.vectorized` batch the seeks of
     thousands of sibling trie contexts into one call.  A row's ``d``-th
-    key is recoverable as ``packed[d] % span_d + low_d``.
+    key is recoverable as ``packed[d] - packed[d-1] * span_d + low_d``.
 
     Given a *sequence* of such arrays (equal width, each sorted — one per
     simulated worker), the keys cover their concatenation and the array's
@@ -609,8 +609,9 @@ def packed_key_levels(
     the columns ever exists.
 
     Returns ``(packed levels, lows, spans)``, or ``None`` when the
-    cumulative span product does not fit 64 bits (callers fall back to the
-    scalar iterator).
+    cumulative span product does not stay below ``2**63`` (callers fall
+    back to the scalar iterator) — so packed keys, and a prefix times its
+    span plus any offset up to the span, are exact in int64.
     """
     segments = [columns] if isinstance(columns, np.ndarray) else list(columns)
     width = segments[0].shape[0]
@@ -626,18 +627,16 @@ def packed_key_levels(
         low = min(int(segment[depth].min()) for segment in segments)
         span = max(int(segment[depth].max()) for segment in segments) - low + 1
         capacity *= span
-        if capacity >= 2**63:  # conservative headroom below 2**64
+        if capacity >= 2**63:
             return None
-        current = np.empty(int(bounds[-1]), dtype=np.uint64)
-        stride = np.uint64(span)
+        current = np.empty(int(bounds[-1]), dtype=np.int64)
         for index, (segment, rows) in enumerate(zip(segments, slices)):
-            # the offsets are non-negative, so the int64 -> uint64 cast on
-            # the way out is exact
-            np.subtract(segment[depth], low, out=current[rows], casting="unsafe")
+            # span < 2**63, so the offsets cannot wrap
+            np.subtract(segment[depth], low, out=current[rows])
             if previous is not None:
-                current[rows] += previous[rows] * stride
+                current[rows] += previous[rows] * span
             elif index:
-                current[rows] += np.uint64(index) * stride
+                current[rows] += index * span
         packed_levels.append(current)
         lows.append(low)
         spans.append(span)
@@ -655,26 +654,26 @@ def run_bounds(packed: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return packed.searchsorted(packed[positions], side="right")
 
 
-def batched_seek_lower_bounds(
-    packed: np.ndarray,
-    prefix_keys: np.ndarray,
-    values: np.ndarray,
-    low: int,
-    span: int,
-) -> np.ndarray:
-    """Batched LFTJ ``seek``: first index whose key under ``prefix`` is
-    ``>= value``, for many (prefix, value) pairs at once.
+def seek_targets(values: np.ndarray, ceiling, shift, past=0) -> np.ndarray:
+    """Packed search targets of a batch of LFTJ ``seek`` calls: searching
+    ``packed[d]`` for them (``side="left"``) lands every seek on the first
+    row under its prefix whose key is ``>= value``, or on the end of the
+    prefix's block.
 
-    ``prefix_keys`` are the packed keys *above* this level (zeros at level
-    0); ``values`` are the seek targets.  Clipping the target offset into
-    ``[0, span]`` makes out-of-range targets resolve to the run start /
-    run end exactly like the scalar binary search bounded by the block.
+    Per value, or one for all: ``ceiling = min(low + span, 2**63 - 1)`` and
+    ``shift = prefix * span - low`` of the level searched.  ``past`` (0/1
+    per value) asks for the first key *above* an in-range value instead —
+    ``next()`` is ``seek(key + 1)``.  A value must not be below ``low`` (a
+    leapfrog's max key never is: the seeking iterator sits below it).
+
+    The value is clamped before anything is added: a key ``2**63`` or more
+    above ``low`` would wrap ``value - low`` back into the range, and
+    ``key + 1`` wraps at the top of int64.  After the clamp the sum is
+    ``prefix * span + offset`` with ``0 <= offset <= span``, which fits, so
+    a ``shift`` that itself wrapped (a very negative ``low``) still adds up
+    exactly.
     """
-    # minimum/maximum, not np.clip: the walk calls this on a few dozen
-    # targets at a time, where clip's Python wrapper is half the call
-    offsets = np.minimum(np.maximum(values - low, 0), span).astype(np.uint64)
-    targets = prefix_keys * np.uint64(span) + offsets
-    return packed.searchsorted(targets, side="left")
+    return np.minimum(values, ceiling) + shift + past
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from ..query.atoms import ConjunctiveQuery, Variable
 from .shares import FractionalShares, expected_load, fractional_shares
 
@@ -107,10 +109,21 @@ def optimize_config(
     order = tuple(query.join_variables())
     if not order:
         return HyperCubeConfig(query.name, order, {})
+    configs = list(enumerate_configs(order, workers))
+    # workload(c) of every configuration at once: one array expression per
+    # atom, in expected_load's operation order, so each load is the very
+    # float the per-configuration call returns
+    sizes_of = dict(zip(order, np.asarray(configs, dtype=np.float64).T))
+    loads = np.zeros(len(configs))
+    for atom in query.atoms:
+        divisor = np.ones(len(configs))
+        for variable in atom.variables():
+            if variable in sizes_of:
+                divisor = divisor * sizes_of[variable]
+        loads = loads + cardinalities[atom.alias] / divisor
     best_sizes: tuple[int, ...] | None = None
     best_load = float("inf")
-    for sizes in enumerate_configs(order, workers):
-        load = workload(query, cardinalities, order, sizes)
+    for sizes, load in zip(configs, loads.tolist()):
         if best_sizes is None or load < best_load - 1e-12:
             best_sizes, best_load = sizes, load
         elif abs(load - best_load) <= 1e-12 and max(sizes) < max(best_sizes):

@@ -315,7 +315,8 @@ def run_joins(joins: Sequence[TributaryJoin]) -> list[list[tuple[int, ...]]]:
     worker's sliver of the data.  When the batch does not pack into 63
     bits the joins are walked one at a time, and only a join that does not
     pack alone either counts a scalar walk — so ``scalar_walks`` does not
-    depend on how joins were dealt into batches.
+    depend on how joins were dealt into batches.  Joins that shared a walk
+    are spent: their sorted columns are released once packed.
     """
     from .vectorized import VectorizedTributaryRun
 
@@ -326,6 +327,11 @@ def run_joins(joins: Sequence[TributaryJoin]) -> list[list[tuple[int, ...]]]:
         shared = VectorizedTributaryRun.build(batch)
     if shared is None:
         return [join.run() for join in joins]
+    # the walk reads the packed keys only, so the batch stops keeping its
+    # joins' sorted columns alive (a declined batch, above, still needs them)
+    for join in batch:
+        for prepared in join._prepared:
+            prepared.iterator.relation.release_columns()
     results: list[list[tuple[int, ...]]] = [[] for _ in joins]
     try:
         for rows, bounds in shared.blocks():

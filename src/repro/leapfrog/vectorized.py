@@ -19,11 +19,11 @@ frontiers a few contexts wide; walking them together is what fills the
 batches.  A single join (:meth:`TributaryJoin.iterate`) is the same walk
 with one segment.
 
-Counted-metric contract (enforced by ``tests/test_wcoj_differential.py``):
-result rows, their order, ``TributaryStats.seeks`` / ``results`` /
-``sort_cost`` / ``sorted_tuples``, and the per-iterator ``seeks`` counters
-of every join are bit-identical to walking it alone with the scalar
-backend.  The walk replicates the scalar seek accounting exactly:
+Counted-metric contract (``tests/test_wcoj_differential.py``,
+``tests/test_lockstep.py``): result rows, their order, ``TributaryStats``
+and the per-iterator ``seeks`` counters of every join are bit-identical to
+walking it alone with the scalar backend.  The walk replicates the scalar
+seek accounting exactly:
 
 - ``open``      → 1 seek (the block-end upper bound);
 - ``next``      → 1 seek when a new key exists, 0 on exhaustion;
@@ -43,10 +43,10 @@ Execution shape:
 
 - a level with one participant is expanded **wholesale** from precomputed
   run boundaries; with several participants it runs the **lockstep
-  leapfrog**: per-context cursor arrays advance in the same round-robin
-  order as the scalar algorithm, grouped by acting participant so each
-  step is at most a few ``searchsorted`` calls per participant.  The root
-  is a level like any other: one context per join;
+  leapfrog**: every live context steps once per iteration, in the scalar
+  algorithm's round-robin order, and a step is one ``searchsorted`` per
+  participant (:meth:`VectorizedTributaryRun._lockstep`).  The root is a
+  level like any other: one context per join;
 - the level-0 frontier is descended to the deepest level in **chunks** of
   at most ``_CHUNK_CAP`` contexts, each emitted as one block.  A lone
   join's frontier is cut into at least two chunks — the HoneyComb-style
@@ -128,8 +128,7 @@ class _AtomArrays:
 
     def keys(self, level: int, rows: np.ndarray) -> np.ndarray:
         """The ``level``-th key of the given rows, decoded from the pack."""
-        digits = self.packed[level][rows] % np.uint64(self.spans[level])
-        return digits.astype(np.int64) + self.lows[level]
+        return self.packed[level][rows] % self.spans[level] + self.lows[level]
 
     def runs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(starts, ends) of the equal-key runs of ``packed[level]``."""
@@ -346,118 +345,119 @@ class VectorizedTributaryRun:
         return parent_idx, values, {index: (child_lo, child_hi)}
 
     def _lockstep(self, part, depth, segment, block_lo, block_hi):
-        """Round-robin leapfrog over arrays of contexts.
+        """Round-robin leapfrog over arrays of contexts, one binary search
+        per participant and step.
 
-        Per-context state mirrors the scalar algorithm exactly — cursor
-        position/block-end per participant, the stable initial-key slot
-        order, the acting-pointer ``p``, and ``max_key`` — advanced for all
-        live contexts at once, grouped by acting participant so each step
-        costs at most three ``searchsorted`` batches per participant.
+        Every live context steps once per iteration and the turn is shared:
+        on turn ``t`` a context moves the iterator in slot ``t`` of its
+        stable initial-key order, as the scalar algorithm does.  Cursor
+        state is flat, indexed ``participant * n + context``: the position
+        ``pos``, the block end ``his`` and ``base``, the packed prefix times
+        the level's span (a key is ``packed[pos] - base + low``).  A context
+        carries only ``top``, the scalar ``max_key``, and ``same``, how many
+        of its iterators sit on it: all ``k`` is a hit.  ``next()`` is
+        ``seek(key + 1)``, so one lower bound serves hits and misses.  The
+        block-end search after every ``open``/``next``/``seek`` is charged
+        but not performed: only the emitted blocks of participants walked
+        further down need their ends, found once for the whole level.
         """
-        count = len(part)
-        context_count = segment.size
-        levels = [self._levels[(i, depth)] for i in part]
-        arrays = [self.arrays[i] for i in part]
-        shape = (count, context_count)
-        pos = np.empty(shape, dtype=np.int64)
-        end = np.empty(shape, dtype=np.int64)
-        his = np.empty(shape, dtype=np.int64)
-        keys = np.empty(shape, dtype=np.int64)
+        k, n = len(part), segment.size
+        packs, lows, ceilings = [], [], []
+        base = np.empty(k * n, dtype=np.int64)
+        keys = np.empty((k, n), dtype=np.int64)
         for j, i in enumerate(part):
-            pos[j] = block_lo[i]
-            end[j] = kernels.run_bounds(arrays[j].packed[levels[j]], pos[j])
-            his[j] = block_hi[i]
-            keys[j] = arrays[j].keys(levels[j], pos[j])
-        # seeks per (participant, context); every open() pays its block-end
-        # upper bound up front
-        seeks = np.ones(shape, dtype=np.int64)
-        slot_order = np.argsort(keys, axis=0, kind="stable")
-        max_key = keys.max(axis=0)
-        pointer = np.zeros(context_count, dtype=np.int64)
-        acting = np.arange(context_count, dtype=np.int64)
-        # whether any participant's hit blocks are needed further down
-        carried = not set(part).isdisjoint(self._carried[depth])
-        emit_ctx: list[np.ndarray] = []
-        emit_val: list[np.ndarray] = []
-        emit_pos: list[np.ndarray] = []
-        emit_end: list[np.ndarray] = []
+            arrays = self.arrays[i]
+            level = self._levels[(i, depth)]
+            low, span = arrays.lows[level], arrays.spans[level]
+            packs.append(arrays.packed[level])
+            lows.append(low)
+            ceilings.append(min(low + span, 2**63 - 1))
+            prefix = arrays.packed[level - 1][block_lo[i]] if level else segment
+            own = base[j * n:(j + 1) * n]
+            np.multiply(prefix, span, out=own)
+            keys[j] = packs[j][block_lo[i]] - own + low
+        lows, ceilings = np.asarray([lows, ceilings], dtype=np.int64)
+        pos = np.concatenate([block_lo[i] for i in part])
+        his = np.concatenate([block_hi[i] for i in part])
+        slots = np.argsort(keys, axis=0, kind="stable")
+        top = keys.max(axis=0)
+        same = np.count_nonzero(keys == top, axis=0)
+        acting = np.arange(n, dtype=np.int64)
+        # whose hit blocks are walked further down
+        carried = [j for j, i in enumerate(part) if i in self._carried[depth]]
+        # flat indices of every step taken, every hit, every step off a block
+        stepped, emit_at, ran_off = [], [], []
+        emit_val, emit_pos = [], []
+        # what a turn reads of the flat state depends only on who is alive:
+        # gathered when the turn comes round, kept until a context dies
+        plans = [None] * k
+        turn = 0
         while acting.size:
-            current = slot_order[pointer[acting], acting]
-            top = max_key[acting]
-            agreed = keys[current, acting] == top
-            # a hit costs its acting iterator one seek (next()'s block-end
-            # bound), a miss two (seek()'s lower bound, then the block end);
-            # an iterator that runs off its block skips the block-end bound
-            seeks[current, acting] += 2 - agreed
-            # next(): hop to the block end (misses are overwritten below)
-            new_pos = end[current, acting]
-            hit_count = np.count_nonzero(agreed)
-            if hit_count:
-                hits = acting[agreed]
-                emit_ctx.append(hits)
-                emit_val.append(top[agreed])
+            plan = plans[turn]
+            if plan is None:
+                who = slots[turn][acting]
+                at = who * n + acting
+                # base - low may wrap; seek_targets says why that is exact
+                plan = plans[turn] = (
+                    at, his[at], ceilings[who], base[at] - lows[who],
+                    [(who == j).nonzero()[0] for j in range(k)],
+                )
+            at, end, ceiling, shift, groups = plan
+            stepped.append(at)
+            hit = same == k
+            if np.count_nonzero(hit):
+                emit_at.append(at[hit])
+                emit_val.append(top[hit])
                 if carried:
-                    emit_pos.append(pos[:, hits])
-                    emit_end.append(end[:, hits])
-            if hit_count < acting.size:
-                missed = ~agreed
-                for j in range(count):
-                    mine = (missed & (current == j)).nonzero()[0]
-                    if mine.size == 0:
-                        continue
-                    # seek(max_key): one batched lower bound under the
-                    # context's prefix — its segment at the top level
-                    seeking = acting[mine]
-                    level = levels[j]
-                    if level > 0:
-                        prefixes = arrays[j].packed[level - 1][pos[j, seeking]]
-                    else:
-                        prefixes = segment[seeking].astype(np.uint64)
-                    new_pos[mine] = kernels.batched_seek_lower_bounds(
-                        arrays[j].packed[level],
-                        prefixes,
-                        top[mine],
-                        arrays[j].lows[level],
-                        arrays[j].spans[level],
+                    emit_pos.append(
+                        pos.reshape(k, n).take(acting[hit], axis=1)
                     )
-            exhausted = new_pos >= his[current, acting]
-            if np.count_nonzero(exhausted):
-                seeks[current[exhausted], acting[exhausted]] -= 1
-                alive = ~exhausted
+            targets = kernels.seek_targets(top, ceiling, shift, hit)
+            landed = np.empty_like(targets)
+            fresh = np.empty_like(targets)
+            for j, mine in enumerate(groups):
+                if mine.size:
+                    found = packs[j].searchsorted(targets[mine])
+                    landed[mine] = found
+                    # past the array only when past the block: dropped below
+                    fresh[mine] = packs[j].take(found, mode="clip")
+            fresh -= shift
+            alive = landed < end
+            if np.count_nonzero(alive) < alive.size:
+                ran_off.append(at[~alive])
                 acting = acting[alive]
                 if acting.size == 0:
                     break
-                current = current[alive]
-                new_pos = new_pos[alive]
-            pos[current, acting] = new_pos
-            for j in range(count):
-                mine = (current == j).nonzero()[0]
-                if mine.size == 0:
-                    continue
-                landed = new_pos[mine]
-                contexts = acting[mine]
-                level = levels[j]
-                end[j, contexts] = kernels.run_bounds(
-                    arrays[j].packed[level], landed
-                )
-                fresh = arrays[j].keys(level, landed)
-                keys[j, contexts] = fresh
-                max_key[contexts] = fresh
-            pointer[acting] = (pointer[acting] + 1) % count
+                at, landed, fresh = at[alive], landed[alive], fresh[alive]
+                top, same = top[alive], same[alive]
+                plans = [None] * k
+            pos[at] = landed
+            same = same * (fresh == top) + 1
+            top = fresh
+            turn = (turn + 1) % k
+        # open() pays its block end; a step pays a lower bound and a block
+        # end, less the lower bound on a hit (next() has none) and the block
+        # end when the iterator runs off its block
+        seeks = (
+            1
+            + 2 * np.bincount(np.concatenate(stepped), minlength=k * n)
+            - np.bincount(np.concatenate(emit_at + ran_off), minlength=k * n)
+        )
         for j, i in enumerate(part):
-            self._count(i, segment, seeks[j])
-        if not emit_ctx:
+            self._count(i, segment, seeks[j * n:(j + 1) * n])
+        if not emit_val:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, {}
-        all_ctx = np.concatenate(emit_ctx)
+        all_ctx = np.concatenate(emit_at) % n
         # chronological emissions per context are ascending; a stable sort
         # on the context index restores global depth-first order
         order = np.argsort(all_ctx, kind="stable")
         blocks = {}
         if carried:
-            all_pos = np.concatenate(emit_pos, axis=1)[:, order]
-            all_end = np.concatenate(emit_end, axis=1)[:, order]
-            blocks = {i: (all_pos[j], all_end[j]) for j, i in enumerate(part)}
+            all_pos = np.concatenate(emit_pos, axis=1)
+            for j in carried:
+                lo = all_pos[j][order]
+                blocks[part[j]] = (lo, kernels.run_bounds(packs[j], lo))
         return all_ctx[order], np.concatenate(emit_val)[order], blocks
 
     # ------------------------------------------------------------------

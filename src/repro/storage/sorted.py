@@ -114,6 +114,12 @@ class SortedRelation:
     def __len__(self) -> int:
         return self._length
 
+    def release_columns(self) -> None:
+        """Drop the numpy column store, for a holder that has copied what it
+        needs of it (the batched walk's packed keys).  The length and
+        ``sort_cost`` remain; rows and seeks are no longer answerable."""
+        self._columns_array = None
+
     def depth(self) -> int:
         """Number of key columns (the length of the sort order)."""
         return len(self.order)

@@ -1,6 +1,7 @@
 """Tests for Algorithm 1 (integral HyperCube configuration search)."""
 
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.hypercube.config import (
     enumerate_configs,
     optimize_config,
     round_down_config,
+    workload,
 )
 from repro.hypercube.shares import optimal_fractional_workload
 from repro.query.atoms import Variable
@@ -107,6 +109,43 @@ class TestOptimizeConfig:
                     query, cards, round_down_config(query, cards, workers)
                 )
                 assert ours <= down + 1e-9
+
+
+def scan_one_configuration_at_a_time(query, cardinalities, workers):
+    """Algorithm 1 as written: one ``workload(c)`` call per configuration."""
+    order = tuple(query.join_variables())
+    best_sizes, best_load = None, float("inf")
+    for sizes in enumerate_configs(order, workers):
+        load = workload(query, cardinalities, order, sizes)
+        if best_sizes is None or load < best_load - 1e-12:
+            best_sizes, best_load = sizes, load
+        elif abs(load - best_load) <= 1e-12 and max(sizes) < max(best_sizes):
+            best_sizes, best_load = sizes, load
+    return best_sizes
+
+
+class TestArrayLoadsMatchTheScan:
+    """``optimize_config`` prices every configuration in one array
+    expression per atom; the choice must be the per-configuration scan's,
+    near-ties (third-of-a-tuple loads, skewed sizes) included."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 7, 15, 63, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_choice(self, workers, seed):
+        rng = random.Random(seed)
+        for query in (TRIANGLE, CLIQUE4):
+            cards = {
+                atom.alias: rng.choice([1, 3, 7, 1000, 10**6 + 1, 999_983])
+                for atom in query.atoms
+            }
+            expected = scan_one_configuration_at_a_time(query, cards, workers)
+            assert optimize_config(query, cards, workers).dim_sizes() == expected
+
+    def test_variable_outside_the_join_counts_as_one(self):
+        query = parse_query("Q(a) :- N(aw, c), HA(h, aw), HC(h, a), HY(h, y).")
+        cards = {"N": 1, "HA": 90_000, "HC": 120_000, "HY": 17_000}
+        expected = scan_one_configuration_at_a_time(query, cards, 64)
+        assert optimize_config(query, cards, 64).dim_sizes() == expected
 
 
 class TestConfigObject:

@@ -223,3 +223,87 @@ class TestSeekBudget:
             TRIANGLE, {"R": relation, "S": relation, "T": relation}
         )
         assert join.max_seeks is None
+
+
+class TestKeysFarApart:
+    """Two atoms whose keys lie ``2**63`` or more apart: each packs alone
+    (its own span is 4), but a seek target minus the other atom's low does
+    not fit int64.  The vectorized walk once wrapped it and landed on the
+    block start instead of running off the end (5 seeks, not 3)."""
+
+    BOUND = 3 * 2**61
+
+    @pytest.mark.parametrize(
+        "text, seeks",
+        [
+            ("Q(x,y,z) :- R(x,y), S(x,z).", [2, 1]),
+            ("Q(x,y,z) :- S(x,z), R(x,y).", [1, 2]),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_seek_past_a_distant_range_runs_off_the_block(
+        self, text, seeks, backend
+    ):
+        from repro.engine.kernels import use_backend
+
+        b = self.BOUND
+        relations = {
+            "R": Relation("R", ("a", "b"), [(-b, 1), (-b + 3, 2)]),
+            "S": Relation("S", ("a", "b"), [(b - 7, 1), (b - 4, 2)]),
+        }
+        with use_backend(backend):
+            join = TributaryJoin(parse_query(text), relations)
+            assert join.run() == []
+        assert [p.iterator.seeks for p in join._prepared] == seeks
+        assert join.stats.seeks == 3
+        assert join.stats.scalar_walks == 0
+
+
+class TestBatchReleasesSortedColumns:
+    """Joins that share a walk give up their sorted columns once the packed
+    keys exist; a declined batch keeps them, because it still walks them.
+    Rows, stats and per-iterator seeks are what one join at a time gives
+    (the workers' ledgers: ``test_batched_local_join_ledgers_identical``)."""
+
+    QUERY = parse_query("Q(x,y,z) :- R(x,y), S(y,z), T(z,x).")
+
+    @staticmethod
+    def _columns(joins):
+        return [
+            p.iterator.relation._columns_array
+            for join in joins
+            for p in join._prepared
+        ]
+
+    def _run_both_ways(self, fragments):
+        from repro.engine.kernels import use_backend
+        from repro.leapfrog.tributary import run_joins
+        from tests.test_wcoj_differential import _snapshot
+
+        with use_backend("numpy"):
+            alone = [TributaryJoin(self.QUERY, f) for f in fragments]
+            expected = _snapshot(alone, [join.run() for join in alone])
+            batch = [TributaryJoin(self.QUERY, f) for f in fragments]
+            assert _snapshot(batch, run_joins(batch)) == expected
+        assert any(rows for rows, _, _ in expected)
+        assert all(columns is not None for columns in self._columns(alone))
+        return batch
+
+    def test_shared_walk_releases_and_changes_nothing(self):
+        from tests.test_wcoj_differential import _fragments
+
+        batch = self._run_both_ways(_fragments(self.QUERY, 3, seed=1))
+        assert all(columns is None for columns in self._columns(batch))
+
+    def test_declined_batch_keeps_its_columns(self):
+        # 2**31-wide columns pack alone (62 bits) but not behind a segment
+        # digit: every join then walks alone, over its own columns
+        from tests.test_wcoj_differential import _wide_relation
+
+        fragments = []
+        for seed in range(3):
+            r = _wide_relation(31, seed)
+            fragments.append({"R": r, "S": r.renamed("S"), "T": r.renamed("T")})
+        batch = self._run_both_ways(fragments)
+        assert all(columns is not None for columns in self._columns(batch))
+        assert [join.stats.scalar_walks for join in batch] == [0, 0, 0]
