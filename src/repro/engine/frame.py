@@ -8,11 +8,11 @@ runtime unit: an ordered tuple of variables plus rows.
 What ``rows`` *is* follows the kernel backend (:mod:`~repro.engine.kernels`).
 Under ``python`` it is a list of tuples throughout.  Under ``numpy`` a scan
 still hands out a row list — stored relations are row lists — and from the
-first kernel on (an exchange, a join, a projection, a filter) it is a
-:class:`~repro.engine.kernels.ColumnBlock`, one int64 array per variable,
-which stays a block until the result is finalized.  Either way it is a
-``Sequence`` of tuples of Python ints, and nothing mutates it once a frame
-holds it.
+first kernel on (an exchange, a hash, Tributary or semi-join, a projection,
+a filter) it is a :class:`~repro.engine.kernels.ColumnBlock`, one int64
+array per variable, which stays a block until the result is finalized.
+Either way it is a ``Sequence`` of tuples of Python ints, nothing mutates it
+once a frame holds it, and a frame is what every slot of a plan holds.
 """
 
 from __future__ import annotations

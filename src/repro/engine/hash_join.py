@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from ..query.atoms import Comparison, Variable
 from .frame import Frame
-from .kernels import hash_join_rows, select_rows
+from .kernels import hash_join_rows, project_rows, select_rows
 from .memory import MemorySink
 from .stats import StatsSink
 
@@ -65,6 +65,24 @@ def symmetric_hash_join(
         memory.allocate(worker, len(output_rows), phase)
         stats.record_memory(worker, memory.resident(worker))
     return Frame(output_variables, output_rows)
+
+
+def semijoin(
+    target: Frame, keys: Frame, key_indices: Sequence[int]
+) -> tuple[Frame, int]:
+    """The ``target`` rows whose columns ``key_indices`` appear as a row of
+    ``keys``, in order, and how many distinct key rows were probed: a hash
+    join of the distinct keys with the target, put back in the target's
+    column order."""
+    distinct = project_rows(keys.rows, range(len(key_indices)), dedup=True)
+    width = len(target.variables)
+    extra = [i for i in range(width) if i not in key_indices]
+    joined = hash_join_rows(
+        distinct, target.rows, range(len(key_indices)), key_indices, extra
+    )
+    placed = [*key_indices, *extra]  # joined column j is target column placed[j]
+    kept = project_rows(joined, [placed.index(i) for i in range(width)])
+    return Frame(target.variables, kept), len(distinct)
 
 
 def apply_comparisons(

@@ -26,8 +26,7 @@ would hold.
 Backends are *semantics-preserving by construction*: destinations, row
 orders, result rows, and every counted metric are bit-identical between
 them (``tests/test_kernels_differential.py`` proves it across all six
-shuffle x join strategies).  Only wall-clock time differs — that difference
-is what ``benchmarks/bench_kernels.py`` records into ``BENCH_kernels.json``.
+shuffle x join strategies).  Only wall-clock time differs.
 
 Backend selection, in priority order:
 
@@ -43,7 +42,7 @@ import os
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain
-from typing import Optional, TYPE_CHECKING, Union
+from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -476,40 +475,21 @@ def sort_projected(
     rows: Sequence[Row],
     positions: Sequence[int],
     backend: Optional[str] = None,
-) -> tuple[Optional[list[Row]], Optional[np.ndarray]]:
-    """Project rows onto ``positions`` and sort them lexicographically.
-
-    The python backend returns ``(sorted row list, None)``.  The numpy
-    backend stays columnar: it returns ``(None, sorted data)`` as a
-    ``(width, n)`` int64 array with each column contiguous, ready for
-    ``np.searchsorted``-backed seeks; row tuples are only materialized
-    lazily by the caller (see
-    :attr:`~repro.storage.sorted.SortedRelation.rows`).
-    """
+) -> Sequence[Row]:
+    """Project rows onto ``positions`` and sort them lexicographically: a
+    sorted list on the python backend, a sorted block — each column
+    contiguous, ready for ``np.searchsorted``-backed seeks — on numpy."""
     positions = list(positions)
     if resolve_backend(backend) == "numpy":
-        n = len(rows)
-        width = len(positions)
-        if n == 0 or width == 0:
-            return None, np.empty((width, n), dtype=np.int64)
+        if not len(rows):
+            return _empty_block(len(positions))
+        if not positions:
+            return ColumnBlock((), len(rows))
         block = as_block(rows)
         columns = [block.columns[p] for p in positions]
         order = _lex_order(columns)
-        sorted_columns = np.empty((width, n), dtype=np.int64)
-        for i, column in enumerate(columns):
-            sorted_columns[i] = column[order]
-        return None, sorted_columns
-    return sorted(tuple(row[p] for p in positions) for row in rows), None
-
-
-def rows_from_columns(columns: np.ndarray) -> list[Row]:
-    """Materialize a ``(width, n)`` column array back into row tuples."""
-    width, count = columns.shape
-    if count == 0:
-        return []
-    if width == 0:
-        return [()] * count
-    return list(zip(*columns.tolist()))
+        return ColumnBlock([column[order] for column in columns], block.length)
+    return sorted(tuple(row[p] for p in positions) for row in rows)
 
 
 def lower_bound(
@@ -518,7 +498,6 @@ def lower_bound(
     value: int,
     lo: int,
     hi: int,
-    columns: Optional[np.ndarray] = None,
 ) -> int:
     """First index in ``[lo, hi)`` whose ``depth``-th key is ``>= value``.
 
@@ -526,8 +505,9 @@ def lower_bound(
     ``depth`` (so the ``depth``-th column is non-decreasing there), which
     the trie iterator guarantees.
     """
-    if columns is not None:
-        return lo + int(np.searchsorted(columns[depth, lo:hi], value, side="left"))
+    if isinstance(rows, ColumnBlock):
+        column = rows.columns[depth]
+        return lo + int(np.searchsorted(column[lo:hi], value, side="left"))
     while lo < hi:
         mid = (lo + hi) // 2
         if rows[mid][depth] < value:
@@ -543,11 +523,11 @@ def upper_bound(
     value: int,
     lo: int,
     hi: int,
-    columns: Optional[np.ndarray] = None,
 ) -> int:
     """First index in ``[lo, hi)`` whose ``depth``-th key is ``> value``."""
-    if columns is not None:
-        return lo + int(np.searchsorted(columns[depth, lo:hi], value, side="right"))
+    if isinstance(rows, ColumnBlock):
+        column = rows.columns[depth]
+        return lo + int(np.searchsorted(column[lo:hi], value, side="right"))
     while lo < hi:
         mid = (lo + hi) // 2
         if rows[mid][depth] <= value:
@@ -557,19 +537,16 @@ def upper_bound(
     return lo
 
 
-def distinct_prefix_count(
-    rows: Sequence[Row],
-    length: int,
-    columns: Optional[np.ndarray] = None,
-) -> int:
+def distinct_prefix_count(rows: Sequence[Row], length: int) -> int:
     """Number of distinct key prefixes of the given length over sorted rows."""
     if not rows:
         return 0
     if length == 0:
         return 1
-    if columns is not None:
-        head = columns[:length]
-        changed = (head[:, 1:] != head[:, :-1]).any(axis=0)
+    if isinstance(rows, ColumnBlock):
+        changed = np.zeros(len(rows) - 1, dtype=bool)
+        for column in rows.columns[:length]:
+            changed |= column[1:] != column[:-1]
         return 1 + int(np.count_nonzero(changed))
     count = 0
     previous: Optional[Row] = None
@@ -587,52 +564,49 @@ def distinct_prefix_count(
 
 
 def packed_key_levels(
-    columns: Union[np.ndarray, Sequence[np.ndarray]],
+    blocks: Sequence[ColumnBlock],
 ) -> Optional[tuple[list[np.ndarray], list[int], list[int]]]:
-    """Per-depth packed prefix keys of a sorted ``(width, n)`` column array.
+    """Per-depth packed prefix keys of sorted blocks laid end to end.
 
-    ``packed[d]`` holds one int64 per row encoding the row's key prefix of
-    length ``d + 1`` (``packed[d] = packed[d-1] * span_d + (col_d - low_d)``).
-    Because the rows are sorted lexicographically, every ``packed[d]`` is
-    globally non-decreasing, so a binary search *within one trie block* is
-    the same as a single global ``np.searchsorted`` over ``packed[d]`` —
-    which is what lets :mod:`~repro.leapfrog.vectorized` batch the seeks of
+    The blocks have equal width and each is sorted lexicographically (one
+    per simulated worker).  ``packed[d]`` holds one int64 per row encoding
+    the block's index in the sequence, then the row's key prefix of length
+    ``d + 1`` (``packed[d] = packed[d-1] * span_d + (col_d - low_d)``, the
+    index standing in for ``packed[-1]``: a trie level above the first
+    column, at the price of ``log2(len(blocks))`` key bits).  Every
+    ``packed[d]`` is therefore globally non-decreasing, across block
+    boundaries too, so a binary search *within one trie block* is the same
+    as a single global ``np.searchsorted`` over ``packed[d]`` — which is
+    what lets :mod:`~repro.leapfrog.vectorized` batch the seeks of
     thousands of sibling trie contexts into one call.  A row's ``d``-th
     key is recoverable as ``packed[d] - packed[d-1] * span_d + low_d``.
-
-    Given a *sequence* of such arrays (equal width, each sorted — one per
-    simulated worker), the keys cover their concatenation and the array's
-    index in the sequence leads every packed key, as a trie level above
-    the first column: the keys stay non-decreasing across array boundaries
-    at the price of ``log2(len(columns))`` key bits.  The keys are written
-    array by array into the preallocated levels, so no concatenated copy of
-    the columns ever exists.
+    The keys are written block by block into the preallocated levels, so
+    no concatenated copy of the columns ever exists.
 
     Returns ``(packed levels, lows, spans)``, or ``None`` when the
     cumulative span product does not stay below ``2**63`` (callers fall
     back to the scalar iterator) — so packed keys, and a prefix times its
     span plus any offset up to the span, are exact in int64.
     """
-    segments = [columns] if isinstance(columns, np.ndarray) else list(columns)
-    width = segments[0].shape[0]
-    bounds = np.zeros(len(segments) + 1, dtype=np.int64)
-    np.cumsum([segment.shape[1] for segment in segments], out=bounds[1:])
+    bounds = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([block.length for block in blocks], out=bounds[1:])
     slices = [slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     packed_levels: list[np.ndarray] = []
     lows: list[int] = []
     spans: list[int] = []
-    capacity = len(segments)
+    capacity = len(blocks)
     previous: Optional[np.ndarray] = None
-    for depth in range(width):
-        low = min(int(segment[depth].min()) for segment in segments)
-        span = max(int(segment[depth].max()) for segment in segments) - low + 1
+    for depth in range(len(blocks[0].columns)):
+        columns = [block.columns[depth] for block in blocks]
+        low = min(int(column.min()) for column in columns)
+        span = max(int(column.max()) for column in columns) - low + 1
         capacity *= span
         if capacity >= 2**63:
             return None
         current = np.empty(int(bounds[-1]), dtype=np.int64)
-        for index, (segment, rows) in enumerate(zip(segments, slices)):
+        for index, (column, rows) in enumerate(zip(columns, slices)):
             # span < 2**63, so the offsets cannot wrap
-            np.subtract(segment[depth], low, out=current[rows])
+            np.subtract(column, low, out=current[rows])
             if previous is not None:
                 current[rows] += previous[rows] * span
             elif index:

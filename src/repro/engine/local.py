@@ -93,7 +93,7 @@ def local_tributary_joins(
     order: Optional[Sequence[Variable]] = None,
     sort_phase: str = "sort",
     join_phase: str = "tributary join",
-) -> tuple[list[list[tuple[int, ...]]], Optional[Exception]]:
+) -> tuple[list[Sequence[tuple[int, ...]]], Optional[Exception]]:
     """Run many workers' Tributary joins of one query, sharing trie walks.
 
     ``query`` must be a *scanned* query (see :func:`scanned_query`) whose
@@ -104,13 +104,15 @@ def local_tributary_joins(
     ``join_phase``, allocate the results, release the copies — only the
     walk in the middle is shared by a batch of workers.
 
-    Returns ``(rows per task, error)``.  Tasks are in worker-id order; when
-    a task fails (a simulated OOM at either allocation) the rows cover the
-    tasks before it, ``error`` is its exception, its ledger holds what it
-    charged up to the failure, and later tasks are abandoned — the state a
-    one-worker-at-a-time execution stopping at that worker leaves behind.
+    Returns ``(rows per task, error)``, the head rows as the kernel backend
+    holds them (one column block per task on numpy).  Tasks are in worker-id
+    order; when a task fails (a simulated OOM at either allocation) the rows
+    cover the tasks before it, ``error`` is its exception, its ledger holds
+    what it charged up to the failure, and later tasks are abandoned — the
+    state a one-worker-at-a-time execution stopping at that worker leaves
+    behind.
     """
-    results: list[list[tuple[int, ...]]] = []
+    results: list[Sequence[tuple[int, ...]]] = []
     for batch in _input_capped(tasks):
         joins: list[TributaryJoin] = []
         failure: Optional[Exception] = None
@@ -173,7 +175,7 @@ def local_tributary_join(
     sort_phase: str = "sort",
     join_phase: str = "tributary join",
     memory: Optional[MemorySink] = None,
-) -> list[tuple[int, ...]]:
+) -> Sequence[tuple[int, ...]]:
     """Run one worker's Tributary join over its local frames: a batch of
     one through :func:`local_tributary_joins`, raising its failure."""
     results, error = local_tributary_joins(

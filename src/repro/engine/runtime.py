@@ -17,11 +17,12 @@ ledger.  The three runtimes differ only in who the executors are
 - :class:`ProcessRuntime` — one batch per forked, pipe-connected session
   child (``--runtime parallel:N:proc``), the only mode that escapes the GIL
   for true multicore wall-clock speedup.  Everything a child needs — the
-  runner, the slot inputs, the ledgers — is shipped to it; row *lists* above
-  a size threshold cross in either direction through :mod:`~repro.engine.shm`
-  shared-memory segments instead of the pickle pipe (the numpy backend's
-  column blocks pickle as their arrays and stay on it), and each worker's
-  ledger is pickled back and merged exactly like the thread runtime's.
+  runner, the slot inputs, the ledgers — is shipped to it; a frame whose
+  rows are a *list* above a size threshold (the python backend's) crosses in
+  either direction through a :mod:`~repro.engine.shm` shared-memory segment
+  instead of the pickle pipe (the numpy backend's column blocks pickle as
+  their arrays and stay on it), and each worker's ledger is pickled back
+  and merged exactly like the thread runtime's.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker
@@ -224,27 +225,22 @@ class _SharedFrame:
 
 
 def _encode_payload(item: Any) -> Any:
-    """Swap large row lists for shared-memory handles before pickling.
+    """Swap a frame's large row list for a shared-memory handle before
+    pickling.
 
     A frame whose rows are a column block stays on the pipe: its arrays
     pickle as a memcpy, which is all a shared segment would save."""
-    if isinstance(item, Frame):
-        shared = share_rows(item.rows) if isinstance(item.rows, list) else None
+    if isinstance(item, Frame) and isinstance(item.rows, list):
+        shared = share_rows(item.rows)
         if shared is not None:
             return _SharedFrame(item.variables, shared)
-    elif isinstance(item, list) and item and isinstance(item[0], tuple):
-        shared = share_rows(item)
-        if shared is not None:
-            return shared
     return item
 
 
 def _decode_payload(item: Any) -> Any:
-    """Reattach shared-memory handles back into frames / row lists."""
+    """Reattach a shared-memory handle back into its frame."""
     if isinstance(item, _SharedFrame):
         return Frame(item.variables, item.shared.load())
-    if isinstance(item, SharedRows):
-        return item.load()
     return item
 
 
@@ -263,11 +259,7 @@ def _decode_value(value: Any) -> Any:
 def _shared_handles(value: Any) -> list[SharedRows]:
     """The shared-memory handles inside an encoded value."""
     items = value.values() if isinstance(value, dict) else [value]
-    return [
-        item.shared if isinstance(item, _SharedFrame) else item
-        for item in items
-        if isinstance(item, (_SharedFrame, SharedRows))
-    ]
+    return [item.shared for item in items if isinstance(item, _SharedFrame)]
 
 
 def _session_child_main(connection) -> None:

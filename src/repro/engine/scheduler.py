@@ -46,17 +46,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 from .faults import FaultAbort, FaultSession, FailureReport, InjectedFault
 
 from ..hypercube.config import HyperCubeConfig, optimize_config
 from ..hypercube.mapping import HyperCubeMapping
-from ..query.atoms import Atom, ConjunctiveQuery
 from . import kernels
 from .cluster import Cluster
 from .frame import Frame, atom_frame
-from .hash_join import apply_comparisons, symmetric_hash_join
+from .hash_join import apply_comparisons, semijoin, symmetric_hash_join
 from .local import LocalJoinTask, local_tributary_joins
 from .runtime import WorkerLedger, WorkerRuntime
 from .shuffle import broadcast, hypercube_shuffle, regular_shuffle
@@ -69,10 +68,6 @@ __all__ = [
     "ScheduledRun",
     "run_plan",
 ]
-
-#: a slot's per-worker payload: frames (most operators) or raw result rows
-#: (the Tributary join emits projected head rows directly, as a list)
-SlotValue = Union[Frame, list]
 
 
 @dataclass
@@ -111,27 +106,12 @@ def _run_join_op(op: PhysicalOp, views: list) -> tuple[int, Optional[Exception]]
     worker fails, the ones before it have written their output and
     ``error`` is the failing worker's exception.
     """
-    if isinstance(op, LocalTributaryJoin):
-        query, slots = op.query, op.inputs
-    else:
-        # binary Tributary join == sort-merge join: a 2-atom query over the
-        # two frames, run by the multiway machinery
-        slots = (("L", op.left), ("R", op.right))
-        schema_of = views[0][2]  # every worker's frames share one schema
-        query = ConjunctiveQuery(
-            name="merge",
-            head=op.out_variables,
-            atoms=tuple(
-                Atom(alias, schema_of(slot).variables, alias=alias)
-                for alias, slot in slots
-            ),
-        )
     sort_phase, join_phase = op.phases[:2]
     inputs = [
-        {alias: read(slot) for alias, slot in slots} for _, _, read, _ in views
+        {alias: read(slot) for alias, slot in op.inputs} for _, _, read, _ in views
     ]
     results, error = local_tributary_joins(
-        query,
+        op.query,
         [
             LocalJoinTask(worker, frames, ledger.stats, ledger.memory)
             for (worker, ledger, _, _), frames in zip(views, inputs)
@@ -145,20 +125,15 @@ def _run_join_op(op: PhysicalOp, views: list) -> tuple[int, Optional[Exception]]
     ):
         consumed = sum(len(frame) for frame in frames.values())
         try:
-            if isinstance(op, LocalTributaryJoin):
-                if consumed:
-                    ledger.memory.release(worker, consumed)
-                write(op.out, rows)
-            else:
-                _finish_binary_join(
-                    op, worker, ledger, Frame(query.head, rows), consumed, write
-                )
+            _finish_join(
+                op, worker, ledger, Frame(op.query.head, rows), consumed, write
+            )
         except Exception as raised:
             return index, raised
     return len(results), error
 
 
-def _finish_binary_join(
+def _finish_join(
     op: PhysicalOp,
     worker: int,
     ledger: WorkerLedger,
@@ -166,14 +141,15 @@ def _finish_binary_join(
     consumed: int,
     write,
 ) -> None:
-    """The tail shared by both binary join operators: filter the pending
-    comparisons, release what left worker memory, bind the output."""
+    """The tail every local join shares: filter the pending comparisons,
+    release what left worker memory, bind the output."""
     produced = len(out.rows)
-    # every worker filters against the full pending list; the deferred
-    # remainder is statically known and the same for all of them
-    out, _ = apply_comparisons(
-        out, list(op.pending), worker, ledger.stats, f"step{op.step}:filter"
-    )
+    if op.pending:
+        # every worker filters against the full pending list; the deferred
+        # remainder is statically known and the same for all of them
+        out, _ = apply_comparisons(
+            out, list(op.pending), worker, ledger.stats, f"step{op.step}:filter"
+        )
     # consumed inputs and filter-dropped rows leave worker memory
     dropped = produced - len(out.rows)
     if dropped:
@@ -203,24 +179,16 @@ def _run_local_op(
             f"step{op.step}:join",
             ledger.memory,
         )
-        _finish_binary_join(
-            op, worker, ledger, out, len(left) + len(right), write
-        )
+        _finish_join(op, worker, ledger, out, len(left) + len(right), write)
     elif isinstance(op, SemiJoinFilter):
-        target, key_frame = read(op.target), read(op.keys)
-        keys = set(key_frame.rows)
-        indices = target.indices_of(op.key)
-        kept = [
-            row
-            for row in target.rows
-            if tuple(row[i] for i in indices) in keys
-        ]
-        ledger.stats.charge(worker, len(target.rows) + len(keys), op.phase)
+        target, keys = read(op.target), read(op.keys)
+        kept, distinct = semijoin(target, keys, op.key_indices)
+        ledger.stats.charge(worker, len(target) + distinct, op.phase)
         # the key buffer and the filtered-out target rows leave memory
-        released = len(key_frame.rows) + (len(target.rows) - len(kept))
+        released = len(keys) + (len(target) - len(kept))
         if released:
             ledger.memory.release(worker, released)
-        write(op.out, Frame(target.variables, kept))
+        write(op.out, kept)
     else:  # pragma: no cover - lowering only emits the ops above
         raise TypeError(f"unknown local operator {op!r}")
 
@@ -258,7 +226,7 @@ def _run_local_batch(tasks: list, ops=(), hooks: Optional[tuple] = None) -> list
     lowest failing id.
     """
     faults, round_index, label, attempt = hooks or (None,) * 4
-    produced: list[dict[str, SlotValue]] = [{} for _ in tasks]
+    produced: list[dict[str, Frame]] = [{} for _ in tasks]
     views = []
     failure: Optional[Exception] = None
 
@@ -279,7 +247,7 @@ def _run_local_batch(tasks: list, ops=(), hooks: Optional[tuple] = None) -> list
         if faults is not None:
             ledger = faults.wrap_ledger(round_index, label, ledger)
 
-        def read(name: str, inputs=inputs, outputs=outputs) -> SlotValue:
+        def read(name: str, inputs=inputs, outputs=outputs) -> Frame:
             """Resolve a slot: this task's output, else a shipped input."""
             return outputs[name] if name in outputs else inputs[name]
 
@@ -320,7 +288,7 @@ class _ExecState:
     Round may have written.
     """
 
-    slots: dict[str, list[SlotValue]] = field(default_factory=dict)
+    slots: dict[str, list[Frame]] = field(default_factory=dict)
     hc_config: Optional[HyperCubeConfig] = None
     mapping: Optional[HyperCubeMapping] = None
     anchor: Optional[str] = None
@@ -338,7 +306,7 @@ class _RoundCheckpoint:
 
     stats_checkpoint: object
     residency: dict[int, int]
-    slots: dict[str, list[SlotValue]]
+    slots: dict[str, list[Frame]]
     hc_config: Optional[HyperCubeConfig]
     mapping: Optional[HyperCubeMapping]
     anchor: Optional[str]
@@ -748,20 +716,15 @@ class PlanExecution:
                 "round(s) have not run"
             )
         plan = self.plan
-        slots = self._state.slots
-        if plan.result_kind == RESULT_ROWS:
-            # the Tributary join emitted head tuples already
-            rows = [row for worker_rows in slots[plan.result] for row in worker_rows]
-        else:
-            # frames: concatenate and project as the backend holds them
-            # (column blocks on numpy), and only then make the tuples
-            frames = slots[plan.result]
-            rows = kernels.concat_rows(
-                [frame.rows for frame in frames], len(frames[0].variables)
-            )
-            if plan.head_indices is not None:
-                rows = kernels.project_rows(rows, plan.head_indices)
-            rows = kernels.row_tuples(rows)
+        # concatenate and project as the backend holds the frames (column
+        # blocks on numpy), and only then make the tuples
+        frames = self._state.slots[plan.result]
+        rows = kernels.concat_rows(
+            [frame.rows for frame in frames], len(frames[0].variables)
+        )
+        if plan.head_indices is not None:
+            rows = kernels.project_rows(rows, plan.head_indices)
+        rows = kernels.row_tuples(rows)
         if not plan.query.is_full():
             rows = list(dict.fromkeys(rows))
         self.stats.result_count = len(rows)
@@ -839,7 +802,6 @@ def run_plan(
 # them after the definitions is safe.
 from ..planner.physical import (  # noqa: E402
     LOCAL_HC,
-    RESULT_ROWS,
     ChooseAnchor,
     ConfigureHyperCube,
     Exchange,

@@ -10,9 +10,9 @@ pipe.  This module moves large row blocks through
 one int64 column-major array in ``/dev/shm``, ships only the segment name,
 and the receiver reattaches, materializes, and unlinks it; a sender whose
 receiver died unlinks what it shipped itself (:meth:`SharedRows.discard`).
-Only row *lists* travel this way — the python kernel backend's frames and
-the Tributary join's result rows; a numpy-backend frame is a column block,
-whose arrays pickle as a memcpy and stay on the pipe.
+Only a frame's row *list* travels this way — the python kernel backend's;
+a numpy-backend frame is a column block, whose arrays pickle as a memcpy
+and stay on the pipe.
 
 Small payloads stay on the pickle path — below a few tens of thousands of
 rows the copy into shared memory costs more than pickling saves, so

@@ -183,9 +183,10 @@ class TributaryJoin:
 
     # ------------------------------------------------------------------
 
-    def run(self) -> list[tuple[int, ...]]:
-        """Execute the join; returns head tuples (deduplicated if non-full)."""
-        return self._project(list(self.iterate()))
+    def run(self) -> Sequence[tuple[int, ...]]:
+        """Execute the join; returns head rows (deduplicated if non-full) as
+        the kernel backend holds them — :func:`run_joins` on a batch of one."""
+        return run_joins([self])[0]
 
     def iterate(self) -> Iterator[tuple[int, ...]]:
         """Stream head tuples (duplicates possible for non-full queries).
@@ -209,8 +210,8 @@ class TributaryJoin:
                 self.stats.scalar_walks += 1
         try:
             if vectorized is not None:
-                for rows, _ in vectorized.blocks():
-                    yield from rows
+                for block, _ in vectorized.blocks():
+                    yield from block
             else:
                 binding = [0] * len(self.order)
                 yield from self._join(0, binding)
@@ -224,11 +225,15 @@ class TributaryJoin:
         """Whether some atom has no tuples (the join is empty, seek-free)."""
         return any(p.size == 0 for p in self._prepared)
 
-    def _project(self, results: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Duplicate-eliminate the head tuples of a non-full query."""
-        if not self.query.is_full():
-            return list(dict.fromkeys(results))
-        return results
+    def _project(
+        self, results: Sequence[tuple[int, ...]]
+    ) -> Sequence[tuple[int, ...]]:
+        """Duplicate-eliminate the head rows of a non-full query."""
+        if self.query.is_full():
+            return results
+        from ..engine.kernels import project_rows
+
+        return project_rows(results, range(len(self.query.head)), dedup=True)
 
     def _check_seek_budget(self) -> None:
         """Raise :class:`SeekBudgetExceeded` when past ``max_seeks``."""
@@ -304,44 +309,54 @@ def _leapfrog(iterators: list[TrieIterator]) -> Iterator[int]:
             p = (p + 1) % count
 
 
-def run_joins(joins: Sequence[TributaryJoin]) -> list[list[tuple[int, ...]]]:
+def run_joins(joins: Sequence[TributaryJoin]) -> list[Sequence[tuple[int, ...]]]:
     """Run prepared joins of one query and variable order; rows per join.
 
-    Equivalent to ``[join.run() for join in joins]`` — same rows, order,
-    stats and per-iterator seek counters — but under numpy kernels the
+    Same rows, order, stats and per-iterator seek counters as walking every
+    join alone with the scalar iterators — but under numpy kernels the
     non-empty joins share **one** trie walk whose top level is the join's
     index in the batch (:mod:`~repro.leapfrog.vectorized`), which is what
     keeps the batched seek kernels fed when each join holds only a
-    worker's sliver of the data.  When the batch does not pack into 63
-    bits the joins are walked one at a time, and only a join that does not
-    pack alone either counts a scalar walk — so ``scalar_walks`` does not
-    depend on how joins were dealt into batches.  Joins that shared a walk
-    are spent: their sorted columns are released once packed.
+    worker's sliver of the data, and each join's rows come back as one
+    column block.  When the batch does not pack into 63 bits the joins are
+    walked one at a time, and only a join that does not pack alone either
+    counts a scalar walk — so ``scalar_walks`` does not depend on how joins
+    were dealt into batches.  Joins that shared a walk with others are
+    spent: their sorted rows are released once packed.
     """
+    from ..engine.kernels import concat_rows
     from .vectorized import VectorizedTributaryRun
 
     live = [s for s, join in enumerate(joins) if not join.has_empty_atom()]
     batch = [joins[s] for s in live]
     shared = None
-    if len(batch) > 1 and all(map(VectorizedTributaryRun.supports, batch)):
+    if batch and all(map(VectorizedTributaryRun.supports, batch)):
         shared = VectorizedTributaryRun.build(batch)
     if shared is None:
-        return [join.run() for join in joins]
-    # the walk reads the packed keys only, so the batch stops keeping its
-    # joins' sorted columns alive (a declined batch, above, still needs them)
-    for join in batch:
-        for prepared in join._prepared:
-            prepared.iterator.relation.release_columns()
-    results: list[list[tuple[int, ...]]] = [[] for _ in joins]
+        if len(batch) > 1:  # declined as a batch: every join walks alone
+            return [join.run() for join in joins]
+        # at most one join has anything to walk, and it walks scalar
+        return [join._project(list(join.iterate())) for join in joins]
+    if len(batch) > 1:
+        # the walk reads the packed keys only, so the batch stops keeping
+        # its joins' sorted rows alive (a lone join can be run again)
+        for join in batch:
+            for prepared in join._prepared:
+                prepared.iterator.relation.release()
+    parts: list[list] = [[] for _ in joins]
     try:
-        for rows, bounds in shared.blocks():
+        for block, bounds in shared.blocks():
             for s, start, stop in zip(live, bounds, bounds[1:]):
                 if stop > start:
-                    results[s].extend(rows[start:stop])
+                    parts[s].append(block[start:stop])
     finally:
         for join in batch:
             join.stats.seeks = join.total_seeks()
-    return [join._project(rows) for join, rows in zip(joins, results)]
+    width = len(joins[0].query.head)
+    return [
+        join._project(concat_rows(blocks, width))
+        for join, blocks in zip(joins, parts)
+    ]
 
 
 def tributary_join(
@@ -349,6 +364,6 @@ def tributary_join(
     relations: Mapping[str, Relation],
     order: Optional[Sequence[Variable]] = None,
     encoder: Encoder = _identity_encoder,
-) -> list[tuple[int, ...]]:
+) -> Sequence[tuple[int, ...]]:
     """Convenience one-shot wrapper around :class:`TributaryJoin`."""
     return TributaryJoin(query, relations, order=order, encoder=encoder).run()

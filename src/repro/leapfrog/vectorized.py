@@ -5,7 +5,7 @@ binary search per ``seek``.  This module executes the same leapfrog trie
 walk level by level over *arrays of trie contexts*, so the seeks of
 thousands of sibling contexts collapse into a handful of
 ``np.searchsorted`` calls (HoneyComb's batched-intersection idea, arXiv
-2502.06715), and result tuples are emitted in blocks instead of one
+2502.06715), and results are emitted as column blocks instead of one
 generator yield each.
 
 One walk serves a **batch of prepared joins** — the same query and variable
@@ -48,7 +48,8 @@ Execution shape:
   participant (:meth:`VectorizedTributaryRun._lockstep`).  The root is a
   level like any other: one context per join;
 - the level-0 frontier is descended to the deepest level in **chunks** of
-  at most ``_CHUNK_CAP`` contexts, each emitted as one block.  A lone
+  at most ``_CHUNK_CAP`` contexts, each emitted as one
+  :class:`~repro.engine.kernels.ColumnBlock` of head bindings.  A lone
   join's frontier is cut into at least two chunks — the HoneyComb-style
   top-variable domain partitioning — which keeps partially-consumed
   generators recording strictly fewer seeks than exhausted ones (the PR 2
@@ -84,8 +85,6 @@ _CHUNK_CAP = 65536
 #: measurement against the benchmark's peak-RSS bound (DESIGN.md)
 BATCH_TUPLE_CAP = 98304
 
-Row = tuple[int, ...]
-
 
 class _AtomArrays:
     """Search structures for one atom across a batch of joins.
@@ -118,7 +117,7 @@ class _AtomArrays:
         """Pack one atom's sorted relations; ``None`` when segment and key
         ranges do not fit 63 bits."""
         packing = kernels.packed_key_levels(
-            [relation._columns_array for relation in relations]
+            [relation.rows for relation in relations]
         )
         if packing is None:
             return None
@@ -209,10 +208,10 @@ class VectorizedTributaryRun:
     @staticmethod
     def supports(join: "TributaryJoin") -> bool:
         """Whether this join has a batched walk at all: every atom a sorted
-        array prepared under numpy kernels (columnar), not a B-tree."""
+        block prepared under numpy kernels, not a B-tree."""
         return kernels.get_backend() == "numpy" and all(
             isinstance(p.iterator, TrieIterator)
-            and p.iterator.relation._columns_array is not None
+            and isinstance(p.iterator.relation.rows, kernels.ColumnBlock)
             for p in join._prepared
         )
 
@@ -235,10 +234,10 @@ class VectorizedTributaryRun:
 
     # ------------------------------------------------------------------
 
-    def blocks(self) -> Iterator[tuple[list[Row], list[int]]]:
+    def blocks(self) -> Iterator[tuple[kernels.ColumnBlock, list[int]]]:
         """Yield ``(rows, bounds)`` blocks in exact scalar emission order.
 
-        ``rows`` are head tuples of consecutive joins; join ``s`` of the
+        ``rows`` are head rows of consecutive joins; join ``s`` of the
         batch owns ``rows[bounds[s]:bounds[s + 1]]``.
         """
         atoms = range(len(self.arrays))
@@ -476,23 +475,17 @@ class VectorizedTributaryRun:
             keep = mask if keep is None else keep & mask
         return keep
 
-    def _emit(self, bindings, segment) -> tuple[list[Row], list[int]]:
-        """Materialize one chunk's head tuples in scalar emission order,
-        with the per-join split points of the (sorted) segment column."""
+    def _emit(self, bindings, segment) -> tuple[kernels.ColumnBlock, list[int]]:
+        """One chunk's head bindings in scalar emission order, with the
+        per-join split points of the (sorted) segment column."""
         joins = self.joins
         bounds = np.searchsorted(
             segment, np.arange(len(joins) + 1, dtype=np.int64)
         ).tolist()
         for s, join in enumerate(joins):
             join.stats.results += bounds[s + 1] - bounds[s]
-        total = segment.size
-        head = joins[0]._head_positions
-        if not head:
-            return [()] * total, bounds
-        columns = [bindings[p].tolist() for p in head]
-        if len(columns) == 1:
-            return [(value,) for value in columns[0]], bounds
-        return list(zip(*columns)), bounds
+        head = [bindings[p] for p in joins[0]._head_positions]
+        return kernels.ColumnBlock(head, segment.size), bounds
 
     def _flush_seeks(self) -> None:
         """Commit batched seek counts to the iterators, then check budgets."""

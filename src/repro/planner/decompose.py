@@ -53,7 +53,6 @@ from .binary import left_deep_plan
 from .physical import (
     HYBRID_STRATEGY,
     LOCAL_HC,
-    RESULT_ROWS,
     ConfigureHyperCube,
     ExchangeKind,
     PhysicalPlan,
@@ -473,7 +472,6 @@ def lower_hybrid(
             _tributary_round(stage2_local, slot_of, order, LOCAL_HC, stage=2),
         ),
         result="result",
-        result_kind=RESULT_ROWS,
         dedup_full=True,
         left_deep=stage1_plan,
         variable_order=order,

@@ -336,6 +336,15 @@ class MergeJoinStep(_BinaryJoinStep):
     NAME = "merge-join"
 
     order: tuple[Variable, ...] = ()
+    #: the two-atom query over the inputs, aliased ``L`` and ``R``, that
+    #: the multiway machinery runs (a binary Tributary join is a sort-merge
+    #: join)
+    query: Optional[ConjunctiveQuery] = None
+
+    @property
+    def inputs(self) -> tuple[tuple[str, str], ...]:
+        """``(atom alias, slot)`` pairs, as :class:`LocalTributaryJoin` has."""
+        return (("L", self.left), ("R", self.right))
 
     @property
     def phases(self) -> tuple[str, ...]:
@@ -353,11 +362,13 @@ class LocalTributaryJoin(PhysicalOp):
 
     Sorting all fragments charges into ``sort`` (with the sorted copies as
     scratch memory, released when the join finishes); seeks plus result
-    materialization charge into ``tributary join``.  Produces head rows
-    directly (the join projects the head internally).
+    materialization charge into ``tributary join``.  Produces frames over
+    the query head (the join projects the head, and applies every
+    comparison, internally — nothing is left ``pending``).
     """
 
     GLOBAL = False
+    pending = ()
 
     query: ConjunctiveQuery
     inputs: tuple[tuple[str, str], ...]  # (atom alias, slot) pairs
@@ -374,7 +385,7 @@ class LocalTributaryJoin(PhysicalOp):
         return tuple(slot for _, slot in self.inputs)
 
     def output_slots(self) -> tuple[str, ...]:
-        """The per-worker head-row lists."""
+        """The per-worker head-row frames."""
         return (self.out,)
 
     def describe(self) -> str:
@@ -422,6 +433,7 @@ class SemiJoinFilter(PhysicalOp):
 
     Charges target rows plus distinct probe keys into ``{phase}:semijoin``
     and releases the key buffer and every filtered-out target row.
+    ``key_indices`` are the target's columns holding ``key``.
     """
 
     GLOBAL = False
@@ -430,6 +442,7 @@ class SemiJoinFilter(PhysicalOp):
     keys: str
     out: str
     key: tuple[Variable, ...]
+    key_indices: tuple[int, ...]
     phase: str
 
     @property
@@ -502,28 +515,23 @@ class Round:
         return tuple(consumed)
 
 
-#: how the final slot is interpreted: per-worker frames or bare row lists
-RESULT_FRAMES = "frames"
-RESULT_ROWS = "rows"
-
-
 @dataclass(frozen=True)
 class PhysicalPlan:
     """A fully lowered, executable physical plan.
 
     The plan is pure data: rendering it performs no execution, and the
     :mod:`~repro.engine.scheduler` interpreter is the only component that
-    runs one.  ``head_indices`` projects the final frames onto the query
-    head (``None`` when the local join already emits head rows);  ``dedup``
-    removes duplicates of non-full queries and ``dedup_full`` additionally
-    de-duplicates full-query results (the HyperCube replication case).
+    runs one.  ``result`` names the slot of final frames; ``head_indices``
+    projects them onto the query head (``None`` when the local join already
+    emits head rows).  Duplicates of non-full queries are always removed and
+    ``dedup_full`` additionally de-duplicates full-query results (the
+    HyperCube replication case).
     """
 
     query: ConjunctiveQuery
     strategy: str
     rounds: tuple[Round, ...]
     result: str
-    result_kind: str = RESULT_FRAMES
     head_indices: Optional[tuple[int, ...]] = None
     dedup_full: bool = False
     left_deep: Optional[LeftDeepPlan] = None
@@ -719,7 +727,13 @@ def _step_rounds(
             ops.append(LocalHashJoin(**joined))
         else:  # sorted on the join key first, then the other output columns
             order = join_output_variables(join_vars, out_vars)
-            ops.append(MergeJoinStep(order=order, **joined))
+            sides = (("L", variables), ("R", atom.variables()))
+            merge = ConjunctiveQuery(
+                name="merge",
+                head=out_vars,
+                atoms=tuple(Atom(side, terms, alias=side) for side, terms in sides),
+            )
+            ops.append(MergeJoinStep(order=order, query=merge, **joined))
         steps.append(ops)
         # comparisons still missing a variable wait for a later step
         pending = tuple(c for c in pending if set(c.variables()) - set(out_vars))
@@ -852,6 +866,9 @@ def _lower_pipeline(
                 keys=f"{keys}.part",
                 out=f"{moved}.reduced",
                 key=key,
+                key_indices=tuple(
+                    atoms[target].variables().index(v) for v in key
+                ),
                 phase=f"{phase}:semijoin",
             ),
         )
@@ -927,7 +944,7 @@ def _lower_replicated(
         local = [
             _tributary_round(scanned_query(query), slot_of, order, local_workers)
         ]
-        tail = dict(result="result", result_kind=RESULT_ROWS, variable_order=order)
+        tail = dict(result="result", variable_order=order)
     else:
         plan = plan or left_deep_plan(query, catalog)
         local, slot, variables = _step_rounds(

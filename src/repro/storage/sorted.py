@@ -12,41 +12,20 @@ plain tuple comparison gives lexicographic order, and exposes the range and
 seek primitives the trie iterator needs.
 
 Sorting and seeking run through the kernel layer
-(:mod:`~repro.engine.kernels`): the numpy backend sorts column arrays with
-a packed radix sort (falling back to ``np.lexsort``) and answers
-``lower_bound``/``upper_bound`` with ``np.searchsorted``; row tuples are
-only materialized lazily, on first access to :attr:`SortedRelation.rows`.
-Both backends produce the same sorted order, the same seek answers, and the
-same :attr:`SortedRelation.sort_cost` — the counted cost model never
-depends on the backend.
+(:mod:`~repro.engine.kernels`): :attr:`SortedRelation.rows` is whatever
+``sort_projected`` returns — a sorted list on the python backend; on numpy
+a sorted :class:`~repro.engine.kernels.ColumnBlock` (packed radix sort,
+falling back to ``np.lexsort``) that ``lower_bound``/``upper_bound`` answer
+with ``np.searchsorted``.  Both backends produce the same sorted order, the
+same seek answers, and the same :attr:`SortedRelation.sort_cost` — the
+counted cost model never depends on the backend.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .relation import Relation
-
-if TYPE_CHECKING:
-    from ..engine import kernels as _kernels_type  # noqa: F401
-
-_kernels = None
-
-
-def _kernel_module():
-    """Resolve :mod:`repro.engine.kernels` lazily.
-
-    ``engine`` imports ``leapfrog.tributary`` which imports this module, so
-    a top-level ``from ..engine import kernels`` would leave
-    :class:`SortedRelation` undefined when the import chain enters through
-    ``repro.storage``.
-    """
-    global _kernels
-    if _kernels is None:
-        from ..engine import kernels
-
-        _kernels = kernels
-    return _kernels
 
 
 def _sort_cost(n: int) -> int:
@@ -85,40 +64,39 @@ class SortedRelation:
         self.order = order
         self.permutation = order + rest
         self.columns = tuple(relation.columns[p] for p in self.permutation)
-        kernels = _kernel_module()
+        # imported here: ``engine`` imports ``leapfrog.tributary``, which
+        # imports this module, so a top-level import would be circular
+        from ..engine import kernels
+
         self._kernels = kernels
-        rows, columns_array = kernels.sort_projected(
+        self._rows = kernels.sort_projected(
             relation.rows, self.permutation, backend
         )
-        #: sorted projected rows (materialized lazily on the numpy backend)
-        self._rows: Optional[list[tuple[int, ...]]] = rows
-        #: ``(width, n)`` int64 column store for searchsorted seeks, or None
-        self._columns_array = columns_array
-        self._length = (
-            len(rows) if rows is not None else columns_array.shape[1]
-        )
         #: comparison-count proxy recorded so the engine can charge sort cost
-        self.sort_cost = _sort_cost(self._length)
+        self.sort_cost = _sort_cost(len(self._rows))
 
     @property
     def name(self) -> str:
         return self.base.name
 
     @property
-    def rows(self) -> list[tuple[int, ...]]:
-        """The sorted projected rows as tuples (materialized on demand)."""
+    def rows(self) -> Sequence[tuple[int, ...]]:
+        """The sorted projected rows, as the kernel backend holds them."""
         if self._rows is None:
-            self._rows = self._kernels.rows_from_columns(self._columns_array)
+            raise RuntimeError(
+                f"the sorted rows of {self.name} were released: only its "
+                "sort_cost remains"
+            )
         return self._rows
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.rows)
 
-    def release_columns(self) -> None:
-        """Drop the numpy column store, for a holder that has copied what it
-        needs of it (the batched walk's packed keys).  The length and
-        ``sort_cost`` remain; rows and seeks are no longer answerable."""
-        self._columns_array = None
+    def release(self) -> None:
+        """Drop the sorted rows, for a holder that has copied what it needs
+        of them (the batched walk's packed keys).  ``sort_cost`` remains;
+        the length, rows, seeks and prefix counts raise ``RuntimeError``."""
+        self._rows = None
 
     def depth(self) -> int:
         """Number of key columns (the length of the sort order)."""
@@ -129,10 +107,8 @@ class SortedRelation:
     # ------------------------------------------------------------------
 
     def key_at(self, depth: int, index: int) -> int:
-        """The ``depth``-th key of the row at ``index`` (columnar access)."""
-        if self._columns_array is not None:
-            return int(self._columns_array[depth, index])
-        return self._rows[index][depth]
+        """The ``depth``-th key of the row at ``index``."""
+        return self.rows[index][depth]
 
     def lower_bound(self, depth: int, value: int, lo: int, hi: int) -> int:
         """First index in ``[lo, hi)`` whose ``depth``-th key is ``>= value``.
@@ -140,15 +116,11 @@ class SortedRelation:
         Only valid when rows in ``[lo, hi)`` share a common prefix of length
         ``depth``, which the trie iterator guarantees.
         """
-        return self._kernels.lower_bound(
-            self._rows, depth, value, lo, hi, self._columns_array
-        )
+        return self._kernels.lower_bound(self.rows, depth, value, lo, hi)
 
     def upper_bound(self, depth: int, value: int, lo: int, hi: int) -> int:
         """First index in ``[lo, hi)`` whose ``depth``-th key is ``> value``."""
-        return self._kernels.upper_bound(
-            self._rows, depth, value, lo, hi, self._columns_array
-        )
+        return self._kernels.upper_bound(self.rows, depth, value, lo, hi)
 
     def value_range(
         self, depth: int, value: int, lo: int, hi: int
@@ -170,8 +142,4 @@ class SortedRelation:
         """
         if length > len(self.permutation):
             raise ValueError(f"prefix length {length} exceeds arity")
-        if self._columns_array is not None:
-            return self._kernels.distinct_prefix_count(
-                range(self._length), length, self._columns_array
-            )
-        return self._kernels.distinct_prefix_count(self._rows, length)
+        return self._kernels.distinct_prefix_count(self.rows, length)

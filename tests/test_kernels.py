@@ -252,10 +252,14 @@ def test_hypercube_partition_matches_destinations_reference():
 @pytest.mark.parametrize("positions", [(0, 1, 2), (2, 0), (1,)])
 def test_sort_projected_identical(positions):
     rows = random_rows(800, 3, hi=40, seed=1)  # many duplicate keys
-    py_rows, _ = kernels.sort_projected(rows, positions, backend="python")
-    none_rows, columns = kernels.sort_projected(rows, positions, backend="numpy")
-    assert none_rows is None
-    assert kernels.rows_from_columns(columns) == py_rows
+    py_rows = kernels.sort_projected(rows, positions, backend="python")
+    block = kernels.sort_projected(rows, positions, backend="numpy")
+    assert type(py_rows) is list and isinstance(block, kernels.ColumnBlock)
+    assert block == py_rows
+    # sorting a block reads its columns as they are: same answer
+    assert kernels.sort_projected(
+        kernels.block_from_rows(rows), positions, backend="numpy"
+    ) == py_rows
 
 
 def test_sort_projected_wide_values_fall_back_to_lexsort():
@@ -263,47 +267,48 @@ def test_sort_projected_wide_values_fall_back_to_lexsort():
     rows = [(random.Random(5).randrange(2**40), i % 7, i) for i in range(50)]
     random.Random(6).shuffle(rows)
     rows = [(r[0] + i * 2**22, r[1], r[2]) for i, r in enumerate(rows)]
-    py_rows, _ = kernels.sort_projected(rows, (0, 1, 2), backend="python")
-    _, columns = kernels.sort_projected(rows, (0, 1, 2), backend="numpy")
-    assert kernels.rows_from_columns(columns) == py_rows
+    py_rows = kernels.sort_projected(rows, (0, 1, 2), backend="python")
+    assert kernels.sort_projected(rows, (0, 1, 2), backend="numpy") == py_rows
 
 
 def test_sort_projected_empty_and_zero_width():
-    assert kernels.sort_projected([], (0,), backend="python")[0] == []
-    _, columns = kernels.sort_projected([], (0,), backend="numpy")
-    assert kernels.rows_from_columns(columns) == []
+    assert kernels.sort_projected([], (0,), backend="python") == []
+    empty = kernels.sort_projected([], (0,), backend="numpy")
+    assert isinstance(empty, kernels.ColumnBlock) and len(empty.columns) == 1
+    assert empty == []
     rows = [(1, 2), (3, 4)]
-    _, zero = kernels.sort_projected(rows, (), backend="numpy")
-    assert kernels.rows_from_columns(zero) == [(), ()]
+    zero = kernels.sort_projected(rows, (), backend="numpy")
+    assert isinstance(zero, kernels.ColumnBlock) and zero.tolist() == [(), ()]
 
 
 def test_bounds_match_python_binary_search():
-    rows, _ = kernels.sort_projected(random_rows(300, 2, hi=25, seed=2), (0, 1),
-                                     backend="python")
-    _, columns = kernels.sort_projected(rows, (0, 1), backend="numpy")
+    rows = kernels.sort_projected(random_rows(300, 2, hi=25, seed=2), (0, 1),
+                                  backend="python")
+    block = kernels.sort_projected(rows, (0, 1), backend="numpy")
     n = len(rows)
     for value in range(-1, 27):
         assert kernels.lower_bound(rows, 0, value, 0, n) == \
-            kernels.lower_bound(None, 0, value, 0, n, columns)
+            kernels.lower_bound(block, 0, value, 0, n)
         assert kernels.upper_bound(rows, 0, value, 0, n) == \
-            kernels.upper_bound(None, 0, value, 0, n, columns)
+            kernels.upper_bound(block, 0, value, 0, n)
     # sub-ranges sharing a first-column prefix, second-column seeks
     lo = kernels.lower_bound(rows, 0, 10, 0, n)
     hi = kernels.upper_bound(rows, 0, 10, lo, n)
     for value in range(-1, 27):
         assert kernels.lower_bound(rows, 1, value, lo, hi) == \
-            kernels.lower_bound(None, 1, value, lo, hi, columns)
+            kernels.lower_bound(block, 1, value, lo, hi)
         assert kernels.upper_bound(rows, 1, value, lo, hi) == \
-            kernels.upper_bound(None, 1, value, lo, hi, columns)
+            kernels.upper_bound(block, 1, value, lo, hi)
 
 
 def test_distinct_prefix_count_identical():
-    rows, _ = kernels.sort_projected(random_rows(400, 3, hi=12, seed=8), (0, 1, 2),
-                                     backend="python")
-    _, columns = kernels.sort_projected(rows, (0, 1, 2), backend="numpy")
+    rows = kernels.sort_projected(random_rows(400, 3, hi=12, seed=8), (0, 1, 2),
+                                  backend="python")
+    block = kernels.sort_projected(rows, (0, 1, 2), backend="numpy")
     for length in range(4):
         assert kernels.distinct_prefix_count(rows, length) == \
-            kernels.distinct_prefix_count(range(len(rows)), length, columns)
+            kernels.distinct_prefix_count(block, length)
+    assert kernels.distinct_prefix_count(block[:0], 1) == 0
     assert kernels.distinct_prefix_count([], 1) == 0
 
 
@@ -436,7 +441,7 @@ def test_sorted_relation_backend_equivalence(backend):
     relation = Relation("R", ("a", "b", "c"), random_rows(300, 3, hi=15, seed=20))
     reference = SortedRelation(relation, (2, 0), backend="python")
     candidate = SortedRelation(relation, (2, 0), backend=backend)
-    assert candidate.rows == reference.rows  # lazy materialization on numpy
+    assert candidate.rows == reference.rows  # a sorted block on numpy
     assert candidate.sort_cost == reference.sort_cost
     assert len(candidate) == len(reference)
     n = len(reference)

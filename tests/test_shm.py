@@ -4,7 +4,12 @@ import pytest
 
 from repro.engine.frame import Frame
 from repro.engine.memory import MemoryBudget
-from repro.engine.runtime import ProcessRuntime
+from repro.engine.runtime import (
+    ProcessRuntime,
+    _decode_payload,
+    _encode_payload,
+    _SharedFrame,
+)
 from repro.engine.shm import SHARED_MIN_ROWS, share_rows
 from repro.engine.stats import ExecutionStats
 
@@ -56,12 +61,12 @@ def _echo(batch):
 
 
 class TestTransportThroughRuntime:
-    """Row blocks cross to a session child and back intact, whichever side
-    of the shared-memory threshold they fall on."""
+    """Frames cross to a session child and back intact, whichever side of
+    the shared-memory threshold their row lists fall on."""
 
     PAYLOADS = {
-        0: _rows(SHARED_MIN_ROWS),
-        1: _rows(SHARED_MIN_ROWS - 1),
+        0: {"at": Frame(("x", "y", "z"), _rows(SHARED_MIN_ROWS))},
+        1: {"below": Frame(("x", "y", "z"), _rows(SHARED_MIN_ROWS - 1))},
         2: {
             "big": Frame(("x", "y"), _rows(SHARED_MIN_ROWS + 2, width=2)),
             "small": Frame(("x",), _rows(3, width=1)),
@@ -76,6 +81,15 @@ class TestTransportThroughRuntime:
 
     def test_large_row_block_returns_through_shared_memory(self):
         assert self._echoed() == [self.PAYLOADS[worker] for worker in range(3)]
+
+    def test_only_a_frames_large_row_list_is_parked(self):
+        at, below = self.PAYLOADS[0]["at"], self.PAYLOADS[1]["below"]
+        parked = _encode_payload(at)
+        assert isinstance(parked, _SharedFrame)
+        assert _decode_payload(parked) == at  # also unlinks the segment
+        assert _encode_payload(below) is below
+        # every slot holds a frame: a bare row list is not a payload kind
+        assert _encode_payload(at.rows) is at.rows
 
     def test_no_segments_leak(self):
         import os

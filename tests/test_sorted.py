@@ -52,6 +52,31 @@ class TestConstruction:
         assert _sort_cost(100) > _sort_cost(10) > 0
 
 
+class TestRelease:
+    """One store: once it is released every accessor says so, by name."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_every_accessor_raises_after_release(self, backend):
+        sr = SortedRelation(
+            Relation("R", ("a", "b"), [(3, 1), (1, 2), (1, 1)]), (0, 1),
+            backend=backend,
+        )
+        assert len(sr) == 3 and sr.distinct_prefix_count(1) == 2
+        sr.release()
+        assert sr.sort_cost == _sort_cost(3)
+        for access in (
+            lambda: sr.rows,
+            lambda: len(sr),
+            lambda: sr.key_at(0, 0),
+            lambda: sr.lower_bound(0, 1, 0, 3),
+            lambda: sr.upper_bound(0, 1, 0, 3),
+            lambda: sr.value_range(0, 1, 0, 3),
+            lambda: sr.distinct_prefix_count(1),
+        ):
+            with pytest.raises(RuntimeError, match="sorted rows of R were released"):
+                access()
+
+
 class TestBounds:
     def test_lower_bound_finds_first_geq(self):
         sr = make_sorted([(1, 0), (3, 0), (3, 1), (5, 0)])

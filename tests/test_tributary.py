@@ -260,7 +260,7 @@ class TestKeysFarApart:
 
 
 class TestBatchReleasesSortedColumns:
-    """Joins that share a walk give up their sorted columns once the packed
+    """Joins that share a walk give up their sorted rows once the packed
     keys exist; a declined batch keeps them, because it still walks them.
     Rows, stats and per-iterator seeks are what one join at a time gives
     (the workers' ledgers: ``test_batched_local_join_ledgers_identical``)."""
@@ -268,11 +268,16 @@ class TestBatchReleasesSortedColumns:
     QUERY = parse_query("Q(x,y,z) :- R(x,y), S(y,z), T(z,x).")
 
     @staticmethod
-    def _columns(joins):
+    def _released(joins):
+        def released(relation):
+            try:
+                relation.rows
+            except RuntimeError:
+                return True
+            return False
+
         return [
-            p.iterator.relation._columns_array
-            for join in joins
-            for p in join._prepared
+            released(p.iterator.relation) for join in joins for p in join._prepared
         ]
 
     def _run_both_ways(self, fragments):
@@ -286,18 +291,18 @@ class TestBatchReleasesSortedColumns:
             batch = [TributaryJoin(self.QUERY, f) for f in fragments]
             assert _snapshot(batch, run_joins(batch)) == expected
         assert any(rows for rows, _, _ in expected)
-        assert all(columns is not None for columns in self._columns(alone))
+        assert not any(self._released(alone))
         return batch
 
     def test_shared_walk_releases_and_changes_nothing(self):
         from tests.test_wcoj_differential import _fragments
 
         batch = self._run_both_ways(_fragments(self.QUERY, 3, seed=1))
-        assert all(columns is None for columns in self._columns(batch))
+        assert all(self._released(batch))
 
     def test_declined_batch_keeps_its_columns(self):
         # 2**31-wide columns pack alone (62 bits) but not behind a segment
-        # digit: every join then walks alone, over its own columns
+        # digit: every join then walks alone, over its own sorted rows
         from tests.test_wcoj_differential import _wide_relation
 
         fragments = []
@@ -305,5 +310,5 @@ class TestBatchReleasesSortedColumns:
             r = _wide_relation(31, seed)
             fragments.append({"R": r, "S": r.renamed("S"), "T": r.renamed("T")})
         batch = self._run_both_ways(fragments)
-        assert all(columns is not None for columns in self._columns(batch))
+        assert not any(self._released(batch))
         assert [join.stats.scalar_walks for join in batch] == [0, 0, 0]
