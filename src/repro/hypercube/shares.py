@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..query.atoms import ConjunctiveQuery, Variable
 
@@ -59,6 +58,8 @@ def fractional_shares(
             exponents,
             {variable: 1.0 for variable in join_vars},
         )
+    from scipy.optimize import linprog  # deferred: no query path solves an LP
+
     log_p = math.log(servers)
     var_index = {variable: i for i, variable in enumerate(join_vars)}
     n_vars = len(join_vars)

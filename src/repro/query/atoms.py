@@ -137,6 +137,15 @@ class Atom:
             "_variables",
             tuple(term for term in positions if isinstance(term, Variable)),
         )
+        object.__setattr__(
+            self,
+            "_constants",
+            tuple(
+                (position, term)
+                for position, term in enumerate(self.terms)
+                if isinstance(term, Constant)
+            ),
+        )
 
     @property
     def arity(self) -> int:
@@ -148,11 +157,7 @@ class Atom:
 
     def constants(self) -> tuple[tuple[int, Constant], ...]:
         """(position, constant) pairs for the constant terms of this atom."""
-        return tuple(
-            (position, term)
-            for position, term in enumerate(self.terms)
-            if isinstance(term, Constant)
-        )
+        return self._constants
 
     def positions_of(self, variable: Variable) -> tuple[int, ...]:
         """All argument positions where ``variable`` occurs."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .atoms import ConjunctiveQuery, Variable
 
@@ -124,6 +123,8 @@ class Hypergraph:
         (``sum_{j : x in vars(j)} u_j >= 1``).  The optimum exponentiates to
         the AGM bound.
         """
+        from scipy.optimize import linprog  # deferred: no query path solves an LP
+
         edge_count = len(self.edges)
         costs = np.array(
             [math.log(max(2, cardinalities[edge.alias])) for edge in self.edges]

@@ -1,7 +1,13 @@
 """Tests for the top-level run_query API."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.harness import run_grid
 from repro.planner.api import make_cluster, run_query
 from repro.planner.plans import HC_TJ
@@ -102,3 +108,37 @@ class TestValueDomain:
                 self.QUERY, self.database(), strategy=strategy, workers=4,
                 kernels="numpy",
             )
+
+
+class TestScipyLoadsWithTheFirstLP:
+    """No query path solves an LP, so a process that only answers queries
+    never pays for importing the solver (``pyproject.toml`` bans a top-level
+    scipy import under ``src/``; ruff is not everywhere, this runs anywhere)."""
+
+    SCRIPT = """
+import sys
+import repro
+from repro.query.hypergraph import Hypergraph
+from repro.workloads import Q1
+
+database = repro.twitter_database(nodes=60, edges=240, seed=2)
+for strategy in ("HC_TJ", "RS_HJ", "BR_TJ", "auto"):
+    assert not repro.run_query(Q1, database, strategy=strategy, workers=4).failed
+assert "scipy" not in sys.modules, "a query path imported scipy"
+sizes = {atom.alias: 240 for atom in Q1.atoms}
+shares = repro.fractional_shares(Q1, sizes, 64).shares
+assert all(abs(share - 4.0) < 1e-6 for share in shares.values()), shares
+assert abs(Hypergraph(Q1).agm_bound(sizes) - 240 ** 1.5) < 1e-3
+assert "scipy.optimize" in sys.modules
+"""
+
+    def test_fresh_process_answers_queries_without_scipy(self):
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        path = os.pathsep.join([source, inherited] if inherited else [source])
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
