@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from ..query.atoms import Comparison, Variable
 from .frame import Frame
-from .kernels import hash_join_rows, project_rows, select_rows
+from .kernels import concat_rows, hash_join_rows, project_rows, select_rows
 from .memory import MemorySink
 from .stats import StatsSink
 
@@ -28,30 +28,35 @@ def join_output_variables(
     return tuple(left) + tuple(v for v in right if v not in left_set)
 
 
-def symmetric_hash_join(
+def join_columns(
+    left: Sequence[Variable], right: Sequence[Variable], join_vars: Sequence[Variable]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The key's columns in ``left``, its columns in ``right`` and the columns
+    of ``right``'s new variables: lowering resolves them, once per operator."""
+    left_set = set(left)
+    return (
+        tuple(left.index(v) for v in join_vars),
+        tuple(right.index(v) for v in join_vars),
+        tuple(i for i, v in enumerate(right) if v not in left_set),
+    )
+
+
+def hash_join_frames(
     left: Frame,
     right: Frame,
-    join_vars: Sequence[Variable],
+    columns: tuple[Sequence[int], Sequence[int], Sequence[int]],
+    out_variables: tuple[Variable, ...],
     worker: int,
     stats: StatsSink,
     phase: str,
     memory: Optional[MemorySink] = None,
 ) -> Frame:
-    """Join two frames on ``join_vars`` (cross product when empty)."""
-    output_variables = join_output_variables(left.variables, right.variables)
-    left_key = left.indices_of(join_vars)
-    right_key = right.indices_of(join_vars)
-    right_extra = [
-        i for i, v in enumerate(right.variables) if v not in set(left.variables)
-    ]
-
+    """Join two frames on resolved ``columns`` (see :func:`join_columns`)."""
     # build/probe runs through the kernel layer: the numpy backend encodes
     # keys columnar, expands match ranges vectorized and gathers the output
     # as a column block, its rows in the exact order of the tuple-at-a-time
     # build/probe loop
-    output_rows = hash_join_rows(
-        left.rows, right.rows, left_key, right_key, right_extra
-    )
+    output_rows = hash_join_rows(left.rows, right.rows, *columns)
 
     # build units + probe units + output materialization
     work = 2 * (len(left.rows) + len(right.rows)) + len(output_rows)
@@ -64,7 +69,27 @@ def symmetric_hash_join(
         # the paper's Fig. 9 failure mode.)
         memory.allocate(worker, len(output_rows), phase)
         stats.record_memory(worker, memory.resident(worker))
-    return Frame(output_variables, output_rows)
+    if not len(output_rows):
+        # an empty row list, which an input may be, has no width to pass on
+        output_rows = concat_rows((), len(out_variables))
+    return Frame(out_variables, output_rows)
+
+
+def symmetric_hash_join(
+    left: Frame,
+    right: Frame,
+    join_vars: Sequence[Variable],
+    worker: int,
+    stats: StatsSink,
+    phase: str,
+    memory: Optional[MemorySink] = None,
+) -> Frame:
+    """Join two frames on ``join_vars`` (cross product when empty)."""
+    columns = join_columns(left.variables, right.variables, join_vars)
+    out_variables = join_output_variables(left.variables, right.variables)
+    return hash_join_frames(
+        left, right, columns, out_variables, worker, stats, phase, memory
+    )
 
 
 def semijoin(

@@ -443,32 +443,36 @@ def _pack_columns(
     return packed, capacity
 
 
-def _key_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """One uint64 per row, equal exactly when the rows' key tuples are."""
+def _key_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """One uint64 per row, equal exactly when the rows' key tuples are, plus
+    the ids' capacity (an exclusive upper bound on them)."""
     packing = _pack_columns(columns)
     if packing is not None:
-        return packing[0]
+        return packing
     # ranges too wide for 64-bit packing: dense ids via np.unique
     _, inverse = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
-    return inverse.reshape(-1).astype(np.uint64)
+    return inverse.reshape(-1).astype(np.uint64), inverse.size
 
 
-def _lex_order(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Stable lexicographic argsort of parallel columns (primary first)."""
-    packing = _pack_columns(columns)
-    if packing is None:
-        # lexsort's *last* key is the primary one
-        return np.lexsort(tuple(reversed(columns)))
-    packed, capacity = packing
-    n = packed.size
-    if capacity <= 2**63 // max(n, 1):
-        # append the element index as the least-significant digit: the keys
-        # become unique, so a plain (non-indirect) radix sort yields the
-        # stable permutation directly — measurably faster than argsort
-        keyed = packed * np.uint64(n) + np.arange(n, dtype=np.uint64)
-        keyed.sort()
-        return (keyed % np.uint64(n)).astype(np.int64)
-    return np.argsort(packed, kind="stable")
+def stable_order(ids: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of 64-bit ``ids`` in ``[0, capacity)`` and the ids
+    in that order: *the* way this backend orders rows by an integer key.
+
+    With the element index appended as the least-significant bits the keys
+    are unique, so one plain (non-indirect) sort yields the permutation and
+    the sorted ids at a tenth of an indirect merge sort's price — which is
+    what runs when ``capacity`` leaves no room for the index.
+    """
+    bits = max(ids.size - 1, 0).bit_length()
+    if capacity << bits > 2**63:
+        order = np.argsort(ids, kind="stable")
+        return order, ids[order]
+    keyed = ids.view(np.uint64) << np.uint64(bits)
+    keyed |= np.arange(ids.size, dtype=np.uint64)
+    keyed.sort()
+    order = (keyed & np.uint64((1 << bits) - 1)).view(np.int64)
+    keyed >>= np.uint64(bits)
+    return order, keyed.view(ids.dtype)
 
 
 def sort_projected(
@@ -487,7 +491,11 @@ def sort_projected(
             return ColumnBlock((), len(rows))
         block = as_block(rows)
         columns = [block.columns[p] for p in positions]
-        order = _lex_order(columns)
+        packing = _pack_columns(columns)
+        if packing is None:  # lexsort's *last* key is the primary one
+            order = np.lexsort(columns[::-1])
+        else:
+            order, _ = stable_order(*packing)
         return ColumnBlock([column[order] for column in columns], block.length)
     return sorted(tuple(row[p] for p in positions) for row in rows)
 
@@ -688,25 +696,6 @@ def hash_join_rows(
     return output
 
 
-def _encode_join_keys(
-    left: ColumnBlock,
-    right: ColumnBlock,
-    left_key: Sequence[int],
-    right_key: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar key ids with exact tuple-equality semantics for both sides."""
-    if not left_key:  # cross product: a single shared key
-        return (
-            np.zeros(left.length, dtype=np.uint64),
-            np.zeros(right.length, dtype=np.uint64),
-        )
-    ids = _key_ids([
-        np.concatenate([left.columns[li], right.columns[ri]])
-        for li, ri in zip(left_key, right_key)
-    ])
-    return ids[: left.length], ids[left.length:]
-
-
 def _hash_join_numpy(
     left: ColumnBlock,
     right: ColumnBlock,
@@ -714,9 +703,16 @@ def _hash_join_numpy(
     right_key: Sequence[int],
     right_extra: Sequence[int],
 ) -> ColumnBlock:
-    left_ids, right_ids = _encode_join_keys(left, right, left_key, right_key)
-    order = np.argsort(left_ids, kind="stable")  # (key id, left scan order)
-    sorted_ids = left_ids[order]
+    if left_key:  # scalar key ids, equal exactly when the key tuples are
+        ids, capacity = _key_ids([
+            np.concatenate([left.columns[li], right.columns[ri]])
+            for li, ri in zip(left_key, right_key)
+        ])
+    else:  # cross product: a single shared key
+        ids, capacity = np.zeros(left.length + right.length, dtype=np.uint64), 1
+    right_ids = ids[left.length:]
+    # build side: rows by (key id, left scan order)
+    order, sorted_ids = stable_order(ids[: left.length], capacity)
     starts = np.searchsorted(sorted_ids, right_ids, side="left")
     ends = np.searchsorted(sorted_ids, right_ids, side="right")
     counts = ends - starts
@@ -799,7 +795,7 @@ def project_rows(
 ) -> Sequence[Row]:
     """The given columns of every row; ``dedup`` drops duplicate rows,
     keeping first-seen order.  On numpy a projection selects column arrays
-    (nothing is copied) and de-duplication is one ``np.unique``."""
+    (nothing is copied) and de-duplication is one :func:`stable_order`."""
     if resolve_backend(backend) == "numpy":
         block = as_block(rows)
         if not block.length:
@@ -814,7 +810,10 @@ def _distinct(block: ColumnBlock) -> ColumnBlock:
     """A non-empty block's distinct rows, in first-seen order."""
     if not block.columns:
         return block[:1]
-    _, first_seen = np.unique(_key_ids(block.columns), return_index=True)
+    order, ids = stable_order(*_key_ids(block.columns))
+    first = np.ones(block.length, dtype=bool)  # the head of each run of a key
+    first[1:] = ids[1:] != ids[:-1]
+    first_seen = order[first]
     first_seen.sort()
     return block.take(first_seen)
 

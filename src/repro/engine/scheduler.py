@@ -55,7 +55,7 @@ from ..hypercube.mapping import HyperCubeMapping
 from . import kernels
 from .cluster import Cluster
 from .frame import Frame, atom_frame
-from .hash_join import apply_comparisons, semijoin, symmetric_hash_join
+from .hash_join import apply_comparisons, hash_join_frames, semijoin
 from .local import LocalJoinTask, local_tributary_joins
 from .runtime import WorkerLedger, WorkerRuntime
 from .shuffle import broadcast, hypercube_shuffle, regular_shuffle
@@ -170,10 +170,11 @@ def _run_local_op(
     views (the Tributary joins run batch-wide: :func:`_run_join_op`)."""
     if isinstance(op, LocalHashJoin):
         left, right = read(op.left), read(op.right)
-        out = symmetric_hash_join(
+        out = hash_join_frames(
             left,
             right,
-            op.join_vars,
+            op.columns,
+            op.out_variables,
             worker,
             ledger.stats,
             f"step{op.step}:join",

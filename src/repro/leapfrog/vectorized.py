@@ -447,17 +447,16 @@ class VectorizedTributaryRun:
         if not emit_val:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, {}
-        all_ctx = np.concatenate(emit_at) % n
         # chronological emissions per context are ascending; a stable sort
         # on the context index restores global depth-first order
-        order = np.argsort(all_ctx, kind="stable")
+        order, all_ctx = kernels.stable_order(np.concatenate(emit_at) % n, n)
         blocks = {}
         if carried:
             all_pos = np.concatenate(emit_pos, axis=1)
             for j in carried:
                 lo = all_pos[j][order]
                 blocks[part[j]] = (lo, kernels.run_bounds(packs[j], lo))
-        return all_ctx[order], np.concatenate(emit_val)[order], blocks
+        return all_ctx, np.concatenate(emit_val)[order], blocks
 
     # ------------------------------------------------------------------
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from ..engine.hash_join import join_output_variables
+from ..engine.hash_join import join_columns, join_output_variables
 from ..engine.local import scanned_query
 from ..hypercube.config import HyperCubeConfig
 from ..leapfrog.variable_order import best_join_order, full_variable_order
@@ -313,10 +313,13 @@ class _BinaryJoinStep(PhysicalOp):
 class LocalHashJoin(_BinaryJoinStep):
     """One per-worker symmetric hash join step of a left-deep pipeline.
 
-    Charges build+probe+output units into ``step{k}:join``.
+    Charges build+probe+output units into ``step{k}:join``.  ``columns``
+    is :func:`~repro.engine.hash_join.join_columns` of the two inputs.
     """
 
     NAME = "hash-join"
+
+    columns: tuple[tuple[int, ...], ...] = ()
 
     @property
     def phases(self) -> tuple[str, ...]:
@@ -724,7 +727,8 @@ def _step_rounds(
             pending=pending,
         )
         if join is JoinKind.HASH:
-            ops.append(LocalHashJoin(**joined))
+            columns = join_columns(variables, atom.variables(), join_vars)
+            ops.append(LocalHashJoin(columns=columns, **joined))
         else:  # sorted on the join key first, then the other output columns
             order = join_output_variables(join_vars, out_vars)
             sides = (("L", variables), ("R", atom.variables()))

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import kernels
 from repro.engine.frame import Frame
 from repro.engine.hash_join import (
     apply_comparisons,
+    join_columns,
     join_output_variables,
+    semijoin,
     symmetric_hash_join,
 )
 from repro.engine.memory import MemoryBudget, OutOfMemoryError
@@ -22,6 +25,12 @@ pairs = st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=40)
 def test_join_output_variables_order():
     assert join_output_variables((X, Y), (Y, Z)) == (X, Y, Z)
     assert join_output_variables((X,), (Y,)) == (X, Y)
+
+
+def test_join_columns_resolve_key_and_new_variables():
+    assert join_columns((X, Y), (Y, Z), (Y,)) == ((1,), (0,), (1,))
+    assert join_columns((X, Y, Z), (Z, X), (X, Z)) == ((0, 2), (1, 0), ())
+    assert join_columns((X,), (Y,), ()) == ((), (), (0,))
 
 
 class TestSymmetricHashJoin:
@@ -95,6 +104,22 @@ class TestSymmetricHashJoin:
         # 20 input rows but no matches -> no output, no allocation
         out, _ = self._join([(1, 2)] * 10, [(9, 3)] * 10, memory=memory)
         assert out.rows == []
+
+    @pytest.mark.parametrize("backend", kernels.KERNEL_BACKENDS)
+    @pytest.mark.parametrize("left, right", [([], [(1, 2)]), ([(1, 2)], [])])
+    def test_empty_input_keeps_the_output_width(self, backend, left, right):
+        """An empty row list has no width; the frame's variables do."""
+        with kernels.use_backend(backend):
+            out, _ = self._join(left, right)
+            kept, probed = semijoin(
+                Frame((X, Y), left), Frame((Y,), [row[:1] for row in right]), (1,)
+            )
+        assert out.variables == (X, Y, Z) and kept.variables == (X, Y)
+        assert out.rows == [] and kept.rows == [] and probed == len(right)
+        if backend == "numpy":
+            assert len(out.rows.columns) == 3 and len(kept.rows.columns) == 2
+        else:
+            assert isinstance(out.rows, list) and isinstance(kept.rows, list)
 
 
 class TestApplyComparisons:

@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import kernels
 from repro.hypercube.config import optimize_config
@@ -429,6 +431,98 @@ def test_select_rows_is_one_mask_on_numpy():
     assert py == [r for r in rows if r[0] < r[2] and r[1] >= 10 and r[1] != 12]
     # a comparison on a variable the rows do not bind is deferred, not applied
     assert kernels.select_rows(rows, (x, y), query.comparisons[:1], backend="numpy") == rows
+
+
+# ----------------------------------------------------------------------
+# The stable-order primitive behind the join build, the de-dup and the sort
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def keyed_inputs(draw):
+    """Two duplicate-heavy row sets over few distinct, possibly negative key
+    values, and a key of 0-2 columns.  Scaled by ``2**40`` one key column
+    still packs into 64 bits and two do not (the dense-id route)."""
+    scale = draw(st.sampled_from([1, 2**40]))
+    value = st.integers(-3, 3).map(lambda v: v * scale)
+    row = st.tuples(value, value, st.integers(-2, 2))
+    left = draw(st.lists(row, max_size=30))
+    right = draw(st.lists(row, max_size=30))
+    return left, right, list(range(draw(st.integers(0, 2))))
+
+
+@given(keyed_inputs())
+@settings(max_examples=150, deadline=None)
+def test_stable_order_kernels_match_python(inputs):
+    """Equal *lists*: left scan order inside a key, first-seen order after
+    de-dup and the sorted order are the reference loops', row for row."""
+    left, right, key = inputs
+    _join_both(left, right, key, key, [2])
+    for columns in ([0, 1, 2], [1, 0], [2], key):
+        for rows in (left, right[:1]):  # n = 1 among them
+            py = kernels.project_rows(rows, columns, backend="python", dedup=True)
+            assert py == kernels.project_rows(rows, columns, backend="numpy", dedup=True)
+            py = kernels.sort_projected(rows, columns, backend="python")
+            assert py == kernels.sort_projected(rows, columns, backend="numpy")
+
+
+def _at_the_packing_limit(extra_span):
+    """Eight rows (three index bits) whose two key columns span ``2**30`` and
+    ``2**30 + extra_span`` values: capacity * n is exactly ``2**63`` or just
+    above it.  Negative lows, duplicate keys out of order."""
+    top = 2**30 - 1 + extra_span
+    keys = [(2**30 - 8, top - 5), (-7, -5), (5, top - 5), (-7, top - 5)]
+    rows = [(a, b, i) for i, (a, b) in enumerate([*keys, *reversed(keys)])]
+    return rows, [(a, b, 100 + i) for i, (a, b, _) in enumerate(rows[1:4])]
+
+
+def _run_three(rows, right, backend):
+    return (
+        kernels.hash_join_rows(rows, right, [0, 1], [0, 1], [2], backend=backend),
+        kernels.project_rows(rows, [0, 1], backend=backend, dedup=True),
+        kernels.sort_projected(rows, [0, 1], backend=backend),
+    )
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"np.{name} reached")
+    return refused
+
+
+def test_packable_keys_never_reach_an_indirect_sort(monkeypatch):
+    """A guard that counts instead of timing: the join build, the de-dup and
+    the sort answer without ``np.argsort`` / ``np.unique`` wherever the keyed
+    array fits 64 bits — up to and including capacity * n == 2**63."""
+    cases = [_at_the_packing_limit(0), (random_rows(300, 3, hi=30, seed=21),) * 2]
+    expected = [_run_three(rows, right, "python") for rows, right in cases]
+    monkeypatch.setattr(np, "argsort", _refuse("argsort"))
+    monkeypatch.setattr(np, "unique", _refuse("unique"))
+    for (rows, right), answers in zip(cases, expected):
+        assert list(_run_three(rows, right, "numpy")) == list(answers)
+
+
+def test_wide_keys_reach_the_fallbacks(monkeypatch):
+    """One value more on a key column and the keyed array no longer fits:
+    the stable argsort runs, with the same answers.  Key columns that do not
+    pack at all get dense ids from ``np.unique`` — which then do fit."""
+    rows, right = _at_the_packing_limit(1)
+    wide = [(a * 2**40, b * 2**40, c) for a, b, c in random_rows(60, 3, hi=4, seed=22)]
+    for case in ((rows, right), (wide, wide[:20])):
+        assert _run_three(*case, "numpy") == _run_three(*case, "python")
+    reached = []
+    argsort, unique = np.argsort, np.unique
+    monkeypatch.setattr(
+        np, "argsort", lambda *a, **k: reached.append("argsort") or argsort(*a, **k)
+    )
+    monkeypatch.setattr(
+        np, "unique", lambda *a, **k: reached.append("unique") or unique(*a, **k)
+    )
+    _run_three(rows, right, "numpy")
+    assert reached == ["argsort"] * 3
+    del reached[:]
+    _run_three(wide, wide[:20], "numpy")  # the wide sort is np.lexsort's
+    assert reached == ["unique"] * 2
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.planner.physical import (
     SEMIJOIN_STRATEGY,
     Exchange,
     ExchangeKind,
+    LocalHashJoin,
     PhysicalOp,
     Scan,
     ScanIntermediate,
@@ -74,6 +75,21 @@ def test_every_workload_and_strategy_is_snapshotted():
 @pytest.mark.parametrize("case", CASES)
 def test_rendered_plan_matches_snapshot(case):
     assert lowered(case).render().splitlines() == GOLDEN[case]
+
+
+def test_hash_join_columns_are_resolved_at_lowering():
+    """Key and new-variable positions ride on the operator, resolved once
+    and not per worker (Q1: R(x,y), S(y,z), T(z,x))."""
+    joins = [
+        op
+        for round_ in lowered("Q1/RS_HJ").rounds
+        for op in round_.ops
+        if isinstance(op, LocalHashJoin)
+    ]
+    assert [op.columns for op in joins] == [
+        ((1,), (0,), (1,)),
+        ((0, 2), (1, 0), ()),
+    ]
 
 
 @pytest.mark.parametrize("case", CASES)
