@@ -571,39 +571,37 @@ def distinct_prefix_count(rows: Sequence[Row], length: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def packed_key_levels(
+def sorted_packed_keys(
     blocks: Sequence[ColumnBlock],
-) -> Optional[tuple[list[np.ndarray], list[int], list[int]]]:
-    """Per-depth packed prefix keys of sorted blocks laid end to end.
+) -> Optional[tuple[np.ndarray, list[int], list[int]]]:
+    """Unsorted blocks of equal width as one sorted array of packed keys.
 
-    The blocks have equal width and each is sorted lexicographically (one
-    per simulated worker).  ``packed[d]`` holds one int64 per row encoding
-    the block's index in the sequence, then the row's key prefix of length
-    ``d + 1`` (``packed[d] = packed[d-1] * span_d + (col_d - low_d)``, the
-    index standing in for ``packed[-1]``: a trie level above the first
-    column, at the price of ``log2(len(blocks))`` key bits).  Every
-    ``packed[d]`` is therefore globally non-decreasing, across block
-    boundaries too, so a binary search *within one trie block* is the same
-    as a single global ``np.searchsorted`` over ``packed[d]`` — which is
-    what lets :mod:`~repro.leapfrog.vectorized` batch the seeks of
-    thousands of sibling trie contexts into one call.  A row's ``d``-th
-    key is recoverable as ``packed[d] - packed[d-1] * span_d + low_d``.
-    The keys are written block by block into the preallocated levels, so
-    no concatenated copy of the columns ever exists.
+    One block per simulated worker, each the key columns of one atom's
+    fragment.  A row packs the block's index in the sequence (the
+    *segment*: a trie level above the first column, at the price of
+    ``log2(len(blocks))`` key bits), then its columns as offsets from the
+    lowest value over all blocks: ``full = (segment · span_0 + col_0 −
+    low_0) · span_1 + col_1 − low_1 …``.  The segment leads, so one
+    in-place sort of the whole array is every block's lexicographic sort,
+    the blocks kept in sequence: no per-block sorted copy ever exists.
 
-    Returns ``(packed levels, lows, spans)``, or ``None`` when the
-    cumulative span product does not stay below ``2**63`` (callers fall
-    back to the scalar iterator) — so packed keys, and a prefix times its
-    span plus any offset up to the span, are exact in int64.
+    Level ``d``'s prefix — the segment and the first ``d + 1`` columns —
+    is ``full // stride_d`` with ``stride_d`` the product of the spans
+    below ``d``.  It is globally non-decreasing, across block boundaries
+    too, so a binary search *within one trie block* is one global
+    ``np.searchsorted(full, target · stride_d)`` — which is what lets
+    :mod:`~repro.leapfrog.vectorized` batch the seeks of thousands of
+    sibling trie contexts into one call.  A row's ``d``-th key is
+    ``full // stride_d % span_d + low_d``.
+
+    Returns ``(full, lows, spans)``, or ``None`` when the segment count
+    times the spans does not stay below ``2**63`` (callers fall back) — so
+    ``(prefix + 1) · span_d · stride_d`` and everything below it is exact
+    in int64.
     """
-    bounds = np.zeros(len(blocks) + 1, dtype=np.int64)
-    np.cumsum([block.length for block in blocks], out=bounds[1:])
-    slices = [slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    packed_levels: list[np.ndarray] = []
     lows: list[int] = []
     spans: list[int] = []
     capacity = len(blocks)
-    previous: Optional[np.ndarray] = None
     for depth in range(len(blocks[0].columns)):
         columns = [block.columns[depth] for block in blocks]
         low = min(int(column.min()) for column in columns)
@@ -611,51 +609,42 @@ def packed_key_levels(
         capacity *= span
         if capacity >= 2**63:
             return None
-        current = np.empty(int(bounds[-1]), dtype=np.int64)
-        for index, (column, rows) in enumerate(zip(columns, slices)):
-            # span < 2**63, so the offsets cannot wrap
-            np.subtract(column, low, out=current[rows])
-            if previous is not None:
-                current[rows] += previous[rows] * span
-            elif index:
-                current[rows] += index * span
-        packed_levels.append(current)
         lows.append(low)
         spans.append(span)
-        previous = current
-    return packed_levels, lows, spans
+    full = np.empty(sum(block.length for block in blocks), dtype=np.int64)
+    start = 0
+    for segment, block in enumerate(blocks):
+        part = full[start:start + block.length]
+        part[:] = segment
+        for column, low, span in zip(block.columns, lows, spans):
+            part *= span
+            part += column - low  # span < 2**63, so the offset cannot wrap
+        start += block.length
+    full.sort()
+    return full, lows, spans
 
 
-def run_bounds(packed: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Batched ``upper_bound``: the end of each position's equal-key run.
-
-    Equivalent to one :func:`upper_bound` call per position (the trie
-    iterator's block-end search after ``open``/``next``/``seek``), answered
-    with a single vectorized ``np.searchsorted``.
-    """
-    return packed.searchsorted(packed[positions], side="right")
-
-
-def seek_targets(values: np.ndarray, ceiling, shift, past=0) -> np.ndarray:
+def seek_targets(values: np.ndarray, ceiling, shift, stride, past=0) -> np.ndarray:
     """Packed search targets of a batch of LFTJ ``seek`` calls: searching
-    ``packed[d]`` for them (``side="left"``) lands every seek on the first
-    row under its prefix whose key is ``>= value``, or on the end of the
-    prefix's block.
+    a :func:`sorted_packed_keys` array for them (``side="left"``) lands
+    every seek on the first row under its prefix whose key is ``>= value``,
+    or on the end of the prefix's block.
 
-    Per value, or one for all: ``ceiling = min(low + span, 2**63 - 1)`` and
-    ``shift = prefix * span - low`` of the level searched.  ``past`` (0/1
-    per value) asks for the first key *above* an in-range value instead —
-    ``next()`` is ``seek(key + 1)``.  A value must not be below ``low`` (a
-    leapfrog's max key never is: the seeking iterator sits below it).
+    Per value, or one for all: ``ceiling = min(low + span, 2**63 - 1)``,
+    ``shift = prefix * span - low`` and ``stride`` of the level searched.
+    ``past`` (0/1 per value) asks for the first key *above* an in-range
+    value instead — ``next()`` is ``seek(key + 1)``.  A value must not be
+    below ``low`` (a leapfrog's max key never is: the seeking iterator sits
+    below it).
 
     The value is clamped before anything is added: a key ``2**63`` or more
     above ``low`` would wrap ``value - low`` back into the range, and
     ``key + 1`` wraps at the top of int64.  After the clamp the sum is
-    ``prefix * span + offset`` with ``0 <= offset <= span``, which fits, so
-    a ``shift`` that itself wrapped (a very negative ``low``) still adds up
-    exactly.
+    ``prefix * span + offset`` with ``0 <= offset <= span``, and that times
+    the stride fits, so a ``shift`` that itself wrapped (a very negative
+    ``low``) still multiplies out exactly.
     """
-    return np.minimum(values, ceiling) + shift + past
+    return (np.minimum(values, ceiling) + shift + past) * stride
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ..leapfrog.tributary import TributaryJoin, run_joins
-from ..leapfrog.vectorized import BATCH_TUPLE_CAP
 from ..query.atoms import Atom, ConjunctiveQuery, Variable
 from .frame import Frame, frame_relation
 from .memory import MemorySink
@@ -31,7 +30,16 @@ from .stats import StatsSink
 #: 0.25 calibrates the simulator so the paper's Table 5 shape holds (sorting
 #: dominates Tributary-join time, ~73% for BR_TJ on Q1) while TJ still beats
 #: the hash-join pipeline whenever intermediates are large (Q1/Q2/Q4/Q5/Q6).
+#: It prices the paper's model, not this engine's work: each worker is charged
+#: ``n log n`` comparisons for a sorted copy of its fragment (the goldens pin
+#: it); the batched walk sorts one packed key array per atom and copies none.
 SORT_COMPARISON_WEIGHT = 0.25
+
+#: cap on input tuples (summed over atoms and joins) walked as one batch.
+#: A batch holds one packed 8-byte key per input tuple (the walk's frontier
+#: is bounded separately, per level); 2**19 keeps the largest registry
+#: cluster — Q6 at bench scale, 297 000 shuffled tuples — in one batch
+BATCH_TUPLE_CAP = 2**19
 
 
 def scanned_query(query: ConjunctiveQuery) -> ConjunctiveQuery:
@@ -64,7 +72,7 @@ class LocalJoinTask(NamedTuple):
 
 
 def _input_tuples(task: LocalJoinTask) -> int:
-    """How many tuples the task's join reads (and sorts a copy of)."""
+    """How many tuples the task's join reads (and is charged a sorted copy of)."""
     return sum(len(frame) for frame in task.frames.values())
 
 
@@ -119,8 +127,8 @@ def local_tributary_joins(
         for task in batch:
             try:
                 if task.memory is not None:
-                    # sorting materializes a reordered copy of every input
-                    # fragment; charge it *before* doing the work so a
+                    # charge the paper's sorted copy of every fragment (the
+                    # batched walk makes none) *before* the work, so a
                     # simulated OOM fires first
                     task.memory.allocate(
                         task.worker, _input_tuples(task), sort_phase
@@ -155,8 +163,8 @@ def local_tributary_joins(
                 if memory is not None:
                     memory.allocate(worker, len(rows), join_phase)
                     stats.record_memory(worker, memory.resident(worker))
-                    # the sorted copies are scratch space, dropped once the
-                    # join is done
+                    # the charged sorted copies are scratch space, dropped
+                    # once the join is done
                     memory.release(worker, _input_tuples(task))
             except Exception as error:
                 return results, error

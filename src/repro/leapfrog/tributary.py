@@ -106,8 +106,8 @@ def prepare_atom(
     order: Sequence[Variable],
     encoder: Encoder = _identity_encoder,
 ) -> _PreparedAtom:
-    """Select an atom's tuples (:func:`select_atom`) and sort them into the
-    array a :class:`~repro.leapfrog.iterator.TrieIterator` walks."""
+    """Select an atom's tuples (:func:`select_atom`) into the lazily sorted
+    relation a :class:`~repro.leapfrog.iterator.TrieIterator` walks."""
     filtered, key_variables, key_positions = select_atom(
         atom, relation, order, encoder
     )
@@ -321,8 +321,8 @@ def run_joins(joins: Sequence[TributaryJoin]) -> list[Sequence[tuple[int, ...]]]
     column block.  When the batch does not pack into 63 bits the joins are
     walked one at a time, and only a join that does not pack alone either
     counts a scalar walk — so ``scalar_walks`` does not depend on how joins
-    were dealt into batches.  Joins that shared a walk with others are
-    spent: their sorted rows are released once packed.
+    were dealt into batches.  The shared walk sorts packed keys, never the
+    joins' rows; joins that shared it with others are spent (released).
     """
     from ..engine.kernels import concat_rows
     from .vectorized import VectorizedTributaryRun
@@ -338,8 +338,8 @@ def run_joins(joins: Sequence[TributaryJoin]) -> list[Sequence[tuple[int, ...]]]
         # at most one join has anything to walk, and it walks scalar
         return [join._project(list(join.iterate())) for join in joins]
     if len(batch) > 1:
-        # the walk reads the packed keys only, so the batch stops keeping
-        # its joins' sorted rows alive (a lone join can be run again)
+        # the walk reads the packed keys only, so the batch's joins are
+        # spent (a lone join can be run again)
         for join in batch:
             for prepared in join._prepared:
                 prepared.iterator.relation.release()

@@ -9,15 +9,18 @@ thousands of sibling contexts collapse into a handful of
 generator yield each.
 
 One walk serves a **batch of prepared joins** — the same query and variable
-order over different workers' fragments.  Per atom, the packed prefix keys
-of the joins' sorted fragments are laid end to end and the join's index in
-the batch (the *segment*) becomes trie level 0: it leads every packed key,
-the frontier starts with one context per join, and everything below is
-oblivious to how many joins share the walk.  A simulated worker holds 1/p
-of the data, so walking workers one at a time feeds the batched kernels
-frontiers a few contexts wide; walking them together is what fills the
-batches.  A single join (:meth:`TributaryJoin.iterate`) is the same walk
-with one segment.
+order over different workers' fragments.  Per atom, the joins' *unsorted*
+key columns are packed into **one** int64 array behind the join's index in
+the batch (the *segment*) and sorted once
+(:func:`~repro.engine.kernels.sorted_packed_keys`): with the segment
+leading, that sort is every worker's, and no sorted copy is made.  The
+segment is trie level 0: the frontier starts with one context per join,
+and everything below is oblivious to how many joins share the walk.  A
+simulated worker holds 1/p of the data, so walking workers together is
+what fills the batches.  A single join (:meth:`TributaryJoin.iterate`) is
+the same walk with one segment.  The one array is the whole trie: level
+``d``'s prefix is ``full // stride_d``, a seek searches ``full`` for
+``target · stride_d``, and a block ends where the prefix moves past its own.
 
 Counted-metric contract (``tests/test_wcoj_differential.py``,
 ``tests/test_lockstep.py``): result rows, their order, ``TributaryStats``
@@ -33,11 +36,10 @@ Seeks are counted per context and folded per (segment, atom) with
 ``np.bincount`` into the same ``TrieIterator.seeks`` counters the scalar
 walk increments.
 
-The key observation enabling batching: a :class:`SortedRelation`'s rows are
-sorted lexicographically, so the packed prefix keys of
-:func:`~repro.engine.kernels.packed_key_levels` are globally non-decreasing
-(across segments too — the segment is their most significant digit) and a
-per-block binary search equals a single global ``searchsorted``.
+The key observation enabling batching: the packed keys are sorted, so
+every level's prefixes are globally non-decreasing (across segments too —
+the segment is their most significant digit) and a per-block binary search
+equals a single global ``searchsorted``.
 
 Execution shape:
 
@@ -47,13 +49,16 @@ Execution shape:
   algorithm's round-robin order, and a step is one ``searchsorted`` per
   participant (:meth:`VectorizedTributaryRun._lockstep`).  The root is a
   level like any other: one context per join;
-- the level-0 frontier is descended to the deepest level in **chunks** of
-  at most ``_CHUNK_CAP`` contexts, each emitted as one
+- every level is descended in **chunks** of at most ``_CHUNK_CAP``
+  contexts, recursively and in order (:meth:`VectorizedTributaryRun._walk`),
+  so the frontier a batch holds stays bounded however wide the batch, and
+  each leaf chunk is emitted as one
   :class:`~repro.engine.kernels.ColumnBlock` of head bindings.  A lone
-  join's frontier is cut into at least two chunks — the HoneyComb-style
-  top-variable domain partitioning — which keeps partially-consumed
-  generators recording strictly fewer seeks than exhausted ones (the PR 2
-  ``try/finally`` contract); a batch is always drained, so it is not;
+  join's first frontier is cut into at least two chunks — the
+  HoneyComb-style top-variable domain partitioning — which keeps
+  partially-consumed generators recording strictly fewer seeks than
+  exhausted ones (the ``try/finally`` contract of ``iterate()``); a batch
+  is always drained, so it is not;
 - emissions are restored to depth-first order with a stable sort on the
   context index before recursing.  With the segment on top, depth-first
   order *is* the per-join concatenation, so a block splits back per join
@@ -64,6 +69,7 @@ Execution shape:
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -75,49 +81,48 @@ from .iterator import TrieIterator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tributary import TributaryJoin
 
-#: cap on contexts descended per top-level chunk; bounds peak frontier
-#: memory while keeping searchsorted batches large
-_CHUNK_CAP = 65536
-
-#: cap on input tuples (summed over atoms and joins) walked as one batch.
-#: A batch holds its joins' sorted columns and packed prefix keys plus the
-#: frontier at once, so this bounds the walk's transient memory; chosen by
-#: measurement against the benchmark's peak-RSS bound (DESIGN.md)
-BATCH_TUPLE_CAP = 98304
+#: cap on the contexts of one ``_descend`` call, at every level; bounds the
+#: frontier and the lockstep's state while keeping searchsorted batches
+#: large (DESIGN.md, "Memory shapes the batch")
+_CHUNK_CAP = 8192
 
 
 class _AtomArrays:
-    """Search structures for one atom across a batch of joins.
+    """The search structure for one atom across a batch of joins.
 
-    ``packed`` holds the prefix keys of every depth over the concatenation
-    of the joins' sorted fragments, the join's index in the batch (the
-    segment) as their leading digit; ``offsets`` are the segments' row
-    boundaries.  The key columns themselves are not copied: a row's key is
-    the low digit of its packed key (:meth:`keys`).  Run boundaries per
-    level are built lazily.
+    ``full`` holds one packed key per row of the joins' fragments, sorted,
+    the join's index in the batch (the segment) as the leading digit
+    (:func:`~repro.engine.kernels.sorted_packed_keys`); ``offsets`` are
+    the segments' row boundaries.  Level ``d``'s prefix is ``full //
+    strides[d]`` and its key the low digit of that (:meth:`keys`).  Run
+    boundaries per level are built lazily.
     """
 
-    __slots__ = ("offsets", "packed", "lows", "spans", "_runs")
+    __slots__ = ("offsets", "full", "lows", "spans", "strides", "_runs")
 
     def __init__(
         self,
         offsets: np.ndarray,
-        packed: list[np.ndarray],
+        full: np.ndarray,
         lows: list[int],
         spans: list[int],
     ) -> None:
         self.offsets = offsets
-        self.packed = packed
+        self.full = full
         self.lows = lows
         self.spans = spans
-        self._runs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.strides = [math.prod(spans[d + 1:]) for d in range(len(spans))]
+        self._runs: dict[int, np.ndarray] = {}
 
     @classmethod
     def gather(cls, relations) -> Optional["_AtomArrays"]:
-        """Pack one atom's sorted relations; ``None`` when segment and key
-        ranges do not fit 63 bits."""
-        packing = kernels.packed_key_levels(
-            [relation.rows for relation in relations]
+        """Pack and sort one atom's unsorted key columns across the batch;
+        ``None`` when segment and key ranges do not fit 63 bits."""
+        packing = kernels.sorted_packed_keys(
+            [
+                kernels.project_rows(r.base.rows, r.permutation, "numpy")
+                for r in relations
+            ]
         )
         if packing is None:
             return None
@@ -127,21 +132,17 @@ class _AtomArrays:
 
     def keys(self, level: int, rows: np.ndarray) -> np.ndarray:
         """The ``level``-th key of the given rows, decoded from the pack."""
-        return self.packed[level][rows] % self.spans[level] + self.lows[level]
+        prefixes = self.full[rows] // self.strides[level]
+        return prefixes % self.spans[level] + self.lows[level]
 
-    def runs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, ends) of the equal-key runs of ``packed[level]``."""
+    def runs(self, level: int) -> np.ndarray:
+        """Where the equal-prefix runs of ``level`` start, then the row
+        count: run ``r`` is ``[runs[r], runs[r + 1])``."""
         cached = self._runs.get(level)
         if cached is None:
-            packed = self.packed[level]
-            change = np.flatnonzero(packed[1:] != packed[:-1]) + 1
-            starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), change.astype(np.int64))
-            )
-            ends = np.concatenate(
-                (starts[1:], np.asarray([packed.size], dtype=np.int64))
-            )
-            cached = (starts, ends)
+            prefixes = self.full // self.strides[level]
+            change = np.flatnonzero(prefixes[1:] != prefixes[:-1]) + 1
+            cached = np.concatenate(([0], change, [prefixes.size]))
             self._runs[level] = cached
         return cached
 
@@ -208,10 +209,10 @@ class VectorizedTributaryRun:
     @staticmethod
     def supports(join: "TributaryJoin") -> bool:
         """Whether this join has a batched walk at all: every atom a sorted
-        block prepared under numpy kernels, not a B-tree."""
+        relation prepared under numpy kernels, not a B-tree."""
         return kernels.get_backend() == "numpy" and all(
             isinstance(p.iterator, TrieIterator)
-            and isinstance(p.iterator.relation.rows, kernels.ColumnBlock)
+            and p.iterator.relation.backend == "numpy"
             for p in join._prepared
         )
 
@@ -241,38 +242,39 @@ class VectorizedTributaryRun:
         batch owns ``rows[bounds[s]:bounds[s + 1]]``.
         """
         atoms = range(len(self.arrays))
-        frontier = self._descend(
+        yield from self._walk(
             0,
             [],
             np.arange(len(self.joins), dtype=np.int64),
             {i: self.arrays[i].offsets[:-1] for i in atoms},
             {i: self.arrays[i].offsets[1:] for i in atoms},
         )
-        if frontier is None:
-            return
-        bindings, segment, block_lo, block_hi = frontier
-        count = segment.size
-        # a lone join streams to a consumer that may stop early, so its
-        # frontier is cut in two at least; a batch is always drained and
-        # descends whole, up to the cap
-        halves = 2 if len(self.joins) == 1 else 1
-        chunk = max(1, min(count // halves, _CHUNK_CAP))
-        for start in range(0, count, chunk):
-            stop = min(start + chunk, count)
-            frontier = (
-                [b[start:stop] for b in bindings],
-                segment[start:stop],
-                {i: a[start:stop] for i, a in block_lo.items()},
-                {i: a[start:stop] for i, a in block_hi.items()},
-            )
-            for depth in range(1, self._depths):
-                frontier = self._descend(depth, *frontier)
-                if frontier is None:
-                    break
-            else:
-                yield self._emit(frontier[0], frontier[1])
 
     # ------------------------------------------------------------------
+
+    def _walk(self, depth, bindings, segment, block_lo, block_hi):
+        """Descend the contexts at ``depth`` to the deepest level and emit
+        them, at most ``_CHUNK_CAP`` contexts per :meth:`_descend` at every
+        level, chunk by chunk in order, so the emissions stay depth-first."""
+        if depth == self._depths:
+            yield self._emit(bindings, segment)
+            return
+        count = segment.size
+        # a lone join streams to a consumer that may stop early, so its
+        # first frontier is cut in two at least; a batch is always drained
+        halves = 2 if depth == 1 and len(self.joins) == 1 else 1
+        chunk = max(1, min(count // halves, _CHUNK_CAP))
+        for start in range(0, count, chunk):
+            window = slice(start, start + chunk)
+            frontier = self._descend(
+                depth,
+                [b[window] for b in bindings],
+                segment[window],
+                {i: a[window] for i, a in block_lo.items()},
+                {i: a[window] for i, a in block_hi.items()},
+            )
+            if frontier is not None:
+                yield from self._walk(depth + 1, *frontier)
 
     def _descend(self, depth, bindings, segment, block_lo, block_hi):
         """Expand every context one level down into ``(bindings, segment,
@@ -318,13 +320,13 @@ class VectorizedTributaryRun:
         index = part[0]
         arrays = self.arrays[index]
         level = self._levels[(index, depth)]
-        starts, ends = arrays.runs(level)
+        runs = arrays.runs(level)
         lo = block_lo[index]
         hi = block_hi[index]
         # block bounds are run boundaries of this level (trie blocks nest),
-        # so the runs of context c are starts[first[c] : last[c]]
-        first = np.searchsorted(starts, lo, side="left")
-        last = np.searchsorted(starts, hi, side="left")
+        # so the runs of context c are runs first[c] to last[c] - 1
+        first = np.searchsorted(runs, lo, side="left")
+        last = np.searchsorted(runs, hi, side="left")
         counts = last - first
         total = int(counts.sum())
         # 1 open + (distinct - 1) nexts per context = its run count
@@ -337,8 +339,8 @@ class VectorizedTributaryRun:
             - np.repeat(offsets, counts)
             + np.repeat(first, counts)
         )
-        child_lo = starts[flat]
-        child_hi = ends[flat]
+        child_lo = runs[flat]
+        child_hi = runs[flat + 1]
         parent_idx = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
         values = arrays.keys(level, child_lo)
         return parent_idx, values, {index: (child_lo, child_hi)}
@@ -351,31 +353,34 @@ class VectorizedTributaryRun:
         on turn ``t`` a context moves the iterator in slot ``t`` of its
         stable initial-key order, as the scalar algorithm does.  Cursor
         state is flat, indexed ``participant * n + context``: the position
-        ``pos``, the block end ``his`` and ``base``, the packed prefix times
-        the level's span (a key is ``packed[pos] - base + low``).  A context
-        carries only ``top``, the scalar ``max_key``, and ``same``, how many
-        of its iterators sit on it: all ``k`` is a hit.  ``next()`` is
+        ``pos``, the block end ``his`` and ``base``, the prefix above the
+        level times its span (a key is ``full[pos] // stride - base + low``).
+        A context carries only ``top``, the scalar ``max_key``, and ``same``,
+        how many of its iterators sit on it: all ``k`` is a hit.  ``next()`` is
         ``seek(key + 1)``, so one lower bound serves hits and misses.  The
         block-end search after every ``open``/``next``/``seek`` is charged
         but not performed: only the emitted blocks of participants walked
         further down need their ends, found once for the whole level.
         """
         k, n = len(part), segment.size
-        packs, lows, ceilings = [], [], []
+        fulls, lows, ceilings, strides = [], [], [], []
         base = np.empty(k * n, dtype=np.int64)
         keys = np.empty((k, n), dtype=np.int64)
         for j, i in enumerate(part):
             arrays = self.arrays[i]
             level = self._levels[(i, depth)]
             low, span = arrays.lows[level], arrays.spans[level]
-            packs.append(arrays.packed[level])
+            fulls.append(arrays.full)
             lows.append(low)
             ceilings.append(min(low + span, 2**63 - 1))
-            prefix = arrays.packed[level - 1][block_lo[i]] if level else segment
-            own = base[j * n:(j + 1) * n]
-            np.multiply(prefix, span, out=own)
-            keys[j] = packs[j][block_lo[i]] - own + low
-        lows, ceilings = np.asarray([lows, ceilings], dtype=np.int64)
+            strides.append(arrays.strides[level])
+            prefix = arrays.full[block_lo[i]] // strides[j]
+            np.remainder(prefix, span, out=keys[j])
+            np.subtract(prefix, keys[j], out=base[j * n:(j + 1) * n])
+            keys[j] += low
+        lows, ceilings, stride_of = np.asarray(
+            [lows, ceilings, strides], dtype=np.int64
+        )
         pos = np.concatenate([block_lo[i] for i in part])
         his = np.concatenate([block_hi[i] for i in part])
         slots = np.argsort(keys, axis=0, kind="stable")
@@ -399,9 +404,9 @@ class VectorizedTributaryRun:
                 # base - low may wrap; seek_targets says why that is exact
                 plan = plans[turn] = (
                     at, his[at], ceilings[who], base[at] - lows[who],
-                    [(who == j).nonzero()[0] for j in range(k)],
+                    stride_of[who], [(who == j).nonzero()[0] for j in range(k)],
                 )
-            at, end, ceiling, shift, groups = plan
+            at, end, ceiling, shift, stride, groups = plan
             stepped.append(at)
             hit = same == k
             if np.count_nonzero(hit):
@@ -411,15 +416,16 @@ class VectorizedTributaryRun:
                     emit_pos.append(
                         pos.reshape(k, n).take(acting[hit], axis=1)
                     )
-            targets = kernels.seek_targets(top, ceiling, shift, hit)
+            targets = kernels.seek_targets(top, ceiling, shift, stride, hit)
             landed = np.empty_like(targets)
             fresh = np.empty_like(targets)
             for j, mine in enumerate(groups):
                 if mine.size:
-                    found = packs[j].searchsorted(targets[mine])
+                    found = fulls[j].searchsorted(targets[mine])
                     landed[mine] = found
-                    # past the array only when past the block: dropped below
-                    fresh[mine] = packs[j].take(found, mode="clip")
+                    # past the array only when past the block: dropped
+                    # below; a scalar divisor per group is numpy's fast one
+                    fresh[mine] = fulls[j].take(found, mode="clip") // strides[j]
             fresh -= shift
             alive = landed < end
             if np.count_nonzero(alive) < alive.size:
@@ -455,7 +461,8 @@ class VectorizedTributaryRun:
             all_pos = np.concatenate(emit_pos, axis=1)
             for j in carried:
                 lo = all_pos[j][order]
-                blocks[part[j]] = (lo, kernels.run_bounds(packs[j], lo))
+                past = (fulls[j][lo] // strides[j] + 1) * strides[j]
+                blocks[part[j]] = (lo, fulls[j].searchsorted(past))
         return all_ctx, np.concatenate(emit_val)[order], blocks
 
     # ------------------------------------------------------------------

@@ -19,6 +19,11 @@ falling back to ``np.lexsort``) that ``lower_bound``/``upper_bound`` answer
 with ``np.searchsorted``.  Both backends produce the same sorted order, the
 same seek answers, and the same :attr:`SortedRelation.sort_cost` — the
 counted cost model never depends on the backend.
+
+The sort is lazy — on the first read of ``rows``, with the backend in force
+when the relation was made — and the batched Tributary walk never reads
+them: it sorts one packed key array per atom for all its workers
+(:func:`~repro.engine.kernels.sorted_packed_keys`).
 """
 
 from __future__ import annotations
@@ -69,11 +74,12 @@ class SortedRelation:
         from ..engine import kernels
 
         self._kernels = kernels
-        self._rows = kernels.sort_projected(
-            relation.rows, self.permutation, backend
-        )
+        #: the kernel backend the rows are sorted with when first read
+        self.backend = kernels.resolve_backend(backend)
+        self._rows = None
+        self._length: Optional[int] = len(relation.rows)
         #: comparison-count proxy recorded so the engine can charge sort cost
-        self.sort_cost = _sort_cost(len(self._rows))
+        self.sort_cost = _sort_cost(self._length)
 
     @property
     def name(self) -> str:
@@ -81,22 +87,27 @@ class SortedRelation:
 
     @property
     def rows(self) -> Sequence[tuple[int, ...]]:
-        """The sorted projected rows, as the kernel backend holds them."""
+        """The sorted projected rows, as the backend holds them; sorted when read."""
         if self._rows is None:
-            raise RuntimeError(
-                f"the sorted rows of {self.name} were released: only its "
-                "sort_cost remains"
+            len(self)  # raises once released
+            self._rows = self._kernels.sort_projected(
+                self.base.rows, self.permutation, self.backend
             )
         return self._rows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._length is None:
+            raise RuntimeError(
+                f"the sorted rows of {self.name} were released: only its "
+                "sort_cost remains"
+            )
+        return self._length
 
     def release(self) -> None:
-        """Drop the sorted rows, for a holder that has copied what it needs
-        of them (the batched walk's packed keys).  ``sort_cost`` remains;
-        the length, rows, seeks and prefix counts raise ``RuntimeError``."""
-        self._rows = None
+        """Give up the rows, for a holder that has packed what it needs of
+        them (the batched walk's sorted keys).  ``sort_cost`` remains; the
+        length, rows, seeks and prefix counts raise ``RuntimeError``."""
+        self._rows = self._length = None
 
     def depth(self) -> int:
         """Number of key columns (the length of the sort order)."""

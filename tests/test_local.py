@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import local as local_module
 from repro.engine.frame import Frame
 from repro.engine.local import (
     SORT_COMPARISON_WEIGHT,
@@ -10,8 +11,10 @@ from repro.engine.local import (
 )
 from repro.engine.memory import MemoryBudget, OutOfMemoryError
 from repro.engine.stats import ExecutionStats
+from repro.planner.api import run_query
 from repro.query.atoms import Variable
 from repro.query.parser import parse_query
+from repro.workloads.registry import get_workload
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -87,3 +90,28 @@ class TestLocalTributaryJoin:
             join_phase="phase-b",
         )
         assert set(stats.phases()) == {"phase-a", "phase-b"}
+
+
+class TestWholeClusterBatch:
+    """``BATCH_TUPLE_CAP`` holds the largest registry cluster: at bench
+    scale on 64 workers a Tributary join round is one shared walk."""
+
+    @pytest.mark.parametrize("name", ["Q1", "Q6"])
+    def test_a_bench_scale_join_round_reaches_run_joins_once(
+        self, name, monkeypatch
+    ):
+        batches = []
+        run_joins = local_module.run_joins
+
+        def spy(joins):
+            batches.append(len(joins))
+            return run_joins(joins)
+
+        monkeypatch.setattr(local_module, "run_joins", spy)
+        workload = get_workload(name)
+        result = run_query(
+            workload.query, workload.dataset("bench"), strategy="HC_TJ",
+            workers=64, runtime="serial", kernels="numpy",
+        )
+        assert result.rows and not result.failed
+        assert batches == [64]

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import kernels
+from repro.engine.kernels import use_backend
 from repro.storage.relation import Relation
 from repro.storage.sorted import SortedRelation, _sort_cost
 
@@ -75,6 +77,30 @@ class TestRelease:
         ):
             with pytest.raises(RuntimeError, match="sorted rows of R were released"):
                 access()
+
+
+class TestLazySort:
+    """The rows are sorted on their first read, with the backend in force
+    when the relation was made; the length and ``sort_cost`` need no sort."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_sorts_once_on_first_read(self, backend, monkeypatch):
+        calls = []
+        sort_projected = kernels.sort_projected
+
+        def counted(*args):
+            calls.append(args)
+            return sort_projected(*args)
+
+        monkeypatch.setattr(kernels, "sort_projected", counted)
+        with use_backend(backend):
+            sr = make_sorted([(3, 1), (1, 2), (1, 1)])
+        assert len(sr) == 3 and sr.sort_cost == _sort_cost(3) and not calls
+        other = "numpy" if backend == "python" else "python"
+        with use_backend(other):
+            assert sr.rows == [(1, 1), (1, 2), (3, 1)]
+        assert isinstance(sr.rows, kernels.ColumnBlock) == (backend == "numpy")
+        assert len(calls) == 1
 
 
 class TestBounds:

@@ -1,15 +1,32 @@
 """Tests for the Tributary (leapfrog) join, incl. property tests vs brute force."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.leapfrog.tributary import TributaryJoin, tributary_join
+from repro.engine import kernels
+from repro.engine.kernels import ColumnBlock, use_backend
+from repro.leapfrog import vectorized
+from repro.leapfrog.tributary import TributaryJoin, run_joins, tributary_join
+from repro.leapfrog.vectorized import VectorizedTributaryRun, _AtomArrays
+from repro.planner.api import run_query
 from repro.query.atoms import Variable
 from repro.query.parser import parse_query
 from repro.storage.relation import Database, Relation
+from repro.storage.sorted import SortedRelation
+from repro.workloads.registry import get_workload
+from tests.test_lockstep import QUERIES as LOCKSTEP_QUERIES
+from tests.test_wcoj_differential import (
+    _fragments,
+    _snapshot,
+    _triangle_join,
+    _wide_relation,
+    assert_identical,
+)
 
 TRIANGLE = parse_query("Q(x,y,z) :- R:E(x,y), S:E(y,z), T:E(z,x).")
 
@@ -244,8 +261,6 @@ class TestKeysFarApart:
     def test_seek_past_a_distant_range_runs_off_the_block(
         self, text, seeks, backend
     ):
-        from repro.engine.kernels import use_backend
-
         b = self.BOUND
         relations = {
             "R": Relation("R", ("a", "b"), [(-b, 1), (-b + 3, 2)]),
@@ -260,8 +275,8 @@ class TestKeysFarApart:
 
 
 class TestBatchReleasesSortedColumns:
-    """Joins that share a walk give up their sorted rows once the packed
-    keys exist; a declined batch keeps them, because it still walks them.
+    """Joins that share a walk give up their rows once the packed keys
+    exist; a declined batch keeps them, because each join still packs its own.
     Rows, stats and per-iterator seeks are what one join at a time gives
     (the workers' ledgers: ``test_batched_local_join_ledgers_identical``)."""
 
@@ -281,10 +296,6 @@ class TestBatchReleasesSortedColumns:
         ]
 
     def _run_both_ways(self, fragments):
-        from repro.engine.kernels import use_backend
-        from repro.leapfrog.tributary import run_joins
-        from tests.test_wcoj_differential import _snapshot
-
         with use_backend("numpy"):
             alone = [TributaryJoin(self.QUERY, f) for f in fragments]
             expected = _snapshot(alone, [join.run() for join in alone])
@@ -295,16 +306,12 @@ class TestBatchReleasesSortedColumns:
         return batch
 
     def test_shared_walk_releases_and_changes_nothing(self):
-        from tests.test_wcoj_differential import _fragments
-
         batch = self._run_both_ways(_fragments(self.QUERY, 3, seed=1))
         assert all(self._released(batch))
 
     def test_declined_batch_keeps_its_columns(self):
         # 2**31-wide columns pack alone (62 bits) but not behind a segment
-        # digit: every join then walks alone, over its own sorted rows
-        from tests.test_wcoj_differential import _wide_relation
-
+        # digit: every join then walks alone, over its own rows
         fragments = []
         for seed in range(3):
             r = _wide_relation(31, seed)
@@ -312,3 +319,199 @@ class TestBatchReleasesSortedColumns:
         batch = self._run_both_ways(fragments)
         assert not any(self._released(batch))
         assert [join.stats.scalar_walks for join in batch] == [0, 0, 0]
+
+
+# ----------------------------------------------------------------------
+# The batched walk's trie: one sorted array of packed keys per atom
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def key_fragments(draw):
+    """1-12 fragments of one atom with 0-3 key columns (0: every term a
+    constant), duplicate rows likely, values in -5..5, optionally 2**20
+    apart."""
+    width = draw(st.integers(0, 3))
+    scale = draw(st.sampled_from([1, 2**20]))
+    value = st.integers(-5, 5).map(lambda v: v * scale)
+    row = st.tuples(*[value] * max(width, 1))
+    count = draw(st.integers(1, 12))
+    return width, [draw(st.lists(row, min_size=1, max_size=12)) for _ in range(count)]
+
+
+class TestOnePackedArray:
+    """Per atom, a batch packs its joins' unsorted key columns behind the
+    join's index (the segment) and sorts them once; level ``d`` of the trie
+    is ``full // stride_d``.  That one array must be every worker's sorted
+    trie exactly: its rows, and the end of every block."""
+
+    @given(key_fragments())
+    @settings(max_examples=120, deadline=None)
+    def test_the_one_array_is_the_per_level_trie(self, drawn):
+        width, fragments = drawn
+        columns = ("a", "b", "c")[: max(width, 1)]
+        with use_backend("numpy"):
+            relations = [
+                SortedRelation(
+                    Relation("R", columns, rows), range(width), keep_rest=False
+                )
+                for rows in fragments
+            ]
+            arrays = _AtomArrays.gather(relations)
+        capacity = len(fragments)
+        for d in range(width):
+            values = [row[d] for rows in fragments for row in rows]
+            capacity *= max(values) - min(values) + 1
+        if capacity >= 2**63:
+            assert arrays is None
+            return
+        full = arrays.full.tolist()
+        strides, spans, lows = arrays.strides, arrays.spans, arrays.lows
+        for s, relation in enumerate(relations):
+            start = int(arrays.offsets[s])
+            rows = list(relation.rows)  # the fragment's sort_projected rows
+            assert int(arrays.offsets[s + 1]) - start == len(rows)
+            for r, row in enumerate(rows):
+                packed = full[start + r]
+                assert packed // math.prod(spans) == s
+                decoded = tuple(
+                    packed // strides[d] % spans[d] + lows[d] for d in range(width)
+                )
+                assert decoded == row
+                end = len(rows)
+                for d in range(width):
+                    end = relation.upper_bound(d, row[d], r, end)
+                    past = (packed // strides[d] + 1) * strides[d]
+                    assert int(arrays.full.searchsorted(past)) - start == end
+
+    def test_a_capacity_just_under_2_63_packs(self):
+        span = (2**63 - 1) // 7  # exact: 7 divides 2**63 - 1
+        block = ColumnBlock([np.array([span - 1, 0, span - 1])], 3)
+        full, lows, spans = kernels.sorted_packed_keys([block] * 7)
+        assert (lows, spans) == ([0], [span])
+        assert full.tolist() == [
+            s * span + v for s in range(7) for v in (0, span - 1, span - 1)
+        ]
+        block = ColumnBlock([np.array([0, 2**62 - 1])], 2)
+        assert kernels.sorted_packed_keys([block] * 2) is None  # 2 * 2**62
+
+    def test_a_batch_at_2_63_declines_and_counts_only_joins_that_do_not_pack(self):
+        query = parse_query("Q(x) :- A(x), B(x).")
+        top = 2**62 - 1
+
+        def fragment(a, b):
+            return {
+                "A": Relation("A", ("a",), [(v,) for v in a]),
+                "B": Relation("B", ("a",), [(v,) for v in b]),
+            }
+
+        # each packs alone (spans 2**62); two segments make 2**63
+        packing = [fragment([0, 3, top], [3, top]), fragment([0, top], [0, 1])]
+        wide = fragment([-(2**62), 5, 2**62], [5, 2**62])  # span 2**63 + 1
+        for fragments, walks in ((packing, [0, 0]), (packing + [wide], [0, 0, 1])):
+            with use_backend("python"):
+                joins = [TributaryJoin(query, f) for f in fragments]
+                oracle = _snapshot(joins, [join.run() for join in joins])
+            with use_backend("numpy"):
+                joins = [TributaryJoin(query, f) for f in fragments]
+                assert VectorizedTributaryRun.build(joins) is None
+                rows = run_joins(joins)
+            assert [join.stats.scalar_walks for join in joins] == walks
+            for join in joins:  # the oracle never falls back
+                join.stats.scalar_walks = 0
+            assert _snapshot(joins, rows) == oracle
+        assert any(rows for rows, _, _ in oracle)
+
+
+def _forbid_sorting(monkeypatch):
+    def sort_projected(*args, **kwargs):
+        raise AssertionError("sort_projected called")
+
+    monkeypatch.setattr(kernels, "sort_projected", sort_projected)
+
+
+class TestBatchedWalkSortsNoFragment:
+    """The batched walk never makes a worker's sorted copy: with
+    ``sort_projected`` raising, it still answers as the python oracle does.
+    What reads a fragment's sorted rows — the scalar walk of a join that
+    does not pack, the python backend — still sorts through it."""
+
+    def test_a_batch_of_nine_triangles(self, monkeypatch):
+        fragments = _fragments(TRIANGLE, 9, seed=4)
+        with use_backend("python"):
+            joins = [TributaryJoin(TRIANGLE, f) for f in fragments]
+            oracle = _snapshot(joins, [join.run() for join in joins])
+        _forbid_sorting(monkeypatch)
+        with use_backend("numpy"):
+            joins = [TributaryJoin(TRIANGLE, f) for f in fragments]
+            assert _snapshot(joins, run_joins(joins)) == oracle
+        assert any(rows for rows, _, _ in oracle)
+
+    def test_q1_hc_tj_through_the_engine(self, monkeypatch):
+        workload = get_workload("Q1")
+        database = workload.dataset("unit")
+
+        def run(kernels):
+            return run_query(
+                workload.query, database, strategy="HC_TJ", workers=8,
+                kernels=kernels,
+            )
+
+        python = run("python")
+        _forbid_sorting(monkeypatch)
+        numpy = run("numpy")
+        assert python.rows and not python.failed
+        assert_identical(python, numpy)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_the_scalar_walk_still_sorts(self, backend, monkeypatch):
+        wide = _wide_relation(40)  # overflows the pack alone and in a batch
+        relations = {"R": wide, "S": wide.renamed("S"), "T": wide.renamed("T")}
+        _forbid_sorting(monkeypatch)
+        with use_backend(backend):
+            joins = [TributaryJoin(TRIANGLE, relations) for _ in range(2)]
+            with pytest.raises(AssertionError, match="sort_projected called"):
+                run_joins(joins)
+
+
+class TestChunkedDescent:
+    """Every ``_descend`` call takes at most ``_CHUNK_CAP`` contexts, at
+    every level, and the chunks are walked in order, so rows, row order,
+    stats and seeks do not depend on the cap."""
+
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    @pytest.mark.parametrize("name", ["triangle", "4-cycle", "4-clique"])
+    def test_any_cap_walks_the_same(self, name, width, monkeypatch):
+        query = parse_query(LOCKSTEP_QUERIES[name])
+        fragments = _fragments(query, width, seed=width, rows=30, domain=6)
+        sizes = []
+        descend = VectorizedTributaryRun._descend
+
+        def spy(self, depth, bindings, segment, *rest):
+            sizes.append(segment.size)
+            return descend(self, depth, bindings, segment, *rest)
+
+        with use_backend("numpy"):
+            joins = [TributaryJoin(query, f) for f in fragments]
+            expected = _snapshot(joins, run_joins(joins))
+            monkeypatch.setattr(VectorizedTributaryRun, "_descend", spy)
+            for cap in (1, 2, 3, 7):
+                monkeypatch.setattr(vectorized, "_CHUNK_CAP", cap)
+                sizes.clear()
+                joins = [TributaryJoin(query, f) for f in fragments]
+                assert _snapshot(joins, run_joins(joins)) == expected
+                assert sizes and max(sizes) <= cap
+        assert any(rows for rows, _, _ in expected)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7])
+    def test_a_lone_join_stopped_early_records_fewer_seeks(self, cap, monkeypatch):
+        monkeypatch.setattr(vectorized, "_CHUNK_CAP", cap)
+        with use_backend("numpy"):
+            exhausted = _triangle_join()
+            list(exhausted.iterate())
+            stopped = _triangle_join()
+            rows = stopped.iterate()
+            for _ in range(4):
+                next(rows)
+            rows.close()
+        assert 0 < stopped.stats.seeks < exhausted.stats.seeks
