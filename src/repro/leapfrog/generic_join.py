@@ -121,12 +121,16 @@ class GenericJoin:
         self._head_positions = [depth_of[v] for v in query.head]
 
     def run(self) -> list[tuple[int, ...]]:
+        """Every head row, de-duplicated in first-seen order unless the
+        query is full."""
         results = list(self.iterate())
         if not self.query.is_full():
             results = list(dict.fromkeys(results))
         return results
 
     def iterate(self) -> Iterator[tuple[int, ...]]:
+        """Yield head rows depth-first, duplicates included; nothing when
+        some atom's trie is empty."""
         if any(not indexed.trie for indexed in self._indexed):
             return
         binding = [0] * len(self.order)

@@ -274,6 +274,7 @@ class TributaryJoin:
         return all(comparison.evaluate(bound) for comparison in comparisons)
 
     def total_seeks(self) -> int:
+        """Seeks counted so far, summed over every atom's iterator."""
         return sum(p.iterator.seeks for p in self._prepared)
 
 

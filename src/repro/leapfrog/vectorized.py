@@ -43,14 +43,23 @@ equals a single global ``searchsorted``.
 
 Execution shape:
 
-- a level with one participant is expanded **wholesale** from precomputed
-  run boundaries; with several participants it runs the **lockstep
-  leapfrog**: every live context steps once per iteration, in the scalar
-  algorithm's round-robin order, and a step is one ``searchsorted`` per
-  participant (:meth:`VectorizedTributaryRun._lockstep`).  The root is a
-  level like any other: one context per join;
+- a level with one participant is expanded **wholesale**: its distinct
+  keys are the run boundaries inside each block
+  (:meth:`VectorizedTributaryRun._single`);
+- a level with two is a **merge**: per context the side with fewer runs
+  has its distinct keys sought in the other's block by one
+  ``searchsorted``, and the insertion points give the hits, the round
+  robin's steps and run-offs, and the seeks in closed form
+  (:meth:`VectorizedTributaryRun._merge`);
+- a level with three or more runs the **lockstep leapfrog**: every live
+  context steps once per iteration, in the scalar algorithm's round-robin
+  order, and a step is one ``searchsorted`` per participant
+  (:meth:`VectorizedTributaryRun._lockstep`).  The root is a level like
+  any other: one context per join;
 - every level is descended in **chunks** of at most ``_CHUNK_CAP``
-  contexts, recursively and in order (:meth:`VectorizedTributaryRun._walk`),
+  contexts, and a merge level of at most ``_MERGE_CAP`` rows of the
+  smaller blocks, recursively and in order
+  (:meth:`VectorizedTributaryRun._walk`),
   so the frontier a batch holds stays bounded however wide the batch, and
   each leaf chunk is emitted as one
   :class:`~repro.engine.kernels.ColumnBlock` of head bindings.  A lone
@@ -85,6 +94,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: frontier and the lockstep's state while keeping searchsorted batches
 #: large (DESIGN.md, "Memory shapes the batch")
 _CHUNK_CAP = 8192
+#: cap on the rows of the smaller blocks one ``_merge`` call holds, unless
+#: one context has more: it bounds the keys enumerated and their state
+_MERGE_CAP = 32768
 
 
 class _AtomArrays:
@@ -255,7 +267,9 @@ class VectorizedTributaryRun:
     def _walk(self, depth, bindings, segment, block_lo, block_hi):
         """Descend the contexts at ``depth`` to the deepest level and emit
         them, at most ``_CHUNK_CAP`` contexts per :meth:`_descend` at every
-        level, chunk by chunk in order, so the emissions stay depth-first."""
+        level, and on a :meth:`_merge` level at most ``_MERGE_CAP`` rows of
+        the smaller blocks, chunk by chunk in order, so the emissions stay
+        depth-first."""
         if depth == self._depths:
             yield self._emit(bindings, segment)
             return
@@ -264,8 +278,20 @@ class VectorizedTributaryRun:
         # first frontier is cut in two at least; a batch is always drained
         halves = 2 if depth == 1 and len(self.joins) == 1 else 1
         chunk = max(1, min(count // halves, _CHUNK_CAP))
-        for start in range(0, count, chunk):
-            window = slice(start, start + chunk)
+        # a block holds at least as many rows as distinct keys
+        rows = None
+        part = self._participants[depth]
+        if len(part) == 2:
+            rows = np.cumsum(np.minimum(*(block_hi[i] - block_lo[i] for i in part)))
+        start = 0
+        while start < count:
+            stop = min(start + chunk, count)
+            if rows is not None:
+                done = int(rows[start - 1]) if start else 0
+                fits = int(rows.searchsorted(done + _MERGE_CAP, side="right"))
+                stop = min(stop, max(start + 1, fits))
+            window = slice(start, stop)
+            start = stop
             frontier = self._descend(
                 depth,
                 [b[window] for b in bindings],
@@ -280,7 +306,12 @@ class VectorizedTributaryRun:
         """Expand every context one level down into ``(bindings, segment,
         block_lo, block_hi)``; ``None`` when the frontier empties."""
         part = self._participants[depth]
-        expand = self._single if len(part) == 1 else self._lockstep
+        if len(part) == 1:
+            expand = self._single
+        elif len(part) == 2:
+            expand = self._merge
+        else:
+            expand = self._lockstep
         parent_idx, values, blocks = expand(
             part, depth, segment, block_lo, block_hi
         )
@@ -314,6 +345,14 @@ class VectorizedTributaryRun:
             segment, weights=seeks, minlength=len(self.joins)
         ).astype(np.int64)
 
+    def _run_span(self, index, depth, block_lo, block_hi):
+        """Per context, the first of atom ``index``'s runs at ``depth``
+        inside its block, and how many there are: its distinct keys."""
+        runs = self.arrays[index].runs(self._levels[(index, depth)])
+        # block bounds are run boundaries of this level (trie blocks nest)
+        first = runs.searchsorted(block_lo[index])
+        return first, runs.searchsorted(block_hi[index]) - first
+
     def _single(self, part, depth, segment, block_lo, block_hi):
         """Wholesale expansion of a one-participant level: every context's
         distinct keys are exactly the packed-key runs inside its block."""
@@ -321,13 +360,7 @@ class VectorizedTributaryRun:
         arrays = self.arrays[index]
         level = self._levels[(index, depth)]
         runs = arrays.runs(level)
-        lo = block_lo[index]
-        hi = block_hi[index]
-        # block bounds are run boundaries of this level (trie blocks nest),
-        # so the runs of context c are runs first[c] to last[c] - 1
-        first = np.searchsorted(runs, lo, side="left")
-        last = np.searchsorted(runs, hi, side="left")
-        counts = last - first
+        first, counts = self._run_span(index, depth, block_lo, block_hi)
         total = int(counts.sum())
         # 1 open + (distinct - 1) nexts per context = its run count
         self._count(index, segment, counts)
@@ -341,13 +374,146 @@ class VectorizedTributaryRun:
         )
         child_lo = runs[flat]
         child_hi = runs[flat + 1]
-        parent_idx = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
+        parent_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
         values = arrays.keys(level, child_lo)
         return parent_idx, values, {index: (child_lo, child_hi)}
 
+    def _merge(self, part, depth, segment, block_lo, block_hi):
+        """A two-participant level as a merge, without a per-step loop.
+
+        Per context, the participant with fewer runs in its block (the
+        first one on a tie) has its distinct keys enumerated and sought in
+        the other's block, all at once (:meth:`_merge_side`); the step
+        count is the only thing that depends on which side that is.  The
+        two halves' emissions are interleaved back into context order.
+        """
+        first, count = {}, {}
+        for i in part:
+            first[i], count[i] = self._run_span(i, depth, block_lo, block_hi)
+        a, b = part
+        flip = count[b] < count[a]
+        pieces = []
+        for enum, contexts in ((a, ~flip), (b, flip)):
+            ctx = np.flatnonzero(contexts)
+            if ctx.size:
+                pieces.append(
+                    self._merge_side(
+                        part, enum, depth, ctx, first[enum][ctx],
+                        count[enum][ctx], segment, block_lo, block_hi,
+                    )
+                )
+        if len(pieces) == 1:
+            return pieces[0]
+        (parents, values, blocks), (parents_b, values_b, blocks_b) = pieces
+        order, parents = kernels.stable_order(
+            np.concatenate((parents, parents_b)), segment.size
+        )
+        values = np.concatenate((values, values_b))[order]
+        blocks = {
+            i: tuple(
+                np.concatenate((mine, theirs))[order]
+                for mine, theirs in zip(blocks[i], blocks_b[i])
+            )
+            for i in blocks
+        }
+        return parents, values, blocks
+
+    def _merge_side(
+        self, part, enum, depth, ctx, first, count, segment, block_lo, block_hi
+    ):
+        """:meth:`_merge` over the contexts ``ctx`` whose keys are
+        enumerated from participant ``enum``: runs ``first`` to ``first +
+        count - 1`` of its level are each context's distinct keys.
+
+        One ``searchsorted`` seeks every enumerated key in the other
+        participant's block; ``found`` is its first row with a key at or
+        above it, ``past`` its first row above it.  The scalar round-robin
+        then follows in closed form.  Its turns alternate, and the side on
+        turn is the one behind, so every step lands one side on its first
+        key at or past the other's: the other side reaches ``found`` of
+        each enumerated key it seeks, and the enumerated side skips to the
+        first key whose ``past`` moved.  The walk therefore reaches the
+        first enumerated key of every gap between the other side's keys,
+        plus the key after a common key the enumerated side leads.  On a
+        common key the side that got there first leads (calls ``next()``):
+        the one whose largest key below it is smaller.  Where both are the
+        previous common key — consecutive common keys — the lead is
+        inherited from the run's first key, and on the tied first keys of
+        a block it is ``part[0]``, slot 0 of the stable initial sort.
+        """
+        other = part[1] if enum == part[0] else part[0]
+        mine, theirs = self.arrays[enum], self.arrays[other]
+        level, at = self._levels[(enum, depth)], self._levels[(other, depth)]
+        total = int(count.sum())
+        heads = np.cumsum(count) - count
+        rank = np.arange(total, dtype=np.int64) + np.repeat(first - heads, count)
+        runs = mine.runs(level)
+        lo, hi = runs[rank], runs[rank + 1]
+        keys = mine.keys(level, lo)
+        # every key sought in the other side's block
+        low, span, stride = theirs.lows[at], theirs.spans[at], theirs.strides[at]
+        ceiling = min(low + span, 2**63 - 1)
+        start, end = block_lo[other][ctx], block_hi[other][ctx]
+        prefix = theirs.full[start] // stride
+        shift = np.repeat(prefix - prefix % span - low, count)
+        # a key below the other side's lowest seeks its lowest: same landing
+        found = theirs.full.searchsorted(
+            kernels.seek_targets(np.maximum(keys, low), ceiling, shift, stride)
+        )
+        hit = found < np.repeat(end, count)
+        hit &= theirs.full.take(found, mode="clip") // stride - shift == keys
+        past = found.copy()
+        past[hit] = theirs.full.searchsorted(
+            kernels.seek_targets(keys[hit], ceiling, shift[hit], stride, 1)
+        )
+        # ``past`` of the key before, the other block's start before a
+        # context's first key
+        before = np.empty_like(past)
+        before[1:] = past[:-1]
+        before[heads] = start
+        # who calls next() on a common key: we do when we got there first,
+        # i.e. they had a key between ours and the one before; consecutive
+        # common keys inherit it, a segmented forward fill
+        inherit = hit & (found == before)
+        leads = hit.copy()
+        leads[heads[inherit[heads]]] = enum == part[0]
+        inherit[heads] = False
+        source = np.where(inherit, 0, np.arange(total, dtype=np.int64))
+        np.maximum.accumulate(source, out=source)
+        leads = leads[source]
+        reached = past != before
+        reached[heads] = True
+        reached[1:] |= leads[:-1]
+        steps = np.add.reduceat(reached, heads, dtype=np.int64)
+        led = np.add.reduceat(leads, heads, dtype=np.int64)
+        hits = np.add.reduceat(hit, heads, dtype=np.int64)
+        last = np.maximum.reduceat(
+            np.where(reached, np.arange(total, dtype=np.int64), 0), heads
+        )
+        # the other side runs off seeking (or stepping past) our last key
+        # reached, unless we lead there; else we run off seeking theirs
+        they_off = (past[last] == end) & ~leads[last]
+        # they stand still before our first key is reached when it is below
+        # theirs, or tied with it and ours to step
+        idle = (found[heads] == start) & (~hit[heads] | leads[heads])
+        # the closed form of _lockstep: open() pays its block end, a step a
+        # lower bound and a block end, less the lower bound of a next() on
+        # a hit and the block end of a step off the block; we step to every
+        # key reached but the first, they to every one but an idle first
+        segment = segment[ctx]
+        self._count(enum, segment, 2 * steps - 1 + ~they_off - led)
+        self._count(other, segment, 1 + 2 * (steps - idle) - (hits - led) - they_off)
+        blocks = {
+            i: (starts[hit], stops[hit])
+            for i, starts, stops in ((enum, lo, hi), (other, found, past))
+            if i in self._carried[depth]
+        }
+        return np.repeat(ctx, count)[hit], keys[hit], blocks
+
     def _lockstep(self, part, depth, segment, block_lo, block_hi):
         """Round-robin leapfrog over arrays of contexts, one binary search
-        per participant and step.
+        per participant and step: the levels of three or more participants
+        (two are a :meth:`_merge`).
 
         Every live context steps once per iteration and the turn is shared:
         on turn ``t`` a context moves the iterator in slot ``t`` of its

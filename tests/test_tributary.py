@@ -476,20 +476,26 @@ class TestBatchedWalkSortsNoFragment:
 
 class TestChunkedDescent:
     """Every ``_descend`` call takes at most ``_CHUNK_CAP`` contexts, at
-    every level, and the chunks are walked in order, so rows, row order,
-    stats and seeks do not depend on the cap."""
+    every level, and a merge level's at most ``_MERGE_CAP`` rows of the
+    smaller blocks unless it is one context; the chunks are walked in
+    order, so rows, row order, stats and seeks do not depend on the caps."""
 
     @pytest.mark.parametrize("width", [1, 2, 9])
     @pytest.mark.parametrize("name", ["triangle", "4-cycle", "4-clique"])
     def test_any_cap_walks_the_same(self, name, width, monkeypatch):
         query = parse_query(LOCKSTEP_QUERIES[name])
         fragments = _fragments(query, width, seed=width, rows=30, domain=6)
-        sizes = []
+        sizes, merged = [], []
         descend = VectorizedTributaryRun._descend
 
-        def spy(self, depth, bindings, segment, *rest):
+        def spy(self, depth, bindings, segment, block_lo, block_hi):
             sizes.append(segment.size)
-            return descend(self, depth, bindings, segment, *rest)
+            part = self._participants[depth]
+            if len(part) == 2 and segment.size > 1:
+                merged.append(
+                    int(np.minimum(*(block_hi[i] - block_lo[i] for i in part)).sum())
+                )
+            return descend(self, depth, bindings, segment, block_lo, block_hi)
 
         with use_backend("numpy"):
             joins = [TributaryJoin(query, f) for f in fragments]
@@ -497,10 +503,13 @@ class TestChunkedDescent:
             monkeypatch.setattr(VectorizedTributaryRun, "_descend", spy)
             for cap in (1, 2, 3, 7):
                 monkeypatch.setattr(vectorized, "_CHUNK_CAP", cap)
+                monkeypatch.setattr(vectorized, "_MERGE_CAP", cap)
                 sizes.clear()
+                merged.clear()
                 joins = [TributaryJoin(query, f) for f in fragments]
                 assert _snapshot(joins, run_joins(joins)) == expected
                 assert sizes and max(sizes) <= cap
+                assert max(merged, default=0) <= cap
         assert any(rows for rows, _, _ in expected)
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 7])
@@ -515,3 +524,166 @@ class TestChunkedDescent:
                 next(rows)
             rows.close()
         assert 0 < stopped.stats.seeks < exhausted.stats.seeks
+
+
+# ----------------------------------------------------------------------
+# Two participants: the merge against the lockstep, level by level
+# ----------------------------------------------------------------------
+
+GROUPED = parse_query("Q(g,x) :- A(g,x), B(g,x).")
+
+#: x offsets per atom: near zero, at +-(2**63 - 1), and 2**63 apart
+OFFSETS = [0, 3, 2**62, -(2**62), 2**63 - 1 - 9, -(2**63 - 1)]
+
+
+def _expansions(run, depth, segment, block_lo, block_hi):
+    """``_merge`` and ``_lockstep`` of one level on the same contexts: their
+    parents, values, carried blocks and per-(atom, segment) seeks."""
+    out = []
+    for expand in (run._merge, run._lockstep):
+        parents, values, blocks = expand([0, 1], depth, segment, block_lo, block_hi)
+        seeks = [pending.tolist() for pending in run._pending]
+        for pending in run._pending:
+            pending[:] = 0
+        out.append(
+            (
+                parents.tolist(),
+                values.tolist(),
+                # no emission, no blocks: _descend stops the walk there
+                {
+                    i: (lo.tolist(), hi.tolist())
+                    for i, (lo, hi) in blocks.items()
+                    if values.size
+                },
+                seeks,
+            )
+        )
+    return out, (parents, blocks)
+
+
+def assert_merge_is_lockstep(segments):
+    """Walk ``A(g, x)`` and ``B(g, x)`` per segment (one ``(a_rows,
+    b_rows)`` pair each) level by level: the merge and the lockstep must
+    agree at ``g`` (one context per segment) and at ``x`` (one per common
+    ``g``)."""
+    fragments = [
+        {
+            "A": Relation("A", ("g", "x"), sorted(set(a))),
+            "B": Relation("B", ("g", "x"), sorted(set(b))),
+        }
+        for a, b in segments
+    ]
+    with use_backend("numpy"):
+        joins = [TributaryJoin(GROUPED, f) for f in fragments]
+        run = VectorizedTributaryRun.build(joins)
+    assert run is not None and run._participants == [[0, 1], [0, 1]]
+    segment = np.arange(len(joins), dtype=np.int64)
+    lo = {i: run.arrays[i].offsets[:-1] for i in (0, 1)}
+    hi = {i: run.arrays[i].offsets[1:] for i in (0, 1)}
+    (merged, stepped), (parents, blocks) = _expansions(run, 0, segment, lo, hi)
+    assert merged == stepped
+    if parents.size:
+        lo = {i: blocks[i][0] for i in (0, 1)}
+        hi = {i: blocks[i][1] for i in (0, 1)}
+        merged, stepped = _expansions(run, 1, segment[parents], lo, hi)[0]
+        assert merged == stepped
+
+
+@st.composite
+def grouped_segments(draw):
+    """1-4 segments of A(g, x) and B(g, x) rows, g in 0..2 so a segment
+    holds several contexts at ``x``; x dense in 0..9 (ties at the first
+    key, runs of consecutive common keys) plus a per-atom offset, often
+    shared, else possibly 2**63 or more away from the other atom's."""
+    offset_a = draw(st.sampled_from(OFFSETS))
+    offset_b = draw(st.one_of(st.just(offset_a), st.sampled_from(OFFSETS)))
+
+    def rows(offset):
+        row = st.tuples(st.integers(0, 2), st.integers(0, 9).map(offset.__add__))
+        return st.lists(row, min_size=1, max_size=20)
+
+    count = draw(st.integers(1, 4))
+    return [(draw(rows(offset_a)), draw(rows(offset_b))) for _ in range(count)]
+
+
+def _keys(values, g=0):
+    return [(g, v) for v in values]
+
+
+class TestMergeIsLockstep:
+    """``_merge`` replaces the lockstep on two-participant levels: per
+    context the same common keys in the same order, the same carried
+    blocks and the same seeks per (atom, segment) — the scalar
+    round-robin's, including who calls ``next()`` on a common key."""
+
+    @given(grouped_segments())
+    @settings(max_examples=300, deadline=None)
+    def test_random_blocks(self, segments):
+        assert_merge_is_lockstep(segments)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # tied first keys: part[0] leads, then along the common run
+            ([1, 2, 3], [1, 2, 3, 4]),
+            ([1, 2, 3, 4], [1, 2, 3]),
+            # the later starter reaches the run's first key second
+            ([1, 2, 3], [0, 1, 2, 3]),
+            ([0, 1, 2, 3], [1, 2, 3]),
+            # a key of one side between two common keys hands the lead over
+            ([1, 2, 4, 5], [1, 3, 4, 5]),
+            ([1, 2, 3, 7, 8], [4, 5, 7, 9]),
+            # either side runs off first, on a seek or on a next()
+            ([1, 5], [2, 3, 4, 6]),
+            ([2, 3, 4, 6], [1, 5]),
+            ([1, 2], [2]),
+            ([2], [1, 2]),
+            ([5, 6, 7], [5]),
+            # the int64 extremes, and keys 2**63 apart
+            ([2**63 - 1], [-(2**63 - 1)]),
+            ([-(2**63 - 1)], [2**63 - 1]),
+            ([-(2**62), 0], [2**62]),
+            ([-(2**62), 2**62 - 2], [2**62 - 2]),
+        ],
+    )
+    def test_hand_cases(self, a, b):
+        assert_merge_is_lockstep([(_keys(a), _keys(b))])
+        assert_merge_is_lockstep([(_keys(b), _keys(a))])
+
+
+class TestTwoParticipantLevelsNeverStep:
+    """The merge is the one path for two participants: with the lockstep
+    refusing them, Q1 and Q6 under HC_TJ still answer as the python walk
+    does, rows and counted clock (seeks included) alike."""
+
+    @pytest.mark.parametrize("name", ["Q1", "Q6"])
+    def test_q1_and_q6(self, name, monkeypatch):
+        workload = get_workload(name)
+        database = workload.dataset("unit")
+
+        def run(kernels):
+            return run_query(
+                workload.query, database, strategy="HC_TJ", workers=8,
+                kernels=kernels,
+            )
+
+        python = run("python")
+        lockstep = VectorizedTributaryRun._lockstep
+        merged = []
+
+        def guard(self, part, *args):
+            if len(part) == 2:
+                raise AssertionError("a two-participant level reached _lockstep")
+            return lockstep(self, part, *args)
+
+        def spy(self, part, *args):
+            merged.append(len(part))
+            return merge(self, part, *args)
+
+        merge = VectorizedTributaryRun._merge
+        monkeypatch.setattr(VectorizedTributaryRun, "_lockstep", guard)
+        monkeypatch.setattr(VectorizedTributaryRun, "_merge", spy)
+        numpy = run("numpy")
+        assert python.rows and not python.failed
+        assert merged
+        assert_identical(python, numpy)
