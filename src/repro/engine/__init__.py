@@ -17,7 +17,6 @@ from .hash_join import apply_comparisons, join_output_variables, symmetric_hash_
 from .kernels import (
     KERNEL_BACKENDS,
     get_backend,
-    resolve_backend,
     set_backend,
     use_backend,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "join_output_variables",
     "local_tributary_join",
     "regular_shuffle",
-    "resolve_backend",
     "resolve_faults",
     "resolve_policy",
     "resolve_runtime",

@@ -86,9 +86,10 @@ def frame_relation(frame: Frame, name: str) -> Relation:
     """View a frame as a storage relation (columns named by variables).
 
     Shares the frame's rows: frames are produced by the engine's own
-    operators, so the rows need neither a copy nor re-validation — and when
-    they are a column block, sorting them for the Tributary join reads the
-    columns as they are.
+    operators, so the rows need neither a copy nor re-validation.  The
+    Tributary join is charged the paper's sort and scratch copy of them,
+    but its batched walk packs their key columns, as they are, into one
+    sorted array per atom.
     """
     return Relation.over_rows(
         name, tuple(v.name for v in frame.variables), frame.rows

@@ -28,12 +28,12 @@ orders, result rows, and every counted metric are bit-identical between
 them (``tests/test_kernels_differential.py`` proves it across all six
 shuffle x join strategies).  Only wall-clock time differs.
 
-Backend selection, in priority order:
+The backend is one process-wide switch that every kernel reads, set, in
+priority order, by
 
-1. an explicit ``backend=`` argument on a kernel call,
-2. :func:`set_backend` / the :func:`use_backend` context manager,
-3. the ``REPRO_KERNELS`` environment variable (``python`` or ``numpy``),
-4. the default, ``numpy``.
+1. :func:`set_backend` / the :func:`use_backend` context manager,
+2. the ``REPRO_KERNELS`` environment variable (``python`` or ``numpy``),
+3. the default, ``numpy``.
 """
 
 from __future__ import annotations
@@ -89,17 +89,6 @@ def set_backend(name: str) -> None:
             f"unknown kernel backend {name!r}; use one of {KERNEL_BACKENDS}"
         )
     _backend = name
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """An explicit backend argument, or the global selection."""
-    if backend is None:
-        return _backend
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; use one of {KERNEL_BACKENDS}"
-        )
-    return backend
 
 
 @contextmanager
@@ -219,14 +208,10 @@ def row_tuples(rows: Sequence[Row]) -> list[Row]:
     return rows.tolist() if isinstance(rows, ColumnBlock) else rows
 
 
-def concat_rows(
-    parts: Sequence[Sequence[Row]],
-    width: int,
-    backend: Optional[str] = None,
-) -> Sequence[Row]:
+def concat_rows(parts: Sequence[Sequence[Row]], width: int) -> Sequence[Row]:
     """The rows of ``parts`` (each ``width`` wide), one part after another:
     one block on the numpy backend, one list on the python backend."""
-    if resolve_backend(backend) != "numpy":
+    if _backend != "numpy":
         return [row for part in parts for row in part]
     blocks = [as_block(part) for part in parts if len(part)]
     if not blocks:
@@ -337,14 +322,13 @@ def shuffle_partition(
     key_indices: Sequence[int],
     workers: int,
     salt: int = 0,
-    backend: Optional[str] = None,
 ) -> list[Sequence[Row]]:
     """Hash-partition rows on their key columns into ``workers`` buckets.
 
     Rows keep their scan order within each bucket (the numpy path's stable
     partitioning matches the python path's append order exactly).
     """
-    if resolve_backend(backend) == "numpy" and len(rows) < _INDEX_LIMIT:
+    if _backend == "numpy" and len(rows) < _INDEX_LIMIT:
         block = as_block(rows)
         if not block.length:
             return [block] * workers
@@ -364,7 +348,6 @@ def hypercube_partition(
     bound: Sequence[tuple[int, int, int, int]],
     offsets: Sequence[int],
     workers: int,
-    backend: Optional[str] = None,
 ) -> list[Sequence[Row]]:
     """Route rows to their hypercube coordinates (with replication).
 
@@ -377,11 +360,7 @@ def hypercube_partition(
     order, then offset order — identical for both backends.
     """
     copies = len(offsets)
-    if (
-        resolve_backend(backend) == "numpy"
-        and copies
-        and len(rows) * copies < _INDEX_LIMIT
-    ):
+    if _backend == "numpy" and copies and len(rows) * copies < _INDEX_LIMIT:
         block = as_block(rows)
         if not block.length:
             return [block] * workers
@@ -409,7 +388,7 @@ def hypercube_partition(
 
 
 # ----------------------------------------------------------------------
-# Sorting and sorted-array primitives
+# Sorting
 # ----------------------------------------------------------------------
 
 
@@ -475,16 +454,16 @@ def stable_order(ids: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray
     return order, keyed.view(ids.dtype)
 
 
-def sort_projected(
-    rows: Sequence[Row],
-    positions: Sequence[int],
-    backend: Optional[str] = None,
-) -> Sequence[Row]:
+def sort_projected(rows: Sequence[Row], positions: Sequence[int]) -> Sequence[Row]:
     """Project rows onto ``positions`` and sort them lexicographically: a
-    sorted list on the python backend, a sorted block — each column
-    contiguous, ready for ``np.searchsorted``-backed seeks — on numpy."""
+    sorted list on the python backend, a sorted block on numpy.
+
+    No join reads it: the batched Tributary walk sorts one packed key array
+    per atom (:func:`sorted_packed_keys`) and the scalar walk sorts its own
+    row list (:class:`~repro.storage.sorted.SortedRelation`).  It stays as
+    the measured sort kernel of ``perf/layers.py``."""
     positions = list(positions)
-    if resolve_backend(backend) == "numpy":
+    if _backend == "numpy":
         if not len(rows):
             return _empty_block(len(positions))
         if not positions:
@@ -498,72 +477,6 @@ def sort_projected(
             order, _ = stable_order(*packing)
         return ColumnBlock([column[order] for column in columns], block.length)
     return sorted(tuple(row[p] for p in positions) for row in rows)
-
-
-def lower_bound(
-    rows: Sequence[Row],
-    depth: int,
-    value: int,
-    lo: int,
-    hi: int,
-) -> int:
-    """First index in ``[lo, hi)`` whose ``depth``-th key is ``>= value``.
-
-    Only valid when rows in ``[lo, hi)`` share a common prefix of length
-    ``depth`` (so the ``depth``-th column is non-decreasing there), which
-    the trie iterator guarantees.
-    """
-    if isinstance(rows, ColumnBlock):
-        column = rows.columns[depth]
-        return lo + int(np.searchsorted(column[lo:hi], value, side="left"))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rows[mid][depth] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def upper_bound(
-    rows: Sequence[Row],
-    depth: int,
-    value: int,
-    lo: int,
-    hi: int,
-) -> int:
-    """First index in ``[lo, hi)`` whose ``depth``-th key is ``> value``."""
-    if isinstance(rows, ColumnBlock):
-        column = rows.columns[depth]
-        return lo + int(np.searchsorted(column[lo:hi], value, side="right"))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rows[mid][depth] <= value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def distinct_prefix_count(rows: Sequence[Row], length: int) -> int:
-    """Number of distinct key prefixes of the given length over sorted rows."""
-    if not rows:
-        return 0
-    if length == 0:
-        return 1
-    if isinstance(rows, ColumnBlock):
-        changed = np.zeros(len(rows) - 1, dtype=bool)
-        for column in rows.columns[:length]:
-            changed |= column[1:] != column[:-1]
-        return 1 + int(np.count_nonzero(changed))
-    count = 0
-    previous: Optional[Row] = None
-    for row in rows:
-        prefix = row[:length]
-        if prefix != previous:
-            count += 1
-            previous = prefix
-    return count
 
 
 # ----------------------------------------------------------------------
@@ -658,7 +571,6 @@ def hash_join_rows(
     left_key: Sequence[int],
     right_key: Sequence[int],
     right_extra: Sequence[int],
-    backend: Optional[str] = None,
 ) -> Sequence[Row]:
     """Equi-join two row sets: for each right row (in order), emit
     ``left_row + right_extra_columns`` for every matching left row in left
@@ -666,7 +578,7 @@ def hash_join_rows(
 
     An empty key joins everything with everything (cross product).
     """
-    if resolve_backend(backend) == "numpy":
+    if _backend == "numpy":
         left, right = as_block(left_rows), as_block(right_rows)
         if not left.length or not right.length:
             return _empty_block(len(left.columns) + len(right_extra))
@@ -748,7 +660,6 @@ def filter_atom_rows(
     rows: Sequence[Row],
     constant_filters: Sequence[tuple[int, int]],
     repeat_groups: Sequence[Sequence[int]],
-    backend: Optional[str] = None,
 ):
     """Apply constant selections and repeated-variable equality filters.
 
@@ -760,8 +671,7 @@ def filter_atom_rows(
     per fragment, so a vectorized mask would first have to convert the
     columns it tests — and that conversion alone costs more than the plain
     list comprehension (measured ~2-4x slower at 100k rows).  What survives
-    the filter is converted once, by the first kernel downstream.  The
-    ``backend`` parameter is accepted for interface uniformity.
+    the filter is converted once, by the first kernel downstream.
     """
     if not constant_filters and not repeat_groups:
         return rows
@@ -779,13 +689,12 @@ def filter_atom_rows(
 def project_rows(
     rows: Sequence[Row],
     indices: Sequence[int],
-    backend: Optional[str] = None,
     dedup: bool = False,
 ) -> Sequence[Row]:
     """The given columns of every row; ``dedup`` drops duplicate rows,
     keeping first-seen order.  On numpy a projection selects column arrays
     (nothing is copied) and de-duplication is one :func:`stable_order`."""
-    if resolve_backend(backend) == "numpy":
+    if _backend == "numpy":
         block = as_block(rows)
         if not block.length:
             return _empty_block(len(indices))
@@ -811,13 +720,12 @@ def select_rows(
     rows: Sequence[Row],
     variables: Sequence,
     comparisons: Sequence,
-    backend: Optional[str] = None,
 ) -> Sequence[Row]:
     """The rows that pass every comparison, in order; ``variables`` label
     the columns.  :meth:`~repro.query.atoms.Comparison.evaluate` takes a
     column per variable as readily as a value, so on numpy the comparisons
     are one boolean mask over the block."""
-    if resolve_backend(backend) == "numpy":
+    if _backend == "numpy":
         block = as_block(rows)
         if not block.length:
             return block

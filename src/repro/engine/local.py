@@ -1,11 +1,14 @@
 """Per-worker local execution helpers.
 
 After a shuffle delivers frames to a worker, the rest of the query runs
-locally.  For Tributary-join strategies that means sorting every fragment
-and running the multiway leapfrog; this module wraps
+locally.  For Tributary-join strategies that means the multiway leapfrog
+over every fragment; this module wraps
 :class:`~repro.leapfrog.tributary.TributaryJoin` over frames and charges
 its sort and seek work to the right worker and phase (the paper separates
-"time on sorting" from "time on TJ", e.g. Table 5 and Fig. 10c).
+"time on sorting" from "time on TJ", e.g. Table 5 and Fig. 10c).  The
+counted model still charges the paper's per-fragment sort and its scratch
+copy; the batched walk itself sorts one packed key array per atom, for all
+the workers of a batch at once.
 
 The entry point takes a *batch* of workers: every worker is accounted on
 its own ledger exactly as if it ran alone, but the trie walks of a batch

@@ -39,11 +39,9 @@ class _Level:
 class TrieIterator:
     """A trie cursor over a :class:`SortedRelation`'s key columns."""
 
-    def __init__(self, relation: SortedRelation, key_depth: int | None = None) -> None:
+    def __init__(self, relation: SortedRelation) -> None:
         self.relation = relation
-        self.max_depth = key_depth if key_depth is not None else relation.depth()
-        if self.max_depth > len(relation.permutation):
-            raise ValueError("key depth exceeds relation arity")
+        self.max_depth = len(relation.order)
         self._levels: list[_Level] = []
         self.at_end = len(relation) == 0
         self.seeks = 0  # binary searches performed (cost-model unit)
@@ -116,10 +114,3 @@ class TrieIterator:
             depth, self.relation.key_at(depth, position), position, level.hi
         )
         self.seeks += 1
-
-    def current_range(self) -> tuple[int, int]:
-        """Row range of the current key's block (the 'residual relation')."""
-        if not self._levels or self.at_end:
-            raise RuntimeError("no current block")
-        level = self._levels[-1]
-        return level.position, level.block_end

@@ -111,10 +111,10 @@ def prepare_atom(
     filtered, key_variables, key_positions = select_atom(
         atom, relation, order, encoder
     )
-    sorted_relation = SortedRelation(filtered, key_positions, keep_rest=False)
+    sorted_relation = SortedRelation(filtered, key_positions)
     return _PreparedAtom(
         atom,
-        TrieIterator(sorted_relation, key_depth=len(key_variables)),
+        TrieIterator(sorted_relation),
         key_variables,
         size=len(sorted_relation),
         prepare_cost=sorted_relation.sort_cost,
@@ -323,7 +323,7 @@ def run_joins(joins: Sequence[TributaryJoin]) -> list[Sequence[tuple[int, ...]]]
     walked one at a time, and only a join that does not pack alone either
     counts a scalar walk — so ``scalar_walks`` does not depend on how joins
     were dealt into batches.  The shared walk sorts packed keys, never the
-    joins' rows; joins that shared it with others are spent (released).
+    joins' rows.
     """
     from ..engine.kernels import concat_rows
     from .vectorized import VectorizedTributaryRun
@@ -338,12 +338,6 @@ def run_joins(joins: Sequence[TributaryJoin]) -> list[Sequence[tuple[int, ...]]]
             return [join.run() for join in joins]
         # at most one join has anything to walk, and it walks scalar
         return [join._project(list(join.iterate())) for join in joins]
-    if len(batch) > 1:
-        # the walk reads the packed keys only, so the batch's joins are
-        # spent (a lone join can be run again)
-        for join in batch:
-            for prepared in join._prepared:
-                prepared.iterator.relation.release()
     parts: list[list] = [[] for _ in joins]
     try:
         for block, bounds in shared.blocks():

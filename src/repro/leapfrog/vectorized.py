@@ -131,10 +131,7 @@ class _AtomArrays:
         """Pack and sort one atom's unsorted key columns across the batch;
         ``None`` when segment and key ranges do not fit 63 bits."""
         packing = kernels.sorted_packed_keys(
-            [
-                kernels.project_rows(r.base.rows, r.permutation, "numpy")
-                for r in relations
-            ]
+            [kernels.project_rows(r.base.rows, r.order) for r in relations]
         )
         if packing is None:
             return None
@@ -220,12 +217,10 @@ class VectorizedTributaryRun:
 
     @staticmethod
     def supports(join: "TributaryJoin") -> bool:
-        """Whether this join has a batched walk at all: every atom a sorted
-        relation prepared under numpy kernels, not a B-tree."""
+        """Whether this join has a batched walk at all: numpy kernels, and
+        every atom a sorted relation, not a B-tree."""
         return kernels.get_backend() == "numpy" and all(
-            isinstance(p.iterator, TrieIterator)
-            and p.iterator.relation.backend == "numpy"
-            for p in join._prepared
+            isinstance(p.iterator, TrieIterator) for p in join._prepared
         )
 
     @classmethod

@@ -331,9 +331,11 @@ class LocalHashJoin(_BinaryJoinStep):
 class MergeJoinStep(_BinaryJoinStep):
     """One per-worker binary merge join (a degenerate 2-atom Tributary join).
 
-    Sorting by ``order`` charges ``n log n`` comparisons into
-    ``step{k}:sort`` (and a scratch sorted copy of both inputs against
-    memory); seeks plus output materialization go to ``step{k}:join``.
+    The counted model charges the paper's sort by ``order`` — ``n log n``
+    comparisons into ``step{k}:sort`` and a scratch sorted copy of both
+    inputs against memory; the batched walk sorts one packed key array per
+    input instead.  Seeks plus output materialization go to
+    ``step{k}:join``.
     """
 
     NAME = "merge-join"
@@ -363,9 +365,11 @@ class MergeJoinStep(_BinaryJoinStep):
 class LocalTributaryJoin(PhysicalOp):
     """The full multiway Tributary join over one worker's local fragments.
 
-    Sorting all fragments charges into ``sort`` (with the sorted copies as
-    scratch memory, released when the join finishes); seeks plus result
-    materialization charge into ``tributary join``.  Produces frames over
+    The counted model charges the paper's sort of every fragment into
+    ``sort`` (with the sorted copies as scratch memory, released when the
+    join finishes); the batched walk sorts one packed key array per atom
+    for all workers instead.  Seeks plus result materialization charge into
+    ``tributary join``.  Produces frames over
     the query head (the join projects the head, and applies every
     comparison, internally — nothing is left ``pending``).
     """

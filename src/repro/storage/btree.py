@@ -163,6 +163,7 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     def first_leaf(self) -> Optional[_Node]:
+        """The leftmost leaf (``None`` when empty), counting node visits."""
         if self.size == 0:
             return None
         node = self.root

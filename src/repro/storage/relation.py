@@ -8,7 +8,7 @@ at plan time so all runtime comparisons are int comparisons.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class Relation:
@@ -51,10 +51,12 @@ class Relation:
 
     @property
     def arity(self) -> int:
+        """Number of columns."""
         return len(self.columns)
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
+        """The rows, in load order."""
         return self._rows
 
     def __len__(self) -> int:
@@ -66,12 +68,6 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({self.name}, {self.columns}, {len(self)} rows)"
 
-    def column_index(self, column: str) -> int:
-        try:
-            return self.columns.index(column)
-        except ValueError:
-            raise KeyError(f"relation {self.name} has no column {column!r}") from None
-
     def select(self, position: int, value: int) -> "Relation":
         """Rows whose ``position``-th attribute equals ``value``."""
         return Relation(
@@ -79,21 +75,6 @@ class Relation:
             self.columns,
             (row for row in self._rows if row[position] == value),
         )
-
-    def filter(self, predicate: Callable[[tuple[int, ...]], bool]) -> "Relation":
-        return Relation(self.name, self.columns, (r for r in self._rows if predicate(r)))
-
-    def project(self, positions: Sequence[int], dedup: bool = False) -> "Relation":
-        """Project onto the given positions, optionally de-duplicating."""
-        columns = [self.columns[p] for p in positions]
-        projected = (tuple(row[p] for p in positions) for row in self._rows)
-        if dedup:
-            seen: dict[tuple[int, ...], None] = dict.fromkeys(projected)
-            projected = iter(seen)
-        return Relation(self.name, columns, projected)
-
-    def distinct(self) -> "Relation":
-        return Relation(self.name, self.columns, dict.fromkeys(self._rows))
 
     def content_digest(self) -> int:
         """A digest of this relation's rows, computed once and memoized.
@@ -134,7 +115,7 @@ class Relation:
         return Relation.over_rows(self.name, self.columns, rows)
 
     def renamed(self, name: str) -> "Relation":
-        # share the row storage; rows are immutable
+        """The same rows under another name (the row storage is shared)."""
         return Relation.over_rows(name, self.columns, self._rows)
 
 
@@ -170,16 +151,19 @@ class Database:
         return self._dictionary[value]
 
     def decode(self, code: int) -> Value:
+        """The string a code stands for; any other int is itself."""
         return self._reverse.get(code, code)
 
     # -- relations ----------------------------------------------------------
 
     def add(self, relation: Relation) -> None:
+        """Store a relation under its name, replacing one of that name."""
         self._relations[relation.name] = relation
 
     def add_rows(
         self, name: str, columns: Sequence[str], rows: Iterable[tuple[int, ...]]
     ) -> Relation:
+        """Add an int relation built from ``rows``; returns it."""
         relation = Relation(name, columns, rows)
         self.add(relation)
         return relation
@@ -203,12 +187,11 @@ class Database:
         return name in self._relations
 
     def relations(self) -> Mapping[str, Relation]:
+        """A copy of the name -> relation mapping."""
         return dict(self._relations)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._relations)
-
     def total_rows(self) -> int:
+        """Rows summed over every relation."""
         return sum(len(relation) for relation in self._relations.values())
 
     def __repr__(self) -> str:

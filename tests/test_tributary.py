@@ -274,26 +274,12 @@ class TestKeysFarApart:
         assert join.stats.scalar_walks == 0
 
 
-class TestBatchReleasesSortedColumns:
-    """Joins that share a walk give up their rows once the packed keys
-    exist; a declined batch keeps them, because each join still packs its own.
-    Rows, stats and per-iterator seeks are what one join at a time gives
-    (the workers' ledgers: ``test_batched_local_join_ledgers_identical``)."""
+class TestBatchIsJoinsAlone:
+    """Joins that share a walk, and a declined batch whose joins each pack
+    their own, give the rows, stats and per-iterator seeks of one join at a
+    time (the workers' ledgers: ``test_batched_local_join_ledgers_identical``)."""
 
     QUERY = parse_query("Q(x,y,z) :- R(x,y), S(y,z), T(z,x).")
-
-    @staticmethod
-    def _released(joins):
-        def released(relation):
-            try:
-                relation.rows
-            except RuntimeError:
-                return True
-            return False
-
-        return [
-            released(p.iterator.relation) for join in joins for p in join._prepared
-        ]
 
     def _run_both_ways(self, fragments):
         with use_backend("numpy"):
@@ -302,22 +288,19 @@ class TestBatchReleasesSortedColumns:
             batch = [TributaryJoin(self.QUERY, f) for f in fragments]
             assert _snapshot(batch, run_joins(batch)) == expected
         assert any(rows for rows, _, _ in expected)
-        assert not any(self._released(alone))
         return batch
 
-    def test_shared_walk_releases_and_changes_nothing(self):
-        batch = self._run_both_ways(_fragments(self.QUERY, 3, seed=1))
-        assert all(self._released(batch))
+    def test_shared_walk_changes_nothing(self):
+        self._run_both_ways(_fragments(self.QUERY, 3, seed=1))
 
-    def test_declined_batch_keeps_its_columns(self):
+    def test_declined_batch_walks_each_join_alone(self):
         # 2**31-wide columns pack alone (62 bits) but not behind a segment
-        # digit: every join then walks alone, over its own rows
+        # digit: every join then walks alone, over its own packed keys
         fragments = []
         for seed in range(3):
             r = _wide_relation(31, seed)
             fragments.append({"R": r, "S": r.renamed("S"), "T": r.renamed("T")})
         batch = self._run_both_ways(fragments)
-        assert not any(self._released(batch))
         assert [join.stats.scalar_walks for join in batch] == [0, 0, 0]
 
 
@@ -352,9 +335,7 @@ class TestOnePackedArray:
         columns = ("a", "b", "c")[: max(width, 1)]
         with use_backend("numpy"):
             relations = [
-                SortedRelation(
-                    Relation("R", columns, rows), range(width), keep_rest=False
-                )
+                SortedRelation(Relation("R", columns, rows), range(width))
                 for rows in fragments
             ]
             arrays = _AtomArrays.gather(relations)
@@ -369,7 +350,7 @@ class TestOnePackedArray:
         strides, spans, lows = arrays.strides, arrays.spans, arrays.lows
         for s, relation in enumerate(relations):
             start = int(arrays.offsets[s])
-            rows = list(relation.rows)  # the fragment's sort_projected rows
+            rows = relation.rows  # the scalar walk's sorted rows
             assert int(arrays.offsets[s + 1]) - start == len(rows)
             for r, row in enumerate(rows):
                 packed = full[start + r]
@@ -424,17 +405,17 @@ class TestOnePackedArray:
 
 
 def _forbid_sorting(monkeypatch):
-    def sort_projected(*args, **kwargs):
-        raise AssertionError("sort_projected called")
+    def rows(relation):
+        raise AssertionError(f"a fragment of {relation.name} was sorted")
 
-    monkeypatch.setattr(kernels, "sort_projected", sort_projected)
+    monkeypatch.setattr(SortedRelation, "rows", property(rows))
 
 
 class TestBatchedWalkSortsNoFragment:
-    """The batched walk never makes a worker's sorted copy: with
-    ``sort_projected`` raising, it still answers as the python oracle does.
-    What reads a fragment's sorted rows — the scalar walk of a join that
-    does not pack, the python backend — still sorts through it."""
+    """The batched walk never makes a worker's sorted copy: with the sorted
+    store's rows raising, it still answers as the python oracle does.  What
+    reads a fragment's sorted rows — the scalar walk of a join that does not
+    pack, the python backend — still sorts them."""
 
     def test_a_batch_of_nine_triangles(self, monkeypatch):
         fragments = _fragments(TRIANGLE, 9, seed=4)
@@ -470,7 +451,7 @@ class TestBatchedWalkSortsNoFragment:
         _forbid_sorting(monkeypatch)
         with use_backend(backend):
             joins = [TributaryJoin(TRIANGLE, relations) for _ in range(2)]
-            with pytest.raises(AssertionError, match="sort_projected called"):
+            with pytest.raises(AssertionError, match="fragment of R was sorted"):
                 run_joins(joins)
 
 
