@@ -43,7 +43,7 @@ import argparse
 import sys
 
 from .engine.faults import FaultPlan, resolve_policy
-from .engine.kernels import KERNEL_BACKENDS, set_backend
+from .engine.kernels import KERNEL_BACKENDS, use_backend
 from .engine.service import QueryRequest, QueryService
 from .experiments.harness import format_figure, run_workload
 from .hypercube.config import optimize_config
@@ -104,8 +104,6 @@ def _failure_code(result) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """The ``run`` command: execute one query, print its counted metrics."""
-    if args.kernels:
-        set_backend(args.kernels)
     database = _dataset(args.dataset)
     result = run_query(
         args.query,
@@ -165,7 +163,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             workers=args.workers,
             memory_tuples=args.memory_tuples,
             runtime=args.runtime,
-            kernels=args.kernels,
             faults=_load_faults(args),
             recovery=_recovery(args),
         )
@@ -189,8 +186,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     """The ``grid`` command: one workload under all six configurations."""
-    if args.kernels:
-        set_backend(args.kernels)
     grid = run_workload(
         args.workload,
         scale=args.scale,
@@ -200,7 +195,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     )
     print(format_figure(grid, f"{args.workload} ({args.scale}, p={args.workers})"))
     print(f"consistent: {grid.consistent()}  best: {grid.best_strategy()}")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_config(args: argparse.Namespace) -> int:
@@ -220,7 +215,7 @@ def _cmd_config(args: argparse.Namespace) -> int:
         + ", ".join(f"{v.name}={s:.3f}" for v, s in shares.shares.items())
     )
     print(f"Algorithm 1:       {config}  (uses {config.workers_used} workers)")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -239,7 +234,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     databases: dict = {}
     service = QueryService(
         runtime=args.runtime,
-        kernels=args.kernels,
         max_inflight=args.concurrency,
         memory_tuples=args.memory_tuples,
     )
@@ -298,7 +292,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
         kind = "cyclic" if workload.cyclic else "acyclic"
         print(f"{name}: {len(workload.query.atoms)} atoms, {kind}, "
               f"paper best {workload.paper_best} — {workload.query}")
-    return 0
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +303,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run_cmd = commands.add_parser("run", help="execute one query")
+    # the flags several commands share, each defined once
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("--runtime", default="serial",
+                           help="worker runtime: 'serial', 'parallel[:N]' (threads), or 'parallel:N:proc' (processes)")
+    execution.add_argument("--kernels", choices=KERNEL_BACKENDS, default=None,
+                           help="kernel backend (default: $REPRO_KERNELS or numpy)")
+    injection = argparse.ArgumentParser(add_help=False)
+    injection.add_argument("--faults", default=None, metavar="PLAN.JSON",
+                           help="JSON fault plan to inject (see engine/faults.py; "
+                                "explain needs --analyze)")
+    injection.add_argument("--recovery", default=None,
+                           help="recovery policy: 'retry[:N]', 'degrade', or "
+                                "'fail' (default: retry)")
+
+    run_cmd = commands.add_parser(
+        "run", help="execute one query", parents=[execution, injection]
+    )
     run_cmd.add_argument("query", help="Datalog rule text")
     run_cmd.add_argument("--dataset", default="twitter",
                          choices=("twitter", "freebase"))
@@ -317,23 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="RS/BR/HC x HJ/TJ grid name, SJ_HJ, or "
                               "'auto' for the cost-based optimizer")
     run_cmd.add_argument("--workers", type=int, default=16)
-    run_cmd.add_argument("--runtime", default="serial",
-                         help="worker runtime: 'serial', 'parallel[:N]' (threads), or 'parallel:N:proc' (processes)")
-    run_cmd.add_argument("--kernels", choices=KERNEL_BACKENDS, default=None,
-                         help="kernel backend (default: $REPRO_KERNELS or numpy)")
     run_cmd.add_argument("--show-rows", type=int, default=0,
                          help="print the first N result rows")
     run_cmd.add_argument("--memory-tuples", type=int, default=None,
                          help="per-worker tuple budget (default: unlimited)")
-    run_cmd.add_argument("--faults", default=None, metavar="PLAN.JSON",
-                         help="JSON fault plan to inject (see engine/faults.py)")
-    run_cmd.add_argument("--recovery", default=None,
-                         help="recovery policy: 'retry[:N]', 'degrade', or "
-                              "'fail' (default: retry)")
     run_cmd.set_defaults(func=_cmd_run)
 
     explain_cmd = commands.add_parser(
-        "explain", help="show the plan; --analyze to execute and annotate it"
+        "explain", help="show the plan; --analyze to execute and annotate it",
+        parents=[execution, injection],
     )
     explain_cmd.add_argument("query", help="Datalog rule text")
     explain_cmd.add_argument("--dataset", default="twitter",
@@ -349,25 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument("--analyze", action="store_true",
                              help="execute the plan and annotate each "
                                   "operator with its counted metrics")
-    explain_cmd.add_argument("--runtime", default="serial",
-                             help="worker runtime: 'serial', 'parallel[:N]' (threads), or 'parallel:N:proc' (processes)")
-    explain_cmd.add_argument("--kernels", choices=KERNEL_BACKENDS, default=None,
-                             help="kernel backend (default: $REPRO_KERNELS or numpy)")
-    explain_cmd.add_argument("--faults", default=None, metavar="PLAN.JSON",
-                             help="JSON fault plan to inject (with --analyze)")
-    explain_cmd.add_argument("--recovery", default=None,
-                             help="recovery policy: 'retry[:N]', 'degrade', or "
-                                  "'fail' (default: retry)")
     explain_cmd.set_defaults(func=_cmd_explain)
 
-    grid_cmd = commands.add_parser("grid", help="run a workload's 6-config grid")
+    grid_cmd = commands.add_parser(
+        "grid", help="run a workload's 6-config grid", parents=[execution]
+    )
     grid_cmd.add_argument("workload", choices=sorted(WORKLOADS))
     grid_cmd.add_argument("--workers", type=int, default=64)
     grid_cmd.add_argument("--scale", default="bench", choices=("unit", "bench"))
-    grid_cmd.add_argument("--runtime", default="serial",
-                          help="worker runtime: 'serial', 'parallel[:N]' (threads), or 'parallel:N:proc' (processes)")
-    grid_cmd.add_argument("--kernels", choices=KERNEL_BACKENDS, default=None,
-                          help="kernel backend (default: $REPRO_KERNELS or numpy)")
     grid_cmd.add_argument("--no-memory-budget", action="store_true")
     grid_cmd.set_defaults(func=_cmd_grid)
 
@@ -386,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     config_cmd.set_defaults(func=_cmd_config)
 
     serve_cmd = commands.add_parser(
-        "serve", help="run a concurrent workload mix through the serving layer"
+        "serve", help="run a concurrent workload mix through the serving layer",
+        parents=[execution],
     )
     serve_cmd.add_argument("--queries", type=int, default=64,
                            help="how many queries to submit (default 64)")
@@ -408,10 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-query logical deadline in scheduler ticks")
     serve_cmd.add_argument("--timeout", type=float, default=None,
                            help="per-query wall-clock timeout in seconds")
-    serve_cmd.add_argument("--runtime", default="serial",
-                           help="worker runtime: 'serial', 'parallel[:N]' (threads), or 'parallel:N:proc' (processes)")
-    serve_cmd.add_argument("--kernels", choices=KERNEL_BACKENDS, default=None,
-                           help="kernel backend (default: $REPRO_KERNELS or numpy)")
     serve_cmd.add_argument("--show-outcomes", action="store_true",
                            help="print one line per query outcome")
     serve_cmd.set_defaults(func=_cmd_serve)
@@ -427,12 +415,14 @@ def main(argv: list[str] | None = None) -> int:
     Configuration errors the argument parser cannot catch — an unknown
     strategy, dataset, or recovery spec, or an unreadable/invalid fault
     plan — surface as :class:`ValueError` from the layers below and exit
-    with the usage code (2), matching argparse's own convention.
+    with the usage code (2), matching argparse's own convention.  Every
+    command runs under the ``--kernels`` backend it was given, if any.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with use_backend(getattr(args, "kernels", None)):
+            return args.func(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE

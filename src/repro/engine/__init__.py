@@ -30,7 +30,6 @@ from .runtime import (
     resolve_runtime,
 )
 from .scheduler import (
-    ExecutionCheckpoint,
     OperatorTrace,
     PlanExecution,
     ScheduledRun,
@@ -55,7 +54,6 @@ from .stats import (
 
 __all__ = [
     "Cluster",
-    "ExecutionCheckpoint",
     "ExecutionStats",
     "FailureReport",
     "FaultAbort",

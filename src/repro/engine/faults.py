@@ -399,9 +399,7 @@ class FaultSession:
     - :meth:`after_global_op` — a driver-side operator finished (global
       phase crashes and partition loss fire here);
     - :meth:`wrap_ledger` — intercepts a worker's ledger so straggler
-      charges are inflated;
-    - :meth:`needs_recovery` — whether any recoverable fault targets a
-      Round, i.e. whether the scheduler should checkpoint it.
+      charges are inflated.
     """
 
     def __init__(
@@ -433,13 +431,6 @@ class FaultSession:
             if kind != "straggler" and attempt not in spec.attempts:
                 continue
             yield index, spec
-
-    def needs_recovery(self, round_index: int, label: str) -> bool:
-        """Whether any recoverable (non-straggler) fault targets this Round."""
-        return any(
-            spec.kind != "straggler" and spec.matches_round(round_index, label)
-            for spec in self.plan.faults
-        )
 
     def at_worker(self, round_index: int, label: str, attempt: int, worker: int):
         """Fire Round-boundary crashes and injected OOMs for this worker."""

@@ -18,11 +18,14 @@ ledger.  The three runtimes differ only in who the executors are
   child (``--runtime parallel:N:proc``), the only mode that escapes the GIL
   for true multicore wall-clock speedup.  Everything a child needs — the
   runner, the slot inputs, the ledgers — is shipped to it; a frame whose
-  rows are a *list* above a size threshold (the python backend's) crosses in
-  either direction through a :mod:`~repro.engine.shm` shared-memory segment
-  instead of the pickle pipe (the numpy backend's column blocks pickle as
-  their arrays and stay on it), and each worker's ledger is pickled back
-  and merged exactly like the thread runtime's.
+  rows are a *list* above a size threshold crosses in either direction
+  through a :mod:`~repro.engine.shm` shared-memory segment instead of the
+  pickle pipe.  Every python-backend frame is a list; under numpy a scan
+  whose projection is the identity hands out its row list too (a
+  broadcast plan's anchor fragments reach the children that way), while
+  column blocks pickle as their arrays and stay on the pipe.  Each
+  worker's ledger is pickled back and merged exactly like the thread
+  runtime's.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker

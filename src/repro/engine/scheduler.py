@@ -32,10 +32,10 @@ leaves a truthful partial trace; the EXPLAIN ANALYZE layer
 :class:`~repro.engine.stats.ExecutionStats` phases to annotate the plan.
 
 Fault injection and recovery (:mod:`~repro.engine.faults`) hook in at the
-Round barrier: a Round targeted by a recoverable fault is checkpointed
-(stats charges, shuffle records, memory residency, slot bindings, trace
-length) before it runs; when an :class:`~repro.engine.faults.InjectedFault`
-fires mid-Round, the checkpoint is rolled back and the Round is re-run from
+Round barrier: under a fault session every Round is checkpointed (stats
+charges, shuffle records, memory residency, driver state, trace length)
+before it runs; when an :class:`~repro.engine.faults.InjectedFault` fires
+mid-Round, the checkpoint is rolled back and the Round is re-run from
 surviving lineage — prior slots are untouched and scan rounds re-read the
 cluster's durable fragments — with the wasted attempt's work re-charged
 into the ``recovery`` stats phase.  With no fault session the hooks are
@@ -44,7 +44,7 @@ never consulted and execution is bit-identical to the fault-free captures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
@@ -59,10 +59,9 @@ from .hash_join import apply_comparisons, hash_join_frames, semijoin
 from .local import LocalJoinTask, local_tributary_joins
 from .runtime import WorkerLedger, WorkerRuntime
 from .shuffle import broadcast, hypercube_shuffle, regular_shuffle
-from .stats import ExecutionStats, recovery_phase
+from .stats import ExecutionStats, StatsCheckpoint, recovery_phase
 
 __all__ = [
-    "ExecutionCheckpoint",
     "OperatorTrace",
     "PlanExecution",
     "ScheduledRun",
@@ -285,8 +284,8 @@ class _ExecState:
     ``slots`` maps slot names to per-worker payloads; the remaining fields
     are the run-time decisions (HyperCube configuration and mapping, the
     broadcast anchor) bound by the data-driven global operators.  Grouped in
-    one object so the recovery layer can snapshot and restore everything a
-    Round may have written.
+    one object so a checkpoint can snapshot and restore everything a Round
+    may have written.
     """
 
     slots: dict[str, list[Frame]] = field(default_factory=dict)
@@ -300,288 +299,16 @@ class _RoundCheckpoint:
     """Everything needed to roll an execution back to a Round boundary.
 
     Slot payloads are never mutated in place by operators (every operator
-    writes fresh frames), so a shallow copy of the slot map suffices; the
-    stats snapshot and residency snapshot restore the accounting, and the
-    trace length truncates the failed attempt's trace entries.
-    """
-
-    stats_checkpoint: object
-    residency: dict[int, int]
-    slots: dict[str, list[Frame]]
-    hc_config: Optional[HyperCubeConfig]
-    mapping: Optional[HyperCubeMapping]
-    anchor: Optional[str]
-    trace_length: int
-
-    @classmethod
-    def capture(
-        cls,
-        stats: ExecutionStats,
-        cluster: Cluster,
-        state: _ExecState,
-        trace: Optional[list[OperatorTrace]],
-    ) -> "_RoundCheckpoint":
-        """Snapshot stats, residency, slots, bindings, and trace length."""
-        return cls(
-            stats_checkpoint=stats.checkpoint(),
-            residency=cluster.memory.checkpoint_residency(),
-            slots=dict(state.slots),
-            hc_config=state.hc_config,
-            mapping=state.mapping,
-            anchor=state.anchor,
-            trace_length=0 if trace is None else len(trace),
-        )
-
-    def rollback(
-        self,
-        stats: ExecutionStats,
-        cluster: Cluster,
-        state: _ExecState,
-        trace: Optional[list[OperatorTrace]],
-    ) -> dict[int, float]:
-        """Restore the boundary state; return per-worker wasted charges."""
-        wasted = stats.rollback(self.stats_checkpoint)
-        cluster.memory.restore_residency(self.residency)
-        state.slots = dict(self.slots)
-        state.hc_config = self.hc_config
-        state.mapping = self.mapping
-        state.anchor = self.anchor
-        if trace is not None:
-            del trace[self.trace_length:]
-        return wasted
-
-
-def _run_round(
-    plan: PhysicalPlan,
-    round_: "Round",
-    round_index: int,
-    cluster: Cluster,
-    stats: ExecutionStats,
-    runtime: WorkerRuntime,
-    trace: Optional[list[OperatorTrace]],
-    state: _ExecState,
-    faults: Optional[FaultSession] = None,
-    attempt: int = 0,
-) -> None:
-    """Execute one Round: global operators, then the fused local task.
-
-    With a fault session, injection hooks are consulted after every global
-    operator here and — shipped inside the local runner — at each worker
-    task's start and after every local operator; without one the hooks are
-    never touched and the Round runs exactly as the fault-free golden
-    captures pin down.
-    """
-    encoder = cluster.encoder()
-    workers = cluster.workers
-    slots = state.slots
-    label = round_.label
-
-    def slot_tuples(names) -> int:
-        """Total tuples currently bound to the named slots across workers."""
-        return sum(len(value) for name in names for value in slots[name])
-
-    def record(op_index: int, op: PhysicalOp, **noted) -> None:
-        """Trace an operator that has bound its slots: its tuple flow is
-        what the plan says it reads and binds."""
-        if trace is not None:
-            trace.append(
-                OperatorTrace(
-                    round_index, op_index, op,
-                    tuples_in=slot_tuples(op.input_slots()),
-                    tuples_out=slot_tuples(op.output_slots()),
-                    **noted,
-                )
-            )
-
-    for op_index, op in enumerate(round_.ops):
-        if not op.GLOBAL:
-            continue
-        noted = {}
-        if isinstance(op, Scan):
-            per_worker: list[Frame] = []
-            for worker in range(workers):
-                relation = cluster.fragment_relation(op.atom.relation, worker)
-                frame = atom_frame(op.atom, relation, encoder)
-                if op.filters:
-                    frame = Frame(
-                        frame.variables,
-                        kernels.select_rows(frame.rows, frame.variables, op.filters),
-                    )
-                per_worker.append(frame)
-            slots[op.out] = per_worker
-            for worker, frame in enumerate(per_worker):
-                if len(frame):
-                    cluster.memory.allocate(worker, len(frame), "scan")
-                    stats.record_memory(worker, cluster.memory.resident(worker))
-        elif isinstance(op, ChooseAnchor):
-            sizes = _scanned_sizes(slots, op.aliases)
-            state.anchor = max(sizes, key=lambda alias: sizes[alias])
-        elif isinstance(op, ConfigureHyperCube):
-            sizes = _scanned_sizes(slots, op.aliases)
-            # hybrid plans configure per stage: the boundary round carries
-            # its own subquery (intermediate + residual atoms)
-            state.hc_config = op.config or optimize_config(
-                op.query or plan.query, sizes, workers
-            )
-            state.mapping = HyperCubeMapping(state.hc_config, seed=op.seed)
-        elif isinstance(op, ScanIntermediate):
-            projected: list[Frame] = []
-            for worker, frame in enumerate(slots[op.input]):
-                stats.charge(worker, len(frame), op.phase)
-                out_frame = frame.project(op.variables, dedup=op.dedup)
-                dropped = len(frame) - len(out_frame)
-                if dropped:
-                    # de-duplicated rows leave residency; the projection
-                    # itself is width-free (the memory model counts tuples)
-                    cluster.memory.release(worker, dropped)
-                projected.append(out_frame)
-            slots[op.out] = projected
-        elif isinstance(op, Exchange):
-            frames = slots[op.input]
-            if op.skip_if_anchor and op.input == state.anchor:
-                # anchor fragments stay in place; the scan already
-                # registered their residency, so nothing moves — and nothing
-                # ran that a fault could strike, so no hook is consulted
-                slots[op.out] = frames
-                record(op_index, op, skipped=True)
-                continue
-            if op.release_input:
-                # the exchange streams the old partitioning out as it
-                # sends, so its residency is freed before receive
-                # buffers fill
-                cluster.release_frames(frames)
-            charged = dict(name=op.name, phase=op.phase, memory=cluster.memory)
-            if op.kind is ExchangeKind.REGULAR:
-                slots[op.out] = regular_shuffle(
-                    frames, op.key, workers, stats, **charged
-                )
-            elif op.kind is ExchangeKind.BROADCAST:
-                slots[op.out] = broadcast(frames, workers, stats, **charged)
-            else:
-                slots[op.out] = hypercube_shuffle(
-                    frames, op.atom, state.mapping, workers, stats, **charged
-                )
-            noted["shuffle_index"] = len(stats.shuffles) - 1
-        elif isinstance(op, SemiJoinProject):
-            projected = []
-            for worker, frame in enumerate(slots[op.source]):
-                stats.charge(worker, len(frame), op.phase)
-                projected.append(frame.project(op.key, dedup=True))
-            slots[op.out] = projected
-        else:  # pragma: no cover - lowering only emits the ops above
-            raise TypeError(f"unknown global operator {op!r}")
-        record(op_index, op, **noted)
-        if faults is not None:
-            faults.after_global_op(round_index, label, attempt, op)
-
-    local = round_.local_ops()
-    if not local:
-        return
-    if round_.local_workers == LOCAL_HC:
-        worker_ids = range(state.mapping.workers_used)
-    else:
-        worker_ids = range(workers)
-
-    # ship each worker's input slot values explicitly, so a session child
-    # receives only the per-phase payload and needs no live driver state
-    needed = list(
-        dict.fromkeys(
-            name for op in local for name in op.input_slots() if name in slots
-        )
-    )
-    payloads = {
-        worker: {name: slots[name][worker] for name in needed}
-        for worker in worker_ids
-    }
-    hooks = None if faults is None else (faults, round_index, label, attempt)
-    outcomes = runtime.map_local(
-        worker_ids,
-        partial(_run_local_batch, ops=local, hooks=hooks),
-        payloads,
-        stats,
-        cluster.memory,
-    )
-    # bind every local output first, then trace in plan order
-    for op in local:
-        slots[op.out] = [produced[op.out] for produced in outcomes]
-    for op_index, op in enumerate(round_.ops):
-        if not op.GLOBAL:
-            record(op_index, op)
-
-
-def _run_round_recovering(
-    plan: PhysicalPlan,
-    round_: "Round",
-    round_index: int,
-    cluster: Cluster,
-    stats: ExecutionStats,
-    runtime: WorkerRuntime,
-    trace: Optional[list[OperatorTrace]],
-    state: _ExecState,
-    faults: FaultSession,
-) -> None:
-    """Run one fault-targeted Round under the session's recovery policy.
-
-    The Round boundary is checkpointed; when an injected fault fires the
-    checkpoint is rolled back and — under the ``retry`` policy, while
-    attempts remain — the Round is re-run from surviving lineage, with the
-    wasted attempt's per-worker charges plus exponential backoff re-charged
-    into the ``recovery`` stats phase.  Exhausted retries (or the
-    ``degrade``/``fail`` policies) raise :class:`~repro.engine.faults.FaultAbort`
-    with a structured report; the aborted attempt's partial charges and
-    trace are kept, mirroring the genuine-OOM contract.  A real
-    :class:`~repro.engine.memory.OutOfMemoryError` is never caught here.
-    """
-    policy = faults.policy
-    attempt = 0
-    while True:
-        checkpoint = _RoundCheckpoint.capture(stats, cluster, state, trace)
-        try:
-            _run_round(
-                plan, round_, round_index, cluster, stats, runtime,
-                trace, state, faults, attempt,
-            )
-            return
-        except InjectedFault as fault:
-            stats.faults_injected += 1
-            if policy.mode == "retry" and attempt < policy.max_retries:
-                phase = recovery_phase(round_.stage)
-                wasted = checkpoint.rollback(stats, cluster, state, trace)
-                for worker in sorted(wasted):
-                    if wasted[worker]:
-                        stats.charge(worker, wasted[worker], phase)
-                backoff = policy.backoff_units * (2 ** attempt)
-                if backoff and fault.worker is not None:
-                    stats.charge(fault.worker, backoff, phase)
-                stats.retries += 1
-                attempt += 1
-                continue
-            raise FaultAbort(
-                FailureReport(
-                    kind=fault.spec.kind,
-                    worker=fault.worker,
-                    round_index=round_index,
-                    round_label=round_.label,
-                    phase=fault.phase,
-                    attempts_used=attempt + 1,
-                    policy=policy.mode,
-                    lineage=round_.consumed_slots(),
-                )
-            ) from fault
-
-
-@dataclass(frozen=True)
-class ExecutionCheckpoint:
-    """An opaque Round-boundary snapshot of a :class:`PlanExecution`.
-
-    Wraps the recovery layer's :class:`_RoundCheckpoint` together with the
-    round cursor it was captured at, so callers (the serving layer's
-    timeout eviction) can roll a stepped execution back to the boundary
-    without knowing the checkpoint internals.
+    writes fresh frames), so the state snapshot copies only the slot map;
+    the stats and residency snapshots restore the accounting, and the
+    trace length truncates the rolled-back Rounds' trace entries.
     """
 
     round_index: int
-    inner: _RoundCheckpoint
+    state: _ExecState
+    stats: StatsCheckpoint
+    residency: dict[int, int]
+    trace_length: int
 
 
 class PlanExecution:
@@ -592,8 +319,9 @@ class PlanExecution:
     class exposes the same loop as a *stepper*: :meth:`step` runs exactly
     one Round, :meth:`finalize` performs the union/project/de-duplicate
     tail once every Round has run, and :meth:`checkpoint` /
-    :meth:`rollback` expose the recovery layer's Round-boundary snapshot
-    machinery.  The concurrent serving layer
+    :meth:`rollback` are the one Round-boundary snapshot that both the
+    fault retry loop in :meth:`step` and the serving layer's timeout
+    eviction use.  The concurrent serving layer
     (:mod:`~repro.engine.service`) interleaves :meth:`step` calls from
     many queries onto one shared worker runtime; a single query stepped to
     completion is bit-identical to :func:`run_plan` by construction
@@ -646,58 +374,241 @@ class PlanExecution:
         """Whether every Round has run (ready to :meth:`finalize`)."""
         return self._next_round >= len(self.plan.rounds)
 
-    def checkpoint(self) -> ExecutionCheckpoint:
-        """Snapshot the current Round boundary (stats, residency, slots)."""
-        return ExecutionCheckpoint(
+    def checkpoint(self) -> _RoundCheckpoint:
+        """Snapshot the current Round boundary: the round cursor, the driver
+        state, stats charges and shuffle records, residency, trace length."""
+        return _RoundCheckpoint(
             round_index=self._next_round,
-            inner=_RoundCheckpoint.capture(
-                self.stats, self.cluster, self._state, self.trace
-            ),
+            state=replace(self._state, slots=dict(self._state.slots)),
+            stats=self.stats.checkpoint(),
+            residency=self.cluster.memory.checkpoint_residency(),
+            trace_length=0 if self.trace is None else len(self.trace),
         )
 
-    def rollback(self, checkpoint: ExecutionCheckpoint) -> dict[int, float]:
+    def rollback(self, checkpoint: _RoundCheckpoint) -> dict[int, float]:
         """Restore a boundary snapshot; return per-worker discarded charges.
 
-        Rounds run after the checkpoint are un-done exactly as the
-        recovery layer un-does a failed Round attempt: charges and shuffle
-        records are removed (and returned, per worker), memory residency
-        is restored, slot bindings revert, and the trace is truncated.
-        Peak-memory high-water marks survive — the rolled-back work really
-        did hold those tuples.
+        Charges and shuffle records made since the checkpoint are removed
+        (and returned, per worker), memory residency is restored, slot
+        bindings and run-time decisions revert, the trace is truncated and
+        the round cursor moves back.  Peak-memory high-water marks survive
+        — the rolled-back work really did hold those tuples.
         """
-        wasted = checkpoint.inner.rollback(
-            self.stats, self.cluster, self._state, self.trace
-        )
+        wasted = self.stats.rollback(checkpoint.stats)
+        self.cluster.memory.restore_residency(checkpoint.residency)
+        self._state = replace(checkpoint.state, slots=dict(checkpoint.state.slots))
+        if self.trace is not None:
+            del self.trace[checkpoint.trace_length:]
         self._next_round = checkpoint.round_index
         return wasted
 
     def step(self) -> bool:
         """Run the next Round; return ``True`` while Rounds remain after it.
 
-        Rounds targeted by an active fault session run under its recovery
-        policy, exactly as in :func:`run_plan`.
-        :class:`~repro.engine.memory.OutOfMemoryError` and
-        :class:`~repro.engine.faults.FaultAbort` propagate with ``stats``
-        and ``trace`` reflecting the partial execution.
+        Under a fault session every Round runs in this one retry loop: its
+        boundary is captured with :meth:`checkpoint`; when an
+        :class:`~repro.engine.faults.InjectedFault` fires, :meth:`rollback`
+        un-does the attempt and — under the ``retry`` policy, while
+        attempts remain — the Round re-runs from surviving lineage, with the
+        wasted attempt's per-worker charges plus exponential backoff
+        re-charged into the ``recovery`` stats phase.  Exhausted retries (or
+        the ``degrade``/``fail`` policies) raise
+        :class:`~repro.engine.faults.FaultAbort` with a structured report;
+        the aborted attempt's partial charges and trace are kept, mirroring
+        the genuine-OOM contract.  A Round that no fault targets never
+        raises, so its checkpoint goes unused; without a session nothing is
+        checkpointed.  :class:`~repro.engine.memory.OutOfMemoryError` is
+        never caught here: it propagates with ``stats`` and ``trace``
+        reflecting the partial execution.
         """
         if self.finished:
             raise RuntimeError("plan has no rounds left to step")
-        round_index = self._next_round
-        round_ = self.plan.rounds[round_index]
-        if self.faults is not None and self.faults.needs_recovery(
-            round_index, round_.label
-        ):
-            _run_round_recovering(
-                self.plan, round_, round_index, self.cluster, self.stats,
-                self.runtime, self.trace, self._state, self.faults,
-            )
-        else:
-            _run_round(
-                self.plan, round_, round_index, self.cluster, self.stats,
-                self.runtime, self.trace, self._state, self.faults,
-            )
+        round_ = self.plan.rounds[self._next_round]
+        attempt = 0
+        while True:
+            checkpoint = None if self.faults is None else self.checkpoint()
+            try:
+                self._run_round(round_, attempt)
+                break
+            except InjectedFault as fault:
+                self.stats.faults_injected += 1
+                policy = self.faults.policy
+                if policy.mode != "retry" or attempt >= policy.max_retries:
+                    raise FaultAbort(
+                        FailureReport(
+                            kind=fault.spec.kind,
+                            worker=fault.worker,
+                            round_index=self._next_round,
+                            round_label=round_.label,
+                            phase=fault.phase,
+                            attempts_used=attempt + 1,
+                            policy=policy.mode,
+                            lineage=round_.consumed_slots(),
+                        )
+                    ) from fault
+                phase = recovery_phase(round_.stage)
+                wasted = self.rollback(checkpoint)
+                for worker in sorted(wasted):
+                    if wasted[worker]:
+                        self.stats.charge(worker, wasted[worker], phase)
+                backoff = policy.backoff_units * (2 ** attempt)
+                if backoff and fault.worker is not None:
+                    self.stats.charge(fault.worker, backoff, phase)
+                self.stats.retries += 1
+                attempt += 1
         self._next_round += 1
         return not self.finished
+
+    def _run_round(self, round_: "Round", attempt: int) -> None:
+        """Execute the next Round: global operators, then the fused local task.
+
+        With a fault session, injection hooks are consulted after every global
+        operator here and — shipped inside the local runner — at each worker
+        task's start and after every local operator; without one the hooks are
+        never touched and the Round runs exactly as the fault-free golden
+        captures pin down.
+        """
+        cluster, stats, trace, faults = (
+            self.cluster, self.stats, self.trace, self.faults
+        )
+        state = self._state
+        round_index = self._next_round
+        encoder = cluster.encoder()
+        workers = cluster.workers
+        slots = state.slots
+        label = round_.label
+
+        def slot_tuples(names) -> int:
+            """Total tuples currently bound to the named slots across workers."""
+            return sum(len(value) for name in names for value in slots[name])
+
+        def record(op_index: int, op: PhysicalOp, **noted) -> None:
+            """Trace an operator that has bound its slots: its tuple flow is
+            what the plan says it reads and binds."""
+            if trace is not None:
+                trace.append(
+                    OperatorTrace(
+                        round_index, op_index, op,
+                        tuples_in=slot_tuples(op.input_slots()),
+                        tuples_out=slot_tuples(op.output_slots()),
+                        **noted,
+                    )
+                )
+
+        for op_index, op in enumerate(round_.ops):
+            if not op.GLOBAL:
+                continue
+            noted = {}
+            if isinstance(op, Scan):
+                per_worker: list[Frame] = []
+                for worker in range(workers):
+                    relation = cluster.fragment_relation(op.atom.relation, worker)
+                    frame = atom_frame(op.atom, relation, encoder)
+                    if op.filters:
+                        frame = Frame(
+                            frame.variables,
+                            kernels.select_rows(frame.rows, frame.variables, op.filters),
+                        )
+                    per_worker.append(frame)
+                slots[op.out] = per_worker
+                for worker, frame in enumerate(per_worker):
+                    if len(frame):
+                        cluster.memory.allocate(worker, len(frame), "scan")
+                        stats.record_memory(worker, cluster.memory.resident(worker))
+            elif isinstance(op, ChooseAnchor):
+                sizes = _scanned_sizes(slots, op.aliases)
+                state.anchor = max(sizes, key=lambda alias: sizes[alias])
+            elif isinstance(op, ConfigureHyperCube):
+                sizes = _scanned_sizes(slots, op.aliases)
+                # hybrid plans configure per stage: the boundary round carries
+                # its own subquery (intermediate + residual atoms)
+                state.hc_config = op.config or optimize_config(
+                    op.query or self.plan.query, sizes, workers
+                )
+                state.mapping = HyperCubeMapping(state.hc_config, seed=op.seed)
+            elif isinstance(op, ScanIntermediate):
+                projected: list[Frame] = []
+                for worker, frame in enumerate(slots[op.input]):
+                    stats.charge(worker, len(frame), op.phase)
+                    out_frame = frame.project(op.variables, dedup=op.dedup)
+                    dropped = len(frame) - len(out_frame)
+                    if dropped:
+                        # de-duplicated rows leave residency; the projection
+                        # itself is width-free (the memory model counts tuples)
+                        cluster.memory.release(worker, dropped)
+                    projected.append(out_frame)
+                slots[op.out] = projected
+            elif isinstance(op, Exchange):
+                frames = slots[op.input]
+                if op.skip_if_anchor and op.input == state.anchor:
+                    # anchor fragments stay in place; the scan already
+                    # registered their residency, so nothing moves — and nothing
+                    # ran that a fault could strike, so no hook is consulted
+                    slots[op.out] = frames
+                    record(op_index, op, skipped=True)
+                    continue
+                if op.release_input:
+                    # the exchange streams the old partitioning out as it
+                    # sends, so its residency is freed before receive
+                    # buffers fill
+                    cluster.release_frames(frames)
+                charged = dict(name=op.name, phase=op.phase, memory=cluster.memory)
+                if op.kind is ExchangeKind.REGULAR:
+                    slots[op.out] = regular_shuffle(
+                        frames, op.key, workers, stats, **charged
+                    )
+                elif op.kind is ExchangeKind.BROADCAST:
+                    slots[op.out] = broadcast(frames, workers, stats, **charged)
+                else:
+                    slots[op.out] = hypercube_shuffle(
+                        frames, op.atom, state.mapping, workers, stats, **charged
+                    )
+                noted["shuffle_index"] = len(stats.shuffles) - 1
+            elif isinstance(op, SemiJoinProject):
+                projected = []
+                for worker, frame in enumerate(slots[op.source]):
+                    stats.charge(worker, len(frame), op.phase)
+                    projected.append(frame.project(op.key, dedup=True))
+                slots[op.out] = projected
+            else:  # pragma: no cover - lowering only emits the ops above
+                raise TypeError(f"unknown global operator {op!r}")
+            record(op_index, op, **noted)
+            if faults is not None:
+                faults.after_global_op(round_index, label, attempt, op)
+
+        local = round_.local_ops()
+        if not local:
+            return
+        if round_.local_workers == LOCAL_HC:
+            worker_ids = range(state.mapping.workers_used)
+        else:
+            worker_ids = range(workers)
+
+        # ship each worker's input slot values explicitly, so a session child
+        # receives only the per-phase payload and needs no live driver state
+        needed = list(
+            dict.fromkeys(
+                name for op in local for name in op.input_slots() if name in slots
+            )
+        )
+        payloads = {
+            worker: {name: slots[name][worker] for name in needed}
+            for worker in worker_ids
+        }
+        hooks = None if faults is None else (faults, round_index, label, attempt)
+        outcomes = self.runtime.map_local(
+            worker_ids,
+            partial(_run_local_batch, ops=local, hooks=hooks),
+            payloads,
+            stats,
+            cluster.memory,
+        )
+        # bind every local output first, then trace in plan order
+        for op in local:
+            slots[op.out] = [produced[op.out] for produced in outcomes]
+        for op_index, op in enumerate(round_.ops):
+            if not op.GLOBAL:
+                record(op_index, op)
 
     def close(self) -> None:
         """End the per-plan runtime session, if this execution owns one."""
@@ -773,8 +684,8 @@ def run_plan(
     with ``stats`` and ``trace`` reflecting the partial execution.
 
     ``faults`` (a :class:`~repro.engine.faults.FaultSession`) enables fault
-    injection: Rounds targeted by a recoverable fault run under the
-    session's recovery policy (checkpoint, retry-with-recompute, or
+    injection: every Round runs under the session's recovery policy
+    (checkpoint, retry-with-recompute, or
     :class:`~repro.engine.faults.FaultAbort`), and stragglers slow their
     target workers in every Round.  With ``faults=None`` execution is
     bit-identical to the fault-free golden captures.  A session is

@@ -31,11 +31,12 @@ Four cooperating mechanisms:
   because every query owns its stats, memory budget, cluster view, and
   slot state outright, its counted metrics are bit-identical to a solo
   run regardless of what else is in flight.
-- **Cancellation and deadlines** — built on the recovery layer's
-  Round-boundary checkpoints.  ``deadline_ticks`` (logical time) is
+- **Cancellation and deadlines** — built on the scheduler's
+  Round-boundary checkpoint.  ``deadline_ticks`` (logical time) is
   checked before a query's turn and evicts it cleanly at the boundary;
-  ``timeout_seconds`` (wall time) is checked after each Round, and a
-  Round that finishes past the deadline is *rolled back* through
+  ``timeout_seconds`` (wall time) is checked after each Round of a query
+  that sets it, whose Rounds alone are checkpointed, and a Round that
+  finishes past the deadline is *rolled back* through
   :meth:`~repro.engine.scheduler.PlanExecution.rollback` — its results
   cannot be delivered, so its charges and residency are un-done exactly
   like a failed Round attempt — before the query is evicted.  Either way
@@ -94,6 +95,15 @@ STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
 STATUS_CANCELLED = "cancelled"
 STATUS_REJECTED = "rejected"
+
+#: the :class:`ServiceStats` counter each terminal status increments
+_STATUS_COUNTERS = {
+    STATUS_OK: "completed",
+    STATUS_FAILED: "failed",
+    STATUS_TIMEOUT: "timeouts",
+    STATUS_CANCELLED: "cancelled",
+    STATUS_REJECTED: "rejected",
+}
 
 
 @dataclass
@@ -189,11 +199,8 @@ class ServiceStats:
     def outcome_counts(self) -> dict[str, int]:
         """Terminal statuses to counts (the bench's outcome histogram)."""
         return {
-            STATUS_OK: self.completed,
-            STATUS_FAILED: self.failed,
-            STATUS_TIMEOUT: self.timeouts,
-            STATUS_CANCELLED: self.cancelled,
-            STATUS_REJECTED: self.rejected,
+            status: getattr(self, counter)
+            for status, counter in _STATUS_COUNTERS.items()
         }
 
 
@@ -351,17 +358,15 @@ class QueryService:
 
     def _reject(self, query_id: int, label: str, demand: int) -> None:
         """Record an admission-rejected outcome for an unservable demand."""
-        self.stats.rejected += 1
-        self.outcomes[query_id] = QueryOutcome(
-            query_id=query_id,
-            label=label,
-            status=STATUS_REJECTED,
-            submitted_tick=self._tick,
-            finished_tick=self._tick,
-            detail=(
-                f"memory demand {demand:,} tuples/worker exceeds the "
-                f"service budget {self.governor.total:,}"
+        self._record(
+            QueryOutcome(
+                query_id=query_id,
+                label=label,
+                status=STATUS_REJECTED,
+                submitted_tick=self._tick,
             ),
+            f"memory demand {demand:,} tuples/worker exceeds the "
+            f"service budget {self.governor.total:,}",
         )
 
     def cancel(self, query_id: int) -> bool:
@@ -375,14 +380,14 @@ class QueryService:
         for entry in list(self._queue):
             if entry.query_id == query_id:
                 self._queue.remove(entry)
-                self.stats.cancelled += 1
-                self.outcomes[query_id] = QueryOutcome(
-                    query_id=query_id,
-                    label=self._label(entry.request),
-                    status=STATUS_CANCELLED,
-                    submitted_tick=entry.submitted_tick,
-                    finished_tick=self._tick,
-                    detail="cancelled while queued",
+                self._record(
+                    QueryOutcome(
+                        query_id=query_id,
+                        label=self._label(entry.request),
+                        status=STATUS_CANCELLED,
+                        submitted_tick=entry.submitted_tick,
+                    ),
+                    "cancelled while queued",
                 )
                 return True
         for active in self._runnable:
@@ -415,7 +420,12 @@ class QueryService:
                 f"logical deadline expired at tick {active.deadline_tick}",
             )
             return bool(self._queue or self._runnable)
-        checkpoint = active.execution.checkpoint()
+        # only a wall-clock timeout can roll the Round back
+        checkpoint = (
+            None
+            if active.deadline_time is None
+            else active.execution.checkpoint()
+        )
         try:
             with use_backend(self.kernels):
                 active.execution.step()
@@ -519,14 +529,14 @@ class QueryService:
                     self._prepare(pending)
                 except Exception as error:
                     self._queue.popleft()
-                    self.stats.failed += 1
-                    self.outcomes[pending.query_id] = QueryOutcome(
-                        query_id=pending.query_id,
-                        label=self._label(pending.request),
-                        status=STATUS_FAILED,
-                        submitted_tick=pending.submitted_tick,
-                        finished_tick=self._tick,
-                        detail=f"planning failed: {error}",
+                    self._record(
+                        QueryOutcome(
+                            query_id=pending.query_id,
+                            label=self._label(pending.request),
+                            status=STATUS_FAILED,
+                            submitted_tick=pending.submitted_tick,
+                        ),
+                        f"planning failed: {error}",
                     )
                     continue
             if not self.governor.admissible(pending.demand):
@@ -653,23 +663,22 @@ class QueryService:
     def _finish(
         self, active: _ActiveQuery, status: str, detail: str = ""
     ) -> None:
-        """Record a terminal outcome and free the query's admission state."""
+        """Record an admitted query's terminal outcome and free its grant."""
         active.outcome.status = status
-        active.outcome.detail = detail
-        active.outcome.finished_tick = self._tick
         active.outcome.wall_seconds = time.perf_counter() - active.submitted_at
         if active.outcome.stats is not None:
             active.outcome.stats.elapsed_seconds = active.outcome.wall_seconds
         self.governor.release(active.query_id)
-        self.outcomes[active.query_id] = active.outcome
-        if status == STATUS_OK:
-            self.stats.completed += 1
-        elif status == STATUS_FAILED:
-            self.stats.failed += 1
-        elif status == STATUS_TIMEOUT:
-            self.stats.timeouts += 1
-        elif status == STATUS_CANCELLED:
-            self.stats.cancelled += 1
+        self._record(active.outcome, detail)
+
+    def _record(self, outcome: QueryOutcome, detail: str = "") -> None:
+        """Store a terminal outcome and count its status — the one place
+        either happens, admitted or not."""
+        outcome.detail = detail
+        outcome.finished_tick = self._tick
+        self.outcomes[outcome.query_id] = outcome
+        counter = _STATUS_COUNTERS[outcome.status]
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def _evict(self, active: _ActiveQuery, status: str, detail: str) -> None:
         """Evict an in-flight query: free all residency, return the grant."""

@@ -297,21 +297,24 @@ class ExecutionStats:
         """Phase names in first-charge order (the per-phase report order)."""
         return tuple(self._phase_loads)
 
-    @property
-    def recovery_cpu(self) -> float:
-        """Total CPU across every recovery phase, stage-qualified included.
+    def recovery_phases(self) -> tuple[str, ...]:
+        """Every recovery phase charged, stage-qualified included.
 
         Pure plans charge retries to :data:`RECOVERY_PHASE`; multi-stage
-        hybrid plans to per-stage ``recovery:stageN`` phases — this sums
-        them all, so ``total_cpu - recovery_cpu`` is the fault-free total
-        regardless of plan shape.
+        hybrid plans to per-stage ``recovery:stageN`` phases.
         """
-        return sum(
-            self.phase_cpu(phase)
+        return tuple(
+            phase
             for phase in self._phase_loads
             if phase == RECOVERY_PHASE
             or phase.startswith(f"{RECOVERY_PHASE}:")
         )
+
+    @property
+    def recovery_cpu(self) -> float:
+        """Total CPU across :meth:`recovery_phases`, so ``total_cpu -
+        recovery_cpu`` is the fault-free total regardless of plan shape."""
+        return sum(self.phase_cpu(phase) for phase in self.recovery_phases())
 
     def worker_loads(self, phase: Optional[str] = None) -> dict[int, float]:
         """Per-worker total charge, optionally restricted to one phase."""

@@ -29,7 +29,6 @@ from ..engine.faults import FaultsLike, PolicyLike
 from ..engine.runtime import RuntimeLike
 from ..engine.scheduler import OperatorTrace
 from ..engine.stats import (
-    RECOVERY_PHASE,
     ExecutionStats,
     ShuffleRecord,
     recovery_phase,
@@ -221,28 +220,17 @@ class AnalyzedPlan:
         """
         return [annotation.cpu for annotation in self.annotations]
 
-    def _recovery_phases(self) -> tuple[str, ...]:
-        """Every recovery phase charged: ``recovery`` and ``recovery:stageN``."""
-        return tuple(
-            phase
-            for phase in self.stats.phases()
-            if phase == RECOVERY_PHASE
-            or phase.startswith(RECOVERY_PHASE + ":")
-        )
-
     @property
     def recovery_cpu(self) -> float:
-        """CPU charged to recovery phases (wasted attempts + backoff).
-
-        Sums the plain ``recovery`` phase (pure single-stage plans) and
-        every stage-qualified ``recovery:stageN`` phase of a hybrid plan.
-        """
-        return sum(self.stats.phase_cpu(p) for p in self._recovery_phases())
+        """CPU charged to recovery phases (wasted attempts + backoff)."""
+        return self.stats.recovery_cpu
 
     @property
     def recovery_wall(self) -> float:
         """Wall contributed by recovery phases (each priced independently)."""
-        return sum(self.stats.phase_wall(p) for p in self._recovery_phases())
+        return sum(
+            self.stats.phase_wall(p) for p in self.stats.recovery_phases()
+        )
 
     def stage_summaries(self) -> tuple[StageSummary, ...]:
         """Per-stage CPU/wall/recovery subtotals, in plan stage order.

@@ -1,7 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import (
     EXIT_FAULT,
     EXIT_OK,
@@ -10,11 +13,81 @@ from repro.__main__ import (
     build_parser,
     main,
 )
+from repro.engine.kernels import get_backend
 
 TRIANGLE = "T(x,y,z) :- R:Twitter(x,y), S:Twitter(y,z), T:Twitter(z,x)."
 
+_EXECUTION = {"--runtime": "serial", "--kernels": None}
+_INJECTION = {"--faults": None, "--recovery": None}
+
+#: every subcommand's options (positionals by name) and their defaults
+OPTIONS = {
+    "run": {
+        "query": None, "--dataset": "twitter", "--strategy": "HC_TJ",
+        "--workers": 16, "--show-rows": 0, "--memory-tuples": None,
+        **_EXECUTION, **_INJECTION,
+    },
+    "explain": {
+        "query": None, "--dataset": "twitter", "--workers": 16,
+        "--strategy": "HC_TJ", "--memory-tuples": None, "--analyze": False,
+        **_EXECUTION, **_INJECTION,
+    },
+    "grid": {
+        "workload": None, "--workers": 64, "--scale": "bench",
+        "--no-memory-budget": False, **_EXECUTION,
+    },
+    "config": {
+        "workload_or_query": None, "--workers": 64, "--scale": "bench",
+        "--cardinality": 1_000_000,
+    },
+    "serve": {
+        "--queries": 64, "--concurrency": 8, "--workers": 16,
+        "--scale": "unit", "--workloads": None, "--zipf": 1.0, "--seed": 0,
+        "--memory-tuples": None, "--deadline-ticks": None, "--timeout": None,
+        "--show-outcomes": False, **_EXECUTION,
+    },
+    "workloads": {},
+}
+
+
+def _subcommands():
+    """The parser of each ``python -m repro`` command, by name."""
+    (commands,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return commands.choices
+
 
 class TestParser:
+    def test_options_and_defaults_per_command(self):
+        found = {
+            name: {
+                (action.option_strings or [action.dest])[0]: action.default
+                for action in command._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, command in _subcommands().items()
+        }
+        assert found == OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", TRIANGLE], ["explain", TRIANGLE], ["grid", "Q1"], ["serve"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_kernels_scope_every_command(self, argv, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, f"_cmd_{argv[0]}",
+            lambda args: seen.append(get_backend()) or EXIT_OK,
+        )
+        before = get_backend()
+        other = "python" if before == "numpy" else "numpy"
+        assert main(argv + ["--kernels", other]) == EXIT_OK
+        assert seen == [other]
+        assert get_backend() == before
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -262,6 +262,49 @@ class TestRetryRecovery:
         assert delta == pytest.approx(500.0)
 
 
+def _crash_in(index, round_):
+    """A crash that fires in Round ``index``: at its worker-task boundary,
+    or — in a Round that only runs driver operators — after the first
+    phase one charges.  ``None`` for a Round that charges nothing (the
+    scan), where no fault can strike."""
+    if round_.local_ops():
+        return {"kind": "crash", "round": index, "worker": 1}
+    phases = [phase for op in round_.ops for phase in op.phases]
+    if not phases:
+        return None
+    return {"kind": "crash", "round": index, "worker": 1, "phase": phases[0]}
+
+
+class TestCrashInEveryRound:
+    """Every Round of a fault session runs in the one retry loop: a crash
+    in any of them is rolled back and re-run to the fault-free result."""
+
+    @pytest.mark.parametrize("case", ["Q1/RS_HJ", "Q1/HC_TJ", "Q8/HYBRID"])
+    def test_each_round_retries_to_the_fault_free_run(self, case):
+        name, strategy = case.split("/")
+        workload = get_workload(name)
+        database = unit_dataset(name)
+        clean = run_query(
+            workload.query, database, strategy=strategy, workers=WORKERS
+        )
+        fired = 0
+        for index, round_ in enumerate(clean.physical.rounds):
+            spec = _crash_in(index, round_)
+            result = run_query(
+                workload.query, database, strategy=strategy, workers=WORKERS,
+                faults=None if spec is None else {"faults": [spec]},
+                recovery="retry",
+            )
+            assert result.rows == clean.rows, index
+            assert result.stats.retries == (spec is not None), index
+            assert (
+                result.stats.total_cpu - result.stats.recovery_cpu
+                == clean.stats.total_cpu
+            ), index
+            fired += result.stats.retries
+        assert fired == len(clean.physical.rounds) - 1  # all but the scan
+
+
 class TestStraggler:
     """Stragglers inflate charges without changing rows or shuffles."""
 

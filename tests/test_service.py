@@ -383,15 +383,37 @@ class TestServiceShape:
         service.submit(_request("Q1", databases))
         service.submit(_request("Q7", databases, deadline_ticks=0))
         service.submit(_request("Q6", databases, memory_demand=200_000))
+        service.submit(_request("Q1", databases, memory_demand=10))  # OOM
+        service.submit(_request("Q1", databases, query="not datalog"))
         cancelled = service.submit(_request("Q5", databases))
         service.cancel(cancelled)
-        service.run_until_complete()
+        outcomes = service.run_until_complete()
         counts = service.stats.outcome_counts()
         assert counts[STATUS_OK] == 1
+        assert counts[STATUS_FAILED] == 2
         assert counts[STATUS_TIMEOUT] == 1
         assert counts[STATUS_REJECTED] == 1
         assert counts[STATUS_CANCELLED] == 1
-        assert sum(counts.values()) == 4
+        assert sum(counts.values()) == service.stats.submitted == 6
+        # every outcome is counted once, under its own status
+        by_status = dict.fromkeys(counts, 0)
+        for outcome in outcomes:
+            by_status[outcome.status] += 1
+        assert by_status == counts
 
     def test_headroom_constant_sane(self):
         assert DEMAND_HEADROOM >= 1.0
+
+
+class TestCheckpoints:
+    def test_no_timeout_never_checkpoints(self, databases, monkeypatch):
+        # only a wall-clock timeout can roll a Round back
+        def refuse(execution):
+            raise AssertionError("checkpointed a query without a timeout")
+
+        monkeypatch.setattr(PlanExecution, "checkpoint", refuse)
+        service = QueryService(max_inflight=2, plan_cache=PlanCache())
+        service.submit(_request("Q1", databases))
+        service.submit(_request("Q7", databases, deadline_ticks=100))
+        outcomes = service.run_until_complete()
+        assert [o.status for o in outcomes] == [STATUS_OK, STATUS_OK]

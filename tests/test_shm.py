@@ -1,7 +1,10 @@
 """Unit tests for the shared-memory row transport of the process runtime."""
 
+import os
+
 import pytest
 
+from repro.engine import runtime as runtime_module
 from repro.engine.frame import Frame
 from repro.engine.memory import MemoryBudget
 from repro.engine.runtime import (
@@ -12,10 +15,19 @@ from repro.engine.runtime import (
 )
 from repro.engine.shm import SHARED_MIN_ROWS, share_rows
 from repro.engine.stats import ExecutionStats
+from repro.planner.api import run_query
+from repro.storage.generators import twitter_database
 
 
 def _rows(count, width=3):
     return [tuple(i * width + j for j in range(width)) for i in range(count)]
+
+
+def _segments():
+    """The shared-memory segments this platform currently holds."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
 class TestShareRows:
@@ -92,13 +104,37 @@ class TestTransportThroughRuntime:
         assert _encode_payload(at.rows) is at.rows
 
     def test_no_segments_leak(self):
-        import os
-
-        before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+        before = _segments()
         self._echoed()
-        if os.path.isdir("/dev/shm"):
-            leaked = {
-                n for n in set(os.listdir("/dev/shm")) - before
-                if n.startswith("psm_")
-            }
-            assert leaked == set()
+        assert _segments() - before == set()
+
+
+class TestNumpyScanLists:
+    """Under numpy a scan whose projection is the identity keeps its row
+    list, so a broadcast plan's anchor fragments, which no exchange turns
+    into blocks, cross to the session children through shared memory."""
+
+    QUERY = "Q(x,y) :- R:Twitter(x,y), S:Twitter(y,x)."
+
+    def test_anchor_fragments_cross_through_shared_memory(self, monkeypatch):
+        # two workers, each anchor fragment above the sharing threshold
+        database = twitter_database(nodes=2_000, edges=2 * SHARED_MIN_ROWS + 2)
+        serial = run_query(
+            self.QUERY, database, strategy="BR_HJ", workers=2, kernels="numpy"
+        )
+        shared = []
+
+        def spy(rows):
+            handle = share_rows(rows)
+            shared.append(handle is not None)
+            return handle
+
+        monkeypatch.setattr(runtime_module, "share_rows", spy)
+        before = _segments()
+        forked = run_query(
+            self.QUERY, database, strategy="BR_HJ", workers=2,
+            runtime="parallel:2:proc", kernels="numpy",
+        )
+        assert any(shared)
+        assert forked.rows == serial.rows
+        assert _segments() - before == set()
