@@ -2,10 +2,13 @@
 
 The paper deploys 64 Myria workers over 16 machines, each with its own
 storage, and partitions every input relation across them round-robin.  Our
-:class:`Cluster` reproduces exactly that starting state: ``load`` splits each
-relation's rows round-robin over ``p`` per-worker fragment lists.  All
-shuffles and local operators then run against these fragments, charging work
-and memory through :class:`~repro.engine.stats.ExecutionStats` and
+:class:`Cluster` reproduces exactly that starting state, dealt when a Scan
+asks for it: :meth:`Cluster.fragments` gives worker ``w`` rows ``w, w + p,
+w + 2p, ...`` of the relation, in the kernel backend's container — one
+column block of the whole relation and a strided view of it per worker
+under numpy, list slices under python.  All shuffles and local operators
+then run against these fragments, charging work and memory through
+:class:`~repro.engine.stats.ExecutionStats` and
 :class:`~repro.engine.memory.MemoryBudget`.
 """
 
@@ -13,7 +16,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..storage.relation import Database, Relation
+from ..storage.relation import Database
+from . import kernels
 from .frame import Frame
 from .memory import MemoryBudget
 
@@ -26,63 +30,33 @@ class Cluster:
             raise ValueError("a cluster needs at least one worker")
         self.workers = workers
         self.memory = memory or MemoryBudget()
-        self._fragments: dict[str, list[list[tuple[int, ...]]]] = {}
         self.database: Optional[Database] = None
 
     def load(self, database: Database) -> None:
-        """Round-robin partition every relation of the database."""
+        """Bind the database; each Scan deals its relation when it runs."""
         self.database = database
-        self._fragments.clear()
-        for name, relation in database.relations().items():
-            fragments: list[list[tuple[int, ...]]] = [[] for _ in range(self.workers)]
-            for index, row in enumerate(relation.rows):
-                fragments[index % self.workers].append(row)
-            self._fragments[name] = fragments
 
-    def view(self, memory: Optional[MemoryBudget] = None) -> "Cluster":
-        """A cluster sharing this one's loaded fragments under its own budget.
+    def fragments(self, relation_name: str) -> list[Sequence[kernels.Row]]:
+        """A loaded relation dealt round-robin, one fragment per worker.
 
-        Fragments are read-only during execution (scans copy rows into
-        fresh frames), so many concurrent executions can share one loaded
-        partitioning; what must *not* be shared is the memory accounting —
-        each execution resets and charges its budget privately.  The
-        serving layer (:mod:`~repro.engine.service`) admits every query on
-        a view of one template cluster per (database, workers) pair,
-        paying the round-robin partitioning cost once instead of per
-        query.  Views are indistinguishable from a freshly loaded cluster:
-        the partitioning is deterministic, so a view's fragments equal
-        what ``Cluster(workers).load(database)`` would produce.
+        Under numpy the relation is converted by one
+        :func:`~repro.engine.kernels.block_from_rows` call and each fragment
+        is a strided view of that block; under python each is a list slice.
+        Nothing is kept: every call deals afresh.
         """
-        clone = Cluster(self.workers, memory or MemoryBudget())
-        clone.database = self.database
-        clone._fragments = self._fragments
-        return clone
-
-    def fragments(self, relation_name: str) -> list[list[tuple[int, ...]]]:
-        """Per-worker row lists of a loaded relation."""
-        try:
-            return self._fragments[relation_name]
-        except KeyError:
-            raise KeyError(
-                f"relation {relation_name!r} not loaded; known: "
-                f"{sorted(self._fragments)}"
-            ) from None
-
-    def fragment_relation(self, relation_name: str, worker: int) -> Relation:
-        """One worker's fragment, viewed as a Relation."""
-        if self.database is None:
-            raise RuntimeError("cluster has no loaded database")
-        # the fragment's rows are the base relation's own, validated when it
-        # was built, and nothing downstream writes to them: share, don't copy
-        return self.database[relation_name].with_rows(
-            self.fragments(relation_name)[worker]
-        )
+        rows = self._loaded()[relation_name].rows
+        if kernels.get_backend() == "numpy":
+            rows = kernels.block_from_rows(rows)
+        return [rows[worker::self.workers] for worker in range(self.workers)]
 
     def encoder(self):
         """The database's dictionary encoder (for string query constants)."""
+        return self._loaded().encode
+
+    def _loaded(self) -> Database:
         if self.database is None:
             raise RuntimeError("cluster has no loaded database")
-        return self.database.encode
+        return self.database
 
     def release_frames(self, frames: Sequence[Frame]) -> None:
         """Release per-worker frames from the memory budget.
@@ -97,4 +71,4 @@ class Cluster:
                 self.memory.release(worker, len(frame))
 
     def __repr__(self) -> str:
-        return f"Cluster(workers={self.workers}, relations={sorted(self._fragments)})"
+        return f"Cluster(workers={self.workers}, database={self.database!r})"

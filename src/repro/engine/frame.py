@@ -6,11 +6,11 @@ joins, projections) is defined over variables.  A :class:`Frame` is that
 runtime unit: an ordered tuple of variables plus rows.
 
 What ``rows`` *is* follows the kernel backend (:mod:`~repro.engine.kernels`).
-Under ``python`` it is a list of tuples throughout.  Under ``numpy`` a scan
-still hands out a row list — stored relations are row lists — and from the
-first kernel on (an exchange, a hash, Tributary or semi-join, a projection,
-a filter) it is a :class:`~repro.engine.kernels.ColumnBlock`, one int64
-array per variable, which stays a block until the result is finalized.
+Under ``python`` it is a list of tuples throughout.  Under ``numpy`` it is a
+:class:`~repro.engine.kernels.ColumnBlock`, one int64 array per variable,
+from the scan — which selects and projects a strided view of the block the
+cluster deals (:meth:`~repro.engine.cluster.Cluster.fragments`) — until the
+result is finalized.
 Either way it is a ``Sequence`` of tuples of Python ints, nothing mutates it
 once a frame holds it, and a frame is what every slot of a plan holds.
 """
@@ -70,15 +70,12 @@ def atom_frame(
     relation: Relation,
     encoder: Encoder,
 ) -> Frame:
-    """Scan an atom: apply constant selections and repeated-variable filters
-    (selection pushdown, paper footnote 3), and relabel columns as the
-    atom's variables."""
-    constant_filters, repeat_groups = kernels.atom_selection(atom, encoder)
-    rows = kernels.filter_atom_rows(relation.rows, constant_filters, repeat_groups)
+    """Scan an atom: keep the rows that pass its selections (selection
+    pushdown, paper footnote 3; :meth:`~repro.query.atoms.Atom.selection`)
+    and relabel columns as the atom's variables."""
+    rows = kernels.select_rows(relation.rows, *atom.selection(encoder))
     variables = atom.variables()
     indices = [atom.positions_of(v)[0] for v in variables]
-    if indices == list(range(len(relation.columns))) and rows is relation.rows:
-        return Frame(variables, list(rows))
     return Frame(variables, kernels.project_rows(rows, indices))
 
 

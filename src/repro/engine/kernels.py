@@ -13,15 +13,16 @@ hot paths is expressed as a kernel with two interchangeable backends,
   sorting, ``np.searchsorted`` seeks, group-by join build/probe) over
   :class:`ColumnBlock` values, one int64 array per column.
 
-Under numpy the block is what flows between kernels.  A kernel handed a
-row list (a scanned base fragment, a test's input) converts it once at
-entry (:func:`block_from_rows`) and every kernel returns blocks — a
-partition's buckets are slices of one gathered block, a projection selects
-columns, a join gathers its output — so rows are converted once, at the
-first kernel that sees a row list, and tuples are made once, at the result
-(:func:`row_tuples`).  A block *is* a ``Sequence[Row]``: anything that
-iterates, indexes or compares it sees the tuples of Python ints a row list
-would hold.
+Under numpy the block is what flows between kernels.  Rows enter it once
+per Scan: the cluster converts the scanned relation with one
+:func:`block_from_rows` call and deals each worker a strided view of it
+(:meth:`~repro.engine.cluster.Cluster.fragments`).  Every kernel returns
+blocks — a scan's selection is one mask, a partition's buckets are slices of
+one gathered block, a projection selects columns, a join gathers its output
+— and tuples are made once, at the result (:func:`row_tuples`).  A kernel
+handed a row list (a test's input) converts it at entry.  A block *is* a
+``Sequence[Row]``: anything that iterates, indexes or compares it sees the
+tuples of Python ints a row list would hold.
 
 Backends are *semantics-preserving by construction*: destinations, row
 orders, result rows, and every counted metric are bit-identical between
@@ -42,12 +43,9 @@ import os
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..query.atoms import Atom
 
 Row = tuple[int, ...]
 
@@ -632,58 +630,8 @@ def _hash_join_numpy(
 
 
 # ----------------------------------------------------------------------
-# Columnar scan filters / projections
+# Columnar selections / projections
 # ----------------------------------------------------------------------
-
-
-def atom_selection(atom: "Atom", encoder) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """An atom's pushed-down scan filters (paper footnote 3), shared by the
-    frame scan (:func:`~repro.engine.frame.atom_frame`) and the Tributary
-    preparation (:func:`~repro.leapfrog.tributary.prepare_atom`).
-
-    Returns ``(constant_filters, repeat_groups)``: encoded ``(position,
-    value)`` constant selections, and the position groups of repeated
-    variables that must be pairwise equal.
-    """
-    constant_filters = [
-        (position, encoder(constant.value)) for position, constant in atom.constants()
-    ]
-    repeat_groups = [
-        atom.positions_of(variable)
-        for variable in atom.variables()
-        if len(atom.positions_of(variable)) > 1
-    ]
-    return constant_filters, repeat_groups
-
-
-def filter_atom_rows(
-    rows: Sequence[Row],
-    constant_filters: Sequence[tuple[int, int]],
-    repeat_groups: Sequence[Sequence[int]],
-):
-    """Apply constant selections and repeated-variable equality filters.
-
-    Returns ``rows`` itself (same object) when there is nothing to filter,
-    so callers can keep zero-copy fast paths; otherwise a new list.
-
-    Deliberately scalar on both backends: stored relations and the
-    cluster's fragments are row lists, and a scan filter runs exactly once
-    per fragment, so a vectorized mask would first have to convert the
-    columns it tests — and that conversion alone costs more than the plain
-    list comprehension (measured ~2-4x slower at 100k rows).  What survives
-    the filter is converted once, by the first kernel downstream.
-    """
-    if not constant_filters and not repeat_groups:
-        return rows
-    filtered = rows
-    for position, value in constant_filters:
-        filtered = [row for row in filtered if row[position] == value]
-    for positions in repeat_groups:
-        first = positions[0]
-        filtered = [
-            row for row in filtered if all(row[p] == row[first] for p in positions)
-        ]
-    return filtered
 
 
 def project_rows(
@@ -724,7 +672,10 @@ def select_rows(
     """The rows that pass every comparison, in order; ``variables`` label
     the columns.  :meth:`~repro.query.atoms.Comparison.evaluate` takes a
     column per variable as readily as a value, so on numpy the comparisons
-    are one boolean mask over the block."""
+    are one boolean mask over the block.  With no comparisons ``rows``
+    itself is the answer, on either backend."""
+    if not comparisons:
+        return rows
     if _backend == "numpy":
         block = as_block(rows)
         if not block.length:

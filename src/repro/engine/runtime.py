@@ -20,12 +20,10 @@ ledger.  The three runtimes differ only in who the executors are
   runner, the slot inputs, the ledgers — is shipped to it; a frame whose
   rows are a *list* above a size threshold crosses in either direction
   through a :mod:`~repro.engine.shm` shared-memory segment instead of the
-  pickle pipe.  Every python-backend frame is a list; under numpy a scan
-  whose projection is the identity hands out its row list too (a
-  broadcast plan's anchor fragments reach the children that way), while
-  column blocks pickle as their arrays and stay on the pipe.  Each
-  worker's ledger is pickled back and merged exactly like the thread
-  runtime's.
+  pickle pipe.  Only python-backend frames are lists: under numpy every
+  frame, a scanned one included, is a column block, which pickles as its
+  arrays and stays on the pipe.  Each worker's ledger is pickled back and
+  merged exactly like the thread runtime's.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker

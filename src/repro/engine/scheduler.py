@@ -501,9 +501,9 @@ class PlanExecution:
             noted = {}
             if isinstance(op, Scan):
                 per_worker: list[Frame] = []
-                for worker in range(workers):
-                    relation = cluster.fragment_relation(op.atom.relation, worker)
-                    frame = atom_frame(op.atom, relation, encoder)
+                relation = cluster.database[op.atom.relation]
+                for fragment in cluster.fragments(op.atom.relation):
+                    frame = atom_frame(op.atom, relation.with_rows(fragment), encoder)
                     if op.filters:
                         frame = Frame(
                             frame.variables,

@@ -28,7 +28,7 @@ Four cooperating mechanisms:
   Round of the query at the head of the runnable queue, then rotates it
   to the back.  Scheduling state is driven purely by submission order and
   round counts, so a fixed workload replays deterministically; and
-  because every query owns its stats, memory budget, cluster view, and
+  because every query owns its stats, memory budget, cluster, and
   slot state outright, its counted metrics are bit-identical to a solo
   run regardless of what else is in flight.
 - **Cancellation and deadlines** — built on the scheduler's
@@ -293,8 +293,7 @@ class QueryService:
     One service owns: a worker runtime shared by every query, a memory
     governor over ``memory_tuples`` per-worker tuples, a plan cache
     (shared :data:`~repro.planner.optimizer.GLOBAL_PLAN_CACHE` unless a
-    private one is passed), and per-database template clusters whose
-    loaded fragments all admitted queries share read-only.
+    private one is passed), and one statistics catalog per database.
 
     Drive it either with :meth:`run_until_complete` (drain everything) or
     tick by tick with :meth:`step` — the latter is what tests and the
@@ -326,9 +325,6 @@ class QueryService:
         self._runnable: deque[_ActiveQuery] = deque()
         self._next_id = 0
         self._tick = 0
-        #: template clusters keyed by (database identity, workers); the
-        #: database object rides in the value to pin its id() alive
-        self._templates: dict[tuple[int, int], tuple[Database, Cluster]] = {}
         self._catalogs: dict[int, tuple[Database, Catalog]] = {}
         self._session_depth = 0
 
@@ -612,7 +608,8 @@ class QueryService:
             if self.governor.total is not None
             else None
         )
-        cluster = self._template(request).view(budget)
+        cluster = Cluster(request.workers, budget)
+        cluster.load(request.database)
         stats = ExecutionStats(
             query=parsed.name,
             strategy=physical.strategy,
@@ -722,7 +719,7 @@ class QueryService:
         """Evict an under-granted query and re-queue it with double the grant.
 
         The fresh attempt restarts from scratch with new isolated state
-        (stats, budget, cluster view), so its counted metrics — when it
+        (stats, budget, cluster), so its counted metrics — when it
         eventually completes — are exactly a solo run's.  It re-enters at
         the queue *head*: it was admitted earliest, and strict FIFO should
         keep it earliest.  A logical deadline restarts on re-admission.
@@ -766,15 +763,4 @@ class QueryService:
         if entry is None or entry[0] is not database:
             entry = (database, Catalog(database))
             self._catalogs[id(database)] = entry
-        return entry[1]
-
-    def _template(self, request: QueryRequest) -> Cluster:
-        """One loaded template cluster per (database, workers) pair."""
-        key = (id(request.database), request.workers)
-        entry = self._templates.get(key)
-        if entry is None or entry[0] is not request.database:
-            cluster = Cluster(request.workers)
-            cluster.load(request.database)
-            entry = (request.database, cluster)
-            self._templates[key] = entry
         return entry[1]

@@ -10,10 +10,10 @@ pipe.  This module moves large row blocks through
 one int64 column-major array in ``/dev/shm``, ships only the segment name,
 and the receiver reattaches, materializes, and unlinks it; a sender whose
 receiver died unlinks what it shipped itself (:meth:`SharedRows.discard`).
-Only a frame's row *list* travels this way: every frame of the python
-kernel backend, and under numpy a scanned fragment whose projection is the
-identity (a broadcast plan's anchor is shipped as one).  A column block's
-arrays pickle as a memcpy and stay on the pipe.
+Only a frame's row *list* travels this way, and only the python kernel
+backend's frames are lists: under numpy every frame, a scanned one
+included, is a column block, whose arrays pickle as a memcpy and stay on
+the pipe.
 
 Small payloads stay on the pickle path — below a few tens of thousands of
 rows the copy into shared memory costs more than pickling saves, so

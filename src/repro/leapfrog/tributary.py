@@ -82,16 +82,16 @@ def select_atom(
     order: Sequence[Variable],
     encoder: Encoder = _identity_encoder,
 ) -> tuple[Relation, tuple[Variable, ...], list[int]]:
-    """Filter an atom's relation by its constants / repeated variables.
+    """Filter an atom's relation by its selections (constants, repeated
+    variables: :meth:`~repro.query.atoms.Atom.selection`), as a scan does.
 
     Returns the filtered relation, the atom's variables in ``order`` (its
     trie levels) and the column each one is read from."""
     # function-local import: ``engine`` imports this module, so a top-level
     # import of the kernel layer would be circular
-    from ..engine.kernels import atom_selection, filter_atom_rows
+    from ..engine.kernels import select_rows
 
-    constant_filters, repeat_groups = atom_selection(atom, encoder)
-    rows = filter_atom_rows(relation.rows, constant_filters, repeat_groups)
+    rows = select_rows(relation.rows, *atom.selection(encoder))
     filtered = relation if rows is relation.rows else relation.with_rows(rows)
     key_variables = tuple(v for v in order if v in atom.variables())
     if set(key_variables) != set(atom.variables()):

@@ -229,8 +229,10 @@ class _PlanWalk:
         self.query = query
         self.catalog = catalog
         self.atoms = {atom.alias: atom for atom in query.atoms}
-        #: exact post-selection cardinalities, clamped >= 1 exactly like the
-        #: runtime's _scanned_sizes (so Algorithm 1 sees identical inputs)
+        #: exact cardinalities after the atom's own selections (constants,
+        #: repeated variables), clamped >= 1 like the runtime's
+        #: _scanned_sizes; unlike those, they leave out pushed comparisons
+        #: (Q7's year range), whose counting would move Q7's predictions
         self.cards = {a.alias: max(1, catalog.atom_cardinality(a)) for a in query.atoms}
         self.plan = plan or left_deep_plan(query, catalog)
         self.sizes = self._step_sizes()

@@ -163,6 +163,28 @@ class Atom:
         """All argument positions where ``variable`` occurs."""
         return self._positions.get(variable, ())
 
+    def selection(
+        self, encoder: Callable[[Union[int, str]], int]
+    ) -> tuple[tuple[Variable, ...], tuple[Comparison, ...]]:
+        """The scan's pushed-down selections (paper footnote 3) as
+        comparisons over the stored relation's columns: a constant's column
+        equals the encoded constant, and a repeated variable's later columns
+        equal its first.  Returns the column labels — ``#0``, ``#1``, ...,
+        names the parser never gives a variable — and the comparisons, the
+        arguments :func:`~repro.engine.kernels.select_rows` takes."""
+        columns = tuple(Variable(f"#{position}") for position in range(self.arity))
+        comparisons = [
+            Comparison(columns[position], "=", Constant(encoder(constant.value)))
+            for position, constant in self._constants
+        ]
+        for variable in self._variables:
+            first, *repeats = self._positions[variable]
+            comparisons += [
+                Comparison(columns[position], "=", columns[first])
+                for position in repeats
+            ]
+        return columns, tuple(comparisons)
+
     def __repr__(self) -> str:
         args = ", ".join(repr(term) for term in self.terms)
         if self.alias != self.relation:

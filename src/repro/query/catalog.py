@@ -6,11 +6,12 @@ relation, and the number of distinct *prefix* values ``V(R, p)`` under a
 candidate global variable order.  :class:`Catalog` computes and caches these
 over a :class:`~repro.storage.relation.Database`.
 
-Every statistic is computed on the relation *after* the atom's constant
-selections (selection pushdown, the paper's footnote 3) and memoized:
+Every statistic is computed on the relation *after* the atom's selections
+— its constants and repeated variables, exactly what its scan keeps
+(selection pushdown, the paper's footnote 3) — and memoized:
 
-- the filtered relation itself is cached per ``(relation, constants)``;
-- distinct-prefix counts are cached per ``(relation, constants, positions)``
+- the filtered relation itself is cached per selection;
+- distinct-prefix counts are cached per ``(selection, positions)``
   and, underneath, on the immutable relation they were counted over
   (:meth:`~repro.storage.relation.Relation.distinct_count`), so a fresh
   catalog over an unchanged database does not recount them;
@@ -84,7 +85,7 @@ class Catalog:
         the standard independence simplification).
 
         Delegates to :meth:`atom_prefix_count_positions` so repeated calls
-        hit the per-(relation, constants, positions) cache — the optimizer's
+        hit the per-(selection, positions) cache — the optimizer's
         cost loops evaluate the same prefixes for every candidate strategy.
         """
         atom_vars = [v for v in order if v in atom.variables()][:length]
@@ -96,11 +97,11 @@ class Catalog:
     ) -> int:
         """``V(R_j, p)`` for explicit attribute positions of an atom.
 
-        Statistics are computed on the relation after the atom's constant
+        Statistics are computed on the relation after the atom's
         selections (selection pushdown), and cached per
-        (relation, constants, positions).
+        (selection, positions).
         """
-        key = (atom.relation, atom.constants(), tuple(positions))
+        key = (_selection_key(atom), tuple(positions))
         if key in self._atom_prefix_cache:
             return self._atom_prefix_cache[key]
         count = self._filtered(atom).distinct_count(positions)
@@ -115,9 +116,9 @@ class Catalog:
         return self.atom_prefix_count_positions(atom, positions[:1])
 
     def atom_cardinality(self, atom: Atom) -> int:
-        """Cardinality of the atom's relation after applying its constants.
+        """Cardinality of the atom's relation after its selections.
 
-        Returns the truthful count — 0 when the constants select nothing
+        Returns the truthful count — 0 when the selection keeps nothing
         (see the module docstring's zero-cardinality contract).
         """
         return len(self._filtered(atom))
@@ -129,10 +130,10 @@ class Catalog:
 
         The key-frequency histogram behind the optimizer's skew statistics.
         ``positions=()`` groups everything into the empty key.  Cached per
-        (relation, constants, positions); callers must not mutate the
+        (selection, positions); callers must not mutate the
         returned mapping.
         """
-        key = (atom.relation, atom.constants(), tuple(positions))
+        key = (_selection_key(atom), tuple(positions))
         cached = self._group_counts_cache.get(key)
         if cached is not None:
             return cached
@@ -170,8 +171,8 @@ class Catalog:
         intermediate-size estimates anchor on it.  Cached symmetrically per
         (left key, right key); cost is one pass over the smaller histogram.
         """
-        left_key = (left.relation, left.constants(), tuple(left_positions))
-        right_key = (right.relation, right.constants(), tuple(right_positions))
+        left_key = (_selection_key(left), tuple(left_positions))
+        right_key = (_selection_key(right), tuple(right_positions))
         cache_key = (left_key, right_key)
         cached = self._join_product_cache.get(cache_key)
         if cached is not None:
@@ -212,20 +213,37 @@ class Catalog:
         )
 
     def _filtered(self, atom: Atom) -> Relation:
-        """The atom's relation after constant selections, cached.
+        """The atom's relation after its selections, as its scan keeps it.
 
-        Cached per (relation, constants) so the optimizer's repeated
+        The scan's own selection (:meth:`~repro.query.atoms.Atom.selection`
+        applied by :func:`~repro.engine.kernels.select_rows`), with the
+        kept rows as tuples; cached per selection so the optimizer's repeated
         selection pushdown during costing reuses one materialization.
         """
-        key = (atom.relation, atom.constants())
+        key = _selection_key(atom)
         cached = self._filtered_cache.get(key)
         if cached is not None:
             return cached
+        # function-local import: ``engine`` imports this package
+        from ..engine import kernels
+
         relation = self.database[atom.relation]
-        for position, constant in atom.constants():
-            relation = relation.select(position, self.database.encode(constant.value))
+        selection = atom.selection(self.database.encode)
+        rows = kernels.select_rows(relation.rows, *selection)
+        if rows is not relation.rows:
+            relation = relation.with_rows(kernels.row_tuples(rows))
         self._filtered_cache[key] = relation
         return relation
+
+
+def _selection_key(atom: Atom) -> tuple:
+    """Equal for atoms whose scans keep the same rows: the relation, the
+    constants and the positions each variable is read from."""
+    return (
+        atom.relation,
+        atom.constants(),
+        tuple(atom.positions_of(variable) for variable in atom.variables()),
+    )
 
 
 def cardinalities_for(

@@ -3,7 +3,10 @@
 Relations store rows as Python tuples of ints.  String values (e.g. Freebase
 entity names) are dictionary-encoded at load time via :class:`Database`, the
 standard trick in analytic engines; query constants are encoded the same way
-at plan time so all runtime comparisons are int comparisons.
+at plan time so all runtime comparisons are int comparisons.  A Scan deals a
+stored relation over the workers in the kernel backend's container
+(:meth:`~repro.engine.cluster.Cluster.fragments`): under numpy the rows
+become one column block there, once per Scan.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class Relation:
 
     @classmethod
     def over_rows(
-        cls, name: str, columns: Sequence[str], rows: list[tuple[int, ...]]
+        cls, name: str, columns: Sequence[str], rows: Sequence[tuple[int, ...]]
     ) -> "Relation":
         """A relation over a row list the engine already owns and validated.
 
@@ -68,14 +71,6 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({self.name}, {self.columns}, {len(self)} rows)"
 
-    def select(self, position: int, value: int) -> "Relation":
-        """Rows whose ``position``-th attribute equals ``value``."""
-        return Relation(
-            self.name,
-            self.columns,
-            (row for row in self._rows if row[position] == value),
-        )
-
     def content_digest(self) -> int:
         """A digest of this relation's rows, computed once and memoized.
 
@@ -106,11 +101,12 @@ class Relation:
             self._distinct[key] = count
         return count
 
-    def with_rows(self, rows: list[tuple[int, ...]]) -> "Relation":
+    def with_rows(self, rows: Sequence[tuple[int, ...]]) -> "Relation":
         """Same schema over a subset of this relation's rows.
 
-        Skips arity validation — the rows must come from this relation (e.g.
-        a scan filter's output), where they were already validated.
+        Skips arity validation — the rows must come from this relation (a
+        worker's fragment, a scan filter's output), where they were already
+        validated; under numpy they may be a column block.
         """
         return Relation.over_rows(self.name, self.columns, rows)
 

@@ -1,5 +1,10 @@
 """Tests for the statistics catalog."""
 
+import pytest
+
+from repro.engine import kernels
+from repro.engine.cluster import Cluster
+from repro.engine.frame import atom_frame
 from repro.query.atoms import Atom, Constant, Variable
 from repro.query.catalog import Catalog, cardinalities_for
 from repro.query.parser import parse_query
@@ -85,3 +90,54 @@ def test_cardinalities_for_never_returns_zero():
     query = parse_query('Q(x) :- Name(x, "missing"), R(x, y).')
     cards = cardinalities_for(query, db)
     assert cards["Name"] == 1  # clamped so the LPs stay well-defined
+
+
+class TestSelectionsMatchTheScan:
+    """The catalog keeps the rows an atom's scan keeps: its constants and
+    its repeated variables alike."""
+
+    @staticmethod
+    def _db():
+        db = make_db()
+        db.add_rows(
+            "T", ("a", "b", "c"),
+            [(1, 1, 5), (1, 1, 6), (1, 2, 5), (4, 4, 5), (7, 7, 7), (2, 2, 5)],
+        )
+        return db
+
+    @staticmethod
+    def _scanned(atom, db, backend):
+        cluster = Cluster(3)
+        cluster.load(db)
+        relation = db[atom.relation]
+        with kernels.use_backend(backend):
+            return sum(
+                len(atom_frame(atom, relation.with_rows(fragment), db.encode))
+                for fragment in cluster.fragments(atom.relation)
+            )
+
+    @pytest.mark.parametrize(
+        "text, kept",
+        [
+            ("Q(x) :- R(x, x).", 0),
+            ("Q(x) :- T(x, x, 5).", 3),
+            ("Q(x, z) :- T(x, x, z).", 5),
+            ("Q(x) :- T(x, x, x).", 1),
+        ],
+    )
+    def test_atom_cardinality_is_the_scanned_row_count(self, text, kept):
+        db = self._db()
+        atom = parse_query(text).atoms[0]
+        assert Catalog(db).atom_cardinality(atom) == kept
+        for backend in kernels.KERNEL_BACKENDS:
+            assert self._scanned(atom, db, backend) == kept
+
+    def test_repeated_variables_get_their_own_cache_entries(self):
+        catalog = Catalog(self._db())
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        assert catalog.atom_cardinality(Atom("T", (x, x, z))) == 5
+        assert catalog.atom_cardinality(Atom("T", (x, y, z))) == 6
+        assert catalog.atom_prefix_count_positions(Atom("T", (x, x, z)), (2,)) == 3
+        assert catalog.atom_prefix_count_positions(Atom("T", (x, y, z)), (2,)) == 3
+        assert catalog.atom_max_group(Atom("T", (y, y, x)), (2,)) == 3
+        assert catalog.atom_max_group(Atom("T", (x, y, z)), (2,)) == 4

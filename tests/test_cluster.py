@@ -1,11 +1,11 @@
 """Tests for the simulated cluster."""
 
+import numpy as np
 import pytest
 
+from repro.engine import kernels
 from repro.engine.cluster import Cluster
-from repro.engine.frame import atom_frame
-from repro.query.parser import parse_query
-from repro.storage.relation import Database
+from repro.storage.relation import Database, Relation
 
 
 def make_db(rows=10):
@@ -30,33 +30,10 @@ class TestCluster:
         combined = [row for fragment in cluster.fragments("R") for row in fragment]
         assert sorted(combined) == sorted(db["R"].rows)
 
-    def test_fragment_relation_view(self):
-        cluster = Cluster(2)
-        cluster.load(make_db(4))
-        fragment = cluster.fragment_relation("R", 1)
-        assert fragment.columns == ("a", "b")
-        assert fragment.rows == [(1, 2), (3, 4)]
-
-    def test_fragment_relation_shares_the_fragment_and_a_scan_leaves_it_alone(self):
-        """``fragment_relation`` runs once per worker, atom and query, over
-        rows the database validated when it was built: it neither copies nor
-        re-checks them, and the frame a scan hands out is the scan's own."""
-        cluster = Cluster(2)
-        cluster.load(make_db(6))
-        fragment = cluster.fragments("R")[1]
-        snapshot = list(fragment)
-        relation = cluster.fragment_relation("R", 1)
-        assert relation.rows is fragment
-        assert (relation.name, relation.columns) == ("R", ("a", "b"))
-        atom = parse_query("Q(x,y) :- R(x,y).").atoms[0]
-        frame = atom_frame(atom, relation, cluster.encoder())
-        assert frame.rows == snapshot and frame.rows is not fragment
-        assert fragment == snapshot and cluster.fragments("R")[1] is fragment
-
     def test_unknown_relation(self):
         cluster = Cluster(2)
         cluster.load(make_db())
-        with pytest.raises(KeyError, match="not loaded"):
+        with pytest.raises(KeyError, match="unknown relation 'missing'"):
             cluster.fragments("missing")
 
     def test_requires_at_least_one_worker(self):
@@ -67,6 +44,8 @@ class TestCluster:
         cluster = Cluster(2)
         with pytest.raises(RuntimeError):
             cluster.encoder()
+        with pytest.raises(RuntimeError):
+            cluster.fragments("R")
 
     def test_reload_replaces_fragments(self):
         cluster = Cluster(2)
@@ -78,3 +57,59 @@ class TestCluster:
         cluster = Cluster(1)
         cluster.load(make_db(5))
         assert len(cluster.fragments("R")[0]) == 5
+
+
+class _Unreadable(Relation):
+    """A relation whose rows must not be read."""
+
+    @property
+    def rows(self):
+        raise AssertionError("the rows were read")
+
+    def __iter__(self):
+        raise AssertionError("the rows were read")
+
+
+class TestDeal:
+    """A Scan deals its relation when it asks, in the backend's container."""
+
+    def _dealt(self, backend, rows=17, workers=4):
+        cluster = Cluster(workers)
+        database = make_db(rows)
+        cluster.load(database)
+        with kernels.use_backend(backend):
+            return cluster, database["R"].rows, cluster.fragments("R")
+
+    @pytest.mark.parametrize("backend", kernels.KERNEL_BACKENDS)
+    @pytest.mark.parametrize("rows, workers", [(17, 4), (3, 5), (0, 3), (6, 1)])
+    def test_fragments_are_the_round_robin_deal(self, backend, rows, workers):
+        _, stored, fragments = self._dealt(backend, rows, workers)
+        assert len(fragments) == workers
+        for worker, fragment in enumerate(fragments):
+            assert fragment == stored[worker::workers]
+            assert list(fragment) == stored[worker::workers]
+
+    def test_numpy_fragments_are_views_of_one_block_per_call(self):
+        cluster, _, fragments = self._dealt("numpy")
+        assert all(isinstance(f, kernels.ColumnBlock) for f in fragments)
+        columns = [column for fragment in fragments for column in fragment.columns]
+        assert not any(column.flags.owndata for column in columns)
+        assert len({id(column.base) for column in columns}) == 1
+        # nothing is cached: the next Scan converts the relation afresh
+        with kernels.use_backend("numpy"):
+            again = cluster.fragments("R")
+        assert not np.shares_memory(again[0].columns[0], columns[0])
+        assert again == fragments
+
+    def test_python_fragments_are_lists(self):
+        _, _, fragments = self._dealt("python")
+        assert all(type(fragment) is list for fragment in fragments)
+
+    def test_load_reads_no_rows(self):
+        database = Database()
+        database.add(_Unreadable("R", ("a", "b")))
+        cluster = Cluster(3)
+        cluster.load(database)
+        assert cluster.database is database
+        with pytest.raises(AssertionError, match="rows were read"):
+            cluster.fragments("R")

@@ -1,9 +1,18 @@
 """Tests for variable-labelled frames and the atom scan."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine import kernels
 from repro.engine.frame import Frame, atom_frame, frame_relation
-from repro.query.atoms import Atom, Constant, Variable
+from repro.engine.runtime import resolve_runtime
+from repro.engine.scheduler import PlanExecution
+from repro.engine.stats import ExecutionStats
+from repro.planner.api import make_cluster
+from repro.planner.physical import lower
+from repro.query.atoms import Atom, Comparison, ConjunctiveQuery, Constant, Variable
+from repro.query.catalog import Catalog
 from repro.storage.relation import Database, Relation
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -74,3 +83,103 @@ def test_frame_relation_roundtrip():
     relation = frame_relation(frame, "I")
     assert relation.columns == ("x", "y")
     assert relation.rows == frame.rows
+
+
+# ----------------------------------------------------------------------
+# The scan differential: both containers, and the row-list reference
+# ----------------------------------------------------------------------
+
+_TOP = 2**63 - 1
+#: stored values: small ones to collide on, strings (dictionary-encoded at
+#: load), and the ends of int64
+_VALUES = [0, 1, 2, -1, _TOP, -_TOP, -_TOP - 1, "ann", "bob"]
+_VARIABLES = (X, Y, Z)
+
+
+@st.composite
+def scans(draw):
+    """A relation, an atom over it and the atom's pushed comparisons."""
+    arity = draw(st.integers(1, 4))
+    value = st.sampled_from(_VALUES)
+    rows = draw(st.lists(st.tuples(*[value] * arity), max_size=40))
+    # the first position is a variable; constants include one no row holds
+    term = st.one_of(
+        st.sampled_from(_VARIABLES),
+        st.sampled_from(_VALUES + [7, "carl"]).map(Constant),
+    )
+    first = draw(st.sampled_from(_VARIABLES))
+    terms = (first, *draw(st.lists(term, min_size=arity - 1, max_size=arity - 1)))
+    atom = Atom("R", terms)
+    bound = atom.variables()
+    comparison = st.builds(
+        Comparison,
+        st.sampled_from(bound),
+        st.sampled_from(["<", "<=", ">", ">=", "=", "!="]),
+        st.one_of(
+            st.sampled_from(bound),
+            st.sampled_from([0, 1, -1, _TOP, -_TOP]).map(Constant),
+        ),
+    )
+    comparisons = tuple(draw(st.lists(comparison, max_size=2)))
+    workers = draw(st.integers(1, 5))
+    return rows, atom, comparisons, workers
+
+
+def _reference_scan(atom, rows, encode, comparisons, workers):
+    """The round-robin list deal, then filter, then project, row by row:
+    every worker's frame rows as a scan of row lists computed them."""
+    frames = []
+    for worker in range(workers):
+        kept = rows[worker::workers]
+        for position, constant in atom.constants():
+            kept = [row for row in kept if row[position] == encode(constant.value)]
+        for variable in atom.variables():
+            first, *repeats = atom.positions_of(variable)
+            kept = [row for row in kept if all(row[p] == row[first] for p in repeats)]
+        variables = atom.variables()
+        projected = [
+            tuple(row[atom.positions_of(v)[0]] for v in variables) for row in kept
+        ]
+        frames.append([
+            row for row in projected
+            if all(c.evaluate(dict(zip(variables, row))) for c in comparisons)
+        ])
+    return frames
+
+
+def _scheduled_scan(query, database, workers, backend):
+    """The Scan operator's per-worker frames, run by the scheduler."""
+    physical = lower(query, "RS_HJ", Catalog(database))
+    cluster = make_cluster(database, workers=workers)
+    stats = ExecutionStats(query=query.name, strategy="RS_HJ", workers=workers)
+    with kernels.use_backend(backend):
+        execution = PlanExecution(physical, cluster, stats, resolve_runtime("serial"))
+        try:
+            execution.step()
+        finally:
+            execution.close()
+    assert execution.finished  # one atom under RS_HJ: the scan is the plan
+    return execution._state.slots[query.atoms[0].alias]
+
+
+@settings(max_examples=80, deadline=None)
+@given(scans())
+def test_scans_agree_across_backends_and_with_the_row_list_reference(scan):
+    rows, atom, comparisons, workers = scan
+    database = Database()
+    database.add_encoded("R", [f"c{i}" for i in range(atom.arity)], rows)
+    query = ConjunctiveQuery("Q", atom.variables(), (atom,), comparisons)
+    expected = _reference_scan(
+        atom, database["R"].rows, database.encode, comparisons, workers
+    )
+    scanned = {
+        backend: _scheduled_scan(query, database, workers, backend)
+        for backend in kernels.KERNEL_BACKENDS
+    }
+    for backend, frames in scanned.items():
+        assert [frame.variables for frame in frames] == [atom.variables()] * workers
+        assert [list(frame.rows) for frame in frames] == expected, backend
+    assert all(type(frame.rows) is list for frame in scanned["python"])
+    assert all(
+        isinstance(frame.rows, kernels.ColumnBlock) for frame in scanned["numpy"]
+    )

@@ -64,33 +64,19 @@ def _triangle_routing():
 
 _SELECTION = parse_query("C(x,y,z) :- R(x,y), S(y,z), x < z, y != 3.")
 
-#: every kernel that reads the backend, called on three-column rows, and
-#: whether its numpy answer holds column blocks (the scan filter is scalar
-#: on both backends)
+#: every kernel that reads the backend, called on three-column rows; each
+#: numpy answer holds column blocks
 SWITCHED_KERNELS = {
-    "concat_rows": (lambda rows: kernels.concat_rows([rows, rows[:5]], 3), True),
-    "shuffle_partition": (
-        lambda rows: kernels.shuffle_partition(rows, [0], 4, salt=5), True
-    ),
+    "concat_rows": lambda rows: kernels.concat_rows([rows, rows[:5]], 3),
+    "shuffle_partition": lambda rows: kernels.shuffle_partition(rows, [0], 4, salt=5),
     "hypercube_partition": (
-        lambda rows: kernels.hypercube_partition(rows, *_triangle_routing(), 16),
-        True,
+        lambda rows: kernels.hypercube_partition(rows, *_triangle_routing(), 16)
     ),
-    "sort_projected": (lambda rows: kernels.sort_projected(rows, (2, 0)), True),
-    "hash_join_rows": (
-        lambda rows: kernels.hash_join_rows(rows, rows, [1], [0], [2]), True
-    ),
-    "filter_atom_rows": (
-        lambda rows: kernels.filter_atom_rows(rows, [(1, 3)], []), False
-    ),
-    "project_rows": (
-        lambda rows: kernels.project_rows(rows, [2, 0], dedup=True), True
-    ),
+    "sort_projected": lambda rows: kernels.sort_projected(rows, (2, 0)),
+    "hash_join_rows": lambda rows: kernels.hash_join_rows(rows, rows, [1], [0], [2]),
+    "project_rows": lambda rows: kernels.project_rows(rows, [2, 0], dedup=True),
     "select_rows": (
-        lambda rows: kernels.select_rows(
-            rows, _SELECTION.head, _SELECTION.comparisons
-        ),
-        True,
+        lambda rows: kernels.select_rows(rows, _SELECTION.head, _SELECTION.comparisons)
     ),
 }
 
@@ -108,7 +94,7 @@ def _holds_blocks(answer):
 def test_each_kernel_reads_the_one_switch(name):
     """No kernel takes a backend of its own: ``set_backend`` picks every
     kernel's path, and both paths give the same rows."""
-    call, vectorized = SWITCHED_KERNELS[name]
+    call = SWITCHED_KERNELS[name]
     assert "backend" not in inspect.signature(getattr(kernels, name)).parameters
     rows = random_rows(200, 3, hi=10, seed=40)
     previous = kernels.get_backend()
@@ -121,7 +107,7 @@ def test_each_kernel_reads_the_one_switch(name):
         kernels.set_backend(previous)
     assert len(answers["python"]) > 0
     assert answers["python"] == answers["numpy"]
-    assert _holds_blocks(answers["numpy"]) == vectorized
+    assert _holds_blocks(answers["numpy"])
     assert not _holds_blocks(answers["python"])
 
 
@@ -427,21 +413,35 @@ def test_hash_join_wide_keys_fall_back_to_unique():
 def test_atom_selection_and_filters():
     query = parse_query("Q(x,y) :- R(x, 5, x, y).")
     atom = query.atoms[0]
-    constant_filters, repeat_groups = kernels.atom_selection(atom, lambda v: v)
-    assert constant_filters == [(1, 5)]
-    assert [list(group) for group in repeat_groups] == [[0, 2]]
+    columns, comparisons = atom.selection(lambda v: v)
+    assert [c.name for c in columns] == ["#0", "#1", "#2", "#3"]
+    assert [repr(c) for c in comparisons] == ["#1 = 5", "#2 = #0"]
     rows = [(1, 5, 1, 9), (1, 5, 2, 9), (1, 4, 1, 9), (3, 5, 3, 0)]
     for backend in kernels.KERNEL_BACKENDS:
-        filtered = _on(
-            backend, kernels.filter_atom_rows, rows, constant_filters, repeat_groups
-        )
+        filtered = _on(backend, kernels.select_rows, rows, columns, comparisons)
         assert filtered == [(1, 5, 1, 9), (3, 5, 3, 0)]
-
-
-def test_filter_atom_rows_no_filters_returns_same_object():
-    rows = [(1, 2)]
+    # a variable at three positions: every later one equals the first
+    triple = parse_query("Q(x) :- R(x, x, x).").atoms[0]
+    assert [repr(c) for c in triple.selection(lambda v: v)[1]] == [
+        "#1 = #0", "#2 = #0"
+    ]
+    # an empty relation deals zero-width blocks: the mask is never built on
+    # one, and the projection gives the frame its width back
+    empty = kernels.block_from_rows([])
     for backend in kernels.KERNEL_BACKENDS:
-        assert _on(backend, kernels.filter_atom_rows, rows, [], []) is rows
+        kept = _on(backend, kernels.select_rows, empty, columns, comparisons)
+        assert len(kept) == 0
+        assert _on(backend, kernels.project_rows, kept, [0, 3]) == []
+    projected = _on("numpy", kernels.project_rows, empty, [0, 3])
+    assert len(projected.columns) == 2
+
+
+def test_select_rows_without_comparisons_returns_same_object():
+    rows = [(1, 2)]
+    plain = parse_query("Q(x,y) :- R(x, y).").atoms[0]
+    assert plain.selection(lambda v: v)[1] == ()
+    for backend in kernels.KERNEL_BACKENDS:
+        assert _on(backend, kernels.select_rows, rows, *plain.selection(int)) is rows
 
 
 def test_project_rows_identical():

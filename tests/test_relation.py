@@ -20,16 +20,6 @@ class TestRelation:
         with pytest.raises(ValueError):
             Relation("R", (), [])
 
-    def test_select(self):
-        relation = Relation("R", ("a", "b"), [(1, 2), (1, 3), (2, 2)])
-        selected = relation.select(0, 1)
-        assert selected.rows == [(1, 2), (1, 3)]
-
-    def test_select_without_a_match_keeps_the_schema(self):
-        relation = Relation("R", ("a", "b"), [(1, 2)])
-        selected = relation.select(1, 7)
-        assert selected.rows == [] and selected.columns == ("a", "b")
-
     def test_renamed_shares_rows(self):
         relation = Relation("R", ("a",), [(1,)])
         renamed = relation.renamed("S")

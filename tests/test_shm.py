@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine import runtime as runtime_module
 from repro.engine.frame import Frame
+from repro.engine.kernels import ColumnBlock
 from repro.engine.memory import MemoryBudget
 from repro.engine.runtime import (
     ProcessRuntime,
@@ -109,32 +110,56 @@ class TestTransportThroughRuntime:
         assert _segments() - before == set()
 
 
-class TestNumpyScanLists:
-    """Under numpy a scan whose projection is the identity keeps its row
-    list, so a broadcast plan's anchor fragments, which no exchange turns
-    into blocks, cross to the session children through shared memory."""
+class TestAnchorTransport:
+    """A broadcast plan's anchor fragments are never exchanged, so they
+    reach the session children as the scan made them: a row list under
+    python kernels, which crosses through shared memory, and a column block
+    under numpy, which pickles as its arrays and never asks for a segment."""
 
     QUERY = "Q(x,y) :- R:Twitter(x,y), S:Twitter(y,x)."
 
-    def test_anchor_fragments_cross_through_shared_memory(self, monkeypatch):
+    def _forked(self, backend, monkeypatch):
+        """The serial and the forked answers, whether each ``share_rows``
+        call made a segment, and the frames the parent encoded for the
+        children."""
         # two workers, each anchor fragment above the sharing threshold
         database = twitter_database(nodes=2_000, edges=2 * SHARED_MIN_ROWS + 2)
         serial = run_query(
-            self.QUERY, database, strategy="BR_HJ", workers=2, kernels="numpy"
+            self.QUERY, database, strategy="BR_HJ", workers=2, kernels=backend
         )
-        shared = []
+        shared, sent = [], []
 
         def spy(rows):
             handle = share_rows(rows)
             shared.append(handle is not None)
             return handle
 
+        encode = runtime_module._encode_payload
+
+        def spying_encode(item):
+            if isinstance(item, Frame):
+                sent.append(item)
+            return encode(item)
+
         monkeypatch.setattr(runtime_module, "share_rows", spy)
+        monkeypatch.setattr(runtime_module, "_encode_payload", spying_encode)
         before = _segments()
         forked = run_query(
             self.QUERY, database, strategy="BR_HJ", workers=2,
-            runtime="parallel:2:proc", kernels="numpy",
+            runtime="parallel:2:proc", kernels=backend,
         )
-        assert any(shared)
         assert forked.rows == serial.rows
         assert _segments() - before == set()
+        return shared, sent
+
+    def test_anchor_fragments_cross_through_shared_memory(self, monkeypatch):
+        shared, _ = self._forked("python", monkeypatch)
+        assert any(shared)
+
+    def test_numpy_anchor_fragments_reach_the_children_as_blocks(self, monkeypatch):
+        shared, sent = self._forked("numpy", monkeypatch)
+        assert not shared
+        assert any(
+            isinstance(frame.rows, ColumnBlock) and len(frame) >= SHARED_MIN_ROWS
+            for frame in sent
+        )
