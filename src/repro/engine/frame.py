@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
-from ..query.atoms import Atom, Variable
+from ..query.atoms import Atom, Comparison, Variable
 from ..storage.relation import Relation
 from . import kernels
 
@@ -65,28 +65,49 @@ class Frame:
         return f"Frame([{names}], {len(self.rows)} rows)"
 
 
+def atom_frames(
+    atom: Atom,
+    fragments: Sequence[Sequence[tuple[int, ...]]],
+    encoder: Encoder,
+    filters: Sequence[Comparison] = (),
+) -> list[Frame]:
+    """Scan an atom's fragments, one frame each: keep the rows that pass
+    its selections (selection pushdown, paper footnote 3;
+    :meth:`~repro.query.atoms.Atom.selection`), relabel columns as the
+    atom's variables, then keep the rows that pass ``filters`` (comparisons
+    over those variables).  The selection and the projection are derived
+    from the atom once, for every fragment."""
+    labels, selection = atom.selection(encoder)
+    variables = atom.variables()
+    indices = [atom.positions_of(v)[0] for v in variables]
+    frames = []
+    for rows in fragments:
+        rows = kernels.select_rows(rows, labels, selection)
+        rows = kernels.project_rows(rows, indices)
+        frames.append(Frame(variables, kernels.select_rows(rows, variables, filters)))
+    return frames
+
+
 def atom_frame(
     atom: Atom,
     relation: Relation,
     encoder: Encoder,
 ) -> Frame:
-    """Scan an atom: keep the rows that pass its selections (selection
-    pushdown, paper footnote 3; :meth:`~repro.query.atoms.Atom.selection`)
-    and relabel columns as the atom's variables."""
-    rows = kernels.select_rows(relation.rows, *atom.selection(encoder))
-    variables = atom.variables()
-    indices = [atom.positions_of(v)[0] for v in variables]
-    return Frame(variables, kernels.project_rows(rows, indices))
+    """Scan an atom over a whole relation: :func:`atom_frames` of one
+    fragment."""
+    return atom_frames(atom, [relation.rows], encoder)[0]
 
 
 def frame_relation(frame: Frame, name: str) -> Relation:
     """View a frame as a storage relation (columns named by variables).
 
     Shares the frame's rows: frames are produced by the engine's own
-    operators, so the rows need neither a copy nor re-validation.  The
-    Tributary join is charged the paper's sort and scratch copy of them,
-    but its batched walk packs their key columns, as they are, into one
-    sorted array per atom.
+    operators, so the rows need neither a copy nor re-validation.  Only the
+    scalar reference path builds one — a
+    :class:`~repro.leapfrog.tributary.TributaryJoin` per worker under the
+    python backend, or when a batch's keys do not pack into 63 bits; the
+    numpy walk reads the frames' columns directly
+    (:func:`~repro.engine.local.local_tributary_joins`).
     """
     return Relation.over_rows(
         name, tuple(v.name for v in frame.variables), frame.rows

@@ -495,6 +495,9 @@ def sorted_packed_keys(
     low_0) · span_1 + col_1 − low_1 …``.  The segment leads, so one
     in-place sort of the whole array is every block's lexicographic sort,
     the blocks kept in sequence: no per-block sorted copy ever exists.
+    The packing is one pass over arrays whatever the number of blocks: the
+    segment ids are one ``np.repeat`` of the block lengths, and each depth
+    is one concatenated column.
 
     Level ``d``'s prefix — the segment and the first ``d + 1`` columns —
     is ``full // stride_d`` with ``stride_d`` the product of the spans
@@ -508,29 +511,25 @@ def sorted_packed_keys(
     Returns ``(full, lows, spans)``, or ``None`` when the segment count
     times the spans does not stay below ``2**63`` (callers fall back) — so
     ``(prefix + 1) · span_d · stride_d`` and everything below it is exact
-    in int64.
+    in int64.  An empty block adds no rows and nothing to a span; at least
+    one block must hold rows.
     """
+    lengths = [block.length for block in blocks]
+    full = np.repeat(np.arange(len(blocks), dtype=np.int64), lengths)
     lows: list[int] = []
     spans: list[int] = []
     capacity = len(blocks)
     for depth in range(len(blocks[0].columns)):
-        columns = [block.columns[depth] for block in blocks]
-        low = min(int(column.min()) for column in columns)
-        span = max(int(column.max()) for column in columns) - low + 1
+        column = np.concatenate([block.columns[depth] for block in blocks])
+        low = int(column.min())
+        span = int(column.max()) - low + 1
         capacity *= span
         if capacity >= 2**63:
             return None
+        full *= span
+        full += column - low  # span < 2**63, so the offset cannot wrap
         lows.append(low)
         spans.append(span)
-    full = np.empty(sum(block.length for block in blocks), dtype=np.int64)
-    start = 0
-    for segment, block in enumerate(blocks):
-        part = full[start:start + block.length]
-        part[:] = segment
-        for column, low, span in zip(block.columns, lows, spans):
-            part *= span
-            part += column - low  # span < 2**63, so the offset cannot wrap
-        start += block.length
     full.sort()
     return full, lows, spans
 

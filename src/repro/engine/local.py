@@ -2,27 +2,35 @@
 
 After a shuffle delivers frames to a worker, the rest of the query runs
 locally.  For Tributary-join strategies that means the multiway leapfrog
-over every fragment; this module wraps
-:class:`~repro.leapfrog.tributary.TributaryJoin` over frames and charges
-its sort and seek work to the right worker and phase (the paper separates
-"time on sorting" from "time on TJ", e.g. Table 5 and Fig. 10c).  The
-counted model still charges the paper's per-fragment sort and its scratch
-copy; the batched walk itself sorts one packed key array per atom, for all
-the workers of a batch at once.
+over every fragment; this module runs it over frames and charges its sort
+and seek work to the right worker and phase (the paper separates "time on
+sorting" from "time on TJ", e.g. Table 5 and Fig. 10c).  The counted model
+still charges the paper's per-fragment sort and its scratch copy; the
+batched walk itself sorts one packed key array per atom, for all the
+workers of a batch at once.
 
 The entry point takes a *batch* of workers: every worker is accounted on
 its own ledger exactly as if it ran alone, but the trie walks of a batch
-are one shared walk (:func:`~repro.leapfrog.tributary.run_joins`) — a
-simulated worker holds too little data to keep the vectorized kernels busy
-by itself.
+are one shared walk.  A simulated worker holds too little data to keep the
+vectorized kernels busy by itself.  Under numpy kernels the operator is
+prepared once (a :class:`~repro.leapfrog.tributary.JoinShape`) and the
+walk (:class:`~repro.leapfrog.vectorized.VectorizedTributaryRun`) reads
+each worker's frame columns directly: nothing is built per worker, and the
+walk's seeks and results come back as arrays.  The python backend, and a
+batch whose keys do not pack into 63 bits, build one
+:class:`~repro.leapfrog.tributary.TributaryJoin` per worker and walk them
+with :func:`~repro.leapfrog.tributary.run_joins`, the scalar reference.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from ..leapfrog.tributary import TributaryJoin, run_joins
+from ..leapfrog.tributary import JoinShape, TributaryJoin, run_joins
+from ..leapfrog.vectorized import VectorizedTributaryRun
 from ..query.atoms import Atom, ConjunctiveQuery, Variable
+from ..storage.sorted import _sort_cost
+from . import kernels
 from .frame import Frame, frame_relation
 from .memory import MemorySink
 from .stats import StatsSink
@@ -98,6 +106,70 @@ def _input_capped(tasks: Sequence[LocalJoinTask]) -> list[list[LocalJoinTask]]:
     return [batch for batch in batches if batch]
 
 
+class _Walked(NamedTuple):
+    """What one worker's join produced and is charged for."""
+
+    rows: Sequence[tuple[int, ...]]
+    sort_cost: int  # the paper's sort of every fragment, in comparisons
+    seeks: int
+    scalar_walks: int = 0
+
+
+def _walk_frames(
+    shape: JoinShape, query: ConjunctiveQuery, tasks: Sequence[LocalJoinTask]
+) -> Optional[list[_Walked]]:
+    """The batch's joins as one walk over the workers' frame columns, or
+    ``None`` when the batch does not pack into 63 bits.
+
+    A scanned query's atoms select nothing, so every frame is walked as it
+    is: its key columns are selected from its block, and its sort is
+    charged on its length.
+    """
+    frames = [[task.frames[atom.alias] for atom in query.atoms] for task in tasks]
+    live = [k for k, mine in enumerate(frames) if all(map(len, mine))]
+    width = len(query.head)
+    rows = [kernels.concat_rows([], width)] * len(tasks)
+    seeks = [0] * len(tasks)
+    if live:
+        keys = [
+            [kernels.project_rows(frames[k][i].rows, positions) for k in live]
+            for i, positions in enumerate(shape.key_positions)
+        ]
+        run = VectorizedTributaryRun.build(shape, keys)
+        if run is None:
+            return None
+        walked = zip(live, run.rows(), run.seeks.sum(axis=0).tolist())
+        for k, mine, count in walked:
+            rows[k], seeks[k] = mine, count
+    if not query.is_full():
+        rows = [kernels.project_rows(r, range(width), dedup=True) for r in rows]
+    return [
+        _Walked(r, sum(_sort_cost(len(frame)) for frame in mine), count)
+        for r, mine, count in zip(rows, frames, seeks)
+    ]
+
+
+def _walk_joins(
+    query: ConjunctiveQuery,
+    order: Optional[Sequence[Variable]],
+    tasks: Sequence[LocalJoinTask],
+) -> list[_Walked]:
+    """The batch's joins as one :class:`TributaryJoin` per worker, walked
+    by :func:`run_joins`: the scalar reference and the overflow fallback."""
+    joins = [
+        TributaryJoin(
+            query,
+            {alias: frame_relation(f, alias) for alias, f in task.frames.items()},
+            order=order,
+        )
+        for task in tasks
+    ]
+    return [
+        _Walked(rows, join.stats.sort_cost, join.total_seeks(), join.stats.scalar_walks)
+        for join, rows in zip(joins, run_joins(joins))
+    ]
+
+
 def local_tributary_joins(
     query: ConjunctiveQuery,
     tasks: Sequence[LocalJoinTask],
@@ -110,10 +182,13 @@ def local_tributary_joins(
     ``query`` must be a *scanned* query (see :func:`scanned_query`) whose
     atom aliases key every task's ``frames``.  Each worker is charged on
     its own ``stats``/``memory`` in the order a lone run charges it —
-    allocate the sorted copies, prepare, (walk,) charge ``n log n`` sort
-    comparisons to ``sort_phase`` and seeks plus result materialization to
+    allocate the sorted copies, (walk,) charge ``n log n`` sort comparisons
+    to ``sort_phase`` and seeks plus result materialization to
     ``join_phase``, allocate the results, release the copies — only the
-    walk in the middle is shared by a batch of workers.
+    walk in the middle is shared by a batch of workers.  Under numpy the
+    walk reads the frames' columns (:func:`_walk_frames`); otherwise, or
+    when a batch does not pack, it builds one join per worker
+    (:func:`_walk_joins`).
 
     Returns ``(rows per task, error)``, the head rows as the kernel backend
     holds them (one column block per task on numpy).  Tasks are in worker-id
@@ -123,13 +198,17 @@ def local_tributary_joins(
     state a one-worker-at-a-time execution stopping at that worker leaves
     behind.
     """
+    try:
+        shape = JoinShape.of(query, order)
+    except Exception as error:
+        return [], error
     results: list[Sequence[tuple[int, ...]]] = []
     for batch in _input_capped(tasks):
-        joins: list[TributaryJoin] = []
+        ready: list[LocalJoinTask] = []
         failure: Optional[Exception] = None
         for task in batch:
-            try:
-                if task.memory is not None:
+            if task.memory is not None:
+                try:
                     # charge the paper's sorted copy of every fragment (the
                     # batched walk makes none) *before* the work, so a
                     # simulated OOM fires first
@@ -139,30 +218,28 @@ def local_tributary_joins(
                     task.stats.record_memory(
                         task.worker, task.memory.resident(task.worker)
                     )
-                relations = {
-                    alias: frame_relation(frame, alias)
-                    for alias, frame in task.frames.items()
-                }
-                joins.append(TributaryJoin(query, relations, order=order))
-            except Exception as error:
-                failure = error
-                break
+                except Exception as error:
+                    failure = error
+                    break
+            ready.append(task)
         try:
-            rows_per_join = run_joins(joins)
+            walked = None
+            if kernels.get_backend() == "numpy":
+                walked = _walk_frames(shape, query, ready)
+            if walked is None:
+                walked = _walk_joins(query, order, ready)
         except Exception as error:
             # the shared walk cannot say whose data broke it: the batch's
             # first worker fails, so nothing after the last sound ledger
             # is committed
             return results, error
-        for task, join, rows in zip(batch, joins, rows_per_join):
+        for task, (rows, sort_cost, seeks, scalar_walks) in zip(ready, walked):
             worker, stats, memory = task.worker, task.stats, task.memory
             try:
-                stats.charge(
-                    worker, join.stats.sort_cost * SORT_COMPARISON_WEIGHT, sort_phase
-                )
-                stats.charge(worker, join.total_seeks() + len(rows), join_phase)
-                if join.stats.scalar_walks:
-                    stats.record_wcoj_fallbacks(worker, join.stats.scalar_walks)
+                stats.charge(worker, sort_cost * SORT_COMPARISON_WEIGHT, sort_phase)
+                stats.charge(worker, seeks + len(rows), join_phase)
+                if scalar_walks:
+                    stats.record_wcoj_fallbacks(worker, scalar_walks)
                 if memory is not None:
                     memory.allocate(worker, len(rows), join_phase)
                     stats.record_memory(worker, memory.resident(worker))

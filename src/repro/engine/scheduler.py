@@ -54,7 +54,7 @@ from ..hypercube.config import HyperCubeConfig, optimize_config
 from ..hypercube.mapping import HyperCubeMapping
 from . import kernels
 from .cluster import Cluster
-from .frame import Frame, atom_frame
+from .frame import Frame, atom_frames
 from .hash_join import apply_comparisons, hash_join_frames, semijoin
 from .local import LocalJoinTask, local_tributary_joins
 from .runtime import WorkerLedger, WorkerRuntime
@@ -500,16 +500,9 @@ class PlanExecution:
                 continue
             noted = {}
             if isinstance(op, Scan):
-                per_worker: list[Frame] = []
-                relation = cluster.database[op.atom.relation]
-                for fragment in cluster.fragments(op.atom.relation):
-                    frame = atom_frame(op.atom, relation.with_rows(fragment), encoder)
-                    if op.filters:
-                        frame = Frame(
-                            frame.variables,
-                            kernels.select_rows(frame.rows, frame.variables, op.filters),
-                        )
-                    per_worker.append(frame)
+                per_worker = atom_frames(
+                    op.atom, cluster.fragments(op.atom.relation), encoder, op.filters
+                )
                 slots[op.out] = per_worker
                 for worker, frame in enumerate(per_worker):
                     if len(frame):
@@ -628,25 +621,24 @@ class PlanExecution:
                 "round(s) have not run"
             )
         plan = self.plan
-        # concatenate and project as the backend holds the frames (column
-        # blocks on numpy), and only then make the tuples
+        # concatenate, project and de-duplicate as the backend holds the
+        # frames (column blocks on numpy), and only then make the tuples.
+        # A non-full head drops repeated projections; an HC plan also
+        # de-duplicates a full head, whose bindings can repeat when two
+        # workers received overlapping replicas only via projection (full
+        # results are otherwise produced exactly once: each binding fixes
+        # every coordinate)
         frames = self._state.slots[plan.result]
-        rows = kernels.concat_rows(
-            [frame.rows for frame in frames], len(frames[0].variables)
-        )
-        if plan.head_indices is not None:
-            rows = kernels.project_rows(rows, plan.head_indices)
+        width = len(frames[0].variables)
+        rows = kernels.concat_rows([frame.rows for frame in frames], width)
+        dedup = plan.dedup_full or not plan.query.is_full()
+        if plan.head_indices is not None or dedup:
+            indices = plan.head_indices
+            rows = kernels.project_rows(
+                rows, range(width) if indices is None else indices, dedup=dedup
+            )
         rows = kernels.row_tuples(rows)
-        if not plan.query.is_full():
-            rows = list(dict.fromkeys(rows))
         self.stats.result_count = len(rows)
-        # HC evaluates all atoms at once but full-query bindings can repeat
-        # when two workers received overlapping replicas ONLY via projection;
-        # full results are produced exactly once (each binding fixes every
-        # coordinate)
-        if plan.dedup_full and plan.query.is_full():
-            rows = list(dict.fromkeys(rows))
-            self.stats.result_count = len(rows)
         return ScheduledRun(
             rows=rows,
             hc_config=self._state.hc_config,

@@ -67,6 +67,62 @@ class TributaryStats:
     scalar_walks: int = 0
 
 
+@dataclass(frozen=True)
+class JoinShape:
+    """A Tributary join of one query in one variable order, before any data:
+    what every worker's walk of it shares.
+
+    Per atom, ``key_variables`` are its trie levels (its variables in
+    ``order``) and ``key_positions`` the columns of its relation they are
+    read from.  Per depth, ``participants`` are the atoms whose trie has
+    that variable and ``comparisons`` the ones that fire there, at the
+    deepest variable they mention.  ``head_positions`` are the depths that
+    bind the head's variables.
+    """
+
+    order: tuple[Variable, ...]
+    key_variables: tuple[tuple[Variable, ...], ...]
+    key_positions: tuple[tuple[int, ...], ...]
+    participants: tuple[tuple[int, ...], ...]
+    comparisons: tuple[tuple[Comparison, ...], ...]
+    head_positions: tuple[int, ...]
+
+    @classmethod
+    def of(
+        cls, query: ConjunctiveQuery, order: Optional[Sequence[Variable]] = None
+    ) -> "JoinShape":
+        """The shape of ``query`` walked in ``order`` (default: the query's
+        variables in first-occurrence order), which must cover them all."""
+        order = tuple(order) if order is not None else query.variables()
+        if set(order) != set(query.variables()):
+            raise ValueError(
+                f"order {order} must cover all query variables "
+                f"{query.variables()}"
+            )
+        keys = tuple(
+            tuple(v for v in order if v in atom.variables()) for atom in query.atoms
+        )
+        depth_of = {variable: i for i, variable in enumerate(order)}
+        comparisons: list[list[Comparison]] = [[] for _ in order]
+        for comparison in query.comparisons:
+            fire_depth = max(depth_of[v] for v in comparison.variables())
+            comparisons[fire_depth].append(comparison)
+        return cls(
+            order=order,
+            key_variables=keys,
+            key_positions=tuple(
+                tuple(atom.positions_of(v)[0] for v in key)
+                for atom, key in zip(query.atoms, keys)
+            ),
+            participants=tuple(
+                tuple(i for i, key in enumerate(keys) if variable in key)
+                for variable in order
+            ),
+            comparisons=tuple(map(tuple, comparisons)),
+            head_positions=tuple(depth_of[v] for v in query.head),
+        )
+
+
 @dataclass
 class _PreparedAtom:
     atom: Atom
@@ -142,12 +198,8 @@ class TributaryJoin:
         max_seeks: Optional[int] = None,
     ) -> None:
         self.query = query
-        self.order = tuple(order) if order is not None else query.variables()
-        if set(self.order) != set(query.variables()):
-            raise ValueError(
-                f"order {self.order} must cover all query variables "
-                f"{query.variables()}"
-            )
+        self.shape = JoinShape.of(query, order)
+        self.order = self.shape.order
         self.max_seeks = max_seeks
         self.stats = TributaryStats()
         self._prepared: list[_PreparedAtom] = []
@@ -158,21 +210,9 @@ class TributaryJoin:
             self.stats.sorted_tuples += prepared.size
             self._prepared.append(prepared)
         # atoms participating at each depth
-        self._atoms_at_depth: list[list[_PreparedAtom]] = []
-        for variable in self.order:
-            participants = [
-                p for p in self._prepared if variable in p.key_variables
-            ]
-            self._atoms_at_depth.append(participants)
-        # comparisons fire at the deepest variable they mention
-        depth_of = {variable: i for i, variable in enumerate(self.order)}
-        self._comparisons_at_depth: list[list[Comparison]] = [
-            [] for _ in self.order
+        self._atoms_at_depth: list[list[_PreparedAtom]] = [
+            [self._prepared[i] for i in part] for part in self.shape.participants
         ]
-        for comparison in query.comparisons:
-            fire_depth = max(depth_of[v] for v in comparison.variables())
-            self._comparisons_at_depth[fire_depth].append(comparison)
-        self._head_positions = [depth_of[v] for v in query.head]
 
     def _prepare_atom(
         self, atom: Atom, relation: Relation, encoder: Encoder
@@ -199,27 +239,34 @@ class TributaryJoin:
         """
         if self.has_empty_atom():
             return
-        # function-local import: vectorized imports engine.kernels, which
-        # would be circular at module load (engine imports this module)
-        from .vectorized import VectorizedTributaryRun
-
-        vectorized = None
-        if VectorizedTributaryRun.supports(self):
-            vectorized = VectorizedTributaryRun.build([self])
-            if vectorized is None:
-                self.stats.scalar_walks += 1
+        if self._walks_batched():
+            run = _batched_run([self])
+            if run is not None:
+                fold = _folder([self], run)
+                try:
+                    for block in run.blocks(fold):
+                        yield from block
+                finally:
+                    # runs on generator close too, so partially-consumed
+                    # iterations (max_seeks aborts, early-stopping
+                    # consumers) still record the seeks performed so far
+                    fold(check=False)
+                return
+            self.stats.scalar_walks += 1
         try:
-            if vectorized is not None:
-                for block, _ in vectorized.blocks():
-                    yield from block
-            else:
-                binding = [0] * len(self.order)
-                yield from self._join(0, binding)
+            yield from self._join(0, [0] * len(self.order))
         finally:
-            # runs on generator close too, so partially-consumed iterations
-            # (max_seeks aborts, early-stopping consumers) still record the
-            # seeks performed so far
             self.stats.seeks = self.total_seeks()
+
+    def _walks_batched(self) -> bool:
+        """Whether this join has a batched walk at all: numpy kernels, and
+        every atom a sorted relation, not a B-tree."""
+        # function-local import: ``engine`` imports this module
+        from ..engine.kernels import get_backend
+
+        return get_backend() == "numpy" and all(
+            isinstance(p.iterator, TrieIterator) for p in self._prepared
+        )
 
     def has_empty_atom(self) -> bool:
         """Whether some atom has no tuples (the join is empty, seek-free)."""
@@ -255,7 +302,7 @@ class TributaryJoin:
                     continue
                 if depth + 1 == len(self.order):
                     self.stats.results += 1
-                    yield tuple(binding[p] for p in self._head_positions)
+                    yield tuple(binding[p] for p in self.shape.head_positions)
                 else:
                     yield from self._join(depth + 1, binding)
         finally:
@@ -263,7 +310,7 @@ class TributaryJoin:
                 iterator.up()
 
     def _filters_pass(self, depth: int, binding: list[int]) -> bool:
-        comparisons = self._comparisons_at_depth[depth]
+        comparisons = self.shape.comparisons[depth]
         if not comparisons:
             return True
         bound = {
@@ -310,47 +357,83 @@ def _leapfrog(iterators: list[TrieIterator]) -> Iterator[int]:
             p = (p + 1) % count
 
 
+def _batched_run(joins: Sequence[TributaryJoin]):
+    """One batched walk over joins that each have one, their key columns
+    projected from the relations they prepared; ``None`` when the segment
+    and key ranges do not pack into 63 bits."""
+    from ..engine.kernels import project_rows
+    from .vectorized import VectorizedTributaryRun
+
+    keys = []
+    for i in range(len(joins[0]._prepared)):
+        stores = [join._prepared[i].iterator.relation for join in joins]
+        keys.append([project_rows(r.base.rows, r.order) for r in stores])
+    return VectorizedTributaryRun.build(joins[0].shape, keys)
+
+
+def _folder(joins: Sequence[TributaryJoin], run) -> Callable[..., None]:
+    """A callback that folds a batched run's seek counts, per (atom,
+    segment), and result counts, per segment, into the joins' iterators and
+    stats, on top of what they held before the run; with ``check`` (the
+    per-level call) it then checks every join's seek budget."""
+    before = [
+        ([p.iterator.seeks for p in join._prepared], join.stats.results)
+        for join in joins
+    ]
+
+    def fold(check: bool = True) -> None:
+        seeks, results = run.seeks.T.tolist(), run.results.tolist()
+        for join, (base, done), mine, count in zip(joins, before, seeks, results):
+            for p, earlier, walked in zip(join._prepared, base, mine):
+                p.iterator.seeks = earlier + walked
+            join.stats.results = done + count
+            join.stats.seeks = join.total_seeks()
+        if check:
+            for join in joins:
+                join._check_seek_budget()
+
+    return fold
+
+
 def run_joins(joins: Sequence[TributaryJoin]) -> list[Sequence[tuple[int, ...]]]:
     """Run prepared joins of one query and variable order; rows per join.
 
     Same rows, order, stats and per-iterator seek counters as walking every
     join alone with the scalar iterators — but under numpy kernels the
     non-empty joins share **one** trie walk whose top level is the join's
-    index in the batch (:mod:`~repro.leapfrog.vectorized`), which is what
-    keeps the batched seek kernels fed when each join holds only a
-    worker's sliver of the data, and each join's rows come back as one
-    column block.  When the batch does not pack into 63 bits the joins are
-    walked one at a time, and only a join that does not pack alone either
-    counts a scalar walk — so ``scalar_walks`` does not depend on how joins
-    were dealt into batches.  The shared walk sorts packed keys, never the
-    joins' rows.
+    index in the batch (:mod:`~repro.leapfrog.vectorized`), and each join's
+    rows come back as one column block.  The walk counts seeks per (atom,
+    join) and results per join in arrays; they are folded into the joins'
+    iterators after every level, where the seek budgets are checked.  When
+    the batch does not pack into 63 bits the joins are walked one at a
+    time, and only a join that does not pack alone either counts a scalar
+    walk — so ``scalar_walks`` does not depend on how joins were dealt into
+    batches.  The shared walk sorts packed keys, never the joins' rows.
+    The engine's numpy path walks frames without building joins
+    (:func:`~repro.engine.local.local_tributary_joins`); this is the entry
+    for prepared joins, and its fallback.
     """
     from ..engine.kernels import concat_rows
-    from .vectorized import VectorizedTributaryRun
 
     live = [s for s, join in enumerate(joins) if not join.has_empty_atom()]
     batch = [joins[s] for s in live]
-    shared = None
-    if batch and all(map(VectorizedTributaryRun.supports, batch)):
-        shared = VectorizedTributaryRun.build(batch)
-    if shared is None:
+    run = None
+    if batch and all(join._walks_batched() for join in batch):
+        run = _batched_run(batch)
+    if run is None:
         if len(batch) > 1:  # declined as a batch: every join walks alone
             return [join.run() for join in joins]
         # at most one join has anything to walk, and it walks scalar
         return [join._project(list(join.iterate())) for join in joins]
-    parts: list[list] = [[] for _ in joins]
+    fold = _folder(batch, run)
     try:
-        for block, bounds in shared.blocks():
-            for s, start, stop in zip(live, bounds, bounds[1:]):
-                if stop > start:
-                    parts[s].append(block[start:stop])
+        walked = dict(zip(live, run.rows(fold)))
     finally:
-        for join in batch:
-            join.stats.seeks = join.total_seeks()
+        fold(check=False)
     width = len(joins[0].query.head)
     return [
-        join._project(concat_rows(blocks, width))
-        for join, blocks in zip(joins, parts)
+        join._project(walked[s] if s in walked else concat_rows([], width))
+        for s, join in enumerate(joins)
     ]
 
 

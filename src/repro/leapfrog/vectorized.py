@@ -8,19 +8,28 @@ thousands of sibling contexts collapse into a handful of
 2502.06715), and results are emitted as column blocks instead of one
 generator yield each.
 
-One walk serves a **batch of prepared joins** — the same query and variable
-order over different workers' fragments.  Per atom, the joins' *unsorted*
-key columns are packed into **one** int64 array behind the join's index in
-the batch (the *segment*) and sorted once
-(:func:`~repro.engine.kernels.sorted_packed_keys`): with the segment
+One walk serves a **batch of segments** — one query and variable order
+(a :class:`~repro.leapfrog.tributary.JoinShape`, prepared once per
+operator) over different workers' fragments.  It takes, per atom, each
+worker's *unsorted* key columns as they are, packs them into **one** int64
+array behind the worker's index in the batch (the *segment*) and sorts it
+once (:func:`~repro.engine.kernels.sorted_packed_keys`): with the segment
 leading, that sort is every worker's, and no sorted copy is made.  The
-segment is trie level 0: the frontier starts with one context per join,
-and everything below is oblivious to how many joins share the walk.  A
+segment is trie level 0: the frontier starts with one context per segment,
+and everything below is oblivious to how many segments share the walk.  A
 simulated worker holds 1/p of the data, so walking workers together is
 what fills the batches.  A single join (:meth:`TributaryJoin.iterate`) is
 the same walk with one segment.  The one array is the whole trie: level
 ``d``'s prefix is ``full // stride_d``, a seek searches ``full`` for
 ``target · stride_d``, and a block ends where the prefix moves past its own.
+
+The walk returns what it found as arrays: head rows per segment, seeks per
+(atom, segment) and results per segment.  Nothing in it is per worker.  The
+engine reads each worker's frame columns straight into it
+(:func:`~repro.engine.local.local_tributary_joins`); a
+:class:`~repro.leapfrog.tributary.TributaryJoin` (and
+:func:`~repro.leapfrog.tributary.run_joins`) feeds it the key columns of
+its relations and folds the counts back into its iterators.
 
 Counted-metric contract (``tests/test_wcoj_differential.py``,
 ``tests/test_lockstep.py``): result rows, their order, ``TributaryStats``
@@ -32,9 +41,8 @@ seek accounting exactly:
 - ``next``      → 1 seek when a new key exists, 0 on exhaustion;
 - ``seek(v)``   → 1 seek (lower bound) always, +1 (upper bound) on a hit.
 
-Seeks are counted per context and folded per (segment, atom) with
-``np.bincount`` into the same ``TrieIterator.seeks`` counters the scalar
-walk increments.
+Seeks are counted per context and folded per (atom, segment) with
+``np.bincount`` into :attr:`VectorizedTributaryRun.seeks`.
 
 The key observation enabling batching: the packed keys are sorted, so
 every level's prefixes are globally non-decreasing (across segments too —
@@ -55,7 +63,7 @@ Execution shape:
   context steps once per iteration, in the scalar algorithm's round-robin
   order, and a step is one ``searchsorted`` per participant
   (:meth:`VectorizedTributaryRun._lockstep`).  The root is a level like
-  any other: one context per join;
+  any other: one context per segment;
 - every level is descended in **chunks** of at most ``_CHUNK_CAP``
   contexts, and a merge level of at most ``_MERGE_CAP`` rows of the
   smaller blocks, recursively and in order
@@ -63,32 +71,29 @@ Execution shape:
   so the frontier a batch holds stays bounded however wide the batch, and
   each leaf chunk is emitted as one
   :class:`~repro.engine.kernels.ColumnBlock` of head bindings.  A lone
-  join's first frontier is cut into at least two chunks — the
+  segment's first frontier is cut into at least two chunks — the
   HoneyComb-style top-variable domain partitioning — which keeps
   partially-consumed generators recording strictly fewer seeks than
   exhausted ones (the ``try/finally`` contract of ``iterate()``); a batch
   is always drained, so it is not;
 - emissions are restored to depth-first order with a stable sort on the
   context index before recursing.  With the segment on top, depth-first
-  order *is* the per-join concatenation, so a block splits back per join
-  with one ``searchsorted`` on its segment column and each join's rows keep
-  the order the scalar walk emits (which downstream dedup, shuffles, and
-  the golden captures pin).
+  order *is* the per-segment concatenation, so the emitted blocks, joined,
+  split back per segment at the cumulative result counts, and each
+  segment's rows keep the order the scalar walk emits (which downstream
+  dedup, shuffles, and the golden captures pin).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..engine import kernels
 from ..query.atoms import _COMPARISON_OPS, Constant
-from .iterator import TrieIterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .tributary import TributaryJoin
+from .tributary import JoinShape
 
 #: cap on the contexts of one ``_descend`` call, at every level; bounds the
 #: frontier and the lockstep's state while keeping searchsorted batches
@@ -100,10 +105,10 @@ _MERGE_CAP = 32768
 
 
 class _AtomArrays:
-    """The search structure for one atom across a batch of joins.
+    """The search structure for one atom across a batch of segments.
 
-    ``full`` holds one packed key per row of the joins' fragments, sorted,
-    the join's index in the batch (the segment) as the leading digit
+    ``full`` holds one packed key per row of the segments' fragments,
+    sorted, the segment as the leading digit
     (:func:`~repro.engine.kernels.sorted_packed_keys`); ``offsets`` are
     the segments' row boundaries.  Level ``d``'s prefix is ``full //
     strides[d]`` and its key the low digit of that (:meth:`keys`).  Run
@@ -127,16 +132,14 @@ class _AtomArrays:
         self._runs: dict[int, np.ndarray] = {}
 
     @classmethod
-    def gather(cls, relations) -> Optional["_AtomArrays"]:
-        """Pack and sort one atom's unsorted key columns across the batch;
-        ``None`` when segment and key ranges do not fit 63 bits."""
-        packing = kernels.sorted_packed_keys(
-            [kernels.project_rows(r.base.rows, r.order) for r in relations]
-        )
+    def pack(cls, blocks: Sequence[kernels.ColumnBlock]) -> Optional["_AtomArrays"]:
+        """Pack and sort one atom's unsorted key columns, one block per
+        segment; ``None`` when segment and key ranges do not fit 63 bits."""
+        packing = kernels.sorted_packed_keys(blocks)
         if packing is None:
             return None
-        offsets = np.zeros(len(relations) + 1, dtype=np.int64)
-        np.cumsum([len(relation) for relation in relations], out=offsets[1:])
+        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+        np.cumsum([block.length for block in blocks], out=offsets[1:])
         return cls(offsets, *packing)
 
     def keys(self, level: int, rows: np.ndarray) -> np.ndarray:
@@ -157,35 +160,27 @@ class _AtomArrays:
 
 
 class VectorizedTributaryRun:
-    """One batched walk over prepared joins of one query and variable order.
+    """One batched walk of a :class:`JoinShape` over a batch of segments.
 
-    Every join must have no empty atom (an empty atom makes the scalar walk
-    return before its first seek, so such joins never enter a batch).
+    Every segment must have rows in every atom (an empty atom makes the
+    scalar walk return before its first seek, so such a segment never
+    enters a batch).  What the walk counts it keeps as arrays: ``seeks``
+    per (atom, segment) and ``results`` per segment.
     """
 
     def __init__(
-        self, joins: Sequence["TributaryJoin"], arrays: list[_AtomArrays]
+        self, shape: JoinShape, arrays: list[_AtomArrays], segments: int
     ) -> None:
-        self.joins = list(joins)
+        self.shape = shape
         self.arrays = arrays
-        join = self.joins[0]
-        self._depths = len(join.order)
-        # order[depth] -> participating prepared-atom indices
-        self._participants: list[list[int]] = [
-            [
-                i
-                for i, p in enumerate(join._prepared)
-                if variable in p.key_variables
-            ]
-            for variable in join.order
-        ]
+        self.segments = segments
+        self._depths = len(shape.order)
+        self._participants = shape.participants
         # (atom index, depth) -> the atom's own trie level for that depth
         self._levels: dict[tuple[int, int], int] = {}
-        for depth, variable in enumerate(join.order):
+        for depth, variable in enumerate(shape.order):
             for i in self._participants[depth]:
-                self._levels[(i, depth)] = join._prepared[
-                    i
-                ].key_variables.index(variable)
+                self._levels[(i, depth)] = shape.key_variables[i].index(variable)
         # depth -> atoms still to be walked below it; only their blocks are
         # carried down (none at the deepest level, the widest frontier)
         self._carried: list[list[int]] = [
@@ -193,7 +188,7 @@ class VectorizedTributaryRun:
             for depth in range(self._depths)
         ]
         # comparisons as (operator, left depth, right depth | None, constant)
-        depth_of = {variable: i for i, variable in enumerate(join.order)}
+        depth_of = {variable: i for i, variable in enumerate(shape.order)}
         self._filters = [
             [
                 (
@@ -204,58 +199,56 @@ class VectorizedTributaryRun:
                 )
                 for c in comparisons
             ]
-            for comparisons in join._comparisons_at_depth
+            for comparisons in shape.comparisons
         ]
-        # seeks counted by the batched walk per (atom, segment), flushed
-        # into the scalar iterators' counters so ``total_seeks()`` stays
-        # the one source
-        self._pending = [
-            np.zeros(len(self.joins), dtype=np.int64) for _ in arrays
-        ]
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def supports(join: "TributaryJoin") -> bool:
-        """Whether this join has a batched walk at all: numpy kernels, and
-        every atom a sorted relation, not a B-tree."""
-        return kernels.get_backend() == "numpy" and all(
-            isinstance(p.iterator, TrieIterator) for p in join._prepared
-        )
+        #: seeks counted so far, per (atom, segment)
+        self.seeks = np.zeros((len(arrays), segments), dtype=np.int64)
+        #: head rows emitted so far, per segment
+        self.results = np.zeros(segments, dtype=np.int64)
+        self._settle: Optional[Callable[[], None]] = None
 
     @classmethod
     def build(
-        cls, joins: Sequence["TributaryJoin"]
+        cls, shape: JoinShape, keys: Sequence[Sequence[kernels.ColumnBlock]]
     ) -> Optional["VectorizedTributaryRun"]:
-        """A batched run over supported joins, or ``None`` when some atom's
+        """A run over ``keys[i][s]``, atom ``i``'s unsorted key columns in
+        segment ``s`` (in trie-level order), or ``None`` when some atom's
         segment and key ranges do not pack into 63 bits (the caller walks
-        the joins some other way and counts the fallback)."""
+        the segments some other way and counts the fallback)."""
         arrays = []
-        for i in range(len(joins[0]._prepared)):
-            gathered = _AtomArrays.gather(
-                [join._prepared[i].iterator.relation for join in joins]
-            )
-            if gathered is None:
+        for blocks in keys:
+            packed = _AtomArrays.pack(blocks)
+            if packed is None:
                 return None
-            arrays.append(gathered)
-        return cls(joins, arrays)
+            arrays.append(packed)
+        return cls(shape, arrays, len(keys[0]))
 
     # ------------------------------------------------------------------
 
-    def blocks(self) -> Iterator[tuple[kernels.ColumnBlock, list[int]]]:
-        """Yield ``(rows, bounds)`` blocks in exact scalar emission order.
-
-        ``rows`` are head rows of consecutive joins; join ``s`` of the
-        batch owns ``rows[bounds[s]:bounds[s + 1]]``.
-        """
+    def blocks(
+        self, settle: Optional[Callable[[], None]] = None
+    ) -> Iterator[kernels.ColumnBlock]:
+        """Yield head rows in exact scalar emission order, segment after
+        segment; ``settle`` is called after every level is expanded."""
+        self._settle = settle
         atoms = range(len(self.arrays))
         yield from self._walk(
             0,
             [],
-            np.arange(len(self.joins), dtype=np.int64),
+            np.arange(self.segments, dtype=np.int64),
             {i: self.arrays[i].offsets[:-1] for i in atoms},
             {i: self.arrays[i].offsets[1:] for i in atoms},
         )
+
+    def rows(
+        self, settle: Optional[Callable[[], None]] = None
+    ) -> list[kernels.ColumnBlock]:
+        """Walk to the end (:meth:`blocks`); every segment's head rows, one
+        block each, cut from the one block of all of them."""
+        width = len(self.shape.head_positions)
+        walked = kernels.concat_rows(list(self.blocks(settle)), width)
+        cuts = [0, *np.cumsum(self.results).tolist()]
+        return [walked[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
     # ------------------------------------------------------------------
 
@@ -269,9 +262,9 @@ class VectorizedTributaryRun:
             yield self._emit(bindings, segment)
             return
         count = segment.size
-        # a lone join streams to a consumer that may stop early, so its
+        # a lone segment may stream to a consumer that stops early, so its
         # first frontier is cut in two at least; a batch is always drained
-        halves = 2 if depth == 1 and len(self.joins) == 1 else 1
+        halves = 2 if depth == 1 and self.segments == 1 else 1
         chunk = max(1, min(count // halves, _CHUNK_CAP))
         # a block holds at least as many rows as distinct keys
         rows = None
@@ -294,6 +287,8 @@ class VectorizedTributaryRun:
                 {i: a[window] for i, a in block_lo.items()},
                 {i: a[window] for i, a in block_hi.items()},
             )
+            if self._settle is not None:
+                self._settle()
             if frontier is not None:
                 yield from self._walk(depth + 1, *frontier)
 
@@ -310,7 +305,6 @@ class VectorizedTributaryRun:
         parent_idx, values, blocks = expand(
             part, depth, segment, block_lo, block_hi
         )
-        self._flush_seeks()
         if values.size == 0:
             return None
         child_bindings = [b[parent_idx] for b in bindings]
@@ -336,8 +330,8 @@ class VectorizedTributaryRun:
 
     def _count(self, index: int, segment: np.ndarray, seeks: np.ndarray) -> None:
         """Fold per-context seek counts of one atom into its segments."""
-        self._pending[index] += np.bincount(
-            segment, weights=seeks, minlength=len(self.joins)
+        self.seeks[index] += np.bincount(
+            segment, weights=seeks, minlength=self.segments
         ).astype(np.int64)
 
     def _run_span(self, index, depth, block_lo, block_hi):
@@ -642,23 +636,9 @@ class VectorizedTributaryRun:
             keep = mask if keep is None else keep & mask
         return keep
 
-    def _emit(self, bindings, segment) -> tuple[kernels.ColumnBlock, list[int]]:
-        """One chunk's head bindings in scalar emission order, with the
-        per-join split points of the (sorted) segment column."""
-        joins = self.joins
-        bounds = np.searchsorted(
-            segment, np.arange(len(joins) + 1, dtype=np.int64)
-        ).tolist()
-        for s, join in enumerate(joins):
-            join.stats.results += bounds[s + 1] - bounds[s]
-        head = [bindings[p] for p in joins[0]._head_positions]
-        return kernels.ColumnBlock(head, segment.size), bounds
-
-    def _flush_seeks(self) -> None:
-        """Commit batched seek counts to the iterators, then check budgets."""
-        for i, pending in enumerate(self._pending):
-            for s in np.flatnonzero(pending).tolist():
-                self.joins[s]._prepared[i].iterator.seeks += int(pending[s])
-            pending[:] = 0
-        for join in self.joins:
-            join._check_seek_budget()
+    def _emit(self, bindings, segment) -> kernels.ColumnBlock:
+        """One chunk's head bindings in scalar emission order, counted per
+        segment."""
+        self.results += np.bincount(segment, minlength=self.segments)
+        head = [bindings[p] for p in self.shape.head_positions]
+        return kernels.ColumnBlock(head, segment.size)

@@ -12,10 +12,11 @@ order, as one sorted list of tuples, and answers the trie iterator's seeks
 with :mod:`bisect`.  Only the scalar walk reads it — the python kernel
 backend, and a join whose keys overflow the batched walk's 63-bit pack.
 The batched walk sorts one packed key array per atom for all its workers
-(:func:`~repro.engine.kernels.sorted_packed_keys`) and reads nothing here
-but the unsorted base rows.  The sort is lazy, on the first read of
-``rows``; :attr:`SortedRelation.sort_cost` is the paper's per-fragment sort,
-charged whichever walk runs.
+(:func:`~repro.engine.kernels.sorted_packed_keys`) and reads nothing here:
+the engine hands it frame columns, and a prepared join the unsorted base
+rows.  The sort is lazy, on the first read of ``rows``;
+:attr:`SortedRelation.sort_cost` is the paper's per-fragment sort, which
+the engine charges whichever walk runs.
 """
 
 from __future__ import annotations

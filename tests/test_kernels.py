@@ -567,3 +567,107 @@ def test_wide_keys_reach_the_fallbacks(monkeypatch):
     del reached[:]
     _run_three(wide, wide[:20], "numpy")  # the wide sort is np.lexsort's
     assert reached == ["unique"] * 2
+
+
+# ----------------------------------------------------------------------
+# The batched walk's packing: one pass over arrays, whatever the segments
+# ----------------------------------------------------------------------
+
+
+def _per_segment_pack(blocks):
+    """The per-segment loop :func:`kernels.sorted_packed_keys` replaced,
+    kept as its reference.  Its minimum and maximum skip empty segments: the
+    loop took the extremes of every column, so it never took one."""
+    lows, spans = [], []
+    capacity = len(blocks)
+    for depth in range(len(blocks[0].columns)):
+        columns = [block.columns[depth] for block in blocks if block.length]
+        low = min(int(column.min()) for column in columns)
+        span = max(int(column.max()) for column in columns) - low + 1
+        capacity *= span
+        if capacity >= 2**63:
+            return None
+        lows.append(low)
+        spans.append(span)
+    full = np.empty(sum(block.length for block in blocks), dtype=np.int64)
+    start = 0
+    for segment, block in enumerate(blocks):
+        part = full[start:start + block.length]
+        part[:] = segment
+        for column, low, span in zip(block.columns, lows, spans):
+            part *= span
+            part += column - low
+        start += block.length
+    full.sort()
+    return full, lows, spans
+
+
+def _assert_packs_alike(blocks):
+    expected = _per_segment_pack(blocks)
+    packed = kernels.sorted_packed_keys(blocks)
+    assert (packed is None) == (expected is None)
+    if expected is not None:
+        full, lows, spans = packed
+        assert full.dtype == np.int64
+        assert full.tolist() == expected[0].tolist()
+        assert (lows, spans) == (expected[1], expected[2])
+    return packed
+
+
+#: values near zero and near +-2**62, where the spans cross 2**63
+_PACKING_EDGES = [0, 2**61, 2**62 - 1, 2**62, -(2**62)]
+
+
+@st.composite
+def packing_inputs(draw):
+    """1-70 segments of 0-3 key columns, some segments empty but not all,
+    values small or within a few of an edge in ``_PACKING_EDGES``."""
+    width = draw(st.integers(0, 3))
+    value = st.one_of(
+        st.integers(-5, 5),
+        st.sampled_from(_PACKING_EDGES).flatmap(lambda e: st.integers(e - 3, e + 3)),
+    )
+    lengths = draw(
+        st.lists(st.integers(0, 4), min_size=1, max_size=70).filter(any)
+    )
+    return [
+        kernels.ColumnBlock(
+            [
+                np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.int64)
+                for _ in range(width)
+            ],
+            n,
+        )
+        for n in lengths
+    ]
+
+
+@given(packing_inputs())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_packing_equals_the_per_segment_pack(blocks):
+    """The same sorted array, lows and spans, and ``None`` on exactly the
+    same inputs."""
+    _assert_packs_alike(blocks)
+
+
+@pytest.mark.parametrize(
+    "segments, values, packs",
+    [
+        (1, [0, 2**63 - 2], True),  # span 2**63 - 1
+        (2, [0, 2**62 - 1], False),  # 2 * 2**62 is 2**63
+        (2, [0, 2**62 - 2], True),
+        (1, [-(2**62), 2**62], False),  # span 2**63 + 1
+        (7, [0, (2**63 - 1) // 7 - 1], True),  # 7 divides 2**63 - 1
+        (64, [5, 5 + 2**57 - 2], True),  # 64 * (2**57 - 1)
+        (64, [5, 5 + 2**57 - 1], False),  # 64 * 2**57 is 2**63
+    ],
+)
+def test_packing_on_either_side_of_2_63(segments, values, packs):
+    block = kernels.ColumnBlock([np.array(values, dtype=np.int64)], len(values))
+    empty = kernels.ColumnBlock([np.empty(0, dtype=np.int64)], 0)
+    blocks = [block] * segments
+    assert (_assert_packs_alike(blocks) is not None) == packs
+    # an empty segment in between changes the segment count, nothing else
+    assert (_assert_packs_alike([*blocks, empty]) is not None) == (
+        packs and (segments + 1) * (values[1] - values[0] + 1) < 2**63
+    )

@@ -94,20 +94,19 @@ class TestLocalTributaryJoin:
 
 class TestWholeClusterBatch:
     """``BATCH_TUPLE_CAP`` holds the largest registry cluster: at bench
-    scale on 64 workers a Tributary join round is one shared walk."""
+    scale on 64 workers a Tributary join round is one shared walk over the
+    workers' frames."""
 
     @pytest.mark.parametrize("name", ["Q1", "Q6"])
-    def test_a_bench_scale_join_round_reaches_run_joins_once(
-        self, name, monkeypatch
-    ):
+    def test_a_bench_scale_join_round_is_one_frames_walk(self, name, monkeypatch):
         batches = []
-        run_joins = local_module.run_joins
+        walk_frames = local_module._walk_frames
 
-        def spy(joins):
-            batches.append(len(joins))
-            return run_joins(joins)
+        def spy(shape, query, tasks):
+            batches.append(len(tasks))
+            return walk_frames(shape, query, tasks)
 
-        monkeypatch.setattr(local_module, "run_joins", spy)
+        monkeypatch.setattr(local_module, "_walk_frames", spy)
         workload = get_workload(name)
         result = run_query(
             workload.query, workload.dataset("bench"), strategy="HC_TJ",

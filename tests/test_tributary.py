@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from repro.engine import kernels
 from repro.engine.kernels import ColumnBlock, use_backend
 from repro.leapfrog import vectorized
-from repro.leapfrog.tributary import TributaryJoin, run_joins, tributary_join
+from repro.leapfrog.tributary import (
+    TributaryJoin,
+    _batched_run,
+    run_joins,
+    tributary_join,
+)
 from repro.leapfrog.vectorized import VectorizedTributaryRun, _AtomArrays
 from repro.planner.api import run_query
 from repro.query.atoms import Variable
@@ -338,7 +343,9 @@ class TestOnePackedArray:
                 SortedRelation(Relation("R", columns, rows), range(width))
                 for rows in fragments
             ]
-            arrays = _AtomArrays.gather(relations)
+            arrays = _AtomArrays.pack(
+                [kernels.project_rows(r.base.rows, r.order) for r in relations]
+            )
         capacity = len(fragments)
         for d in range(width):
             values = [row[d] for rows in fragments for row in rows]
@@ -395,7 +402,7 @@ class TestOnePackedArray:
                 oracle = _snapshot(joins, [join.run() for join in joins])
             with use_backend("numpy"):
                 joins = [TributaryJoin(query, f) for f in fragments]
-                assert VectorizedTributaryRun.build(joins) is None
+                assert _batched_run(joins) is None
                 rows = run_joins(joins)
             assert [join.stats.scalar_walks for join in joins] == walks
             for join in joins:  # the oracle never falls back
@@ -523,9 +530,8 @@ def _expansions(run, depth, segment, block_lo, block_hi):
     out = []
     for expand in (run._merge, run._lockstep):
         parents, values, blocks = expand([0, 1], depth, segment, block_lo, block_hi)
-        seeks = [pending.tolist() for pending in run._pending]
-        for pending in run._pending:
-            pending[:] = 0
+        seeks = run.seeks.tolist()
+        run.seeks[:] = 0
         out.append(
             (
                 parents.tolist(),
@@ -556,8 +562,8 @@ def assert_merge_is_lockstep(segments):
     ]
     with use_backend("numpy"):
         joins = [TributaryJoin(GROUPED, f) for f in fragments]
-        run = VectorizedTributaryRun.build(joins)
-    assert run is not None and run._participants == [[0, 1], [0, 1]]
+        run = _batched_run(joins)
+    assert run is not None and run._participants == ((0, 1), (0, 1))
     segment = np.arange(len(joins), dtype=np.int64)
     lo = {i: run.arrays[i].offsets[:-1] for i in (0, 1)}
     hi = {i: run.arrays[i].offsets[1:] for i in (0, 1)}
