@@ -80,7 +80,7 @@ def _load_faults(args: argparse.Namespace):
         return None
     try:
         return FaultPlan.load(args.faults)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         raise ValueError(f"cannot read fault plan {args.faults!r}: {error}") from None
 
 

@@ -152,14 +152,28 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Build a plan from the JSON-dict form documented on the class."""
+        """Build a plan from the JSON-dict form documented on the class.
+
+        Raises ``ValueError`` naming the field that is unknown, missing or
+        of the wrong type.
+        """
+        _check_fields("the plan", data, _PLAN_TYPES)
         specs = []
-        for entry in data.get("faults", ()):
+        for index, entry in enumerate(data.get("faults", ())):
+            where = f"faults[{index}]"
+            _check_fields(where, entry, _SPEC_TYPES)
+            if "kind" not in entry:
+                raise ValueError(f"fault plan: {where} has no field 'kind'")
             entry = dict(entry)
             if "attempts" in entry:
                 entry["attempts"] = tuple(entry["attempts"])
+                if any(type(attempt) is not int for attempt in entry["attempts"]):
+                    raise ValueError(
+                        f"fault plan: field 'attempts' of {where} must list "
+                        f"integers, got {entry['attempts']!r}"
+                    )
             specs.append(FaultSpec(**entry))
-        return cls(faults=tuple(specs), seed=int(data.get("seed", 0)))
+        return cls(faults=tuple(specs), seed=data.get("seed", 0))
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -171,6 +185,33 @@ class FaultPlan:
         """Load a plan from a JSON file (the CLI's ``--faults`` argument)."""
         with open(path) as handle:
             return cls.from_json(handle.read())
+
+
+#: the types a fault plan's fields accept in its dict form, and a fault's
+_PLAN_TYPES = {"faults": (list, tuple), "seed": (int,)}
+_SPEC_TYPES = {
+    "kind": (str,),
+    "round": (int, str, type(None)),
+    "worker": (int, type(None)),
+    "phase": (str, type(None)),
+    "exchange": (str, type(None)),
+    "factor": (int, float),
+    "attempts": (list, tuple),
+}
+
+
+def _check_fields(where: str, data, types: dict[str, tuple[type, ...]]) -> None:
+    """Raise ``ValueError`` unless ``data`` is a dict whose every field is
+    one of ``types`` and holds one of that field's types (never a bool)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"fault plan: {where} must be an object, got {data!r}")
+    for name, value in data.items():
+        if name not in types:
+            raise ValueError(f"fault plan: {where} has an unknown field {name!r}")
+        if isinstance(value, bool) or not isinstance(value, types[name]):
+            raise ValueError(
+                f"fault plan: field {name!r} of {where} has the wrong type: {value!r}"
+            )
 
 
 FaultsLike = Union[FaultPlan, dict, None]

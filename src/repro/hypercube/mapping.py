@@ -120,6 +120,3 @@ class HyperCubeMapping:
             for coordinate in itertools.product(*free_axes)
         ]
         return bound, offsets
-
-    def destination_count(self) -> int:
-        return self.workers_used

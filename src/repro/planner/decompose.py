@@ -13,7 +13,8 @@ This module is that decomposition pass:
 - :func:`enumerate_decompositions` splits a query's hypergraph into every
   valid (connected binary stage, residual WCOJ stage) pair;
 - :func:`estimate_intermediate` prices the stage-boundary intermediate from
-  catalog statistics (System-R chain anchored on exact pair products);
+  catalog statistics (System-R chain anchored on exact pair products),
+  once per shape, while lowering;
 - :class:`HybridCatalog` overlays those estimates on a real
   :class:`~repro.query.catalog.Catalog` so the existing variable-order and
   left-deep machinery price the residual stage against the *pseudo-atom*
@@ -25,7 +26,8 @@ This module is that decomposition pass:
   the stage-1 output onto the residual-facing schema, then a per-stage
   :class:`~repro.planner.physical.ConfigureHyperCube` and HyperCube
   exchanges re-partitioning the intermediate alongside the residual scans),
-  and a final Tributary round on the configuration's workers.
+  and a final Tributary round on the configuration's workers.  The plan
+  carries its shape and the intermediate estimate, which pricing reads.
 
 A decomposition is *valid* when the binary stage is connected, both stages
 keep at least two atoms (a one-atom residual is just a binary cascade with
@@ -49,7 +51,7 @@ from typing import Optional, Sequence
 from ..engine.local import scanned_query
 from ..query.atoms import Atom, ConjunctiveQuery, Variable
 from ..query.catalog import Catalog
-from .binary import left_deep_plan
+from .binary import LeftDeepPlan, left_deep_plan
 from .physical import (
     HYBRID_STRATEGY,
     LOCAL_HC,
@@ -241,20 +243,20 @@ class IntermediateStats:
 
 
 def estimate_intermediate(
-    query: ConjunctiveQuery,
+    stage: ConjunctiveQuery,
+    plan: LeftDeepPlan,
     catalog: Catalog,
     decomposition: Decomposition,
 ) -> IntermediateStats:
     """Price the intermediate from catalog statistics alone.
 
-    The raw size is the binary stage's System-R left-deep chain estimate;
-    per-variable distinct counts are bounded by any covering base atom's
-    post-selection distinct count (the join only ever *narrows* a column's
-    value set).  A de-duplicating boundary caps the size by the product of
-    kept-column distincts.
+    ``stage`` is the binary stage (:func:`stage_one_query`) and ``plan``
+    its left-deep plan, both as lowering built them.  The raw size is that
+    plan's System-R chain estimate; per-variable distinct counts are
+    bounded by any covering base atom's post-selection distinct count (the
+    join only ever *narrows* a column's value set).  A de-duplicating
+    boundary caps the size by the product of kept-column distincts.
     """
-    stage = stage_one_query(query, decomposition)
-    plan = left_deep_plan(stage, catalog)
     raw = max(1.0, float(plan.estimated_sizes[-1]))
     distinct: dict[Variable, float] = {}
     for variable in decomposition.keep:
@@ -286,10 +288,11 @@ class HybridCatalog:
     """A :class:`Catalog` facade overlaying estimated intermediate stats.
 
     Statistics requests for pseudo-atoms (relation names in ``estimates``)
-    are answered from the overlay; everything else delegates to the base
-    catalog.  This lets :func:`~repro.planner.binary.left_deep_plan`, the
-    Sec. 5 variable-order model, and the optimizer's estimator price the
-    residual stage with the intermediate as a first-class relation.
+    are answered from the overlay, base atoms' from the base catalog.  It
+    answers the five statistics the planner reads of a stage, which lets
+    :func:`~repro.planner.binary.left_deep_plan`, the Sec. 5 variable-order
+    model and the optimizer's cost rules price the residual stage with the
+    intermediate as a first-class relation.
     """
 
     def __init__(
@@ -359,10 +362,6 @@ class HybridCatalog:
             if self.atom_cardinality(atom) == 0
         )
 
-    def __getattr__(self, name: str):
-        """Delegate every other statistic to the base catalog."""
-        return getattr(self.base, name)
-
 
 #: nominal cluster size the explicit-``HYBRID`` shape ranking prices
 #: against — lowering is otherwise workers-agnostic (the HyperCube
@@ -376,34 +375,20 @@ def default_decomposition(
 ) -> Decomposition:
     """The shape an explicit ``strategy="HYBRID"`` run uses.
 
-    Lowers every shape and prices the lowered plan
-    (:func:`~repro.planner.optimizer.price_plan`) against a nominal
-    :data:`DEFAULT_SHAPE_WORKERS`-worker cluster and picks the cheapest,
-    breaking ties on the rendered shape and then toward smaller binary
-    stages — fully deterministic, and the same ranking ``--strategy auto``
-    searches.  Raises ``ValueError`` when the query admits no hybrid shape.
+    The shape of :func:`~repro.planner.optimizer.cheapest_hybrid` against a
+    nominal :data:`DEFAULT_SHAPE_WORKERS`-worker cluster: the one search
+    ``--strategy auto`` ranks hybrid shapes with, fully deterministic.
+    Raises ``ValueError`` when the query admits no hybrid shape.
     """
-    from .optimizer import price_plan  # deferred: optimizer imports us
+    from .optimizer import cheapest_hybrid  # deferred: optimizer imports us
 
-    shapes = enumerate_decompositions(query)
-    if not shapes:
+    best = cheapest_hybrid(query, catalog, DEFAULT_SHAPE_WORKERS)
+    if best is None:
         raise ValueError(
             f"query {query.name} admits no hybrid decomposition "
             "(both stages need at least two atoms sharing a variable)"
         )
-    return min(
-        shapes,
-        key=lambda shape: (
-            price_plan(
-                lower_hybrid(query, catalog, decomposition=shape),
-                catalog,
-                DEFAULT_SHAPE_WORKERS,
-            ).cost,
-            shape.describe(),
-            len(shape.stage_one),
-            shape.stage_one,
-        ),
-    )
+    return best.physical.decomposition
 
 
 def lower_hybrid(
@@ -440,7 +425,7 @@ def lower_hybrid(
         stage=1,
     )
 
-    estimate = estimate_intermediate(query, catalog, decomposition)
+    estimate = estimate_intermediate(stage1, stage1_plan, catalog, decomposition)
     overlaid = HybridCatalog(catalog, {decomposition.alias: estimate})
     order = _resolve_order(stage2, overlaid, variable_order)
     exchanges, slot_of = _replicating_exchanges(stage2.atoms, ExchangeKind.HYPERCUBE)
@@ -475,4 +460,6 @@ def lower_hybrid(
         dedup_full=True,
         left_deep=stage1_plan,
         variable_order=order,
+        decomposition=decomposition,
+        intermediate=estimate,
     )

@@ -10,12 +10,13 @@ engine's counted units: ``wall_clock`` sums, phase by phase, the *heaviest*
 worker's charge (a round is as slow as its slowest worker); ``total_cpu``
 sums over all workers, replicas counted.  A rule re-decides nothing the
 lowering already wrote into the plan — exchange keys, the broadcast anchor,
-the HyperCube configuration, the variable order, the hybrid stage split —
-and tracks per slot how many tuples it holds and how they are laid out.
-:func:`estimate_costs` lowers the six strategies (and every hybrid shape)
-once each and prices them; :func:`optimize` returns the cheapest row's
-already-lowered plan, so an ``"auto"`` execution is bit-identical to naming
-the winner by hand.
+the HyperCube configuration, the variable order, a hybrid plan's shape and
+its intermediate estimate — and tracks per slot how many tuples it holds
+and how they are laid out.  :func:`estimate_costs` lowers the six
+strategies once each and prices them; :func:`cheapest_hybrid`, the one
+ranking of hybrid shapes, does the same for every shape.  :func:`optimize`
+returns the cheapest row's already-lowered plan, so an ``"auto"`` execution
+is bit-identical to naming the winner by hand.
 
 Plans whose predicted per-worker peak residency exceeds the memory budget
 are predicted to FAIL (cost = infinity), reproducing the paper's Fig. 9
@@ -27,7 +28,7 @@ can miss; EXPLAIN prints the per-strategy table so a miss is visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -45,7 +46,6 @@ from .decompose import (
     Decomposition,
     HybridCatalog,
     enumerate_decompositions,
-    estimate_intermediate,
     lower_hybrid,
     stage_one_query,
     stage_two_query,
@@ -121,7 +121,7 @@ class CostReport:
     @property
     def hybrid_decomposition(self) -> Optional[Decomposition]:
         """The decomposition behind the cheapest hybrid row, if any."""
-        return _decomposition_of(self.hybrids[0].physical) if self.hybrids else None
+        return self.hybrids[0].physical.decomposition if self.hybrids else None
 
     def cost_of(self, strategy: str) -> StrategyCost:
         """Look up one strategy's predicted cost row (pure or hybrid)."""
@@ -218,7 +218,7 @@ class _PlanWalk:
         #: the live intermediate, and the worst point seen so far
         self.inputs = self.live = self.peak = 0.0
         self.intermediates: list[float] = []
-        self.shape = _decomposition_of(physical)
+        self.shape = physical.decomposition
         query = physical.query
         if self.shape is not None:
             query = stage_one_query(query, self.shape)
@@ -536,14 +536,14 @@ class _PlanWalk:
     def _scan_intermediate(self, op: ScanIntermediate) -> None:
         """The stage boundary: one unit per stage-one output tuple, spread
         evenly over the workers; then the residual subquery's statistics,
-        the intermediate's estimated through a :class:`HybridCatalog`."""
+        the intermediate's as lowering estimated it, through a
+        :class:`HybridCatalog`."""
         rows = self.slots[op.input].rows
         self.cpu += rows
         self.wall += rows / self.p
-        query = self.physical.query
-        estimate = estimate_intermediate(query, self.catalog, self.shape)
+        estimate = self.physical.intermediate
         self._enter_stage(
-            stage_two_query(query, self.shape),
+            stage_two_query(self.physical.query, self.shape),
             HybridCatalog(self.catalog, {op.out: estimate}),
         )
         self.intermediates.append(estimate.cardinality)
@@ -601,24 +601,6 @@ class _PlanWalk:
         )
 
 
-def _decomposition_of(physical: PhysicalPlan) -> Optional[Decomposition]:
-    """Read a hybrid plan's shape back off its stage boundary (else None)."""
-    boundary = [
-        op for _, _, _, op in physical.operators() if isinstance(op, ScanIntermediate)
-    ]
-    if not boundary:
-        return None
-    first = set(physical.left_deep.order)
-    aliases = [atom.alias for atom in physical.query.atoms]
-    return Decomposition(
-        stage_one=tuple(alias for alias in aliases if alias in first),
-        residual=tuple(alias for alias in aliases if alias not in first),
-        keep=boundary[0].variables,
-        alias=boundary[0].out,
-        dedup=boundary[0].dedup,
-    )
-
-
 def price_plan(
     physical: PhysicalPlan,
     catalog: Catalog,
@@ -637,6 +619,32 @@ def price_plan(
     if catalog.empty_atoms(physical.query):
         return StrategyCost(physical.strategy, 0.0, 0.0, 0.0, 0.0, physical=physical)
     return _PlanWalk(physical, catalog, workers).price(memory_tuples)
+
+
+def cheapest_hybrid(
+    query: ConjunctiveQuery,
+    catalog: Catalog,
+    workers: int = 64,
+    memory_tuples: Optional[int] = None,
+) -> Optional[StrategyCost]:
+    """Lower and price every hybrid shape of a query; the cheapest row.
+
+    The one ranking of hybrid shapes, for ``auto`` and for an explicit
+    ``HYBRID`` run alike.  Ties go to the smaller shape rendering (the
+    row's ``detail``); ``None`` when the query admits no hybrid shape.
+    """
+    priced = [
+        price_plan(
+            lower_hybrid(query, catalog, decomposition=shape),
+            catalog, workers, memory_tuples,
+        )
+        for shape in enumerate_decompositions(query)
+    ]
+    return min(
+        priced,
+        key=lambda row: (row.cost, row.physical.decomposition.describe()),
+        default=None,
+    )
 
 
 def estimate_costs(
@@ -659,10 +667,9 @@ def estimate_costs(
     strategy returns zero rows, so the least data movement wins by fiat.
 
     With ``hybrid=True`` the search additionally lowers and prices every
-    multi-stage binary+WCOJ decomposition
-    (:func:`enumerate_decompositions`); the cheapest shape is reported in
-    ``hybrids`` and can win ``choice``.  ``costs`` always holds exactly the
-    six pure rows either way.
+    multi-stage binary+WCOJ decomposition (:func:`cheapest_hybrid`); the
+    cheapest shape is reported in ``hybrids`` and can win ``choice``.
+    ``costs`` always holds exactly the six pure rows either way.
     """
     trivial = bool(catalog.empty_atoms(query))
     plan = plan or left_deep_plan(query, catalog)
@@ -671,21 +678,17 @@ def estimate_costs(
             query, best_join_order(query, catalog).order
         )
 
-    def price(physical: PhysicalPlan) -> StrategyCost:
-        return price_plan(physical, catalog, workers, memory_tuples)
-
     costs = tuple(
-        price(lower(query, strategy, catalog, plan=plan, variable_order=variable_order))
+        price_plan(
+            lower(query, strategy, catalog, plan=plan, variable_order=variable_order),
+            catalog, workers, memory_tuples,
+        )
         for strategy in ALL_STRATEGIES
     )
-    hybrids: tuple[StrategyCost, ...] = ()
-    shapes = enumerate_decompositions(query) if hybrid and not trivial else ()
-    if shapes:
-        priced = [
-            price(lower_hybrid(query, catalog, decomposition=shape))
-            for shape in shapes
-        ]
-        hybrids = (min(priced, key=lambda row: (row.cost, row.detail)),)
+    best = None
+    if hybrid and not trivial:
+        best = cheapest_hybrid(query, catalog, workers, memory_tuples)
+    hybrids = (best,) if best is not None else ()
     choice = min(costs + hybrids, key=lambda entry: entry.cost).strategy
     if trivial or all(entry.predicted_oom for entry in costs + hybrids):
         choice = TRIVIAL_STRATEGY  # nothing to win, or all fail: move least
@@ -797,7 +800,6 @@ def optimize(
     catalog: Catalog,
     workers: int = 64,
     memory_tuples: Optional[int] = None,
-    plan: Optional[LeftDeepPlan] = None,
     variable_order: Optional[Sequence[Variable]] = None,
     cache: Optional[PlanCache] = GLOBAL_PLAN_CACHE,
 ) -> OptimizedPlan:
@@ -806,22 +808,30 @@ def optimize(
     Every candidate went through :func:`~repro.planner.physical.lower` with
     the arguments an explicit-strategy execution uses, so ``strategy="auto"``
     output is bit-identical to naming the chosen strategy by hand.  Pass
-    ``cache=None`` to bypass caching (explicit ``plan``/``variable_order``
-    overrides bypass it too — the cache key does not describe them).
+    ``cache=None`` to bypass caching (an explicit ``variable_order``
+    override bypasses it too — the cache key does not describe it).  A hit
+    for a rule named differently from the cached one comes back rebound to
+    the caller's rule, so results and EXPLAIN carry the caller's name.
     """
-    use_cache = cache is not None and plan is None and variable_order is None
+    use_cache = cache is not None and variable_order is None
     key: Optional[tuple] = None
     if use_cache:
         key = cache.key(query, catalog, workers, memory_tuples)
         cached = cache.lookup(key)
         if cached is not None:
-            return cached
+            if cached.physical.query.name == query.name:
+                return cached
+            return replace(
+                cached,
+                report=replace(cached.report, query=query),
+                physical=replace(cached.physical, query=query),
+            )
     report = estimate_costs(
         query, catalog, workers, memory_tuples,
-        plan=plan, variable_order=variable_order,
-        # hybrid shapes ignore the pure-strategy plan/order overrides, so
-        # only search them when the caller left planning entirely to us
-        hybrid=plan is None and variable_order is None,
+        variable_order=variable_order,
+        # hybrid shapes ignore the pure-strategy order override, so only
+        # search them when the caller left planning entirely to us
+        hybrid=variable_order is None,
     )
     optimized = OptimizedPlan(
         report=report, physical=report.cost_of(report.choice).physical

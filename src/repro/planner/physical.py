@@ -40,9 +40,9 @@ golden seed-executor captures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..engine.hash_join import join_columns, join_output_variables
 from ..engine.local import scanned_query
@@ -53,6 +53,9 @@ from ..query.catalog import Catalog
 from ..query.hypergraph import join_tree
 from .binary import LeftDeepPlan, left_deep_plan, shared_variables
 from .plans import ALL_STRATEGIES, JoinKind, ShuffleKind, Strategy
+
+if TYPE_CHECKING:  # decompose builds hybrid plans out of this module
+    from .decompose import Decomposition, IntermediateStats
 
 #: strategy spellings accepted by :func:`lower` beyond the 3x2 grid
 SEMIJOIN_STRATEGY = "SJ_HJ"
@@ -543,6 +546,10 @@ class PhysicalPlan:
     dedup_full: bool = False
     left_deep: Optional[LeftDeepPlan] = None
     variable_order: Optional[tuple[Variable, ...]] = None
+    #: a hybrid plan's shape and its estimated stage-boundary intermediate,
+    #: both decided by lowering (None on single-stage plans)
+    decomposition: Optional[Decomposition] = None
+    intermediate: Optional[IntermediateStats] = field(default=None, compare=False)
 
     def operators(self):
         """Yield ``(round_index, op_index, round, op)`` over the whole plan."""

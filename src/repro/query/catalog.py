@@ -4,29 +4,34 @@ Section 5.1 of the paper assumes "commonly used statistics": the cardinality
 of every relation, the number of distinct values of each variable in each
 relation, and the number of distinct *prefix* values ``V(R, p)`` under a
 candidate global variable order.  :class:`Catalog` computes and caches these
-over a :class:`~repro.storage.relation.Database`.
+over a :class:`~repro.storage.relation.Database`, plus the heavy-hitter and
+pair-product statistics behind the optimizer's skew estimates.
 
-Every statistic is computed on the relation *after* the atom's selections
-— its constants and repeated variables, exactly what its scan keeps
-(selection pushdown, the paper's footnote 3) — and memoized:
+The planner reads six methods: :meth:`~Catalog.atom_cardinality`,
+:meth:`~Catalog.atom_prefix_count_positions`, :meth:`~Catalog.atom_max_group`,
+:meth:`~Catalog.join_group_product`, :meth:`~Catalog.empty_atoms` and
+:meth:`~Catalog.fingerprint`.  Every statistic is computed on the relation
+*after* the atom's selections — its constants and repeated variables,
+exactly what its scan keeps (selection pushdown, the paper's footnote 3) —
+and memoized:
 
 - the filtered relation itself is cached per selection;
 - distinct-prefix counts are cached per ``(selection, positions)``
   and, underneath, on the immutable relation they were counted over
   (:meth:`~repro.storage.relation.Relation.distinct_count`), so a fresh
   catalog over an unchanged database does not recount them;
-- heavy-hitter counts (the largest key group, used by the cost-based
-  optimizer's skew estimates) are cached the same way.
+- key-group histograms (the largest group, and pair products of two
+  atoms' histograms) are cached the same way.
 
-Zero-cardinality contract: the raw statistics (:meth:`Catalog.atom_cardinality`,
-:meth:`Catalog.atom_prefix_count`, :meth:`Catalog.distinct_prefix`, ...)
-report truthful counts *including zero* — a constant selecting nothing is an
-empty relation and the statistics say so.  Consumers that need positive
-numbers clamp explicitly at their own boundary: :func:`cardinalities_for`
-clamps to ``max(1, .)`` because the shares LP and the AGM bound need strictly
-positive inputs, and the cost models (``leapfrog/variable_order``,
-``planner/optimizer``) short-circuit empty queries to trivial plans instead
-of dividing by a zero prefix count.
+Zero-cardinality contract: the statistics report truthful counts
+*including zero* — a constant selecting nothing is an empty relation and
+:meth:`~Catalog.atom_cardinality` and
+:meth:`~Catalog.atom_prefix_count_positions` say so.  Consumers that need
+positive numbers clamp explicitly at their own boundary:
+:func:`cardinalities_for` clamps to ``max(1, .)`` because the shares LP and
+the AGM bound need strictly positive inputs, and the cost models
+(``leapfrog/variable_order``, ``planner/optimizer``) short-circuit empty
+queries to trivial plans instead of dividing by a zero prefix count.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..storage.relation import Database, Relation
-from .atoms import Atom, ConjunctiveQuery, Variable
+from .atoms import Atom, ConjunctiveQuery
 
 
 class Catalog:
@@ -42,55 +47,10 @@ class Catalog:
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self._prefix_cache: dict[tuple[str, tuple[int, ...]], int] = {}
         self._atom_prefix_cache: dict[tuple, int] = {}
         self._filtered_cache: dict[tuple, Relation] = {}
         self._group_counts_cache: dict[tuple, dict[tuple[int, ...], int]] = {}
         self._join_product_cache: dict[tuple, int] = {}
-
-    def cardinality(self, relation_name: str) -> int:
-        """Base cardinality of one stored relation."""
-        return len(self.database[relation_name])
-
-    def atom_cardinalities(self, query: ConjunctiveQuery) -> dict[str, int]:
-        """Cardinality per atom alias (self-join copies share their base size)."""
-        return {atom.alias: self.cardinality(atom.relation) for atom in query.atoms}
-
-    def distinct_prefix(self, relation_name: str, positions: Sequence[int]) -> int:
-        """``V(R, p)``: distinct combinations of the given attribute positions.
-
-        ``positions=()`` is the empty prefix: 1 for a non-empty relation.
-        """
-        key = (relation_name, tuple(positions))
-        if key in self._prefix_cache:
-            return self._prefix_cache[key]
-        relation = self.database[relation_name]
-        count = relation.distinct_count(positions)
-        self._prefix_cache[key] = count
-        return count
-
-    def distinct_values(self, relation_name: str, position: int) -> int:
-        """``V(R, x)``: distinct values of one attribute."""
-        return self.distinct_prefix(relation_name, (position,))
-
-    def atom_prefix_count(
-        self, atom: Atom, order: Sequence[Variable], length: int
-    ) -> int:
-        """``V(R_j, p_{i,j})`` for the atom's key prefix of the given length.
-
-        The prefix is the first ``length`` variables of ``order`` *that occur
-        in this atom*, mapped to their attribute positions.  Variables bound
-        to several positions in the atom contribute their first position (the
-        remaining positions act as filters, which the cost model ignores —
-        the standard independence simplification).
-
-        Delegates to :meth:`atom_prefix_count_positions` so repeated calls
-        hit the per-(selection, positions) cache — the optimizer's
-        cost loops evaluate the same prefixes for every candidate strategy.
-        """
-        atom_vars = [v for v in order if v in atom.variables()][:length]
-        positions = [atom.positions_of(v)[0] for v in atom_vars]
-        return self.atom_prefix_count_positions(atom, positions)
 
     def atom_prefix_count_positions(
         self, atom: Atom, positions: Sequence[int]
@@ -107,13 +67,6 @@ class Catalog:
         count = self._filtered(atom).distinct_count(positions)
         self._atom_prefix_cache[key] = count
         return count
-
-    def atom_distinct_values(self, atom: Atom, variable: Variable) -> int:
-        """``V(R_j, x)`` for one variable of an atom (post-selection)."""
-        positions = atom.positions_of(variable)
-        if not positions:
-            raise KeyError(f"{variable!r} does not occur in atom {atom.alias}")
-        return self.atom_prefix_count_positions(atom, positions[:1])
 
     def atom_cardinality(self, atom: Atom) -> int:
         """Cardinality of the atom's relation after its selections.

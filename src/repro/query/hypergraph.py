@@ -43,9 +43,6 @@ class Hypergraph:
         )
         self.vertices: tuple[Variable, ...] = query.variables()
 
-    def edges_with(self, variable: Variable) -> tuple[Hyperedge, ...]:
-        return tuple(edge for edge in self.edges if variable in edge.variables)
-
     # ------------------------------------------------------------------
     # GYO reduction / acyclicity
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -48,10 +49,10 @@ def percentile(values: Sequence[float], fraction: float) -> float:
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(round(fraction * len(ordered))) - 1))
-    if fraction <= 0:
-        rank = 0
-    return ordered[rank]
+    # the ceil(f*n)-th smallest; rounding first drops float noise
+    # (0.07 * 100 is 7.000000000000001, whose ceiling would be 8)
+    rank = math.ceil(round(fraction * len(ordered), 9))
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 def latency_summary(values: Sequence[float]) -> dict[str, float]:

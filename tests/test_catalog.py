@@ -24,16 +24,6 @@ def make_db():
 
 
 class TestCardinality:
-    def test_relation_cardinality(self):
-        catalog = Catalog(make_db())
-        assert catalog.cardinality("R") == 5
-
-    def test_atom_cardinalities_share_base_size(self):
-        query = parse_query("Q(x,y,z) :- R1:R(x,y), R2:R(y,z).")
-        catalog = Catalog(make_db())
-        cards = catalog.atom_cardinalities(query)
-        assert cards == {"R1": 5, "R2": 5}
-
     def test_atom_cardinality_applies_constants(self):
         catalog = Catalog(make_db())
         atom = Atom("R", (Constant(1), Y))
@@ -46,24 +36,24 @@ class TestCardinality:
 
 
 class TestDistinctCounts:
-    def test_distinct_values(self):
+    @pytest.mark.parametrize(
+        "positions, distinct",
+        [((0,), 3), ((1,), 3), ((0, 1), 4)],
+        ids=["a", "b", "pairs"],
+    )
+    def test_distinct_values(self, positions, distinct):
         catalog = Catalog(make_db())
-        assert catalog.distinct_values("R", 0) == 3
-        assert catalog.distinct_values("R", 1) == 3
-
-    def test_distinct_prefix_pairs(self):
-        catalog = Catalog(make_db())
-        assert catalog.distinct_prefix("R", (0, 1)) == 4
-
-    def test_empty_prefix(self):
-        catalog = Catalog(make_db())
-        assert catalog.distinct_prefix("R", ()) == 1
+        # (2, 10) occurs twice: 5 rows, 4 distinct pairs
+        assert catalog.atom_prefix_count_positions(Atom("R", (X, Y)), positions) == distinct
 
     def test_caching_returns_same_value(self):
         catalog = Catalog(make_db())
-        first = catalog.distinct_prefix("R", (0,))
-        second = catalog.distinct_prefix("R", (0,))
+        atom = Atom("R", (X, Y))
+        first = catalog.atom_prefix_count_positions(atom, (0,))
+        second = catalog.atom_prefix_count_positions(atom, (0,))
         assert first == second == 3
+        assert catalog.atom_cardinality(atom) == catalog.atom_cardinality(atom) == 5
+        assert len(catalog._atom_prefix_cache) == len(catalog._filtered_cache) == 1
 
     def test_atom_prefix_count_positions_with_constants(self):
         catalog = Catalog(make_db())
@@ -71,9 +61,11 @@ class TestDistinctCounts:
         # rows with a=1: (1,10), (1,20) -> 2 distinct b values at position 1
         assert catalog.atom_prefix_count_positions(atom, (1,)) == 2
 
-    def test_atom_prefix_count_empty_positions(self):
+    @pytest.mark.parametrize("first", [X, Constant(1)], ids=["plain", "selected"])
+    def test_atom_prefix_count_empty_positions(self, first):
         catalog = Catalog(make_db())
-        atom = Atom("R", (X, Y))
+        atom = Atom("R", (first, Y))
+        # the empty prefix of a non-empty relation is one value
         assert catalog.atom_prefix_count_positions(atom, ()) == 1
 
 

@@ -240,11 +240,25 @@ class TestExitCodes:
         assert "recovery:" in captured
         assert "1 fault(s) injected" in captured
 
-    def test_unreadable_fault_plan_is_usage_error(self, capsys):
-        code = main(["run", TRIANGLE, "--workers", "4",
-                     "--faults", "/no/such/plan.json"])
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (None, "plan.json"),
+            ('{"faults": [{"kind": "crash", "wrkr": 1}]}', "wrkr"),
+            ('[{"kind": "crash"}]', "object"),
+            ('{"faults": [{"kind": "straggler", "factor": "3"}]}', "factor"),
+            ('{"faults": [{"kind": "crash", "attempts": 1}]}', "attempts"),
+        ],
+        ids=["missing", "unknown-key", "list", "string-factor", "int-attempts"],
+    )
+    def test_unreadable_fault_plan_is_usage_error(self, capsys, tmp_path, text, field):
+        plan = tmp_path / "plan.json"
+        if text is not None:
+            plan.write_text(text)
+        code = main(["run", TRIANGLE, "--workers", "4", "--faults", str(plan)])
         assert code == EXIT_USAGE
-        assert "plan.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "plan.json" in err and field in err
 
     def test_bad_recovery_spec_is_usage_error(self, capsys):
         code = main(["run", TRIANGLE, "--workers", "4",

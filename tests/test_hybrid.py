@@ -21,6 +21,7 @@ shuffles the materialized intermediate alongside the remaining atoms
 import pytest
 
 from repro.engine.cluster import Cluster
+from repro.planner import decompose, optimizer
 from repro.planner.decompose import (
     default_decomposition,
     enumerate_decompositions,
@@ -31,7 +32,12 @@ from repro.planner.decompose import (
 )
 from repro.planner.executor import execute_physical
 from repro.planner.explain import explain_analyze
-from repro.planner.optimizer import estimate_costs, optimize
+from repro.planner.optimizer import (
+    cheapest_hybrid,
+    estimate_costs,
+    optimize,
+    price_plan,
+)
 from repro.planner.physical import (
     HYBRID_STRATEGY,
     ConfigureHyperCube,
@@ -42,7 +48,7 @@ from repro.planner.physical import (
 from repro.planner.plans import ALL_STRATEGIES
 from repro.query.catalog import Catalog
 from repro.query.parser import parse_query
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import WORKLOADS, get_workload
 
 STRATEGY_NAMES = tuple(s.name for s in ALL_STRATEGIES)
 
@@ -307,6 +313,63 @@ def test_auto_measured_hybrid_beats_hc_tj_on_q8_bench(q8):
     # HC_TJ is the best measured pure strategy on Q8 at bench scale
     assert hybrid.stats.wall_clock < pure.stats.wall_clock
     assert sorted(hybrid.rows) == sorted(pure.rows)
+
+
+def test_lowering_decides_the_shape_and_estimate_once(q8, q8_catalog, monkeypatch):
+    # lowering estimates the intermediate and plans stage one once each;
+    # pricing reads both off the plan and derives neither again
+    calls = {"estimate": 0, "stage one plans": 0}
+    real_estimate = decompose.estimate_intermediate
+    real_plan = decompose.left_deep_plan
+
+    def estimate(*args, **kwargs):
+        calls["estimate"] += 1
+        return real_estimate(*args, **kwargs)
+
+    def plan(query, *args, **kwargs):
+        calls["stage one plans"] += query.name.endswith("~s1")
+        return real_plan(query, *args, **kwargs)
+
+    for module in (decompose, optimizer):
+        monkeypatch.setattr(module, "estimate_intermediate", estimate, raising=False)
+        monkeypatch.setattr(module, "left_deep_plan", plan)
+    shape = enumerate_decompositions(q8.query)[0]
+    physical = lower_hybrid(q8.query, q8_catalog, decomposition=shape)
+    assert calls == {"estimate": 1, "stage one plans": 1}
+    priced = price_plan(physical, q8_catalog, workers=16)
+    assert calls == {"estimate": 1, "stage one plans": 1}
+    assert physical.decomposition == shape
+    assert priced.detail == shape.describe()
+    assert priced.intermediate_sizes[-1] == physical.intermediate.cardinality
+
+
+def reference_decomposition(query, catalog, workers):
+    """The reference shape ranking: cost, then rendering, then stage-one
+    size, then aliases (the last two keys never decide a registry query)."""
+    return min(
+        enumerate_decompositions(query),
+        key=lambda shape: (
+            price_plan(
+                lower_hybrid(query, catalog, decomposition=shape), catalog, workers
+            ).cost,
+            shape.describe(),
+            len(shape.stage_one),
+            shape.stage_one,
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, w in WORKLOADS.items() if enumerate_decompositions(w.query)]
+)
+def test_cheapest_hybrid_picks_the_reference_shape(name):
+    workload = get_workload(name)
+    catalog = Catalog(workload.dataset("unit"))
+    best = cheapest_hybrid(workload.query, catalog, 64)
+    assert best.physical.decomposition == reference_decomposition(
+        workload.query, catalog, 64
+    )
+    assert default_decomposition(workload.query, catalog) == best.physical.decomposition
 
 
 def test_optimize_lowers_the_reported_decomposition(q8, q8_catalog):

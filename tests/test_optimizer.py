@@ -78,28 +78,10 @@ class TestAtomPrefixCountCache:
             return real(relation, positions)
 
         monkeypatch.setattr(Relation, "distinct_count", counting)
-        first = catalog.atom_prefix_count(atom, (X, Y), 1)
-        second = catalog.atom_prefix_count(atom, (X, Y), 1)
+        first = catalog.atom_prefix_count_positions(atom, [0])
+        second = catalog.atom_prefix_count_positions(atom, (0,))
         assert first == second == 3
         assert len(calls) == 1, "second call must hit _atom_prefix_cache"
-
-    def test_prefix_count_shares_cache_with_positions_form(self, monkeypatch):
-        catalog = Catalog(small_db())
-        atom = Atom("R", (X, Y), alias="R1")
-        calls = []
-        real = Relation.distinct_count
-
-        def counting(relation, positions):
-            calls.append(positions)
-            return real(relation, positions)
-
-        monkeypatch.setattr(Relation, "distinct_count", counting)
-        via_order = catalog.atom_prefix_count(atom, (Y, X), 1)
-        via_positions = catalog.atom_prefix_count_positions(atom, [1])
-        assert via_order == via_positions == 3
-        assert len(calls) == 1, (
-            "order-based and position-based lookups must share one entry"
-        )
 
     def test_constants_key_separate_entries(self):
         catalog = Catalog(small_db())
@@ -253,9 +235,18 @@ class TestPlanCache:
         assert normalize_query(renamed) == normalize_query(TRIANGLE)
         catalog = Catalog(graph_db())
         cache = PlanCache()
-        optimize(TRIANGLE, catalog, workers=8, cache=cache)
+        first = optimize(TRIANGLE, catalog, workers=8, cache=cache)
         hit = optimize(renamed, catalog, workers=8, cache=cache)
         assert hit.cache_hit
+        # the hit comes back rebound to the caller's rule; the entry keeps
+        # the cached objects for callers of the cached name
+        assert hit.physical.query is renamed and hit.report.query is renamed
+        assert hit.physical.render().startswith("physical plan Other [")
+        assert hit.physical.rounds == first.physical.rounds
+        assert optimize(TRIANGLE, catalog, workers=8, cache=cache).physical is first.physical
+        db = graph_db()
+        run_query(TRIANGLE, db, strategy="auto", workers=8)
+        assert run_query(renamed, db, strategy="auto", workers=8).stats.query == "Other"
 
     def test_data_mutation_changes_fingerprint_and_misses(self):
         db = graph_db()

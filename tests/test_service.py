@@ -354,6 +354,9 @@ class TestTraffic:
         assert percentile(values, 0.99) == 99
         assert percentile(values, 1.0) == 100
         assert percentile([], 0.5) == 0.0
+        # the ceil(f*n)-th smallest: halves round up, float noise does not
+        assert percentile([1, 2, 3, 4, 5], 0.5) == 3
+        assert percentile(values, 0.07) == 7
 
 
 class TestServiceShape:
