@@ -59,6 +59,12 @@ class MemoryBudget:
     _resident: dict[int, int] = field(default_factory=dict)
     _peak: dict[int, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.per_worker_tuples is not None and self.per_worker_tuples < 0:
+            raise ValueError(
+                f"per_worker_tuples must be >= 0, got {self.per_worker_tuples}"
+            )
+
     def allocate(self, worker: int, tuples: int, phase: str = "") -> None:
         """Register ``tuples`` as resident; raise on a budget breach."""
         resident = self._resident.get(worker, 0) + tuples

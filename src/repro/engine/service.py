@@ -43,13 +43,17 @@ Four cooperating mechanisms:
   eviction releases the query's entire memory residency and returns its
   grant to the governor.
 
-Every query finishes with a structured :class:`QueryOutcome` — status
-``ok`` / ``failed`` / ``timeout`` / ``cancelled`` / ``rejected`` — and a
-failed query never stops the drain: whatever one query's planning, Round
-or finalization raises becomes that query's ``failed`` outcome, with its
-residency and grant released.  The service aggregates
-:class:`ServiceStats` (admissions, outcomes, plan-cache hit rate, peak
-in-flight and granted memory).
+Each submitted query is one record from :meth:`QueryService.submit` to
+its end: the request, its memoized plan and demand, its execution while
+admitted, and the :class:`QueryOutcome` built at submit and filled in
+as it goes (a grant escalation re-queues the same record).  Every query
+ends through one method with status ``ok`` / ``failed`` / ``timeout`` /
+``cancelled`` / ``rejected``; it releases the grant, empties an
+admitted query's private residency, and stores and counts the outcome.
+A failed query never stops the drain: whatever one query's planning,
+start, Round or finalization raises becomes that query's ``failed``
+outcome.  The service aggregates :class:`ServiceStats` (admissions,
+outcomes, plan-cache hit rate, peak in-flight and granted memory).
 
 The solo-query path is untouched: :func:`~repro.engine.scheduler.run_plan`
 is :class:`~repro.engine.scheduler.PlanExecution` stepped in a loop, so a
@@ -136,6 +140,14 @@ class QueryRequest:
     #: display label carried into the outcome (defaults to the query name)
     label: str = ""
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"QueryRequest.workers must be >= 1, got {self.workers}")
+        for name in ("memory_demand", "deadline_ticks", "timeout_seconds"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"QueryRequest.{name} must be >= 0, got {value}")
+
 
 @dataclass
 class QueryOutcome:
@@ -160,8 +172,8 @@ class QueryOutcome:
     retries: int = 0
     #: submit-to-finish latency in wall seconds (the serving latency)
     wall_seconds: float = 0.0
-    #: the query's private memory budget (residency is zero after any
-    #: eviction; exposed for tests and diagnostics)
+    #: the query's private memory budget (residency is zero once the
+    #: query ends; exposed for tests and diagnostics)
     memory: Optional[MemoryBudget] = None
     #: human-readable failure / eviction detail
     detail: str = ""
@@ -221,6 +233,10 @@ class MemoryGovernor:
     _grants: dict[int, int] = field(default_factory=dict)
     peak_granted: int = 0
 
+    def __post_init__(self) -> None:
+        if self.total is not None and self.total < 0:
+            raise ValueError(f"the memory budget must be >= 0, got {self.total}")
+
     @property
     def granted(self) -> int:
         """Per-worker tuples currently reserved across active queries."""
@@ -255,36 +271,32 @@ DEMAND_HEADROOM = 2.0
 
 
 @dataclass
-class _Pending:
-    """One queued query, with its planning memoized on first consideration."""
+class _Query:
+    """One submitted query, from :meth:`QueryService.submit` to its outcome.
 
-    query_id: int
-    request: QueryRequest
-    submitted_at: float
-    submitted_tick: int
-    #: lazily bound at the first admission attempt (plan once, not per tick)
-    physical: Optional[PhysicalPlan] = None
-    cache_hit: bool = False
-    demand: Optional[int] = None
-    #: times this query has been re-queued after tripping a derived grant
-    retries: int = 0
+    The outcome is built at submit and filled in as the query goes: its
+    planning is memoized on first consideration (plan once, not per
+    tick), and while it is admitted it holds its isolated execution and
+    its deadlines.  A grant escalation re-queues the same record.
+    """
 
-
-@dataclass
-class _ActiveQuery:
-    """Driver-side state of one admitted, in-flight query."""
-
-    query_id: int
     request: QueryRequest
     outcome: QueryOutcome
-    execution: PlanExecution
-    cluster: Cluster
-    #: global tick at which the logical deadline expires (None = none)
-    deadline_tick: Optional[int]
-    #: wall-clock deadline from perf_counter (None = none)
-    deadline_time: Optional[float]
     submitted_at: float
+    physical: Optional[PhysicalPlan] = None
+    demand: Optional[int] = None
+    #: the admitted query's execution (None while queued)
+    execution: Optional[PlanExecution] = None
+    #: global tick at which the logical deadline expires (None = none)
+    deadline_tick: Optional[int] = None
+    #: wall-clock deadline from perf_counter (None = none)
+    deadline_time: Optional[float] = None
     cancelled: bool = False
+
+    @property
+    def query_id(self) -> int:
+        """The id :meth:`QueryService.submit` returned for this query."""
+        return self.outcome.query_id
 
 
 class QueryService:
@@ -321,8 +333,8 @@ class QueryService:
         self.plan_cache = plan_cache
         self.stats = ServiceStats()
         self.outcomes: dict[int, QueryOutcome] = {}
-        self._queue: deque[_Pending] = deque()
-        self._runnable: deque[_ActiveQuery] = deque()
+        self._queue: deque[_Query] = deque()
+        self._runnable: deque[_Query] = deque()
         self._next_id = 0
         self._tick = 0
         self._catalogs: dict[int, tuple[Database, Catalog]] = {}
@@ -339,31 +351,19 @@ class QueryService:
         the query reaches the head of the queue, with the same
         ``rejected`` outcome.  The id is returned either way.
         """
-        query_id = self._next_id
+        outcome = QueryOutcome(
+            query_id=self._next_id, label="", status="", submitted_tick=self._tick
+        )
+        query = _Query(request, outcome, time.perf_counter())
         self._next_id += 1
         self.stats.submitted += 1
         if request.memory_demand is not None and not self.governor.admissible(
             request.memory_demand
         ):
-            self._reject(query_id, self._label(request), request.memory_demand)
-            return query_id
-        self._queue.append(
-            _Pending(query_id, request, time.perf_counter(), self._tick)
-        )
-        return query_id
-
-    def _reject(self, query_id: int, label: str, demand: int) -> None:
-        """Record an admission-rejected outcome for an unservable demand."""
-        self._record(
-            QueryOutcome(
-                query_id=query_id,
-                label=label,
-                status=STATUS_REJECTED,
-                submitted_tick=self._tick,
-            ),
-            f"memory demand {demand:,} tuples/worker exceeds the "
-            f"service budget {self.governor.total:,}",
-        )
+            self._reject(query, request.memory_demand)
+        else:
+            self._queue.append(query)
+        return query.query_id
 
     def cancel(self, query_id: int) -> bool:
         """Request cooperative cancellation of a queued or in-flight query.
@@ -373,23 +373,15 @@ class QueryService:
         interrupted — Rounds are the atomic unit).  Returns ``False`` when
         the id is unknown or already finished.
         """
-        for entry in list(self._queue):
-            if entry.query_id == query_id:
-                self._queue.remove(entry)
-                self._record(
-                    QueryOutcome(
-                        query_id=query_id,
-                        label=self._label(entry.request),
-                        status=STATUS_CANCELLED,
-                        submitted_tick=entry.submitted_tick,
-                    ),
-                    "cancelled while queued",
-                )
-                return True
-        for active in self._runnable:
-            if active.query_id == query_id:
-                active.cancelled = True
-                return True
+        for query in (*self._queue, *self._runnable):
+            if query.query_id != query_id:
+                continue
+            if query.execution is None:
+                self._queue.remove(query)
+                self._end(query, STATUS_CANCELLED, "cancelled while queued")
+            else:
+                query.cancelled = True
+            return True
         return False
 
     # -- the scheduler loop --------------------------------------------------
@@ -402,70 +394,75 @@ class QueryService:
         self._admit()
         if not self._runnable:
             return bool(self._queue)
-        active = self._runnable.popleft()
+        query = self._runnable.popleft()
         tick = self._tick
         self._tick += 1
         self.stats.ticks += 1
-        if active.cancelled:
-            self._evict(active, STATUS_CANCELLED, "cancelled by caller")
-            return bool(self._queue or self._runnable)
-        if active.deadline_tick is not None and tick >= active.deadline_tick:
-            self._evict(
-                active,
+        with use_backend(self.kernels):
+            self._turn(query, tick)
+        return bool(self._queue or self._runnable)
+
+    def _turn(self, query: _Query, tick: int) -> None:
+        """One query's turn: evict it, or run its next Round and rotate it.
+
+        The query ends here when it was cancelled, its logical deadline
+        has passed, its Round or finalization raised, a Round outran its
+        wall-clock deadline (that Round is rolled back first) or its last
+        Round completed; an OOM under a derived grant re-queues it instead.
+        """
+        execution = query.execution
+        if query.cancelled:
+            self._end(query, STATUS_CANCELLED, "cancelled by caller")
+            return
+        if query.deadline_tick is not None and tick >= query.deadline_tick:
+            self._end(
+                query,
                 STATUS_TIMEOUT,
-                f"logical deadline expired at tick {active.deadline_tick}",
+                f"logical deadline expired at tick {query.deadline_tick}",
             )
-            return bool(self._queue or self._runnable)
+            return
         # only a wall-clock timeout can roll the Round back
-        checkpoint = (
-            None
-            if active.deadline_time is None
-            else active.execution.checkpoint()
-        )
+        checkpoint = None if query.deadline_time is None else execution.checkpoint()
         try:
-            with use_backend(self.kernels):
-                active.execution.step()
+            execution.step()
         except OutOfMemoryError as oom:
-            if self._grant_escalatable(active):
-                self._requeue_escalated(active, str(oom))
+            if self._grant_escalatable(query):
+                self._requeue_escalated(query)
             else:
-                active.execution.stats.mark_failed(str(oom), kind="oom")
-                self._finish(active, STATUS_FAILED, detail=str(oom))
-            return bool(self._queue or self._runnable)
+                execution.stats.mark_failed(str(oom), kind="oom")
+                self._end(query, STATUS_FAILED, str(oom))
+            return
         except Exception as error:
-            self._fail(active, error)
-            return bool(self._queue or self._runnable)
+            self._fail(query, error)
+            return
         self.stats.rounds_executed += 1
-        active.outcome.rounds_completed = active.execution.rounds_done
+        query.outcome.rounds_completed = execution.rounds_done
         if (
-            active.deadline_time is not None
-            and time.perf_counter() > active.deadline_time
-            and not active.execution.finished
+            query.deadline_time is not None
+            and time.perf_counter() > query.deadline_time
+            and not execution.finished
         ):
             # the Round outran the wall-clock deadline: its results cannot
             # be delivered, so un-do it at the boundary like a failed
             # attempt, then evict
-            active.execution.rollback(checkpoint)
+            execution.rollback(checkpoint)
             self.stats.rounds_rolled_back += 1
-            active.outcome.rounds_completed = active.execution.rounds_done
-            self._evict(
-                active,
+            query.outcome.rounds_completed = execution.rounds_done
+            self._end(
+                query,
                 STATUS_TIMEOUT,
-                f"wall-clock timeout after {active.request.timeout_seconds}s; "
+                f"wall-clock timeout after {query.request.timeout_seconds}s; "
                 "last round rolled back",
             )
-        elif active.execution.finished:
+        elif execution.finished:
             try:
-                with use_backend(self.kernels):
-                    run = active.execution.finalize()
+                query.outcome.rows = execution.finalize().rows
             except Exception as error:
-                self._fail(active, error)
+                self._fail(query, error)
             else:
-                active.outcome.rows = run.rows
-                self._finish(active, STATUS_OK)
+                self._end(query, STATUS_OK)
         else:
-            self._runnable.append(active)
-        return bool(self._queue or self._runnable)
+            self._runnable.append(query)
 
     def run_until_complete(self) -> list[QueryOutcome]:
         """Drain the service: tick until no query is queued or in flight.
@@ -510,46 +507,41 @@ class QueryService:
     def _admit(self) -> None:
         """Admit queued queries in FIFO order while capacity allows.
 
-        Each candidate is planned once (memoized on its queue entry), its
+        Each candidate is planned once (memoized on its record), its
         demand derived, and its reservation attempted.  Admission stops at
         the first query that does not *currently* fit — strict FIFO: later,
         smaller queries never jump a blocked head, trading maximal packing
         for predictable latency ordering.  A head that could *never* fit
-        (demand above the whole budget) or fails to plan is removed with a
-        terminal outcome instead of wedging the queue.
+        (demand above the whole budget), fails to plan or fails to start
+        is removed with a terminal outcome instead of wedging the queue.
         """
         while self._queue and len(self._runnable) < self.max_inflight:
-            pending = self._queue[0]
-            if pending.physical is None:
+            query = self._queue[0]
+            if query.physical is None:
                 try:
-                    self._prepare(pending)
+                    self._prepare(query)
                 except Exception as error:
                     self._queue.popleft()
-                    self._record(
-                        QueryOutcome(
-                            query_id=pending.query_id,
-                            label=self._label(pending.request),
-                            status=STATUS_FAILED,
-                            submitted_tick=pending.submitted_tick,
-                        ),
-                        f"planning failed: {error}",
-                    )
+                    self._end(query, STATUS_FAILED, f"planning failed: {error}")
                     continue
-            if not self.governor.admissible(pending.demand):
+            if not self.governor.admissible(query.demand):
                 self._queue.popleft()
-                self._reject(
-                    pending.query_id, self._label(pending.request), pending.demand
-                )
+                self._reject(query, query.demand)
                 continue
-            if not self.governor.try_reserve(pending.query_id, pending.demand):
+            if not self.governor.try_reserve(query.query_id, query.demand):
                 break
             self._queue.popleft()
-            self._runnable.append(self._start(pending))
+            try:
+                self._start(query)
+            except Exception as error:
+                self._fail(query, error)
+                continue
+            self._runnable.append(query)
             self.stats.admitted += 1
             if len(self._runnable) > self.stats.peak_inflight:
                 self.stats.peak_inflight = len(self._runnable)
 
-    def _prepare(self, pending: _Pending) -> None:
+    def _prepare(self, query: _Query) -> None:
         """Plan a queued query and derive its memory demand (memoized).
 
         ``auto`` requests go through the plan cache (hit/miss counted once
@@ -558,8 +550,8 @@ class QueryService:
         time the governor owns memory, and grants vary with load, so
         baking a grant into the plan-cache key would shatter the cache.
         """
-        request = pending.request
-        pending.physical, report, pending.cache_hit = _plan(
+        request = query.request
+        query.physical, report, query.outcome.cache_hit = _plan(
             self._parse(request),
             request.strategy,
             self._catalog(request.database),
@@ -570,12 +562,12 @@ class QueryService:
         )
         predicted = None
         if report is not None:
-            if pending.cache_hit:
+            if query.outcome.cache_hit:
                 self.stats.cache_hits += 1
             else:
                 self.stats.cache_misses += 1
             predicted = report.cost_of(report.choice).peak_memory
-        pending.demand = self._demand(request, predicted)
+        query.demand = self._demand(request, predicted)
 
     def _demand(
         self, request: QueryRequest, predicted_peak: Optional[float]
@@ -598,106 +590,88 @@ class QueryService:
             return min(demand, self.governor.total)
         return max(1, self.governor.total // self.max_inflight)
 
-    def _start(self, pending: _Pending) -> _ActiveQuery:
-        """Stand up one admitted query's isolated execution state."""
-        request = pending.request
-        parsed = self._parse(request)
-        physical = pending.physical
+    def _start(self, query: _Query) -> None:
+        """Stand up one admitted query's isolated execution state.
+
+        Everything that can raise runs before the record changes, so a
+        query whose start fails ends as one that was never admitted.
+        """
+        request = query.request
         budget = MemoryBudget(
-            per_worker_tuples=self.governor.grant_of(pending.query_id)
+            per_worker_tuples=self.governor.grant_of(query.query_id)
             if self.governor.total is not None
             else None
         )
         cluster = Cluster(request.workers, budget)
         cluster.load(request.database)
         stats = ExecutionStats(
-            query=parsed.name,
-            strategy=physical.strategy,
+            query=self._parse(request).name,
+            strategy=query.physical.strategy,
             workers=cluster.workers,
         )
-        execution = PlanExecution(
-            physical,
-            cluster,
-            stats,
-            self.runtime,
-            manage_session=False,
+        query.execution = PlanExecution(
+            query.physical, cluster, stats, self.runtime, manage_session=False
         )
-        outcome = QueryOutcome(
-            query_id=pending.query_id,
-            label=request.label or parsed.name or "query",
-            status="",
-            stats=stats,
-            strategy=physical.strategy,
-            cache_hit=pending.cache_hit,
-            submitted_tick=pending.submitted_tick,
-            admitted_tick=self._tick,
-            retries=pending.retries,
-            memory=budget,
-        )
-        deadline_tick = (
-            self._tick + request.deadline_ticks
-            if request.deadline_ticks is not None
-            else None
-        )
-        deadline_time = (
-            pending.submitted_at + request.timeout_seconds
-            if request.timeout_seconds is not None
-            else None
-        )
-        return _ActiveQuery(
-            query_id=pending.query_id,
-            request=request,
-            outcome=outcome,
-            execution=execution,
-            cluster=cluster,
-            deadline_tick=deadline_tick,
-            deadline_time=deadline_time,
-            submitted_at=pending.submitted_at,
-        )
+        outcome = query.outcome
+        outcome.stats, outcome.memory = stats, budget
+        outcome.strategy = query.physical.strategy
+        outcome.admitted_tick = self._tick
+        outcome.rounds_completed = 0
+        if request.deadline_ticks is not None:
+            query.deadline_tick = self._tick + request.deadline_ticks
+        if request.timeout_seconds is not None:
+            query.deadline_time = query.submitted_at + request.timeout_seconds
 
-    # -- completion / eviction -----------------------------------------------
+    # -- the one end ---------------------------------------------------------
 
-    def _finish(
-        self, active: _ActiveQuery, status: str, detail: str = ""
-    ) -> None:
-        """Record an admitted query's terminal outcome and free its grant."""
-        active.outcome.status = status
-        active.outcome.wall_seconds = time.perf_counter() - active.submitted_at
-        if active.outcome.stats is not None:
-            active.outcome.stats.elapsed_seconds = active.outcome.wall_seconds
-        self.governor.release(active.query_id)
-        self._record(active.outcome, detail)
+    def _end(self, query: _Query, status: str, detail: str = "") -> None:
+        """Record a query's terminal outcome — the one place any query ends.
 
-    def _record(self, outcome: QueryOutcome, detail: str = "") -> None:
-        """Store a terminal outcome and count its status — the one place
-        either happens, admitted or not."""
+        An admitted query's private residency is released (peaks are
+        kept) and its submit-to-finish latency recorded; every query's
+        grant returns to the governor, and its outcome is stored and
+        counted under its status.
+        """
+        outcome = query.outcome
+        if query.execution is not None:
+            query.execution.release_residency()
+            outcome.wall_seconds = time.perf_counter() - query.submitted_at
+            outcome.stats.elapsed_seconds = outcome.wall_seconds
+        self.governor.release(query.query_id)
+        outcome.label = _label(query.request)
+        outcome.status = status
         outcome.detail = detail
         outcome.finished_tick = self._tick
-        self.outcomes[outcome.query_id] = outcome
-        counter = _STATUS_COUNTERS[outcome.status]
+        self.outcomes[query.query_id] = outcome
+        counter = _STATUS_COUNTERS[status]
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-    def _evict(self, active: _ActiveQuery, status: str, detail: str) -> None:
-        """Evict an in-flight query: free all residency, return the grant."""
-        active.execution.release_residency()
-        self._finish(active, status, detail)
+    def _reject(self, query: _Query, demand: int) -> None:
+        """End a query whose demand can never fit the service budget."""
+        self._end(
+            query,
+            STATUS_REJECTED,
+            f"memory demand {demand:,} tuples/worker exceeds the "
+            f"service budget {self.governor.total:,}",
+        )
 
-    def _fail(self, active: _ActiveQuery, error: Exception) -> None:
+    def _fail(self, query: _Query, error: Exception) -> None:
         """Contain one tenant's unexpected exception as its own outcome.
 
-        Whatever a query's Round or finalization raises belongs to that
-        query: it is evicted as ``failed`` (traceback logged, residency and
+        Whatever a query's start, Round or finalization raises belongs to
+        that query: it ends as ``failed`` (traceback logged, residency and
         grant released) and the drain goes on for everyone else.
         """
         _LOG.error(
-            "query %d (%s) failed", active.query_id, active.outcome.label,
+            "query %d (%s) failed", query.query_id, _label(query.request),
             exc_info=error,
         )
         detail = f"{type(error).__name__}: {error}"
-        active.execution.stats.mark_failed(detail, kind="error")
-        self._evict(active, STATUS_FAILED, detail)
+        if query.execution is not None:
+            query.execution.stats.mark_failed(detail, kind="error")
+        self._end(query, STATUS_FAILED, detail)
 
-    def _grant_escalatable(self, active: _ActiveQuery) -> bool:
+    def _grant_escalatable(self, query: _Query) -> bool:
         """Whether an OOM under a *derived* grant can retry with a bigger one.
 
         The optimizer's predicted peak (plus headroom) occasionally
@@ -707,15 +681,15 @@ class QueryService:
         caller's declared cap and is honoured as a hard limit — and only
         while the grant is still below the whole budget.
         """
-        grant = self.governor.grant_of(active.query_id)
+        grant = self.governor.grant_of(query.query_id)
         return (
             self.governor.total is not None
-            and active.request.memory_demand is None
+            and query.request.memory_demand is None
             and grant is not None
             and grant < self.governor.total
         )
 
-    def _requeue_escalated(self, active: _ActiveQuery, reason: str) -> None:
+    def _requeue_escalated(self, query: _Query) -> None:
         """Evict an under-granted query and re-queue it with double the grant.
 
         The fresh attempt restarts from scratch with new isolated state
@@ -724,21 +698,14 @@ class QueryService:
         the queue *head*: it was admitted earliest, and strict FIFO should
         keep it earliest.  A logical deadline restarts on re-admission.
         """
-        grant = self.governor.grant_of(active.query_id) or 0
-        active.execution.release_residency()
-        self.governor.release(active.query_id)
+        grant = self.governor.grant_of(query.query_id) or 0
+        query.execution.release_residency()
+        self.governor.release(query.query_id)
         self.stats.oom_retries += 1
-        pending = _Pending(
-            query_id=active.query_id,
-            request=active.request,
-            submitted_at=active.submitted_at,
-            submitted_tick=active.outcome.submitted_tick,
-            physical=active.execution.plan,
-            cache_hit=active.outcome.cache_hit,
-            demand=min(max(grant * 2, grant + 1), self.governor.total),
-            retries=active.outcome.retries + 1,
-        )
-        self._queue.appendleft(pending)
+        query.outcome.retries += 1
+        query.demand = min(max(grant * 2, grant + 1), self.governor.total)
+        query.execution = query.deadline_tick = query.deadline_time = None
+        self._queue.appendleft(query)
 
     # -- shared-state caches -------------------------------------------------
 
@@ -749,14 +716,6 @@ class QueryService:
         request.query = parse_query(request.query)
         return request.query
 
-    def _label(self, request: QueryRequest) -> str:
-        """Display label for a request that may never have been parsed."""
-        if request.label:
-            return request.label
-        if isinstance(request.query, ConjunctiveQuery):
-            return request.query.name or "query"
-        return "query"
-
     def _catalog(self, database: Database) -> Catalog:
         """One shared :class:`Catalog` per database (statistics memoize)."""
         entry = self._catalogs.get(id(database))
@@ -764,3 +723,12 @@ class QueryService:
             entry = (database, Catalog(database))
             self._catalogs[id(database)] = entry
         return entry[1]
+
+
+def _label(request: QueryRequest) -> str:
+    """A request's display label: its own, else the parsed query's name."""
+    if request.label:
+        return request.label
+    if isinstance(request.query, ConjunctiveQuery):
+        return request.query.name or "query"
+    return "query"

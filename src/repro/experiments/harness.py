@@ -32,7 +32,7 @@ from ..query.atoms import ConjunctiveQuery, Variable
 from ..query.catalog import Catalog
 from ..leapfrog.variable_order import best_join_order, full_variable_order
 from ..storage.relation import Database
-from ..workloads.registry import get_workload
+from ..workloads.registry import Workload, get_workload
 
 
 @dataclass
@@ -73,6 +73,28 @@ class GridResult:
         return min(candidates, key=lambda name: candidates[name])
 
 
+def _shared_artifacts(
+    query: ConjunctiveQuery,
+    catalog: Catalog,
+    plan_order: Optional[Sequence[str]],
+) -> tuple[LeftDeepPlan, tuple[Variable, ...]]:
+    """The left-deep plan (pinned by ``plan_order`` when given) and the
+    Tributary variable order that every strategy of a grid shares."""
+    if plan_order is not None:
+        plan = plan_from_order(query, catalog, plan_order)
+    else:
+        plan = left_deep_plan(query, catalog)
+    return plan, full_variable_order(query, best_join_order(query, catalog).order)
+
+
+def _workload_memory(
+    workload: Workload, scale: str, enforce_memory: bool
+) -> Optional[int]:
+    """The per-worker budget a registered workload runs under: its own at
+    bench scale when enforced, else unlimited."""
+    return workload.memory_tuples if (enforce_memory and scale == "bench") else None
+
+
 def run_grid(
     query: QueryLike,
     database: Database,
@@ -90,11 +112,7 @@ def run_grid(
     computed once and shared across all strategy runs."""
     query = _as_query(query)
     catalog = Catalog(database)
-    if plan_order is not None:
-        plan = plan_from_order(query, catalog, plan_order)
-    else:
-        plan = left_deep_plan(query, catalog)
-    order = full_variable_order(query, best_join_order(query, catalog).order)
+    plan, order = _shared_artifacts(query, catalog, plan_order)
     grid = GridResult(
         query=query, workers=workers, variable_order=order, plan=plan
     )
@@ -123,14 +141,12 @@ def run_workload(
 ) -> GridResult:
     """Run one registered workload (Q1..Q8) through the strategy grid."""
     workload = get_workload(name)
-    database = workload.dataset(scale)
-    memory = workload.memory_tuples if (enforce_memory and scale == "bench") else None
     return run_grid(
         workload.query,
-        database,
+        workload.dataset(scale),
         workers=workers,
         strategies=strategies,
-        memory_tuples=memory,
+        memory_tuples=_workload_memory(workload, scale, enforce_memory),
         plan_order=workload.rs_plan_order,
         runtime=runtime,
     )
@@ -349,8 +365,8 @@ def predict_workload(
 ):
     """The cost-based optimizer's prediction for one registered workload.
 
-    Mirrors :func:`run_workload` exactly — same dataset, memory budget,
-    pinned plan order, and Tributary variable order — so the returned
+    Derives the memory budget, left-deep plan and Tributary variable order
+    through the helpers :func:`run_workload` runs with, so the returned
     :class:`~repro.planner.optimizer.CostReport` prices the very plans the
     measured grid executes.
     """
@@ -359,20 +375,13 @@ def predict_workload(
     workload = get_workload(name)
     if database is None:
         database = workload.dataset(scale)
-    memory = workload.memory_tuples if (enforce_memory and scale == "bench") else None
     catalog = Catalog(database)
-    if workload.rs_plan_order is not None:
-        plan = plan_from_order(workload.query, catalog, workload.rs_plan_order)
-    else:
-        plan = left_deep_plan(workload.query, catalog)
-    order = full_variable_order(
-        workload.query, best_join_order(workload.query, catalog).order
-    )
+    plan, order = _shared_artifacts(workload.query, catalog, workload.rs_plan_order)
     return estimate_costs(
         workload.query,
         catalog,
         workers=workers,
-        memory_tuples=memory,
+        memory_tuples=_workload_memory(workload, scale, enforce_memory),
         plan=plan,
         variable_order=order,
     )

@@ -34,6 +34,8 @@ def zipf_mix(
     same ``(names, queries, exponent, seed)`` always yields the same
     trace.
     """
+    if queries < 0:
+        raise ValueError(f"queries must be >= 0, got {queries}")
     generator = random.Random(seed)
     weights = zipf_weights(len(names), exponent)
     return generator.choices(list(names), weights=weights, k=queries)

@@ -260,6 +260,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "plan.json" in err and field in err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["serve", "--workers", "0", "--queries", "4"], "workers"),
+            (["serve", "--queries", "-1"], "queries"),
+            (["serve", "--queries", "2", "--memory-tuples", "-1"], "budget"),
+            (["serve", "--queries", "2", "--deadline-ticks", "-1"], "deadline_ticks"),
+            (["serve", "--queries", "2", "--timeout", "-1"], "timeout_seconds"),
+            (["run", TRIANGLE, "--workers", "4", "--memory-tuples", "-1"],
+             "per_worker_tuples"),
+        ],
+        ids=["serve-workers", "serve-queries", "serve-memory", "serve-deadline",
+             "serve-timeout", "run-memory"],
+    )
+    def test_out_of_range_value_is_usage_error(self, capsys, argv, field):
+        assert main(argv) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
     def test_bad_recovery_spec_is_usage_error(self, capsys):
         code = main(["run", TRIANGLE, "--workers", "4",
                      "--recovery", "retry:lots"])

@@ -10,6 +10,8 @@ identical concurrent queries.
 
 import pytest
 
+from repro.engine.cluster import Cluster
+from repro.engine.memory import MemoryBudget
 from repro.engine.service import (
     DEMAND_HEADROOM,
     STATUS_CANCELLED,
@@ -85,6 +87,17 @@ def _counted(stats):
         tuple(stats.phases()),
         tuple(sorted(stats.peak_memory.items())),
     )
+
+
+#: the small Twitter graph the containment and end-path tests serve
+TRIANGLE = "T(x,y,z) :- R:Twitter(x,y), S:Twitter(y,z), T:Twitter(z,x)."
+_TRIANGLE_DB = twitter_database(nodes=200, edges=800)
+
+
+def _tri(**overrides):
+    request = dict(query=TRIANGLE, database=_TRIANGLE_DB, workers=4, label="target")
+    request.update(overrides)
+    return QueryRequest(**request)
 
 
 class TestIsolation:
@@ -254,11 +267,9 @@ class TestEviction:
 class TestContainment:
     """A failed query never stops the drain (chaos: one tenant in three)."""
 
-    TRIANGLE = "T(x,y,z) :- R:Twitter(x,y), S:Twitter(y,z), T:Twitter(z,x)."
-
     def _serve_three(self, middle_overrides):
-        database = twitter_database(nodes=200, edges=800)
-        query = parse_query(self.TRIANGLE)
+        database = _TRIANGLE_DB
+        query = parse_query(TRIANGLE)
         common = dict(
             query=query, database=database, workers=4, memory_demand=20_000
         )
@@ -310,6 +321,186 @@ class TestContainment:
         assert failed.stats.failed and failed.stats.failure_kind == "error"
         assert all(failed.memory.resident(worker) == 0 for worker in range(4))
         assert "tenant blew up" in caplog.text  # the traceback is logged
+
+    def test_exception_at_start_is_that_querys_failure(self, monkeypatch, caplog):
+        real = Cluster.load
+
+        def chaotic(cluster, database):
+            if cluster.workers == 3:  # only the chaos tenant's cluster
+                raise RuntimeError("no cluster today")
+            return real(cluster, database)
+
+        monkeypatch.setattr(Cluster, "load", chaotic)
+        failed = self._serve_three(dict(strategy="BR_HJ", workers=3))
+        assert failed.detail == "RuntimeError: no cluster today"
+        assert failed.admitted_tick == -1 and failed.stats is None
+        assert "no cluster today" in caplog.text
+
+
+def _drain(service, between=None):
+    """Tick the service dry; call ``between()`` after the first tick."""
+    service.open()
+    try:
+        service.step()
+        if between is not None:
+            between()
+        while service.step():
+            pass
+    finally:
+        service.close()
+
+
+def _one(service=None, **request):
+    """An end path: one triangle request drained on a fresh service."""
+
+    def path(databases, monkeypatch):
+        served = QueryService(plan_cache=PlanCache(), **(service or {}))
+        target = served.submit(_tri(**request))
+        served.run_until_complete()
+        return served, target
+
+    return path
+
+
+def _rejected_at_admission(databases, monkeypatch):
+    # a zero budget leaves an explicit strategy (no predicted peak) the
+    # equal share of 1 tuple, which can never fit; the target waits one
+    # tick behind a zero-demand query that times out at its first turn
+    service = QueryService(max_inflight=1, memory_tuples=0, plan_cache=PlanCache())
+    service.submit(_tri(strategy="RS_HJ", memory_demand=0, deadline_ticks=0))
+    target = service.submit(_tri(strategy="RS_HJ"))
+    service.run_until_complete()
+    return service, target
+
+
+def _cancelled_queued(databases, monkeypatch):
+    # the target is planned (a plan-cache hit) but blocked on the grant
+    # the first query holds when it is cancelled
+    service = QueryService(max_inflight=2, memory_tuples=100_000, plan_cache=PlanCache())
+    service.submit(_tri(memory_demand=100_000))
+    target = service.submit(_tri())
+    _drain(service, lambda: service.cancel(target))
+    return service, target
+
+
+def _cancelled_inflight(databases, monkeypatch):
+    service = QueryService(max_inflight=1, plan_cache=PlanCache())
+    target = service.submit(_tri(strategy="RS_HJ"))
+    _drain(service, lambda: service.cancel(target))
+    return service, target
+
+
+def _start_failed(databases, monkeypatch):
+    def refuse(cluster, database):
+        raise RuntimeError("no cluster today")
+
+    monkeypatch.setattr(Cluster, "load", refuse)
+    serve = _one(dict(memory_tuples=100_000), strategy="RS_HJ", memory_demand=20_000)
+    return serve(databases, monkeypatch)
+
+
+def _escalated_then_ok(databases, monkeypatch):
+    service = QueryService(max_inflight=4, memory_tuples=200_000, plan_cache=PlanCache())
+    target = service.submit(_request("Q5", databases, label="target"))
+    service.run_until_complete()
+    return service, target
+
+
+#: (path, status, counter, label, submitted/admitted/finished ticks,
+#: retries, rounds_completed, cache_hit, admitted at all)
+EVERY_END = [
+    pytest.param(
+        _one(dict(memory_tuples=1_000), memory_demand=2_000),
+        STATUS_REJECTED, "rejected", "target", (0, -1, 0), 0, 0, False, False,
+        id="rejected_at_submit",
+    ),
+    pytest.param(
+        _rejected_at_admission,
+        STATUS_REJECTED, "rejected", "target", (0, -1, 1), 0, 0, False, False,
+        id="rejected_at_admission",
+    ),
+    pytest.param(
+        _cancelled_queued,
+        STATUS_CANCELLED, "cancelled", "target", (0, -1, 1), 0, 0, True, False,
+        id="cancelled_queued",
+    ),
+    pytest.param(
+        _cancelled_inflight,
+        STATUS_CANCELLED, "cancelled", "target", (0, 0, 2), 0, 1, False, True,
+        id="cancelled_inflight",
+    ),
+    pytest.param(
+        _one(query="not datalog", label=""),
+        STATUS_FAILED, "failed", "query", (0, -1, 0), 0, 0, False, False,
+        id="planning_failed",
+    ),
+    pytest.param(
+        _start_failed,
+        STATUS_FAILED, "failed", "target", (0, -1, 0), 0, 0, False, False,
+        id="start_failed",
+    ),
+    pytest.param(
+        _one(strategy="RS_HJ", deadline_ticks=0),
+        STATUS_TIMEOUT, "timeouts", "target", (0, 0, 1), 0, 0, False, True,
+        id="logical_deadline",
+    ),
+    pytest.param(
+        _one(strategy="RS_HJ", timeout_seconds=0.0),
+        STATUS_TIMEOUT, "timeouts", "target", (0, 0, 1), 0, 0, False, True,
+        id="wall_clock_timeout",
+    ),
+    pytest.param(
+        _one(dict(memory_tuples=100_000), strategy="RS_HJ", memory_demand=10),
+        STATUS_FAILED, "failed", "target", (0, 0, 1), 0, 0, False, True,
+        id="declared_oom",
+    ),
+    pytest.param(
+        _escalated_then_ok,
+        STATUS_OK, "completed", "target", (0, 2, 6), 1, 4, False, True,
+        id="escalated_then_ok",
+    ),
+    pytest.param(
+        _one(strategy="RS_HJ", label=""),
+        STATUS_OK, "completed", "T", (0, 0, 3), 0, 3, False, True,
+        id="ok",
+    ),
+]
+
+
+class TestEveryEnd:
+    """Every way a query ends: one record, one end, nothing left held."""
+
+    @pytest.mark.parametrize(
+        "path, status, counter, label, ticks, retries, rounds, cache_hit, admitted",
+        EVERY_END,
+    )
+    def test_end(
+        self, path, status, counter, label, ticks, retries, rounds, cache_hit,
+        admitted, databases, monkeypatch,
+    ):
+        service, target = path(databases, monkeypatch)
+        outcome = service.outcomes[target]
+        assert outcome.status == status
+        assert getattr(service.stats, counter) == sum(
+            o.status == status for o in service.outcomes.values()
+        ) >= 1
+        assert len(service.outcomes) == service.stats.submitted
+        assert outcome.label == label
+        assert (
+            outcome.submitted_tick, outcome.admitted_tick, outcome.finished_tick
+        ) == ticks
+        assert outcome.retries == retries
+        assert outcome.rounds_completed == rounds
+        assert outcome.cache_hit == cache_hit
+        assert service.governor.granted == 0
+        assert service.inflight == service.queued == 0
+        assert (outcome.memory is not None) == admitted
+        if admitted:
+            workers = outcome.stats.workers
+            assert all(outcome.memory.resident(w) == 0 for w in range(workers))
+            assert outcome.wall_seconds > 0
+        else:
+            assert outcome.stats is None and outcome.wall_seconds == 0.0
 
 
 class TestPlanCache:
@@ -363,6 +554,34 @@ class TestServiceShape:
     def test_requires_positive_inflight(self):
         with pytest.raises(ValueError):
             QueryService(max_inflight=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", 0),
+            ("workers", -4),
+            ("memory_demand", -5_000),
+            ("deadline_ticks", -1),
+            ("timeout_seconds", -0.5),
+        ],
+    )
+    def test_rejects_out_of_range_request_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _tri(**{field: value})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MemoryBudget(per_worker_tuples=-1),
+            lambda: MemoryGovernor(total=-1),
+            lambda: QueryService(memory_tuples=-1),
+            lambda: zipf_mix(("Q1", "Q2"), -3),
+        ],
+        ids=["budget", "governor", "service", "zipf"],
+    )
+    def test_rejects_negative_budgets_and_counts(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_unparseable_query_fails_cleanly(self, databases):
         workload = WORKLOADS["Q1"]
