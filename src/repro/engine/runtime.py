@@ -17,13 +17,13 @@ ledger.  The three runtimes differ only in who the executors are
 - :class:`ProcessRuntime` — one batch per forked, pipe-connected session
   child (``--runtime parallel:N:proc``), the only mode that escapes the GIL
   for true multicore wall-clock speedup.  Everything a child needs — the
-  runner, the slot inputs, the ledgers — is shipped to it; a frame whose
-  rows are a *list* above a size threshold crosses in either direction
-  through a :mod:`~repro.engine.shm` shared-memory segment instead of the
-  pickle pipe.  Only python-backend frames are lists: under numpy every
-  frame, a scanned one included, is a column block, which pickles as its
-  arrays and stays on the pipe.  Each worker's ledger is pickled back and
-  merged exactly like the thread runtime's.
+  runner, the slot inputs, the ledgers — is shipped to it as a protocol-5
+  pickle whose array buffers of 64 KiB or more follow it out of band
+  (:func:`_send`), one copy each way; a python-backend frame's row *list*
+  above a size threshold crosses through a :mod:`~repro.engine.shm`
+  shared-memory segment instead.  Under numpy every frame is a column
+  block.  Each worker's ledger is pickled back and merged exactly like the
+  thread runtime's.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker
@@ -43,12 +43,17 @@ serial execution leaves behind.
 
 from __future__ import annotations
 
+import copyreg
 import ctypes
+import io
 import multiprocessing
 import os
+import pickle
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Iterable, Optional, Union
 
 from .frame import Frame
@@ -229,8 +234,8 @@ def _encode_payload(item: Any) -> Any:
     """Swap a frame's large row list for a shared-memory handle before
     pickling.
 
-    A frame whose rows are a column block stays on the pipe: its arrays
-    pickle as a memcpy, which is all a shared segment would save."""
+    A frame whose rows are a column block passes through: :func:`_send`
+    moves its arrays with one copy each way, all a segment would save."""
     if isinstance(item, Frame) and isinstance(item.rows, list):
         shared = share_rows(item.rows)
         if shared is not None:
@@ -263,6 +268,54 @@ def _shared_handles(value: Any) -> list[SharedRows]:
     return [item.shared for item in items if isinstance(item, _SharedFrame)]
 
 
+#: an array buffer this large or larger crosses the session pipe out of band
+OUT_OF_BAND_MIN = 1 << 16
+
+
+def _send(connection, message: Any) -> None:
+    """Send ``message`` as a protocol-5 pickle, the sizes of its array
+    buffers of :data:`OUT_OF_BAND_MIN` bytes or more past its end, then
+    those buffers' bytes straight from the arrays.  Nothing is sent unless
+    the whole message pickles."""
+    buffers = []
+
+    def in_band(buffer: pickle.PickleBuffer) -> bool:
+        raw = buffer.raw()
+        if raw.nbytes < OUT_OF_BAND_MIN:
+            return True
+        buffers.append(raw)
+        return False
+
+    stream = io.BytesIO()
+    # ForkingPickler itself takes no buffer_callback: borrow its reducers
+    pickler = pickle.Pickler(stream, protocol=5, buffer_callback=in_band)
+    pickler.dispatch_table = copyreg.dispatch_table | ForkingPickler._extra_reducers
+    pickler.dump(message)
+    sizes = [raw.nbytes for raw in buffers]
+    stream.write(struct.pack(f"<{len(sizes)}QI", *sizes, len(sizes)))
+    connection.send_bytes(stream.getbuffer())
+    for raw in buffers:
+        while raw:
+            raw = raw[os.write(connection.fileno(), raw):]
+
+
+def _recv(connection) -> Any:
+    """Receive one :func:`_send` message, reading each out-of-band buffer
+    into a fresh ``bytearray`` that the unpickled array owns."""
+    header = connection.recv_bytes()
+    (count,) = struct.unpack_from("<I", header, len(header) - 4)
+    sizes = struct.unpack_from(f"<{count}Q", header, len(header) - 4 - 8 * count)
+    buffers = [bytearray(size) for size in sizes]
+    for buffer in buffers:
+        view = memoryview(buffer)
+        while view:
+            read = os.readv(connection.fileno(), [view])
+            if not read:
+                raise EOFError("session pipe closed mid-message")
+            view = view[read:]
+    return pickle.loads(header, buffers=buffers)  # ignores the sizes past it
+
+
 def _session_child_main(connection) -> None:
     """Serve structured local batches inside one persistent forked child.
 
@@ -275,7 +328,7 @@ def _session_child_main(connection) -> None:
     """
     while True:
         try:
-            message = connection.recv()
+            message = _recv(connection)
         except (EOFError, OSError):
             break
         if message is None:
@@ -290,7 +343,7 @@ def _session_child_main(connection) -> None:
             for worker, value, ledger, error in _run_batch(runner, batch)
         ]
         try:
-            connection.send(results)
+            _send(connection, results)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
             break
     connection.close()
@@ -322,7 +375,7 @@ class _SessionWorker:
     def stop(self) -> None:
         """Ask the child to exit, then reap it."""
         try:
-            self.connection.send(None)
+            _send(self.connection, None)
         except (BrokenPipeError, OSError):
             pass
         self.connection.close()
@@ -411,45 +464,63 @@ class ProcessRuntime(WorkerRuntime):
         return [ids[k::size] for k in range(min(size, len(ids)))]
 
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
-        """Ship each batch to its session child; collect what they send."""
+        """Ship each batch to its session child; collect what they send.
+
+        Anything raised before every child is heard out drops the session,
+        or the next Round would read a reply left in a pipe as its own."""
         shipped = []  # per child, the shm segments its message points at
-        for child, batch in zip(self._session, batches):
-            encoded = [
-                (worker, ledger, _encode_value(payload))
-                for worker, ledger, payload in batch
-            ]
-            shipped.append(
-                [h for _, _, value in encoded for h in _shared_handles(value)]
-            )
-            try:
-                child.connection.send((runner, encoded))
-            except OSError:
-                pass  # the child is gone: its missing reply reports it below
-        # every child is heard out and every shipped value decoded, delivered
-        # or not: a shared-memory segment is only reclaimed by loading it —
-        # or, when the child that should have loaded it never answers, here
-        outcomes, broken = [], False
-        for child, batch, handles in zip(self._session, batches, shipped):
-            try:
-                reply = child.connection.recv()
-            except (EOFError, OSError):
-                broken = True
-                for handle in handles:
-                    handle.discard()
-                child.process.join(timeout=10)
-                worker, ledger, _ = batch[0]
-                died = RuntimeError(
-                    f"session child {child.process.pid} died "
-                    f"(exit code {child.process.exitcode})"
+        try:
+            for child, batch in zip(self._session, batches):
+                encoded = [
+                    (worker, ledger, _encode_value(payload))
+                    for worker, ledger, payload in batch
+                ]
+                shipped.append(
+                    [h for _, _, value in encoded for h in _shared_handles(value)]
                 )
-                reply = [(worker, None, ledger, died)]
-            outcomes.append([
-                (worker, _decode_value(value), ledger, error)
-                for worker, value, ledger, error in reply
-            ])
+                try:
+                    _send(child.connection, (runner, encoded))
+                except OSError:
+                    pass  # the child is gone: its missing reply reports it below
+            # every child is heard out and every shipped value decoded,
+            # delivered or not: a shared-memory segment is only reclaimed by
+            # loading it — or, when its child never answers, here
+            outcomes, broken = [], False
+            for child, batch, handles in zip(self._session, batches, shipped):
+                try:
+                    reply = _recv(child.connection)
+                except (EOFError, OSError):
+                    broken = True
+                    for handle in handles:
+                        handle.discard()
+                    child.process.join(timeout=10)
+                    worker, ledger, _ = batch[0]
+                    died = RuntimeError(
+                        f"session child {child.process.pid} died "
+                        f"(exit code {child.process.exitcode})"
+                    )
+                    reply = [(worker, None, ledger, died)]
+                outcomes.append([
+                    (worker, _decode_value(value), ledger, error)
+                    for worker, value, ledger, error in reply
+                ])
+        except BaseException:
+            self._drop_session([h for handles in shipped for h in handles])
+            raise
         if broken:
             self.close_session()  # the next open_session() reforks
         return outcomes
+
+    def _drop_session(self, handles: list[SharedRows]) -> None:
+        """Kill every child (one may be blocked sending a reply no one will
+        read) and unlink ``handles``; the next Round reforks."""
+        children, self._session = self._session, None
+        for child in children:
+            child.process.terminate()
+            child.process.join(timeout=10)
+            child.connection.close()
+        for handle in handles:
+            handle.discard()
 
     def __repr__(self) -> str:
         return f"ProcessRuntime(processes={self.processes})"

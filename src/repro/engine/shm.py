@@ -12,8 +12,9 @@ and the receiver reattaches, materializes, and unlinks it; a sender whose
 receiver died unlinks what it shipped itself (:meth:`SharedRows.discard`).
 Only a frame's row *list* travels this way, and only the python kernel
 backend's frames are lists: under numpy every frame, a scanned one
-included, is a column block, whose arrays pickle as a memcpy and stay on
-the pipe.
+included, is a column block, whose large arrays cross the pipe out of band
+after the pickle, each copied once into the pipe and once out of it (see
+:func:`~repro.engine.runtime._send`).
 
 Small payloads stay on the pickle path — below a few tens of thousands of
 rows the copy into shared memory costs more than pickling saves, so

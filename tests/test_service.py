@@ -8,8 +8,11 @@ that releases every resident tuple, and plan-cache sharing across
 identical concurrent queries.
 """
 
+import os
+
 import pytest
 
+from repro.engine import runtime as runtime_module
 from repro.engine.cluster import Cluster
 from repro.engine.memory import MemoryBudget
 from repro.engine.service import (
@@ -335,6 +338,36 @@ class TestContainment:
         assert failed.detail == "RuntimeError: no cluster today"
         assert failed.admitted_tick == -1 and failed.stats is None
         assert "no cluster today" in caplog.text
+
+    def test_round_failing_mid_exchange_leaves_no_stale_reply(self, monkeypatch):
+        """The driver fails between shipping child 1's batch and child 2's:
+        child 1's reply must not be read by the next query's Round."""
+        real, driver, calls = runtime_module._encode_value, os.getpid(), []
+
+        def fails_for_child_2(value):
+            # two children, four workers: child 1 ships workers 0 and 2 first
+            if os.getpid() == driver:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError("cannot encode")
+            return real(value)
+
+        monkeypatch.setattr(runtime_module, "_encode_value", fails_for_child_2)
+        two_way = "P(x,y) :- R:Twitter(x,y), S:Twitter(y,x)."
+        service = QueryService(
+            runtime="parallel:2:proc", max_inflight=1, plan_cache=PlanCache()
+        )
+        for query in (TRIANGLE, two_way):
+            service.submit(_tri(query=query, strategy="RS_HJ"))
+        failed, served = service.run_until_complete()
+        assert (failed.status, failed.detail) == (
+            STATUS_FAILED, "RuntimeError: cannot encode"
+        )
+        solo = run_query(two_way, _TRIANGLE_DB, strategy="RS_HJ", workers=4)
+        assert served.status == STATUS_OK
+        assert len(served.rows) == len(solo.rows) == 118
+        assert sorted(served.rows) == sorted(solo.rows)
+        assert _counted(served.stats) == _counted(solo.stats)
 
 
 def _drain(service, between=None):
