@@ -14,11 +14,11 @@ Table 2) three ways and compares the realized max/avg consumer load:
 3. the per-dimension hashing a HyperCube shuffle applies.
 """
 
+from ablation_skew import skew_resilient_shuffle
 from conftest import WORKERS
 
 from repro.engine.frame import Frame
 from repro.engine.shuffle import hypercube_shuffle, regular_shuffle
-from repro.engine.skew import skew_resilient_shuffle
 from repro.engine.stats import ExecutionStats
 from repro.hypercube.config import optimize_config
 from repro.hypercube.mapping import HyperCubeMapping

@@ -19,7 +19,8 @@ query over the synthetic Twitter graph:
 
 import time
 
-from repro.leapfrog.btree_iterator import BTreeTributaryJoin
+from ablation_btree import BTreeTributaryJoin
+
 from repro.leapfrog.tributary import TributaryJoin
 from repro.storage.generators import twitter_graph
 from repro.workloads import Q1

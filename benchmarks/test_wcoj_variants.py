@@ -13,7 +13,8 @@ the family-level invariants:
 
 import time
 
-from repro.leapfrog.btree_iterator import BTreeTributaryJoin
+from ablation_btree import BTreeTributaryJoin
+
 from repro.leapfrog.generic_join import GenericJoin
 from repro.leapfrog.tributary import TributaryJoin
 from repro.storage.generators import twitter_graph

@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine.faults import FaultPlan, resolve_policy
+from .engine.faults import FaultPlan, FaultSession, resolve_policy
 from .engine.kernels import KERNEL_BACKENDS, use_backend
 from .engine.service import QueryRequest, QueryService
 from .experiments.harness import format_figure, run_workload
@@ -74,23 +74,20 @@ def _dataset(name: str):
     raise ValueError(f"unknown dataset {name!r}; use 'twitter' or 'freebase'")
 
 
-def _load_faults(args: argparse.Namespace):
-    """Load ``--faults plan.json`` into a FaultPlan (None when absent)."""
-    if not getattr(args, "faults", None):
-        return None
+def _injection(args: argparse.Namespace) -> dict:
+    """``--faults`` and ``--recovery`` as ``run_query`` keywords.  The
+    recovery spec is checked even without a plan; the plan is loaded and
+    checked against the ``--workers`` cluster it will run on."""
+    policy = resolve_policy(args.recovery)
+    if not args.faults:
+        return {"faults": None, "recovery": policy}
     try:
-        return FaultPlan.load(args.faults)
+        plan = FaultPlan.load(args.faults)
+        if args.workers > 0:  # a bad cluster size is the cluster's error
+            FaultSession(plan, policy, args.workers)  # checks the worker range
     except (OSError, ValueError) as error:
-        raise ValueError(f"cannot read fault plan {args.faults!r}: {error}") from None
-
-
-def _recovery(args: argparse.Namespace):
-    """Validate ``--recovery`` eagerly so a bad spec is a usage error
-    even when no fault plan is supplied."""
-    spec = getattr(args, "recovery", None)
-    if spec is None:
-        return None
-    return resolve_policy(spec)
+        raise ValueError(f"cannot use fault plan {args.faults!r}: {error}") from None
+    return {"faults": plan, "recovery": policy}
 
 
 def _failure_code(result) -> int:
@@ -112,8 +109,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workers=args.workers,
         memory_tuples=args.memory_tuples,
         runtime=args.runtime,
-        faults=_load_faults(args),
-        recovery=_recovery(args),
+        **_injection(args),
     )
     stats = result.stats
     if result.cost_report is not None:
@@ -154,6 +150,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """The ``explain`` command; with ``--analyze`` it executes the plan."""
+    if args.faults and not args.analyze:
+        raise ValueError("--faults needs --analyze: explain injects faults "
+                         "only into a plan it executes")
     database = _dataset(args.dataset)
     if args.analyze:
         analyzed = explain_analyze(
@@ -163,8 +162,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             workers=args.workers,
             memory_tuples=args.memory_tuples,
             runtime=args.runtime,
-            faults=_load_faults(args),
-            recovery=_recovery(args),
+            **_injection(args),
         )
         if analyzed.result.cost_report is not None:
             print(analyzed.result.cost_report.render())

@@ -4,9 +4,8 @@ Layer: engine / faults (consulted by the scheduler at Round boundaries and
 operator completion points; configured from the CLI via ``--faults`` /
 ``--recovery`` and programmatically via ``run_query(faults=...)``).
 
-The paper's single-round evaluation makes wall clock equal to the slowest
-worker, so worker failures and stragglers are exactly the adversities a
-production-scale reproduction must model.  This module provides:
+Wall clock is the slowest worker's, so worker failures and stragglers are
+the adversities to model.  This module provides:
 
 - a **FaultPlan DSL** — a seedable, JSON-loadable list of
   :class:`FaultSpec` entries describing *deterministic* adversities: a
@@ -27,18 +26,16 @@ seed produces bit-identical metrics under every worker runtime and kernel
 backend.  An empty plan injects nothing and leaves execution bit-identical
 to the fault-free golden captures.
 
-The recovery model leans on the Round structure of the physical-plan IR:
-every Round is a barrier whose inputs (prior slots and the cluster's
-round-robin fragments) survive a failed attempt, so re-running the Round is
-always possible from lineage — fragments are durable, and the scheduler's
-checkpoint/rollback restores stats, residency, and trace to the barrier.
+Recovery leans on the physical-plan IR: every Round is a barrier whose
+inputs survive a failed attempt, and the scheduler's checkpoint/rollback
+restores stats, residency and trace to it before the Round re-runs.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from .runtime import WorkerLedger
@@ -65,6 +62,31 @@ FAULT_KINDS = ("crash", "straggler", "partition_loss", "oom")
 RECOVERY_MODES = ("retry", "degrade", "fail")
 
 
+def _is_index(value) -> bool:
+    """A Round index, worker id or attempt: an int >= 0 and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+#: each optional field of a :class:`FaultSpec`: the values it accepts
+#: besides ``None``, how to say so, and the kinds that read it (set on any
+#: other kind, the field would do nothing)
+_FIELD_RULES = {
+    "round": (lambda v: isinstance(v, str) or _is_index(v),
+              "a Round index >= 0 or label", FAULT_KINDS),
+    "worker": (_is_index, "a worker id >= 0", ("crash", "straggler", "oom")),
+    "phase": (lambda v: isinstance(v, str), "a string", ("crash",)),
+    "exchange": (lambda v: isinstance(v, str), "a string", ("partition_loss",)),
+    "factor": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+               "a number", ("straggler",)),
+    "attempts": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_index, v)),
+                 "a list of indices >= 0", ("crash", "partition_loss", "oom")),
+}
+
+
+def _field_error(name: str, value, expected: str) -> ValueError:
+    return ValueError(f"field {name!r} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One deterministic adversity to inject.
@@ -88,11 +110,16 @@ class FaultSpec:
       (:class:`~repro.engine.memory.OutOfMemoryError`, which always aborts),
       an injected OOM is recoverable by retrying the Round.
 
-    ``round`` targets a Round by index (int) or label (str); ``None`` means
-    every round.  ``worker`` is the target worker id, or ``None`` to draw one
-    deterministically from the plan's seed.  ``attempts`` lists the Round
-    attempt numbers on which the fault fires (default: first attempt only),
-    so a retried Round succeeds unless the spec says otherwise.
+    ``round`` targets a Round by index (an int ``>= 0``) or by its exact
+    label (a str); ``None`` means every round.  ``worker`` is the target
+    worker id, or ``None`` to draw one deterministically from the plan's
+    seed.  ``attempts`` lists the Round attempt numbers on which the fault
+    fires (default: first attempt only), so a retried Round succeeds unless
+    the spec says otherwise.
+
+    Construction checks every field, from Python or JSON alike: its type,
+    its range, and that its kind reads it (:data:`_FIELD_RULES`).  Only the
+    worker range waits for the cluster (:class:`FaultSession`).
     """
 
     kind: str
@@ -100,26 +127,30 @@ class FaultSpec:
     worker: Optional[int] = None
     phase: Optional[str] = None
     exchange: Optional[str] = None
-    factor: float = 1.0
-    attempts: tuple[int, ...] = (0,)
+    factor: Optional[float] = None
+    attempts: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; valid: {', '.join(FAULT_KINDS)}"
-            )
-        if self.kind == "straggler" and self.factor <= 1.0:
-            raise ValueError("a straggler needs factor > 1.0")
+            raise _field_error("kind", self.kind, f"one of {', '.join(FAULT_KINDS)}")
+        for name, (accepts, expected, kinds) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if value is not None and not accepts(value):
+                raise _field_error(name, value, expected)
+            if value is not None and self.kind not in kinds:
+                raise ValueError(f"field {name!r} does nothing for kind {self.kind!r}")
+        if self.kind == "straggler" and not (self.factor or 0) > 1.0:
+            raise _field_error("factor", self.factor, "> 1.0 for a straggler")
         if self.kind == "partition_loss" and not self.exchange:
-            raise ValueError("partition_loss needs an exchange name fragment")
+            raise _field_error("exchange", self.exchange, "a name fragment")
+        if self.kind != "straggler":
+            attempts = (0,) if self.attempts is None else tuple(self.attempts)
+            object.__setattr__(self, "attempts", attempts)
 
     def matches_round(self, round_index: int, label: str) -> bool:
-        """Whether this spec targets the given Round."""
-        if self.round is None:
-            return True
-        if isinstance(self.round, int):
-            return self.round == round_index
-        return self.round == label
+        """Whether this spec targets the given Round (by index or exact label)."""
+        target = label if isinstance(self.round, str) else round_index
+        return self.round is None or self.round == target
 
 
 @dataclass(frozen=True)
@@ -146,6 +177,10 @@ class FaultPlan:
     faults: tuple[FaultSpec, ...] = ()
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise _field_error("seed", self.seed, "an integer")
+
     def is_empty(self) -> bool:
         """True when the plan injects nothing at all."""
         return not self.faults
@@ -155,63 +190,41 @@ class FaultPlan:
         """Build a plan from the JSON-dict form documented on the class.
 
         Raises ``ValueError`` naming the field that is unknown, missing or
-        of the wrong type.
+        invalid; a fault's own fields are checked by :class:`FaultSpec`.
         """
-        _check_fields("the plan", data, _PLAN_TYPES)
+        _check_known("the plan", data, ("faults", "seed"))
+        entries = data.get("faults", [])
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"fault plan: field 'faults' must be a list, got {entries!r}"
+            )
         specs = []
-        for index, entry in enumerate(data.get("faults", ())):
+        for index, entry in enumerate(entries):
             where = f"faults[{index}]"
-            _check_fields(where, entry, _SPEC_TYPES)
-            if "kind" not in entry:
-                raise ValueError(f"fault plan: {where} has no field 'kind'")
-            entry = dict(entry)
-            if "attempts" in entry:
-                entry["attempts"] = tuple(entry["attempts"])
-                if any(type(attempt) is not int for attempt in entry["attempts"]):
-                    raise ValueError(
-                        f"fault plan: field 'attempts' of {where} must list "
-                        f"integers, got {entry['attempts']!r}"
-                    )
-            specs.append(FaultSpec(**entry))
-        return cls(faults=tuple(specs), seed=data.get("seed", 0))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse the JSON text form of a plan."""
-        return cls.from_dict(json.loads(text))
+            _check_known(where, entry, ("kind", *_FIELD_RULES))
+            try:
+                specs.append(FaultSpec(**{"kind": None, **entry}))
+            except ValueError as error:
+                raise ValueError(f"fault plan: {where}: {error}") from None
+        try:
+            return cls(faults=tuple(specs), seed=data.get("seed", 0))
+        except ValueError as error:
+            raise ValueError(f"fault plan: {error}") from None
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
         """Load a plan from a JSON file (the CLI's ``--faults`` argument)."""
         with open(path) as handle:
-            return cls.from_json(handle.read())
+            return cls.from_dict(json.load(handle))
 
 
-#: the types a fault plan's fields accept in its dict form, and a fault's
-_PLAN_TYPES = {"faults": (list, tuple), "seed": (int,)}
-_SPEC_TYPES = {
-    "kind": (str,),
-    "round": (int, str, type(None)),
-    "worker": (int, type(None)),
-    "phase": (str, type(None)),
-    "exchange": (str, type(None)),
-    "factor": (int, float),
-    "attempts": (list, tuple),
-}
-
-
-def _check_fields(where: str, data, types: dict[str, tuple[type, ...]]) -> None:
-    """Raise ``ValueError`` unless ``data`` is a dict whose every field is
-    one of ``types`` and holds one of that field's types (never a bool)."""
+def _check_known(where: str, data, known: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` unless ``data`` is a dict of known fields."""
     if not isinstance(data, dict):
         raise ValueError(f"fault plan: {where} must be an object, got {data!r}")
-    for name, value in data.items():
-        if name not in types:
+    for name in data:
+        if name not in known:
             raise ValueError(f"fault plan: {where} has an unknown field {name!r}")
-        if isinstance(value, bool) or not isinstance(value, types[name]):
-            raise ValueError(
-                f"fault plan: field {name!r} of {where} has the wrong type: {value!r}"
-            )
 
 
 FaultsLike = Union[FaultPlan, dict, None]
@@ -335,9 +348,8 @@ class FailureReport:
     Carried by :class:`FaultAbort` and attached to the
     :class:`~repro.planner.executor.ExecutionResult` as ``failure_report``.
     ``lineage`` lists the slots the failed Round consumed — the inputs a
-    recompute would need, all reconstructible from the durable round-robin
-    fragments and earlier Rounds.  ``disposition`` is ``"aborted"`` or, once
-    the executor has fallen back to a regular shuffle, ``"degraded"``.
+    recompute would need.  ``disposition`` is ``"aborted"`` or, once the
+    executor has fallen back to a regular shuffle, ``"degraded"``.
     """
 
     kind: str
@@ -369,18 +381,7 @@ class FailureReport:
 
     def to_dict(self) -> dict:
         """JSON-serializable form (for harness tables and tooling)."""
-        return {
-            "kind": self.kind,
-            "worker": self.worker,
-            "round_index": self.round_index,
-            "round_label": self.round_label,
-            "phase": self.phase,
-            "attempts_used": self.attempts_used,
-            "policy": self.policy,
-            "disposition": self.disposition,
-            "fallback": self.fallback,
-            "lineage": list(self.lineage),
-        }
+        return {**asdict(self), "lineage": list(self.lineage)}
 
 
 class FaultAbort(Exception):
@@ -424,7 +425,9 @@ class _StragglerStats:
 class FaultSession:
     """One execution's view of a fault plan: resolved targets plus hooks.
 
-    Built by the executor when a non-empty plan is supplied.  Worker targets
+    Built by the executor when a non-empty plan is supplied.  Construction
+    raises ``ValueError`` for a spec whose worker is not in the cluster, the
+    one fact :class:`FaultSpec` cannot check alone.  Worker targets
     left as ``None`` in the plan are resolved here with the plan's seed, so
     a session is deterministic given (plan, cluster size) — and immutable
     after construction: every hook is a pure function of its arguments, so
@@ -451,6 +454,11 @@ class FaultSession:
         self.workers = workers
         self._targets: list[Optional[int]] = []
         for index, spec in enumerate(plan.faults):
+            if spec.worker is not None and spec.worker >= workers:
+                raise ValueError(
+                    f"fault plan: faults[{index}]: field 'worker' is "
+                    f"{spec.worker}, but the cluster has workers 0..{workers - 1}"
+                )
             if spec.kind != "partition_loss" and spec.worker is None:
                 # str seeds hash via sha512 — stable across runs and
                 # interpreters, unaffected by PYTHONHASHSEED

@@ -1,7 +1,6 @@
-"""Worst-case-optimal joins: the Tributary join (LFTJ over sorted arrays or
-B-trees), the NPRR-style Generic Join, and the variable-order optimizer."""
+"""Worst-case-optimal joins: the Tributary join (LFTJ over sorted arrays),
+the NPRR-style Generic Join, and the variable-order optimizer."""
 
-from .btree_iterator import BTreeTributaryJoin, BTreeTrieIterator
 from .generic_join import GenericJoin, GenericJoinStats, generic_join
 from .iterator import TrieIterator
 from .tributary import (
@@ -21,8 +20,6 @@ from .variable_order import (
 )
 
 __all__ = [
-    "BTreeTributaryJoin",
-    "BTreeTrieIterator",
     "GenericJoin",
     "GenericJoinStats",
     "OrderCost",

@@ -126,10 +126,10 @@ class JoinShape:
 @dataclass
 class _PreparedAtom:
     atom: Atom
-    iterator: TrieIterator  # or any cursor with its API (the B-tree one)
+    iterator: TrieIterator
     key_variables: tuple[Variable, ...]
     size: int  # tuples after filtering
-    prepare_cost: int  # sort comparisons or B-tree build node visits
+    prepare_cost: int  # the work that indexed it: sort comparisons
 
 
 def select_atom(
@@ -217,8 +217,7 @@ class TributaryJoin:
     def _prepare_atom(
         self, atom: Atom, relation: Relation, encoder: Encoder
     ) -> _PreparedAtom:
-        """Index one atom for the trie walk: here, sort it.  The one method
-        a variant over another index (the B-tree ablation) overrides."""
+        """Index one atom for the trie walk: here, sort it."""
         return prepare_atom(atom, relation, self.order, encoder)
 
     # ------------------------------------------------------------------
@@ -259,14 +258,11 @@ class TributaryJoin:
             self.stats.seeks = self.total_seeks()
 
     def _walks_batched(self) -> bool:
-        """Whether this join has a batched walk at all: numpy kernels, and
-        every atom a sorted relation, not a B-tree."""
+        """Whether this join has a batched walk at all: numpy kernels."""
         # function-local import: ``engine`` imports this module
         from ..engine.kernels import get_backend
 
-        return get_backend() == "numpy" and all(
-            isinstance(p.iterator, TrieIterator) for p in self._prepared
-        )
+        return get_backend() == "numpy"
 
     def has_empty_atom(self) -> bool:
         """Whether some atom has no tuples (the join is empty, seek-free)."""

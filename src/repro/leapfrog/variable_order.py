@@ -140,7 +140,7 @@ def best_join_order(
     Exact while ``n!`` fits in ``limit`` (7 join variables by default): a
     depth-first search over prefixes in ``itertools.permutations`` order.
     Step sizes are non-negative, so a prefix's cost bounds every completion
-    from below and a subtree whose prefix already costs as much as the best
+    from below and a branch whose prefix already costs as much as the best
     order so far is skipped; ties keep the first minimum in permutation
     order.  Beyond that, scores ``limit`` random orders instead — still
     cutting runtimes by orders of magnitude per Table 7 while staying fast.

@@ -10,13 +10,11 @@ from .generators import (
     twitter_database,
     twitter_graph,
 )
-from .btree import BPlusTree
 from .relation import Database, Relation
 from .sorted import SortedRelation
 
 __all__ = [
     "ACADEMY_AWARDS",
-    "BPlusTree",
     "Database",
     "FreebaseConfig",
     "JOE_PESCI",

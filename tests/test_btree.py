@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.btree import BPlusTree
+from benchmarks.ablation_btree import BPlusTree
 
 row_lists = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=120

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.leapfrog.btree_iterator import BTreeTrieIterator
-from repro.leapfrog.btree_iterator import BTreeTributaryJoin
+from benchmarks.ablation_btree import BPlusTree, BTreeTributaryJoin, BTreeTrieIterator
 from repro.leapfrog.tributary import TributaryJoin, prepare_atom
 from repro.query.parser import parse_query
-from repro.storage.btree import BPlusTree
 from repro.storage.relation import Relation
 
 edge_lists = st.lists(

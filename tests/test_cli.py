@@ -248,8 +248,22 @@ class TestExitCodes:
             ('[{"kind": "crash"}]', "object"),
             ('{"faults": [{"kind": "straggler", "factor": "3"}]}', "factor"),
             ('{"faults": [{"kind": "crash", "attempts": 1}]}', "attempts"),
+            ('{"faults": [{"kind": "crash", "round": 2, "worker": 99}]}', "worker"),
+            ('{"faults": [{"kind": "crash", "worker": -1}]}', "worker"),
+            ('{"faults": [{"kind": "crash", "round": -1}]}', "round"),
+            ('{"faults": [{"kind": "oom", "attempts": [-1]}]}', "attempts"),
+            ('{"faults": [{"kind": "oom", "factor": 5.0}]}', "factor"),
+            ('{"faults": [{"kind": "crash", "exchange": "S"}]}', "exchange"),
+            ('{"faults": [{"kind": "oom", "phase": "nope"}]}', "phase"),
+            ('{"faults": [{"kind": "partition_loss", "exchange": "S", "worker": 0}]}',
+             "worker"),
+            ('{"faults": [{"kind": "straggler", "factor": 2.0, "attempts": [0]}]}',
+             "attempts"),
         ],
-        ids=["missing", "unknown-key", "list", "string-factor", "int-attempts"],
+        ids=["missing", "unknown-key", "list", "string-factor", "int-attempts",
+             "worker-out-of-range", "negative-worker", "negative-round",
+             "negative-attempt", "factor-on-oom", "exchange-on-crash",
+             "phase-on-oom", "worker-on-partition-loss", "attempts-on-straggler"],
     )
     def test_unreadable_fault_plan_is_usage_error(self, capsys, tmp_path, text, field):
         plan = tmp_path / "plan.json"
@@ -277,6 +291,11 @@ class TestExitCodes:
     def test_out_of_range_value_is_usage_error(self, capsys, argv, field):
         assert main(argv) == EXIT_USAGE
         assert field in capsys.readouterr().err
+
+    def test_explain_faults_without_analyze_is_usage_error(self, capsys):
+        code = main(["explain", TRIANGLE, "--faults", "/nonexistent.json"])
+        assert code == EXIT_USAGE
+        assert "--analyze" in capsys.readouterr().err
 
     def test_bad_recovery_spec_is_usage_error(self, capsys):
         code = main(["run", TRIANGLE, "--workers", "4",

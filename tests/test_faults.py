@@ -405,6 +405,34 @@ class TestDslValidation:
         with pytest.raises(ValueError):
             FaultSpec(kind="partition_loss")
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"kind": "crash", "round": 2, "worker": True}, "worker"),
+            ({"kind": "crash", "worker": "1"}, "worker"),
+            ({"kind": "crash", "worker": -1}, "worker"),
+            ({"kind": "crash", "round": -1}, "round"),
+            ({"kind": "crash", "attempts": [-1]}, "attempts"),
+            ({"kind": "oom", "factor": 5.0}, "factor"),
+            ({"kind": "oom", "phase": "nope"}, "phase"),
+            ({"kind": "crash", "exchange": "S"}, "exchange"),
+            ({"kind": "partition_loss", "exchange": "S", "worker": 0}, "worker"),
+            ({"kind": "straggler", "factor": 2.0, "attempts": [0, 1]}, "attempts"),
+        ],
+    )
+    def test_dataclass_and_json_reject_alike(self, fields, name):
+        with pytest.raises(ValueError, match=f"field '{name}'"):
+            FaultSpec(**fields)
+        with pytest.raises(ValueError, match=rf"faults\[0\]: field '{name}'"):
+            FaultPlan.from_dict({"faults": [fields]})
+
+    def test_worker_out_of_range_is_rejected_at_session(self, db):
+        plan = {"faults": [{"kind": "crash", "round": 2, "worker": 4}]}
+        with pytest.raises(ValueError, match="field 'worker' is 4"):
+            FaultSession(FaultPlan.from_dict(plan), RecoveryPolicy(), 4)
+        with pytest.raises(ValueError, match="field 'worker' is 4"):
+            run_query(TRIANGLE, db, strategy="RS_HJ", workers=4, faults=plan)
+
     def test_policy_parsing(self):
         assert resolve_policy(None).mode == "retry"
         assert resolve_policy("retry:5").max_retries == 5

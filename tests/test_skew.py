@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.ablation_skew import detect_heavy_hitters, skew_resilient_shuffle
 from repro.engine.frame import Frame
 from repro.engine.hash_join import symmetric_hash_join
-from repro.engine.skew import detect_heavy_hitters, skew_resilient_shuffle
 from repro.engine.stats import ExecutionStats
 from repro.query.atoms import Variable
 
