@@ -44,6 +44,8 @@ import sys
 
 from .engine.faults import FaultPlan, FaultSession, resolve_policy
 from .engine.kernels import KERNEL_BACKENDS, use_backend
+from .engine.memory import MemoryBudget
+from .engine.runtime import resolve_runtime
 from .engine.service import QueryRequest, QueryService
 from .experiments.harness import format_figure, run_workload
 from .hypercube.config import optimize_config
@@ -149,7 +151,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    """The ``explain`` command; with ``--analyze`` it executes the plan."""
+    """The ``explain`` command; with ``--analyze`` it executes the plan.
+    Its execution flags are checked either way, as ``run`` checks them,
+    before any dataset is built (resolving a runtime forks nothing)."""
+    resolve_policy(args.recovery)
+    resolve_runtime(args.runtime)
+    MemoryBudget(args.memory_tuples)
     if args.faults and not args.analyze:
         raise ValueError("--faults needs --analyze: explain injects faults "
                          "only into a plan it executes")

@@ -12,12 +12,14 @@ The fractional shares of the LP cannot be used directly ("we cannot let
 
 Despite being exhaustive, the enumeration is tiny in practice (the paper
 reports <100 ms for N=64 even on 8-variable queries) because configurations
-are divisor vectors of numbers ``<= N``.
+are divisor vectors of numbers ``<= N``; and it is made once per (variable
+count, ``N``), every later call only prices the memoized configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -82,6 +84,18 @@ def enumerate_configs(
     yield from extend((), max_workers, len(variables))
 
 
+@lru_cache(maxsize=64)
+def _integral_configs(count: int, workers: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Every configuration of ``count`` dimensions on ``workers``, in
+    :func:`enumerate_configs` order, and their sizes as float columns (one
+    row per dimension, read-only): enumerated once per shape, not on every
+    :func:`optimize_config` call."""
+    configs = list(enumerate_configs(range(count), workers))
+    sizes = np.asarray(configs, dtype=np.float64).T
+    sizes.flags.writeable = False
+    return configs, sizes
+
+
 def workload(
     query: ConjunctiveQuery,
     cardinalities: Mapping[str, int],
@@ -109,11 +123,11 @@ def optimize_config(
     order = tuple(query.join_variables())
     if not order:
         return HyperCubeConfig(query.name, order, {})
-    configs = list(enumerate_configs(order, workers))
+    configs, columns = _integral_configs(len(order), workers)
     # workload(c) of every configuration at once: one array expression per
     # atom, in expected_load's operation order, so each load is the very
     # float the per-configuration call returns
-    sizes_of = dict(zip(order, np.asarray(configs, dtype=np.float64).T))
+    sizes_of = dict(zip(order, columns))
     loads = np.zeros(len(configs))
     for atom in query.atoms:
         divisor = np.ones(len(configs))

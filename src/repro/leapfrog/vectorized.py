@@ -20,8 +20,11 @@ and everything below is oblivious to how many segments share the walk.  A
 simulated worker holds 1/p of the data, so walking workers together is
 what fills the batches.  A single join (:meth:`TributaryJoin.iterate`) is
 the same walk with one segment.  The one array is the whole trie: level
-``d``'s prefix is ``full // stride_d``, a seek searches ``full`` for
-``target · stride_d``, and a block ends where the prefix moves past its own.
+``d``'s prefix is ``full // stride_d`` and a seek searches ``full`` for
+``target · stride_d``.  Only seeks search: every other bound is read from
+the level's run index (:meth:`_AtomArrays.index`), built once per level —
+the runs inside a block, and a found key's block end, the next run start.
+The counted clock still charges the scalar walk's block-end searches.
 
 The walk returns what it found as arrays: head rows per segment, seeks per
 (atom, segment) and results per segment.  Nothing in it is per worker.  The
@@ -104,6 +107,12 @@ _CHUNK_CAP = 8192
 _MERGE_CAP = 32768
 
 
+def index_dtype(rows: int) -> np.dtype:
+    """The narrowest signed integer that indexes ``rows`` rows and the end
+    past them: int32 below ``2**31`` rows, int64 from there on."""
+    return np.dtype(np.int32 if rows < 2**31 else np.int64)
+
+
 class _AtomArrays:
     """The search structure for one atom across a batch of segments.
 
@@ -111,11 +120,12 @@ class _AtomArrays:
     sorted, the segment as the leading digit
     (:func:`~repro.engine.kernels.sorted_packed_keys`); ``offsets`` are
     the segments' row boundaries.  Level ``d``'s prefix is ``full //
-    strides[d]`` and its key the low digit of that (:meth:`keys`).  Run
-    boundaries per level are built lazily.
+    strides[d]`` and its key the low digit of that (:meth:`keys`).  Each
+    level's run index (:meth:`index`) is built lazily, the first time the
+    walk reaches the level.
     """
 
-    __slots__ = ("offsets", "full", "lows", "spans", "strides", "_runs")
+    __slots__ = ("offsets", "full", "lows", "spans", "strides", "_index")
 
     def __init__(
         self,
@@ -129,7 +139,7 @@ class _AtomArrays:
         self.lows = lows
         self.spans = spans
         self.strides = [math.prod(spans[d + 1:]) for d in range(len(spans))]
-        self._runs: dict[int, np.ndarray] = {}
+        self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def pack(cls, blocks: Sequence[kernels.ColumnBlock]) -> Optional["_AtomArrays"]:
@@ -147,16 +157,38 @@ class _AtomArrays:
         prefixes = self.full[rows] // self.strides[level]
         return prefixes % self.spans[level] + self.lows[level]
 
-    def runs(self, level: int) -> np.ndarray:
-        """Where the equal-prefix runs of ``level`` start, then the row
-        count: run ``r`` is ``[runs[r], runs[r + 1])``."""
-        cached = self._runs.get(level)
+    def index(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(runs, run_of)`` of ``level``'s equal-prefix runs.
+
+        ``runs`` is where each run starts, then the row count: run ``r`` is
+        ``[runs[r], runs[r + 1])``.  ``run_of[row]`` is the run holding
+        ``row`` and ``run_of[rows]`` the run count, so the runs inside a
+        block ``[lo, hi)`` of the level above are ``run_of[lo]`` up to
+        ``run_of[hi]``.  Both come from one change mask, in
+        :func:`index_dtype`.
+        """
+        cached = self._index.get(level)
         if cached is None:
             prefixes = self.full // self.strides[level]
-            change = np.flatnonzero(prefixes[1:] != prefixes[:-1]) + 1
-            cached = np.concatenate(([0], change, [prefixes.size]))
-            self._runs[level] = cached
+            rows = prefixes.size
+            change = prefixes[1:] != prefixes[:-1]
+            dtype = index_dtype(rows)
+            run_of = np.empty(rows + 1, dtype=dtype)
+            run_of[0] = 0
+            np.cumsum(change, dtype=dtype, out=run_of[1:rows])
+            starts = np.flatnonzero(change)
+            runs = np.empty(starts.size + 2, dtype=dtype)
+            runs[0], runs[-1] = 0, rows
+            np.add(starts, 1, out=runs[1:-1], casting="unsafe")
+            run_of[rows] = runs.size - 1
+            cached = self._index[level] = (runs, run_of)
         return cached
+
+    def run_end(self, level: int, rows: np.ndarray) -> np.ndarray:
+        """Per row, the first row past its run at ``level``: where the
+        block of a key found at ``rows`` ends."""
+        runs, run_of = self.index(level)
+        return runs[run_of[rows] + 1]
 
 
 class VectorizedTributaryRun:
@@ -337,10 +369,10 @@ class VectorizedTributaryRun:
     def _run_span(self, index, depth, block_lo, block_hi):
         """Per context, the first of atom ``index``'s runs at ``depth``
         inside its block, and how many there are: its distinct keys."""
-        runs = self.arrays[index].runs(self._levels[(index, depth)])
+        run_of = self.arrays[index].index(self._levels[(index, depth)])[1]
         # block bounds are run boundaries of this level (trie blocks nest)
-        first = runs.searchsorted(block_lo[index])
-        return first, runs.searchsorted(block_hi[index]) - first
+        first = run_of[block_lo[index]]
+        return first, run_of[block_hi[index]] - first
 
     def _single(self, part, depth, segment, block_lo, block_hi):
         """Wholesale expansion of a one-participant level: every context's
@@ -348,7 +380,7 @@ class VectorizedTributaryRun:
         index = part[0]
         arrays = self.arrays[index]
         level = self._levels[(index, depth)]
-        runs = arrays.runs(level)
+        runs = arrays.index(level)[0]
         first, counts = self._run_span(index, depth, block_lo, block_hi)
         total = int(counts.sum())
         # 1 open + (distinct - 1) nexts per context = its run count
@@ -436,7 +468,7 @@ class VectorizedTributaryRun:
         total = int(count.sum())
         heads = np.cumsum(count) - count
         rank = np.arange(total, dtype=np.int64) + np.repeat(first - heads, count)
-        runs = mine.runs(level)
+        runs = mine.index(level)[0]
         lo, hi = runs[rank], runs[rank + 1]
         keys = mine.keys(level, lo)
         # every key sought in the other side's block
@@ -451,10 +483,10 @@ class VectorizedTributaryRun:
         )
         hit = found < np.repeat(end, count)
         hit &= theirs.full.take(found, mode="clip") // stride - shift == keys
+        # a hit lands on the first row of its key's run: the block ends
+        # where the next run starts
         past = found.copy()
-        past[hit] = theirs.full.searchsorted(
-            kernels.seek_targets(keys[hit], ceiling, shift[hit], stride, 1)
-        )
+        past[hit] = theirs.run_end(at, found[hit])
         # ``past`` of the key before, the other block's start before a
         # context's first key
         before = np.empty_like(past)
@@ -515,10 +547,11 @@ class VectorizedTributaryRun:
         ``seek(key + 1)``, so one lower bound serves hits and misses.  The
         block-end search after every ``open``/``next``/``seek`` is charged
         but not performed: only the emitted blocks of participants walked
-        further down need their ends, found once for the whole level.
+        further down need their ends, read once for the whole level from
+        the run index (:meth:`_AtomArrays.run_end`).
         """
         k, n = len(part), segment.size
-        fulls, lows, ceilings, strides = [], [], [], []
+        fulls, levels, lows, ceilings, strides = [], [], [], [], []
         base = np.empty(k * n, dtype=np.int64)
         keys = np.empty((k, n), dtype=np.int64)
         for j, i in enumerate(part):
@@ -526,6 +559,7 @@ class VectorizedTributaryRun:
             level = self._levels[(i, depth)]
             low, span = arrays.lows[level], arrays.spans[level]
             fulls.append(arrays.full)
+            levels.append(level)
             lows.append(low)
             ceilings.append(min(low + span, 2**63 - 1))
             strides.append(arrays.strides[level])
@@ -616,8 +650,7 @@ class VectorizedTributaryRun:
             all_pos = np.concatenate(emit_pos, axis=1)
             for j in carried:
                 lo = all_pos[j][order]
-                past = (fulls[j][lo] // strides[j] + 1) * strides[j]
-                blocks[part[j]] = (lo, fulls[j].searchsorted(past))
+                blocks[part[j]] = (lo, self.arrays[part[j]].run_end(levels[j], lo))
         return all_ctx, np.concatenate(emit_val)[order], blocks
 
     # ------------------------------------------------------------------

@@ -297,6 +297,21 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--analyze" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--recovery", "bogus"], ["--runtime", "bogus"], ["--memory-tuples", "-5"]],
+        ids=["recovery", "runtime", "memory"],
+    )
+    def test_explain_checks_execution_flags_without_analyze(self, capsys, flags):
+        """``explain`` rejects the flags ``run`` and ``explain --analyze``
+        reject, with the same one-line error, whether or not it executes."""
+        errors = []
+        for command in (["run"], ["explain"], ["explain", "--analyze"]):
+            assert main([*command, TRIANGLE, "--workers", "4", *flags]) == EXIT_USAGE
+            errors.append(capsys.readouterr().err)
+        assert errors[0].count("\n") == 1 and errors[0].startswith("error: ")
+        assert errors == [errors[0]] * 3
+
     def test_bad_recovery_spec_is_usage_error(self, capsys):
         code = main(["run", TRIANGLE, "--workers", "4",
                      "--recovery", "retry:lots"])

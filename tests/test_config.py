@@ -16,7 +16,9 @@ from repro.hypercube.config import (
 )
 from repro.hypercube.shares import optimal_fractional_workload
 from repro.query.atoms import Variable
+from repro.query.catalog import cardinalities_for
 from repro.query.parser import parse_query
+from repro.workloads.registry import PAPER_ORDER, get_workload
 
 TRIANGLE = parse_query("T(x,y,z) :- R:E(x,y), S:E(y,z), T:E(z,x).")
 CLIQUE4 = parse_query(
@@ -140,6 +142,19 @@ class TestArrayLoadsMatchTheScan:
             }
             expected = scan_one_configuration_at_a_time(query, cards, workers)
             assert optimize_config(query, cards, workers).dim_sizes() == expected
+
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_memoized_configurations_choose_as_the_generator(self, name):
+        """The configurations are enumerated once per (variable count,
+        workers) and kept; every later call over them, the paper's queries
+        at several cluster sizes in any order, chooses what a fresh
+        generator scan chooses."""
+        workload = get_workload(name)
+        cards = cardinalities_for(workload.query, workload.dataset("unit"))
+        for workers in (1, 2, 15, 16, 64, 16, 1):
+            expected = scan_one_configuration_at_a_time(workload.query, cards, workers)
+            chosen = optimize_config(workload.query, cards, workers)
+            assert chosen.dim_sizes() == expected
 
     def test_variable_outside_the_join_counts_as_one(self):
         query = parse_query("Q(a) :- N(aw, c), HA(h, aw), HC(h, a), HY(h, y).")

@@ -14,15 +14,21 @@ def _load(name):
 
 
 def test_perf_pairs_dry_run_alternates_which_side_goes_first(capsys, tmp_path):
-    """The schedule runs both sides on every seed with identical benchmark
-    settings, the change first on odd seeds and the parent first on even
-    ones, writes under the git-ignored perf/out/ — and ``--dry-run`` only
-    prints it."""
+    """The schedule byte-compiles both checkouts, then runs both sides on
+    every seed with identical benchmark settings, the change first on odd
+    seeds and the parent first on even ones, writes under the git-ignored
+    perf/out/ — and ``--dry-run`` only prints it."""
     pairs = _load("perf_pairs")
     arguments = ["--parent", str(tmp_path), "--seeds", "1", "2", "3",
                  "--workload", "binary_hash", "--claim", "binary_hash/queries_per_s"]
     assert pairs.main(["--dry-run", *arguments]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    compiles, lines = [], capsys.readouterr().out.splitlines()
+    while lines[0].startswith("compile "):
+        compiles.append(lines.pop(0))
+    assert compiles == [
+        f"compile parent: cd {tmp_path} && python3 -m compileall -q src perf",
+        f"compile change: cd {ROOT} && python3 -m compileall -q src perf",
+    ]
     assert [tuple(line.split(":")[0].split()[1:]) for line in lines] == [
         ("1", "change"), ("1", "parent"),
         ("2", "parent"), ("2", "change"),

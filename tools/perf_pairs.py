@@ -8,7 +8,10 @@
 The change is this checkout.  ``--parent`` is a revision (default ``HEAD``:
 the working tree against its last commit), checked out with ``git worktree
 add`` under ``perf/out/pairs/`` and removed afterwards, or a directory that
-already holds the parent, used as it is.  Per seed both sides run
+already holds the parent, used as it is.  Both checkouts are
+byte-compiled first (``python -m compileall -q src perf``), so neither side
+pays for, or skips, compiling its sources in its first timed run — a stale
+``__pycache__`` on one side alone moves ``setup_s``.  Per seed both sides run
 ``perf/run.py --seed S --trace 0`` — the parent first on even seeds, the
 change first on odd ones, because the box drifts over minutes — then
 ``perf/compare.py`` prints the table.  ``--claim workload/metric`` adds what
@@ -31,6 +34,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "perf" / "out" / "pairs"
+
+
+def compile_steps(parent: Path) -> list[tuple[str, list[str], Path]]:
+    """``(side, command, cwd)`` byte-compiling each checkout before any run."""
+    command = [sys.executable, "-m", "compileall", "-q", "src", "perf"]
+    return [("parent", command, parent), ("change", command, ROOT)]
 
 
 def schedule(seeds, parent: Path, workload=None) -> list[tuple[str, int, list[str], Path]]:
@@ -91,8 +100,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checked_out = Path(args.parent).is_dir()
     tree = Path(args.parent).resolve() if checked_out else OUT / "parent-tree"
+    compiles = compile_steps(tree)
     runs = schedule(args.seeds, tree, args.workload)
     if args.dry_run:
+        for side, command, cwd in compiles:
+            print(f"compile {side}: cd {cwd} && python3 {' '.join(command[1:])}")
         for side, seed, command, cwd in runs:
             print(f"seed {seed} {side}: cd {cwd} && python3 {' '.join(command[1:])}")
         return 0
@@ -102,6 +114,8 @@ def main(argv=None) -> int:
             cwd=ROOT, check=True,
         )
     try:
+        for side, command, cwd in compiles:
+            subprocess.run(command, cwd=cwd, check=True)
         for side, seed, command, cwd in runs:
             print(f"== seed {seed} {side}", flush=True)
             subprocess.run(command, cwd=cwd, check=True, stdout=subprocess.DEVNULL)
