@@ -14,10 +14,11 @@ ledger.  The three runtimes differ only in who the executors are
 - :class:`SerialRuntime` — the calling thread runs every worker as one batch;
 - :class:`ParallelRuntime` — one batch per thread of a
   :class:`concurrent.futures.ThreadPoolExecutor`;
-- :class:`ProcessRuntime` — one batch per forked, pipe-connected session
-  child (``--runtime parallel:N:proc``), the only mode that escapes the GIL
-  for true multicore wall-clock speedup.  Everything a child needs — the
-  runner, the slot inputs, the ledgers — is shipped to it as a protocol-5
+- :class:`ProcessRuntime` — one batch per child of a forked, pipe-connected
+  pool (``--runtime parallel:N:proc``) that lives as long as the runtime,
+  the only mode that escapes the GIL for true multicore wall-clock speedup.
+  Everything a child needs — the kernel backend, the runner, the slot
+  inputs, the ledgers — is shipped to it with every batch as a protocol-5
   pickle whose array buffers of 64 KiB or more follow it out of band
   (:func:`_send`), one copy each way; a python-backend frame's row *list*
   above a size threshold crosses through a :mod:`~repro.engine.shm`
@@ -50,12 +51,15 @@ import multiprocessing
 import os
 import pickle
 import struct
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Iterable, Optional, Union
 
+from . import kernels
 from .frame import Frame
 from .memory import MemoryBudget, WorkerMemoryAccount
 from .shm import SharedRows, share_rows
@@ -170,15 +174,24 @@ class WorkerRuntime:
         return [_run_batch(runner, batch) for batch in batches]
 
     def open_session(self) -> None:
-        """Start a per-plan worker session (no-op for in-process runtimes):
-        the scheduler brackets each plan execution with ``open_session()`` /
-        ``close_session()``, and :class:`ProcessRuntime` forks its pool here."""
+        """Start the runtime's executors now rather than at the first
+        :meth:`map_local` (no-op for in-process runtimes)."""
 
     def close_session(self) -> None:
-        """End the per-plan worker session (no-op for in-process runtimes)."""
+        """Stop the runtime's executors; the next :meth:`map_local` starts
+        them again (no-op for in-process runtimes)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+def available_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the
+    OS keeps one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity on this OS
+        return os.cpu_count() or 1
 
 
 class SerialRuntime(WorkerRuntime):
@@ -190,7 +203,7 @@ class SerialRuntime(WorkerRuntime):
 class ParallelRuntime(WorkerRuntime):
     """Run worker batches concurrently on a thread pool.
 
-    ``max_workers=None`` sizes the pool to the machine's core count.  The
+    ``max_workers=None`` sizes the pool to :func:`available_cpus`.  The
     ledger isolation + ordered merge makes results and counted metrics
     identical to :class:`SerialRuntime`; only real ``elapsed_seconds``
     changes with available cores.
@@ -205,7 +218,7 @@ class ParallelRuntime(WorkerRuntime):
 
     def _local_batches(self, ids: list[int]) -> list[list[int]]:
         """Deal worker ids round-robin: one batch per pool thread."""
-        size = self.max_workers or min(32, os.cpu_count() or 1)
+        size = self.max_workers or min(32, available_cpus())
         return [ids[k::size] for k in range(min(size, len(ids)))]
 
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
@@ -319,12 +332,14 @@ def _recv(connection) -> Any:
 def _session_child_main(connection) -> None:
     """Serve structured local batches inside one persistent forked child.
 
-    Each message is ``(runner, [(worker, ledger, encoded inputs), ...])``;
-    the batch runs as one ``runner`` call and every outcome ships back as
-    ``(worker, encoded value, mutated ledger, error)`` — the ledger rides
-    along even when the task raised, so the parent honors the
-    commit-before-lowest-failure contract exactly like the in-process
-    runtimes.  ``None`` (or a closed pipe) ends the loop.
+    Each message is ``(kernel backend, runner, [(worker, ledger, encoded
+    inputs), ...])``; the batch runs as one ``runner`` call under the
+    driver's backend — the child outlives whatever backend it was forked
+    under — and every outcome ships back as ``(worker, encoded value,
+    mutated ledger, error)``: the ledger rides along even when the task
+    raised, so the parent honors the commit-before-lowest-failure contract
+    exactly like the in-process runtimes.  ``None`` (or a closed pipe) ends
+    the loop.
     """
     while True:
         try:
@@ -333,15 +348,16 @@ def _session_child_main(connection) -> None:
             break
         if message is None:
             break
-        runner, batch = message
-        batch = [
-            (worker, ledger, _decode_value(payload))
-            for worker, ledger, payload in batch
-        ]
-        results = [
-            (worker, _encode_value(value), ledger, error)
-            for worker, value, ledger, error in _run_batch(runner, batch)
-        ]
+        backend, runner, batch = message
+        with kernels.use_backend(backend):
+            batch = [
+                (worker, ledger, _decode_value(payload))
+                for worker, ledger, payload in batch
+            ]
+            results = [
+                (worker, _encode_value(value), ledger, error)
+                for worker, value, ledger, error in _run_batch(runner, batch)
+            ]
         try:
             _send(connection, results)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
@@ -361,7 +377,7 @@ def _trim_heap() -> None:
 
 
 class _SessionWorker:
-    """One persistent forked child of a :class:`ProcessRuntime` session."""
+    """One persistent forked child of a :class:`ProcessRuntime` pool."""
 
     def __init__(self, context) -> None:
         parent, child = context.Pipe()
@@ -385,22 +401,38 @@ class _SessionWorker:
             self.process.join(timeout=10)
 
 
+def _stop_pool(owner: int, children: list[_SessionWorker]) -> None:
+    """Stop ``children`` — in the process that forked them only: a pool
+    child that frees its inherited copy of the runtime must not stop its
+    siblings through the pipe ends it inherited too."""
+    if os.getpid() == owner:
+        for child in children:
+            child.stop()
+
+
 class ProcessRuntime(WorkerRuntime):
-    """Run worker batches on forked, pipe-connected session children.
+    """Run worker batches on the children of one forked, pipe-connected pool.
 
     The only runtime that escapes the GIL: worker-local joins run on real
     cores, so wall-clock time drops with core count while every counted
     metric stays bit-identical to :class:`SerialRuntime` (the ledgers are
     plain picklable dataclasses; floats survive the pickle round trip
-    exactly).  ``processes=None`` sizes the pool to the machine.
+    exactly).  ``processes=None`` sizes the pool to :func:`available_cpus`.
 
-    Within one plan execution the scheduler opens a *session*
-    (:meth:`open_session`): children forked once and reused by every local
-    round, with the runner, slot inputs and ledgers shipped per phase — so
-    a child needs no live driver state, and fault-injected rounds run here
-    like any other (the fault session rides inside the runner).  A child
-    that dies mid-round fails its batch's first worker and the session is
-    dropped; the next one reforks.
+    The pool lives as long as the runtime: :meth:`open_session` — which
+    every plan calls before its first Round builds a frame — or else the
+    first :meth:`map_local` forks it, and every later Round — of any plan, any
+    :class:`~repro.engine.service.QueryService` drain — reuses it, with the
+    kernel backend, runner, slot inputs and ledgers shipped per batch, so a
+    child needs no live driver state and fault-injected rounds run here
+    like any other (the fault session rides inside the runner).  One lock
+    serializes :meth:`map_local`: the pool is shared by every thread that
+    holds the runtime.  A child found dead between Rounds is reforked
+    before the next one ships — nothing was in flight, so nothing is lost;
+    a child that dies *mid*-Round fails its batch's first worker and the
+    whole pool is dropped, to be reforked by the next Round.  Children
+    still alive when the runtime is collected, or the interpreter exits,
+    are stopped and reaped.
 
     Requires the ``fork`` start method; on platforms without it, falls back
     to the thread pool with identical semantics.
@@ -413,25 +445,48 @@ class ProcessRuntime(WorkerRuntime):
             raise ValueError("ProcessRuntime needs at least one pool process")
         self.processes = processes
         self._session: Optional[list[_SessionWorker]] = None
+        self._reaper: Optional[weakref.finalize] = None
+        self._lock = threading.Lock()
 
     def open_session(self) -> None:
-        """Fork the persistent per-plan worker pool (fork platforms only)."""
-        if self._session is not None:
-            return
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return
-        context = multiprocessing.get_context("fork")
-        _trim_heap()  # the children inherit the live heap only
-        size = self.processes or (os.cpu_count() or 1)
-        self._session = [_SessionWorker(context) for _ in range(size)]
+        """Fork the pool now rather than at the first :meth:`map_local`."""
+        with self._lock:
+            self._start()
 
     def close_session(self) -> None:
-        """Shut down the persistent pool, if one is open."""
+        """Stop and reap the pool, if one is running; the next
+        :meth:`map_local` forks a new one."""
+        with self._lock:
+            self._stop()
+
+    def _start(self) -> bool:
+        """Make every child of the pool a live one: fork the pool if there
+        is none, else refork each child that died since the last Round.
+        False where ``fork`` is unavailable."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return False
+        context = multiprocessing.get_context("fork")
         if self._session is None:
-            return
-        children, self._session = self._session, None
-        for child in children:
-            child.stop()
+            _trim_heap()  # the children inherit the live heap only
+            size = self.processes or available_cpus()
+            self._session = [_SessionWorker(context) for _ in range(size)]
+            self._reaper = weakref.finalize(
+                self, _stop_pool, os.getpid(), self._session
+            )
+            return True
+        for index, child in enumerate(self._session):
+            if not child.process.is_alive():
+                child.process.join(timeout=10)
+                child.connection.close()
+                _trim_heap()
+                self._session[index] = _SessionWorker(context)
+        return True
+
+    def _stop(self) -> None:
+        """Stop and reap every child (the reaper is the one place that does)."""
+        if self._session is not None:
+            self._session = None
+            self._reaper()
 
     def map_local(
         self,
@@ -441,33 +496,27 @@ class ProcessRuntime(WorkerRuntime):
         stats: ExecutionStats,
         memory: MemoryBudget,
     ) -> list:
-        """:meth:`WorkerRuntime.map_local` over the session children.
-
-        Without an open session the children are forked for this call
-        alone; off-fork platforms run the batches on the thread pool.
+        """:meth:`WorkerRuntime.map_local` over the pool's children, forked
+        on first use; off-fork platforms run the batches on the thread pool.
         """
-        if self._session is not None:
-            return super().map_local(worker_ids, runner, payloads, stats, memory)
-        self.open_session()
-        if self._session is None:
-            return ParallelRuntime(max_workers=self.processes).map_local(
-                worker_ids, runner, payloads, stats, memory
-            )
-        try:
-            return super().map_local(worker_ids, runner, payloads, stats, memory)
-        finally:
-            self.close_session()
+        with self._lock:
+            if self._start():
+                return super().map_local(worker_ids, runner, payloads, stats, memory)
+        return ParallelRuntime(max_workers=self.processes).map_local(
+            worker_ids, runner, payloads, stats, memory
+        )
 
     def _local_batches(self, ids: list[int]) -> list[list[int]]:
-        """Deal worker ids round-robin: one batch per session child."""
+        """Deal worker ids round-robin: one batch per pool child."""
         size = len(self._session)
         return [ids[k::size] for k in range(min(size, len(ids)))]
 
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
-        """Ship each batch to its session child; collect what they send.
+        """Ship each batch to its pool child; collect what they send.
 
-        Anything raised before every child is heard out drops the session,
+        Anything raised before every child is heard out drops the pool,
         or the next Round would read a reply left in a pipe as its own."""
+        backend = kernels.get_backend()
         shipped = []  # per child, the shm segments its message points at
         try:
             for child, batch in zip(self._session, batches):
@@ -479,7 +528,7 @@ class ProcessRuntime(WorkerRuntime):
                     [h for _, _, value in encoded for h in _shared_handles(value)]
                 )
                 try:
-                    _send(child.connection, (runner, encoded))
+                    _send(child.connection, (backend, runner, encoded))
                 except OSError:
                     pass  # the child is gone: its missing reply reports it below
             # every child is heard out and every shipped value decoded,
@@ -508,17 +557,15 @@ class ProcessRuntime(WorkerRuntime):
             self._drop_session([h for handles in shipped for h in handles])
             raise
         if broken:
-            self.close_session()  # the next open_session() reforks
+            self._stop()  # the next Round reforks
         return outcomes
 
     def _drop_session(self, handles: list[SharedRows]) -> None:
         """Kill every child (one may be blocked sending a reply no one will
         read) and unlink ``handles``; the next Round reforks."""
-        children, self._session = self._session, None
-        for child in children:
+        for child in self._session:
             child.process.terminate()
-            child.process.join(timeout=10)
-            child.connection.close()
+        self._stop()
         for handle in handles:
             handle.discard()
 
@@ -528,6 +575,19 @@ class ProcessRuntime(WorkerRuntime):
 
 RuntimeLike = Union[str, WorkerRuntime, None]
 
+#: the interpreter's process runtime per pool size (``None``: machine-sized)
+_SHARED_POOLS: dict[Optional[int], ProcessRuntime] = {}
+_SHARED_POOLS_LOCK = threading.Lock()
+
+
+def _shared_process_runtime(processes: Optional[int]) -> ProcessRuntime:
+    """The one :class:`ProcessRuntime` a spec of this size resolves to, so
+    successive queries reuse its pool."""
+    with _SHARED_POOLS_LOCK:
+        if processes not in _SHARED_POOLS:
+            _SHARED_POOLS[processes] = ProcessRuntime(processes)
+        return _SHARED_POOLS[processes]
+
 
 def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
     """Turn a runtime spec into a runtime instance.
@@ -535,7 +595,9 @@ def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
     Accepts an existing :class:`WorkerRuntime`, ``None`` (→ serial), or the
     CLI spellings ``"serial"``, ``"parallel"`` / ``"parallel:N"`` for a
     thread pool, and ``"parallel:N:proc"`` (or ``"parallel:proc"`` for a
-    machine-sized pool) for forked worker processes.
+    machine-sized pool) for forked worker processes.  A process spec
+    resolves to one shared runtime per pool size, whose children live as
+    long as the interpreter; an instance passed in is used as it is.
     """
     if spec is None:
         return SerialRuntime()
@@ -547,7 +609,7 @@ def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
     if text == "parallel":
         return ParallelRuntime()
     if text == "parallel:proc":
-        return ProcessRuntime()
+        return _shared_process_runtime(None)
     if text.startswith("parallel:") and text.endswith(":proc"):
         try:
             count = int(text[len("parallel:"): -len(":proc")])
@@ -556,7 +618,7 @@ def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
                 f"bad runtime spec {spec!r}; "
                 "use 'serial', 'parallel[:N]', or 'parallel:N:proc'"
             ) from None
-        return ProcessRuntime(processes=count)
+        return _shared_process_runtime(count)
     if text.startswith("parallel:"):
         try:
             count = int(text.split(":", 1)[1])

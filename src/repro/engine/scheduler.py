@@ -325,14 +325,10 @@ class PlanExecution:
     (:mod:`~repro.engine.service`) interleaves :meth:`step` calls from
     many queries onto one shared worker runtime; a single query stepped to
     completion is bit-identical to :func:`run_plan` by construction
-    (:func:`run_plan` *is* this class stepped in a loop).
-
-    ``manage_session`` controls the worker-runtime session bracket: by
-    default the execution opens a per-plan session on construction and
-    :meth:`close` ends it, exactly as :func:`run_plan` always did.  A
-    caller multiplexing several executions over one long-lived runtime
-    session (the serving layer) passes ``manage_session=False`` and owns
-    the ``open_session()``/``close_session()`` bracket itself.
+    (:func:`run_plan` *is* this class stepped in a loop).  An execution
+    owns no worker-runtime state: it only starts the runtime's workers
+    before its first Round builds a frame — a pool forked later would keep
+    a private copy of those frames for life — and the pool outlives it.
     """
 
     def __init__(
@@ -343,7 +339,6 @@ class PlanExecution:
         runtime: WorkerRuntime,
         trace: Optional[list[OperatorTrace]] = None,
         faults: Optional[FaultSession] = None,
-        manage_session: bool = True,
     ) -> None:
         self.plan = plan
         self.cluster = cluster
@@ -353,11 +348,7 @@ class PlanExecution:
         self.faults = faults
         self._state = _ExecState()
         self._next_round = 0
-        self._manage_session = manage_session
-        self._session_open = False
-        if manage_session:
-            runtime.open_session()
-            self._session_open = True
+        runtime.open_session()
 
     @property
     def rounds_total(self) -> int:
@@ -604,10 +595,8 @@ class PlanExecution:
                 record(op_index, op)
 
     def close(self) -> None:
-        """End the per-plan runtime session, if this execution owns one."""
-        if self._session_open:
-            self._session_open = False
-            self.runtime.close_session()
+        """Release what the execution holds outside its own state: nothing,
+        since the runtime's workers outlive the plan."""
 
     def finalize(self) -> ScheduledRun:
         """Union worker outputs, project, de-duplicate; build the result.
@@ -691,11 +680,8 @@ def run_plan(
     execution = PlanExecution(
         plan, cluster, stats, runtime, trace=trace, faults=faults
     )
-    try:
-        while not execution.finished:
-            execution.step()
-    finally:
-        execution.close()
+    while not execution.finished:
+        execution.step()
     return execution.finalize()
 
 

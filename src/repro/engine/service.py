@@ -338,7 +338,6 @@ class QueryService:
         self._next_id = 0
         self._tick = 0
         self._catalogs: dict[int, tuple[Database, Catalog]] = {}
-        self._session_depth = 0
 
     # -- submission ----------------------------------------------------------
 
@@ -467,30 +466,20 @@ class QueryService:
     def run_until_complete(self) -> list[QueryOutcome]:
         """Drain the service: tick until no query is queued or in flight.
 
-        Brackets the drain in one worker-runtime session, so a
-        process-backed runtime forks its pool once for the whole batch.
         Returns every outcome recorded so far, in query-id order.
         """
-        self.open()
-        try:
-            while self.step():
-                pass
-        finally:
-            self.close()
+        while self.step():
+            pass
         return [self.outcomes[key] for key in sorted(self.outcomes)]
 
     def open(self) -> None:
-        """Open the shared worker-runtime session (re-entrant)."""
-        if self._session_depth == 0:
-            self.runtime.open_session()
-        self._session_depth += 1
+        """Start the runtime's workers now rather than in the first Round
+        (a process runtime forks its pool here; it outlives the drain)."""
+        self.runtime.open_session()
 
     def close(self) -> None:
-        """Close the shared worker-runtime session (re-entrant)."""
-        if self._session_depth > 0:
-            self._session_depth -= 1
-            if self._session_depth == 0:
-                self.runtime.close_session()
+        """Stop the runtime's workers; the next Round starts them again."""
+        self.runtime.close_session()
 
     @property
     def inflight(self) -> int:
@@ -610,7 +599,7 @@ class QueryService:
             workers=cluster.workers,
         )
         query.execution = PlanExecution(
-            query.physical, cluster, stats, self.runtime, manage_session=False
+            query.physical, cluster, stats, self.runtime
         )
         outcome = query.outcome
         outcome.stats, outcome.memory = stats, budget

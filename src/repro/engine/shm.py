@@ -1,8 +1,8 @@
 """Shared-memory row transport for the process-backed runtime.
 
 The process runtime (:class:`~repro.engine.runtime.ProcessRuntime`) forks
-its session children once per plan, before any Round has run, so nothing a
-Round reads arrives by copy-on-write: each Round's slot inputs are shipped
+its pool once and keeps it across plans, so nothing a Round reads arrives
+by copy-on-write: each Round's slot inputs are shipped
 to the child that runs them, and its results are shipped back.  Either way
 the rows would otherwise be pickled tuple by tuple through the session
 pipe.  This module moves large row blocks through
@@ -103,9 +103,8 @@ def share_rows(rows: Sequence[Row]) -> Optional[SharedRows]:
         segment.close()
         segment.unlink()
         raise
-    # the forked child exits before the parent reads the segment; hand
-    # cleanup responsibility to the parent (SharedRows.load unlinks) so the
-    # child's resource tracker does not reap or double-free it
+    # the receiver unlinks the segment (SharedRows.load), so the creator's
+    # resource tracker must not reap or double-free it
     try:
         resource_tracker.unregister(segment._name, "shared_memory")
     except Exception:  # pragma: no cover - tracker internals vary by version

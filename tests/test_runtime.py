@@ -87,6 +87,32 @@ class TestResolveRuntime:
     def test_zero_process_pool_rejected(self):
         with pytest.raises(ValueError):
             ProcessRuntime(processes=0)
+        with pytest.raises(ValueError):
+            resolve_runtime("parallel:0:proc")
+
+
+class TestDefaultSizes:
+    """An unsized pool counts the CPUs this process may run on."""
+
+    def test_thread_pool_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                            raising=False)
+        assert len(ParallelRuntime()._local_batches(list(range(10)))) == 3
+        assert runtime_module.available_cpus() == 3
+
+    def test_without_an_affinity_mask_the_machine_counts(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert runtime_module.available_cpus() == 5
+
+    def test_process_pool_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        runtime = ProcessRuntime()
+        try:
+            assert len(set(_round(runtime, _pid_runner))) == 1
+        finally:
+            runtime.close_session()
 
 
 def _per_worker(task, batch):
@@ -476,28 +502,29 @@ def test_session_child_dying_mid_round_fails_its_first_worker():
         runtime.close_session()
 
 
-def test_session_child_killed_between_rounds_is_reported_by_the_next():
+def test_session_child_killed_between_rounds_is_reforked_before_the_next():
+    """Nothing was in flight when the child died, so the next Round — which
+    may belong to an unrelated query — loses nothing: the dead child is
+    replaced before the Round ships, and the live one is kept."""
     runtime = ProcessRuntime(processes=2)
     runtime.open_session()
     try:
-        victim = runtime._session[0].process
+        victim, survivor = (child.process for child in runtime._session)
         victim.kill()
         victim.join(timeout=10)
-        assert not victim.is_alive()
-        with pytest.raises(
-            RuntimeError,
-            match=rf"session child {victim.pid} died \(exit code -{int(signal.SIGKILL)}\)",
-        ):
-            _round(runtime, _pid_runner)
+        assert victim.exitcode == -signal.SIGKILL
+        pids = _round(runtime, _pid_runner)
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert victim.pid not in pids and survivor.pid in pids
     finally:
         runtime.close_session()
 
 
 def test_inputs_shipped_to_a_dead_child_are_unlinked(monkeypatch):
-    """The second child is killed before the round: the row-list frame
-    encoded for it sits in ``/dev/shm`` with nobody left to load it, so the
-    runtime that reports the missing reply reclaims it too (the survivor's
-    segment is unlinked by the survivor loading it)."""
+    """The second child is killed as the round ships to it: the row-list
+    frame encoded for it sits in ``/dev/shm`` with nobody left to load it,
+    so the runtime that reports the missing reply reclaims it too (the
+    survivor's segment is unlinked by the survivor loading it)."""
     _shm_segments()  # skips where there is no /dev/shm
     handles = []
 
@@ -506,14 +533,21 @@ def test_inputs_shipped_to_a_dead_child_are_unlinked(monkeypatch):
         handles.append(handle)
         return handle
 
-    monkeypatch.setattr(runtime_module, "share_rows", spying_share_rows)
     runtime = ProcessRuntime(processes=2)
     runtime.open_session()
+    doomed = runtime._session[1]
+    victim = doomed.process
+    send = runtime_module._send
+
+    def killing_send(connection, message):
+        if connection is doomed.connection and message is not None:
+            victim.kill()
+            victim.join(timeout=10)
+        send(connection, message)
+
+    monkeypatch.setattr(runtime_module, "share_rows", spying_share_rows)
+    monkeypatch.setattr(runtime_module, "_send", killing_send)
     try:
-        victim = runtime._session[1].process
-        victim.kill()
-        victim.join(timeout=10)
-        assert not victim.is_alive()
         payloads = {
             worker: {"in": Frame(("x", "y"), [(worker, i) for i in range(20_000)])}
             for worker in range(2)
@@ -550,13 +584,6 @@ def test_failure_after_the_shared_walk_is_its_own_workers():
     done, error = _run_join_op(LOCAL_JOIN, views)
     assert done == 2 and str(error) == "slot refused"
     assert sorted(written) == [0, 1]
-
-
-def test_process_map_local_without_a_session_forks_for_the_call():
-    runtime = resolve_runtime("parallel:2:proc")
-    pids = _round(runtime, _pid_runner)
-    assert len(set(pids)) == 2 and os.getpid() not in pids
-    assert runtime._session is None
 
 
 def _resident_mb():
