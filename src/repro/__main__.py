@@ -269,7 +269,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if count
     ))
     print(f"elapsed:     {elapsed:.2f}s  "
-          f"throughput {len(outcomes) / elapsed:.1f} queries/s")
+          f"throughput {sum(o.ok for o in outcomes) / elapsed:.1f} queries/s")
     print(f"latency:     p50 {latency['p50_seconds'] * 1000:.1f}ms  "
           f"p95 {latency['p95_seconds'] * 1000:.1f}ms  "
           f"p99 {latency['p99_seconds'] * 1000:.1f}ms")

@@ -20,11 +20,11 @@ ledger.  The three runtimes differ only in who the executors are
   Everything a child needs — the kernel backend, the runner, the slot
   inputs, the ledgers — is shipped to it with every batch as a protocol-5
   pickle whose array buffers of 64 KiB or more follow it out of band
-  (:func:`_send`), one copy each way; a python-backend frame's row *list*
-  above a size threshold crosses through a :mod:`~repro.engine.shm`
-  shared-memory segment instead.  Under numpy every frame is a column
-  block.  Each worker's ledger is pickled back and merged exactly like the
-  thread runtime's.
+  (:func:`_send`), one copy each way.  The pipe is the only transport:
+  under numpy every frame is a column block, and a python-backend frame's
+  large row *list* is packed into one such array first
+  (:mod:`~repro.engine.shm`).  Each worker's ledger is pickled back and
+  merged exactly like the thread runtime's.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker
@@ -237,18 +237,17 @@ class ParallelRuntime(WorkerRuntime):
 
 @dataclass
 class _SharedFrame:
-    """A :class:`Frame` whose rows crossed the process boundary via shm."""
+    """A :class:`Frame` whose row list crosses the pipe packed."""
 
     variables: tuple
     shared: SharedRows
 
 
 def _encode_payload(item: Any) -> Any:
-    """Swap a frame's large row list for a shared-memory handle before
-    pickling.
+    """Pack a frame's large row list into one array before pickling.
 
     A frame whose rows are a column block passes through: :func:`_send`
-    moves its arrays with one copy each way, all a segment would save."""
+    already moves its arrays with one copy each way."""
     if isinstance(item, Frame) and isinstance(item.rows, list):
         shared = share_rows(item.rows)
         if shared is not None:
@@ -257,7 +256,7 @@ def _encode_payload(item: Any) -> Any:
 
 
 def _decode_payload(item: Any) -> Any:
-    """Reattach a shared-memory handle back into its frame."""
+    """Rebuild a packed frame's row list."""
     if isinstance(item, _SharedFrame):
         return Frame(item.variables, item.shared.load())
     return item
@@ -273,12 +272,6 @@ def _decode_value(value: Any) -> Any:
     if isinstance(value, dict):
         return {key: _decode_payload(item) for key, item in value.items()}
     return _decode_payload(value)
-
-
-def _shared_handles(value: Any) -> list[SharedRows]:
-    """The shared-memory handles inside an encoded value."""
-    items = value.values() if isinstance(value, dict) else [value]
-    return [item.shared for item in items if isinstance(item, _SharedFrame)]
 
 
 #: an array buffer this large or larger crosses the session pipe out of band
@@ -514,34 +507,26 @@ class ProcessRuntime(WorkerRuntime):
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
         """Ship each batch to its pool child; collect what they send.
 
-        Anything raised before every child is heard out drops the pool,
-        or the next Round would read a reply left in a pipe as its own."""
+        A child that died, or anything raised before every child is heard
+        out, drops the pool: the next Round reforks it rather than read a
+        reply left in a pipe as its own."""
         backend = kernels.get_backend()
-        shipped = []  # per child, the shm segments its message points at
         try:
             for child, batch in zip(self._session, batches):
                 encoded = [
                     (worker, ledger, _encode_value(payload))
                     for worker, ledger, payload in batch
                 ]
-                shipped.append(
-                    [h for _, _, value in encoded for h in _shared_handles(value)]
-                )
                 try:
                     _send(child.connection, (backend, runner, encoded))
                 except OSError:
                     pass  # the child is gone: its missing reply reports it below
-            # every child is heard out and every shipped value decoded,
-            # delivered or not: a shared-memory segment is only reclaimed by
-            # loading it — or, when its child never answers, here
             outcomes, broken = [], False
-            for child, batch, handles in zip(self._session, batches, shipped):
+            for child, batch in zip(self._session, batches):
                 try:
                     reply = _recv(child.connection)
                 except (EOFError, OSError):
                     broken = True
-                    for handle in handles:
-                        handle.discard()
                     child.process.join(timeout=10)
                     worker, ledger, _ = batch[0]
                     died = RuntimeError(
@@ -554,20 +539,18 @@ class ProcessRuntime(WorkerRuntime):
                     for worker, value, ledger, error in reply
                 ])
         except BaseException:
-            self._drop_session([h for handles in shipped for h in handles])
+            self._drop_session()
             raise
         if broken:
-            self._stop()  # the next Round reforks
+            self._drop_session()
         return outcomes
 
-    def _drop_session(self, handles: list[SharedRows]) -> None:
+    def _drop_session(self) -> None:
         """Kill every child (one may be blocked sending a reply no one will
-        read) and unlink ``handles``; the next Round reforks."""
+        read); the next Round reforks."""
         for child in self._session:
             child.process.terminate()
         self._stop()
-        for handle in handles:
-            handle.discard()
 
     def __repr__(self) -> str:
         return f"ProcessRuntime(processes={self.processes})"
@@ -575,18 +558,20 @@ class ProcessRuntime(WorkerRuntime):
 
 RuntimeLike = Union[str, WorkerRuntime, None]
 
-#: the interpreter's process runtime per pool size (``None``: machine-sized)
-_SHARED_POOLS: dict[Optional[int], ProcessRuntime] = {}
+#: the interpreter's process runtime per pool size
+_SHARED_POOLS: dict[int, ProcessRuntime] = {}
 _SHARED_POOLS_LOCK = threading.Lock()
 
 
 def _shared_process_runtime(processes: Optional[int]) -> ProcessRuntime:
     """The one :class:`ProcessRuntime` a spec of this size resolves to, so
-    successive queries reuse its pool."""
+    successive queries reuse its pool; an unsized spec is sized here, so it
+    shares the pool of the size it resolves to."""
+    size = available_cpus() if processes is None else processes
     with _SHARED_POOLS_LOCK:
-        if processes not in _SHARED_POOLS:
-            _SHARED_POOLS[processes] = ProcessRuntime(processes)
-        return _SHARED_POOLS[processes]
+        if size not in _SHARED_POOLS:
+            _SHARED_POOLS[size] = ProcessRuntime(size)
+        return _SHARED_POOLS[size]
 
 
 def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
@@ -595,9 +580,10 @@ def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
     Accepts an existing :class:`WorkerRuntime`, ``None`` (→ serial), or the
     CLI spellings ``"serial"``, ``"parallel"`` / ``"parallel:N"`` for a
     thread pool, and ``"parallel:N:proc"`` (or ``"parallel:proc"`` for a
-    machine-sized pool) for forked worker processes.  A process spec
-    resolves to one shared runtime per pool size, whose children live as
-    long as the interpreter; an instance passed in is used as it is.
+    pool sized to :func:`available_cpus`) for forked worker processes.  A
+    process spec resolves to one shared runtime per pool size, whichever
+    spelling names it, whose children live as long as the interpreter; an
+    instance passed in is used as it is.
     """
     if spec is None:
         return SerialRuntime()

@@ -1,85 +1,63 @@
-"""Shared-memory row transport for the process-backed runtime.
+"""Row-list packing for the process runtime's session pipe.
 
-The process runtime (:class:`~repro.engine.runtime.ProcessRuntime`) forks
-its pool once and keeps it across plans, so nothing a Round reads arrives
-by copy-on-write: each Round's slot inputs are shipped
-to the child that runs them, and its results are shipped back.  Either way
-the rows would otherwise be pickled tuple by tuple through the session
-pipe.  This module moves large row blocks through
-``multiprocessing.shared_memory`` instead: the sender packs the block into
-one int64 column-major array in ``/dev/shm``, ships only the segment name,
-and the receiver reattaches, materializes, and unlinks it; a sender whose
-receiver died unlinks what it shipped itself (:meth:`SharedRows.discard`).
-Only a frame's row *list* travels this way, and only the python kernel
-backend's frames are lists: under numpy every frame, a scanned one
-included, is a column block, whose large arrays cross the pipe out of band
-after the pickle, each copied once into the pipe and once out of it (see
-:func:`~repro.engine.runtime._send`).
+The process runtime (:class:`~repro.engine.runtime.ProcessRuntime`) ships
+each Round's slot inputs to the child that runs them, and its results back,
+over one session pipe: a protocol-5 pickle whose large array buffers follow
+it out of band, each copied once into the pipe and once out of it (see
+:func:`~repro.engine.runtime._send`).  Under numpy every frame is a column
+block, whose arrays take that path as they are.  Only the python kernel
+backend's frames hold a row *list*, which would otherwise pickle tuple by
+tuple; :func:`share_rows` packs a large one into one int64 column-major
+array, which :class:`SharedRows` carries across the pipe like any block's
+arrays, and :meth:`SharedRows.load` rebuilds the list on the far side.
+Nothing is parked outside the message, so a child that dies mid-Round
+leaves nothing behind.
 
-Small payloads stay on the pickle path — below a few tens of thousands of
-rows the copy into shared memory costs more than pickling saves, so
-:func:`share_rows` declines them (``SHARED_MIN_ROWS``).
+Packing pays on a pipe round trip, where a pickled list is unpickled and
+pickled again tuple by tuple (EXPERIMENTS.md, "One transport"); lists
+below ``SHARED_MIN_ROWS`` keep the plain pickle path, where they have
+always gone.  The module keeps its name, ``SHARED_MIN_ROWS``,
+:func:`share_rows` and :meth:`SharedRows.load` because the differential
+suites and the benchmark's probes address them by these names.
 
-Both transports are invisible to the engine: counted metrics, row values,
-and row order are identical either way (``tests/test_wcoj_differential.py``
-and the shm unit tests pin this).
+The packing is invisible to the engine: counted metrics, row values, and
+row order are identical either way (``tests/test_wcoj_differential.py``
+and ``tests/test_shm.py`` pin this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import Optional, Sequence
 
 import numpy as np
 
 Row = tuple[int, ...]
 
-#: below this row count, pickling beats the shared-memory round trip
+#: a row list this long or longer crosses the session pipe packed
 SHARED_MIN_ROWS = 16384
 
 
 @dataclass
 class SharedRows:
-    """A picklable handle to a row block parked in shared memory."""
+    """A row list packed as one ``(width, count)`` int64 array."""
 
-    name: str
-    count: int
-    width: int
+    columns: np.ndarray
 
     def load(self) -> list[Row]:
-        """Materialize the rows, then release the shared segment."""
-        segment = shared_memory.SharedMemory(name=self.name)
-        try:
-            data = np.ndarray(
-                (self.width, self.count), dtype=np.int64, buffer=segment.buf
-            ).copy()
-        finally:
-            segment.close()
-            segment.unlink()
-        if self.width == 0:
-            return [()] * self.count
-        return list(zip(*data.tolist()))
-
-    def discard(self) -> None:
-        """Release the segment unread — its receiver is gone.  A segment the
-        receiver did load (and so unlinked) before going is not an error."""
-        try:
-            segment = shared_memory.SharedMemory(name=self.name)
-        except FileNotFoundError:
-            return
-        segment.close()
-        segment.unlink()
+        """Rebuild the rows, in order."""
+        width, count = self.columns.shape
+        if width == 0:
+            return [()] * count
+        return list(zip(*self.columns.tolist()))
 
 
 def share_rows(rows: Sequence[Row]) -> Optional[SharedRows]:
-    """Park a row block in shared memory; ``None`` when not worthwhile.
+    """Pack a row list column-major; ``None`` when not worthwhile.
 
-    Declines blocks that are too small to pay for the copy, ragged, or not
-    plain int64 tuples (the engine's rows always are; anything else keeps
-    the pickle path).  The segment is created unregistered from the child's
-    resource tracker — the parent owns the unlink, in
-    :meth:`SharedRows.load`.
+    Declines lists that are too small to pay for the packing, ragged, or
+    not plain int64 tuples (the engine's rows always are; anything else
+    keeps the pickle path).
     """
     count = len(rows)
     if count < SHARED_MIN_ROWS:
@@ -91,23 +69,4 @@ def share_rows(rows: Sequence[Row]) -> Optional[SharedRows]:
         return None
     if data.shape != (count, width):
         return None
-    columns = np.ascontiguousarray(data.T)
-    segment = shared_memory.SharedMemory(
-        create=True, size=max(1, columns.nbytes)
-    )
-    try:
-        np.ndarray(
-            columns.shape, dtype=np.int64, buffer=segment.buf
-        )[:] = columns
-    except BaseException:
-        segment.close()
-        segment.unlink()
-        raise
-    # the receiver unlinks the segment (SharedRows.load), so the creator's
-    # resource tracker must not reap or double-free it
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary by version
-        pass
-    segment.close()
-    return SharedRows(name=segment.name, count=count, width=width)
+    return SharedRows(np.ascontiguousarray(data.T))

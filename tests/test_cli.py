@@ -186,6 +186,14 @@ class TestCommands:
         assert "p99" in captured
         assert "plan cache:" in captured
 
+    def test_serve_throughput_counts_completed_queries_only(self, capsys):
+        code = main(["serve", "--queries", "4", "--workloads", "Q1",
+                     "--scale", "unit", "--workers", "4", "--timeout", "0"])
+        captured = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "timeout=4" in captured
+        assert "throughput 0.0 queries/s" in captured
+
     def test_serve_rejects_unknown_workload(self, capsys):
         code = main(["serve", "--queries", "2", "--workloads", "Q99"])
         assert code == EXIT_USAGE

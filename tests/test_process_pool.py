@@ -5,8 +5,9 @@ size, whose children serve every later Round of every query in the
 interpreter.  These tests pin what that lifetime has to keep true: the same
 children answer like serial, whatever kernel backend each plan runs under
 and however many threads share them; a child that died while idle is
-replaced without failing anyone; and nothing — a process or a shared-memory
-segment — outlives its use.
+replaced without failing anyone; nothing — a process, or a shared-memory
+segment, which the pool's one transport, its pipe, never makes — outlives
+its use; and every spelling of a pool size names the same pool.
 """
 
 import gc
@@ -247,16 +248,16 @@ def _segments():
 
 
 def test_no_shared_memory_segment_outlives_twenty_plans(monkeypatch):
-    """Each plan ships two python-backend anchor fragments through shared
-    memory to the same two children; every segment is unlinked."""
+    """Each plan ships two python-backend anchor fragments, packed, over the
+    pipe to the same two children; no segment is ever created."""
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm to inspect")
-    shared = []
+    packed = []
 
     def counting_share_rows(rows):
-        handle = share_rows(rows)
-        shared.append(handle is not None)
-        return handle
+        result = share_rows(rows)
+        packed.append(result is not None)
+        return result
 
     monkeypatch.setattr(runtime_module, "share_rows", counting_share_rows)
     database = twitter_database(nodes=2_000, edges=2 * SHARED_MIN_ROWS + 2)
@@ -268,5 +269,68 @@ def test_no_shared_memory_segment_outlives_twenty_plans(monkeypatch):
         pooled = run_query(query, database, strategy="BR_HJ", workers=2,
                            runtime=POOL, kernels="python")
         assert _answer(pooled) == _answer(serial)
-    assert sum(shared) >= 20
+    assert sum(packed) >= 20
     assert not _segments() - before
+
+
+def _packs_a_row_list(message):
+    """Whether a child's reply carries a packed row list."""
+    values = [value for _, value, _, _ in message]
+    items = [
+        item for value in values
+        for item in (value.values() if isinstance(value, dict) else [value])
+    ]
+    return any(isinstance(item, runtime_module._SharedFrame) for item in items)
+
+
+def test_a_child_that_dies_after_encoding_its_reply_leaves_nothing_behind(
+    monkeypatch,
+):
+    """Each child exits right after it encodes a python-backend reply of at
+    least ``SHARED_MIN_ROWS`` rows, as one the OOM killer takes would: the
+    query fails with that child's death, ``/dev/shm`` holds nothing new,
+    and the reforked pool answers the next query like serial."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm to inspect")
+    driver = os.getpid()
+    send = runtime_module._send
+
+    def dying_send(connection, message):
+        if os.getpid() != driver and _packs_a_row_list(message):
+            os._exit(1)
+        send(connection, message)
+
+    database = twitter_database(nodes=30_000, edges=34_000, seed=3)
+    query = "P(x,y,z) :- R:Twitter(x,y), S:Twitter(y,z)."
+    serial = run_query(query, database, strategy="RS_HJ", workers=2,
+                       kernels="python")
+    runtime = ProcessRuntime(processes=2)
+    before = _segments()
+    try:
+        monkeypatch.setattr(runtime_module, "_send", dying_send)
+        runtime.open_session()  # the children run the dying send
+        with pytest.raises(RuntimeError, match=r"session child \d+ died"):
+            run_query(query, database, strategy="RS_HJ", workers=2,
+                      runtime=runtime, kernels="python")
+        assert runtime._session is None
+        assert not _segments() - before
+        monkeypatch.undo()  # the pool the next query reforks sends as usual
+        pooled = run_query(query, database, strategy="RS_HJ", workers=2,
+                           runtime=runtime, kernels="python")
+    finally:
+        runtime.close_session()
+    assert _answer(pooled) == _answer(serial)
+    assert len(serial.rows) > SHARED_MIN_ROWS
+
+
+def test_an_unsized_spec_shares_the_pool_of_its_size(db, monkeypatch):
+    """``parallel:proc`` is sized when it resolves, so on a two-CPU box it
+    is ``parallel:2:proc``: one runtime, one set of children."""
+    monkeypatch.setattr(runtime_module, "available_cpus", lambda: 2)
+    runtime = resolve_runtime("parallel:proc")
+    assert runtime is resolve_runtime(POOL)
+    assert runtime.processes == 2
+    run_query(Q1, db, strategy="RS_HJ", workers=4, runtime="parallel:proc")
+    children = _pool_pids(runtime)
+    run_query(Q1, db, strategy="RS_HJ", workers=4, runtime=POOL)
+    assert _pool_pids(resolve_runtime(POOL)) == children and len(children) == 2

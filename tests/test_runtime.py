@@ -23,10 +23,11 @@ from repro.engine.runtime import (
     ProcessRuntime,
     SerialRuntime,
     _open_ledger,
+    available_cpus,
     resolve_runtime,
 )
 from repro.engine.scheduler import _run_join_op, _run_local_batch
-from repro.engine.shm import SHARED_MIN_ROWS, share_rows
+from repro.engine.shm import SHARED_MIN_ROWS
 from repro.engine.stats import ExecutionStats
 from repro.planner.physical import LocalTributaryJoin
 from repro.query.atoms import Variable
@@ -64,7 +65,7 @@ class TestResolveRuntime:
     def test_process_spelling(self):
         runtime = resolve_runtime("parallel:proc")
         assert isinstance(runtime, ProcessRuntime)
-        assert runtime.processes is None
+        assert runtime.processes == available_cpus()
 
     def test_process_with_pool_size(self):
         runtime = resolve_runtime("parallel:4:proc")
@@ -453,7 +454,7 @@ def test_raising_runner_fails_its_first_worker_and_spares_the_executor(
 
 def _exit_with_worker_1(batch):
     """Kills the executor handed worker 1; any other ships a charge and a
-    shared-memory-sized row block per worker."""
+    row block large enough to be packed per worker."""
     if any(worker == 1 for worker, _, _ in batch):
         os._exit(1)
     for worker, ledger, _ in batch:
@@ -479,7 +480,7 @@ def _round(runtime, runner, stats=None):
 
 def test_session_child_dying_mid_round_fails_its_first_worker():
     """Worker 1's child exits under it: that is worker 1 failing — worker 0
-    committed, the surviving child's reply (and its shm segments) drained —
+    committed, the surviving child's reply drained, no segment created —
     and the runtime reforks for the next round."""
     before = _shm_segments()
     runtime = ProcessRuntime(processes=2)
@@ -520,19 +521,11 @@ def test_session_child_killed_between_rounds_is_reforked_before_the_next():
         runtime.close_session()
 
 
-def test_inputs_shipped_to_a_dead_child_are_unlinked(monkeypatch):
-    """The second child is killed as the round ships to it: the row-list
-    frame encoded for it sits in ``/dev/shm`` with nobody left to load it,
-    so the runtime that reports the missing reply reclaims it too (the
-    survivor's segment is unlinked by the survivor loading it)."""
-    _shm_segments()  # skips where there is no /dev/shm
-    handles = []
-
-    def spying_share_rows(rows):
-        handle = share_rows(rows)
-        handles.append(handle)
-        return handle
-
+def test_a_child_killed_as_the_round_ships_to_it_fails_the_round(monkeypatch):
+    """The second child is killed as its packed row-list input is sent: the
+    write into its pipe fails, its missing reply fails the Round, and
+    nothing is left in ``/dev/shm``."""
+    before = _shm_segments()
     runtime = ProcessRuntime(processes=2)
     runtime.open_session()
     doomed = runtime._session[1]
@@ -545,7 +538,6 @@ def test_inputs_shipped_to_a_dead_child_are_unlinked(monkeypatch):
             victim.join(timeout=10)
         send(connection, message)
 
-    monkeypatch.setattr(runtime_module, "share_rows", spying_share_rows)
     monkeypatch.setattr(runtime_module, "_send", killing_send)
     try:
         payloads = {
@@ -557,10 +549,10 @@ def test_inputs_shipped_to_a_dead_child_are_unlinked(monkeypatch):
                 range(2), _pid_runner, payloads, ExecutionStats(workers=2),
                 MemoryBudget(per_worker_tuples=None),
             )
+        assert runtime._session is None
     finally:
         runtime.close_session()
-    assert len(handles) == 2 and None not in handles  # one segment per child
-    assert not {handle.name for handle in handles} & _shm_segments()
+    assert not _shm_segments() - before
 
 
 def test_failure_after_the_shared_walk_is_its_own_workers():
@@ -613,8 +605,8 @@ def test_session_children_do_not_inherit_freed_heap():
 
 def test_failed_round_leaks_no_shared_memory():
     """Worker 1 fails; worker 2 — the other child's — ships its 16 384-row
-    result through shared memory, which must be reclaimed although the
-    value is never delivered."""
+    result packed over the pipe, and nothing is left in ``/dev/shm``
+    although the value is never delivered."""
     before = _shm_segments()
     side = 128
     assert side * side >= SHARED_MIN_ROWS

@@ -1,8 +1,8 @@
-"""Unit tests for the shared-memory row transport of the process runtime."""
+"""Unit tests for the row-list packing of the process runtime's pipe."""
 
 import os
 
-import pytest
+import numpy as np
 
 from repro.engine import runtime as runtime_module
 from repro.engine.frame import Frame
@@ -34,18 +34,13 @@ def _segments():
 class TestShareRows:
     def test_round_trip_preserves_rows_and_order(self):
         rows = _rows(SHARED_MIN_ROWS)
-        handle = share_rows(rows)
-        assert handle is not None
-        assert (handle.count, handle.width) == (len(rows), 3)
-        assert handle.load() == rows
-
-    def test_segment_released_after_load(self):
-        from multiprocessing import shared_memory
-
-        handle = share_rows(_rows(SHARED_MIN_ROWS))
-        handle.load()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=handle.name)
+        rows.reverse()
+        packed = share_rows(rows)
+        assert packed is not None
+        assert packed.columns.dtype == np.int64
+        assert packed.columns.shape == (3, len(rows))
+        assert packed.columns.flags.c_contiguous
+        assert packed.load() == rows
 
     def test_small_blocks_decline(self):
         assert share_rows(_rows(SHARED_MIN_ROWS - 1)) is None
@@ -61,11 +56,17 @@ class TestShareRows:
         rows[0] = ("a", "b", "c")
         assert share_rows(rows) is None
 
+    def test_rows_beyond_int64_decline(self):
+        rows = _rows(SHARED_MIN_ROWS)
+        rows[-1] = (2**63, 0, 1)
+        assert share_rows(rows) is None
+
     def test_zero_width_rows_round_trip(self):
         rows = [()] * SHARED_MIN_ROWS
-        handle = share_rows(rows)
-        assert handle is not None
-        assert handle.load() == rows
+        packed = share_rows(rows)
+        assert packed is not None
+        assert packed.columns.shape == (0, SHARED_MIN_ROWS)
+        assert packed.load() == rows
 
 
 def _echo(batch):
@@ -75,7 +76,7 @@ def _echo(batch):
 
 class TestTransportThroughRuntime:
     """Frames cross to a session child and back intact, whichever side of
-    the shared-memory threshold their row lists fall on."""
+    the packing threshold their row lists fall on."""
 
     PAYLOADS = {
         0: {"at": Frame(("x", "y", "z"), _rows(SHARED_MIN_ROWS))},
@@ -87,24 +88,28 @@ class TestTransportThroughRuntime:
     }
 
     def _echoed(self):
-        return ProcessRuntime(processes=2).map_local(
-            range(3), _echo, self.PAYLOADS, ExecutionStats(workers=3),
-            MemoryBudget(),
-        )
+        runtime = ProcessRuntime(processes=2)
+        try:
+            return runtime.map_local(
+                range(3), _echo, self.PAYLOADS, ExecutionStats(workers=3),
+                MemoryBudget(),
+            )
+        finally:
+            runtime.close_session()
 
-    def test_large_row_block_returns_through_shared_memory(self):
+    def test_large_row_block_returns_packed(self):
         assert self._echoed() == [self.PAYLOADS[worker] for worker in range(3)]
 
-    def test_only_a_frames_large_row_list_is_parked(self):
+    def test_only_a_frames_large_row_list_is_packed(self):
         at, below = self.PAYLOADS[0]["at"], self.PAYLOADS[1]["below"]
-        parked = _encode_payload(at)
-        assert isinstance(parked, _SharedFrame)
-        assert _decode_payload(parked) == at  # also unlinks the segment
+        packed = _encode_payload(at)
+        assert isinstance(packed, _SharedFrame)
+        assert _decode_payload(packed) == at
         assert _encode_payload(below) is below
         # every slot holds a frame: a bare row list is not a payload kind
         assert _encode_payload(at.rows) is at.rows
 
-    def test_no_segments_leak(self):
+    def test_no_segment_is_created(self):
         before = _segments()
         self._echoed()
         assert _segments() - before == set()
@@ -113,26 +118,26 @@ class TestTransportThroughRuntime:
 class TestAnchorTransport:
     """A broadcast plan's anchor fragments are never exchanged, so they
     reach the session children as the scan made them: a row list under
-    python kernels, which crosses through shared memory, and a column block
-    under numpy, which pickles as its arrays and never asks for a segment."""
+    python kernels, which crosses packed, and a column block under numpy,
+    which pickles as its arrays and is never packed."""
 
     QUERY = "Q(x,y) :- R:Twitter(x,y), S:Twitter(y,x)."
 
     def _forked(self, backend, monkeypatch):
-        """The serial and the forked answers, whether each ``share_rows``
-        call made a segment, and the frames the parent encoded for the
-        children."""
-        # two workers, each anchor fragment above the sharing threshold
+        """Whether each ``share_rows`` call packed its rows, and the frames
+        the parent encoded for the children; the forked answer must equal
+        the serial one and leave ``/dev/shm`` as it was."""
+        # two workers, each anchor fragment above the packing threshold
         database = twitter_database(nodes=2_000, edges=2 * SHARED_MIN_ROWS + 2)
         serial = run_query(
             self.QUERY, database, strategy="BR_HJ", workers=2, kernels=backend
         )
-        shared, sent = [], []
+        packed, sent = [], []
 
         def spy(rows):
-            handle = share_rows(rows)
-            shared.append(handle is not None)
-            return handle
+            result = share_rows(rows)
+            packed.append(result is not None)
+            return result
 
         encode = runtime_module._encode_payload
 
@@ -150,15 +155,15 @@ class TestAnchorTransport:
         )
         assert forked.rows == serial.rows
         assert _segments() - before == set()
-        return shared, sent
+        return packed, sent
 
-    def test_anchor_fragments_cross_through_shared_memory(self, monkeypatch):
-        shared, _ = self._forked("python", monkeypatch)
-        assert any(shared)
+    def test_anchor_fragments_cross_packed(self, monkeypatch):
+        packed, _ = self._forked("python", monkeypatch)
+        assert any(packed)
 
     def test_numpy_anchor_fragments_reach_the_children_as_blocks(self, monkeypatch):
-        shared, sent = self._forked("numpy", monkeypatch)
-        assert not shared
+        packed, sent = self._forked("numpy", monkeypatch)
+        assert not packed
         assert any(
             isinstance(frame.rows, ColumnBlock) and len(frame) >= SHARED_MIN_ROWS
             for frame in sent
