@@ -261,7 +261,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     outcomes = service.run_until_complete()
     elapsed = time.perf_counter() - started
     stats = service.stats
-    latency = latency_summary([o.wall_seconds for o in outcomes if o.ok])
+    completed = [o.wall_seconds for o in outcomes if o.ok]
     print(f"queries:     {len(outcomes)} over {sorted(set(trace))}")
     print("outcomes:    " + ", ".join(
         f"{status}={count}"
@@ -269,10 +269,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if count
     ))
     print(f"elapsed:     {elapsed:.2f}s  "
-          f"throughput {sum(o.ok for o in outcomes) / elapsed:.1f} queries/s")
-    print(f"latency:     p50 {latency['p50_seconds'] * 1000:.1f}ms  "
-          f"p95 {latency['p95_seconds'] * 1000:.1f}ms  "
-          f"p99 {latency['p99_seconds'] * 1000:.1f}ms")
+          f"throughput {len(completed) / elapsed:.1f} queries/s")
+    if completed:
+        latency = latency_summary(completed)
+        print(f"latency:     p50 {latency['p50_seconds'] * 1000:.1f}ms  "
+              f"p95 {latency['p95_seconds'] * 1000:.1f}ms  "
+              f"p99 {latency['p99_seconds'] * 1000:.1f}ms")
+    else:
+        print("latency:     n/a (no query completed)")
     cached = stats.cache_hits + stats.cache_misses
     if cached:
         print(f"plan cache:  {stats.cache_hits}/{cached} hits "

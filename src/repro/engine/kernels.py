@@ -56,9 +56,8 @@ KERNEL_BACKENDS = ("python", "numpy")
 _KNUTH = 2654435761
 _MASK = 0xFFFFFFFF
 
-_U_KNUTH = np.uint64(_KNUTH)
-_U_MASK = np.uint64(_MASK)
-_U16 = np.uint64(16)
+_U_KNUTH = np.uint32(_KNUTH)
+_U16 = np.uint32(16)
 
 
 def _initial_backend() -> str:
@@ -246,10 +245,14 @@ def dim_hash(value: int, salt: int, dim: int) -> int:
     return mixed % dim
 
 
+def _low32(column: np.ndarray) -> np.ndarray:
+    """An int64 column's low 32 bits (``astype`` wraps, as C casts do)."""
+    return column.astype(np.uint32)
+
+
 def _mix(mixed: np.ndarray) -> np.ndarray:
-    """One multiply-mask-fold round of the hash, in place."""
+    """One multiply-fold round of the hash on uint32, in place."""
     mixed *= _U_KNUTH
-    mixed &= _U_MASK
     mixed ^= mixed >> _U16
     return mixed
 
@@ -257,15 +260,15 @@ def _mix(mixed: np.ndarray) -> np.ndarray:
 def _hash_columns(columns: Sequence[np.ndarray], salt: int, count: int) -> np.ndarray:
     """Vectorized :func:`hash_row` over parallel int64 key columns.
 
-    Every step re-masks to 32 bits, so 64-bit wraparound in the product
-    never diverges from Python's arbitrary-precision arithmetic: the low 32
-    bits of ``(a * _KNUTH) mod 2**64`` equal those of the exact product.
-    The columns are read through uint64 *views* and the running hash is
-    updated in place: routing a block allocates the one array it returns.
+    Every step of the scalar hash keeps only the low 32 bits, and those
+    depend only on the low 32 bits of each value and of the salt: XOR is
+    bitwise, and the low 32 bits of a product are those of its factors'
+    low 32 bits multiplied.  So wrapping uint32 arithmetic over each
+    column's low 32 bits is exact for any int64 value.
     """
-    mixed = np.full(count, np.uint64(salt & _MASK), dtype=np.uint64)
+    mixed = np.full(count, np.uint32(salt & _MASK), dtype=np.uint32)
     for column in columns:
-        mixed ^= column.view(np.uint64)
+        mixed ^= _low32(column)
         _mix(mixed)
     return mixed
 
@@ -275,12 +278,11 @@ def _hash_columns(columns: Sequence[np.ndarray], salt: int, count: int) -> np.nd
 # ----------------------------------------------------------------------
 
 
-_U32 = np.uint64(32)
-
-#: the radix partition packs (destination, flat row index) into one uint64
-#: with the index in the low 32 bits, so it takes inputs below this many
-#: routed copies; beyond it the scalar loops run over the block's tuples
-_INDEX_LIMIT = 2**32
+def _narrow(destinations: np.ndarray, buckets: int) -> np.ndarray:
+    """Destination ids as the smallest unsigned type that holds them.  The
+    callers rebind their ids to the result, so the wide ones are freed
+    before :func:`_bucketize` gathers the block."""
+    return destinations.astype(np.min_scalar_type(buckets - 1))
 
 
 def _bucketize(
@@ -291,24 +293,18 @@ def _bucketize(
 ) -> list[ColumnBlock]:
     """Split a block into destination buckets, preserving scan order.
 
-    ``destinations`` is a flat uint64 array of ``len(block) * copies``
-    destination ids in scan-major order (row ``i``'s copies at positions
-    ``i*copies .. i*copies+copies-1``); it is consumed as scratch space.
-    Packs ``(destination, flat index)`` into one uint64 so a single
-    non-indirect radix sort replaces a stable argsort; the embedded index
-    keeps the within-bucket order identical to the python backend's append
-    order.  The block is gathered once into destination order and the
-    buckets are slices of that one gathered block.
+    ``destinations`` is a flat array of ``len(block) * copies`` destination
+    ids in scan-major order (row ``i``'s copies at positions
+    ``i*copies .. i*copies+copies-1``), of the smallest unsigned type that
+    holds ``buckets - 1`` (:func:`_narrow`) — at most 16 bits for up to
+    65 536 buckets, which numpy's stable argsort sorts by radix.  The ids
+    are sorted once; stability keeps the within-bucket order identical to
+    the python backend's append order, and the cuts are the running sums
+    of the bucket counts.  The block is gathered once into destination
+    order and the buckets are slices of that one gathered block.
     """
-    total = destinations.size
-    packed = destinations
-    packed <<= _U32
-    packed |= np.arange(total, dtype=np.uint64)
-    packed.sort()
-    boundaries = np.arange(1, buckets, dtype=np.uint64) << _U32
-    cuts = [0, *np.searchsorted(packed, boundaries).tolist(), total]
-    packed &= _U_MASK
-    sources = packed.view(np.int64)
+    sources = np.argsort(destinations, kind="stable")
+    cuts = [0, *np.cumsum(np.bincount(destinations, minlength=buckets)).tolist()]
     if copies != 1:
         sources //= copies
     gathered = block.take(sources)
@@ -326,13 +322,14 @@ def shuffle_partition(
     Rows keep their scan order within each bucket (the numpy path's stable
     partitioning matches the python path's append order exactly).
     """
-    if _backend == "numpy" and len(rows) < _INDEX_LIMIT:
+    if _backend == "numpy":
         block = as_block(rows)
         if not block.length:
             return [block] * workers
         columns = [block.columns[i] for i in key_indices]
         destinations = _hash_columns(columns, salt, block.length)
-        destinations %= np.uint64(workers)
+        destinations %= np.uint32(workers)
+        destinations = _narrow(destinations, workers)
         return _bucketize(block, destinations, workers)
     outputs: list[list[Row]] = [[] for _ in range(workers)]
     for row in rows:
@@ -358,22 +355,24 @@ def hypercube_partition(
     order, then offset order — identical for both backends.
     """
     copies = len(offsets)
-    if _backend == "numpy" and copies and len(rows) * copies < _INDEX_LIMIT:
+    if _backend == "numpy" and copies:
         block = as_block(rows)
         if not block.length:
             return [block] * workers
-        base = np.zeros(block.length, dtype=np.uint64)
+        base = np.zeros(block.length, dtype=np.uint32)
         for column, salt, dim, stride in bound:
             if dim == 1:
                 continue
-            mixed = block.columns[column].view(np.uint64) + np.uint64(salt & _MASK)
+            mixed = _low32(block.columns[column])
+            mixed += np.uint32(salt & _MASK)
             _mix(mixed)
-            mixed %= np.uint64(dim)
-            mixed *= np.uint64(stride)
+            mixed %= np.uint32(dim)
+            mixed *= np.uint32(stride)
             base += mixed
-        destinations = (
-            base[:, None] + np.asarray(offsets, dtype=np.uint64)[None, :]
-        ).ravel()  # row-major == (scan order, offset order)
+        destinations = _narrow(
+            (base[:, None] + np.asarray(offsets, dtype=np.uint32)[None, :]).ravel(),
+            workers,
+        )  # row-major == (scan order, offset order)
         return _bucketize(block, destinations, workers, copies=copies)
     outputs: list[list[Row]] = [[] for _ in range(workers)]
     for row in rows:

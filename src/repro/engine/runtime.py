@@ -14,17 +14,20 @@ ledger.  The three runtimes differ only in who the executors are
 - :class:`SerialRuntime` — the calling thread runs every worker as one batch;
 - :class:`ParallelRuntime` — one batch per thread of a
   :class:`concurrent.futures.ThreadPoolExecutor`;
-- :class:`ProcessRuntime` — one batch per child of a forked, pipe-connected
-  pool (``--runtime parallel:N:proc``) that lives as long as the runtime,
-  the only mode that escapes the GIL for true multicore wall-clock speedup.
-  Everything a child needs — the kernel backend, the runner, the slot
-  inputs, the ledgers — is shipped to it with every batch as a protocol-5
-  pickle whose array buffers of 64 KiB or more follow it out of band
+- :class:`ProcessRuntime` — ``N`` executors for ``--runtime
+  parallel:N:proc``: ``N - 1`` children of a forked, pipe-connected pool
+  that lives as long as the runtime, plus the driver itself, which runs
+  the last batch in place while the children run theirs — the only mode
+  that escapes the GIL for true multicore wall-clock speedup.  Everything
+  a child needs — the kernel backend, the runner, the slot inputs, the
+  ledgers — is shipped to it with every batch as a protocol-5 pickle
+  whose array buffers of 64 KiB or more follow it out of band
   (:func:`_send`), one copy each way.  The pipe is the only transport:
   under numpy every frame is a column block, and a python-backend frame's
   large row *list* is packed into one such array first
-  (:mod:`~repro.engine.shm`).  Each worker's ledger is pickled back and
-  merged exactly like the thread runtime's.
+  (:mod:`~repro.engine.shm`).  Each child's ledgers are pickled back and
+  merged exactly like the thread runtime's; the driver's batch charges its
+  ledgers in place, as the serial runtime does.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker
@@ -404,13 +407,19 @@ def _stop_pool(owner: int, children: list[_SessionWorker]) -> None:
 
 
 class ProcessRuntime(WorkerRuntime):
-    """Run worker batches on the children of one forked, pipe-connected pool.
+    """Run worker batches on the driver and the children of one forked,
+    pipe-connected pool.
 
     The only runtime that escapes the GIL: worker-local joins run on real
     cores, so wall-clock time drops with core count while every counted
     metric stays bit-identical to :class:`SerialRuntime` (the ledgers are
     plain picklable dataclasses; floats survive the pickle round trip
-    exactly).  ``processes=None`` sizes the pool to :func:`available_cpus`.
+    exactly).  ``processes`` counts the executors, the driver among them:
+    the pool has ``processes - 1`` children (none for one), and
+    ``processes=None`` sizes it to :func:`available_cpus`.  Each Round ships
+    every batch but the last to a child, runs the last one in the driver
+    — no pickling, ledgers charged in place — and only then reads the
+    children's replies.
 
     The pool lives as long as the runtime: :meth:`open_session` — which
     every plan calls before its first Round builds a frame — or else the
@@ -461,8 +470,8 @@ class ProcessRuntime(WorkerRuntime):
         context = multiprocessing.get_context("fork")
         if self._session is None:
             _trim_heap()  # the children inherit the live heap only
-            size = self.processes or available_cpus()
-            self._session = [_SessionWorker(context) for _ in range(size)]
+            children = (self.processes or available_cpus()) - 1  # + the driver
+            self._session = [_SessionWorker(context) for _ in range(children)]
             self._reaper = weakref.finalize(
                 self, _stop_pool, os.getpid(), self._session
             )
@@ -500,19 +509,22 @@ class ProcessRuntime(WorkerRuntime):
         )
 
     def _local_batches(self, ids: list[int]) -> list[list[int]]:
-        """Deal worker ids round-robin: one batch per pool child."""
-        size = len(self._session)
+        """Deal worker ids round-robin: one batch per executor, the pool's
+        children and the driver."""
+        size = len(self._session) + 1
         return [ids[k::size] for k in range(min(size, len(ids)))]
 
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
-        """Ship each batch to its pool child; collect what they send.
+        """Ship every batch but the last to its pool child, run the last in
+        the driver meanwhile, then collect what the children send.
 
         A child that died, or anything raised before every child is heard
         out, drops the pool: the next Round reforks it rather than read a
         reply left in a pipe as its own."""
         backend = kernels.get_backend()
+        *shipped, own = batches
         try:
-            for child, batch in zip(self._session, batches):
+            for child, batch in zip(self._session, shipped):
                 encoded = [
                     (worker, ledger, _encode_value(payload))
                     for worker, ledger, payload in batch
@@ -521,8 +533,9 @@ class ProcessRuntime(WorkerRuntime):
                     _send(child.connection, (backend, runner, encoded))
                 except OSError:
                     pass  # the child is gone: its missing reply reports it below
-            outcomes, broken = [], False
-            for child, batch in zip(self._session, batches):
+            # the driver's own batch runs while the children run theirs
+            outcomes, broken = [_run_batch(runner, own)], False
+            for child, batch in zip(self._session, shipped):
                 try:
                     reply = _recv(child.connection)
                 except (EOFError, OSError):
@@ -579,11 +592,11 @@ def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
 
     Accepts an existing :class:`WorkerRuntime`, ``None`` (→ serial), or the
     CLI spellings ``"serial"``, ``"parallel"`` / ``"parallel:N"`` for a
-    thread pool, and ``"parallel:N:proc"`` (or ``"parallel:proc"`` for a
-    pool sized to :func:`available_cpus`) for forked worker processes.  A
-    process spec resolves to one shared runtime per pool size, whichever
-    spelling names it, whose children live as long as the interpreter; an
-    instance passed in is used as it is.
+    thread pool, and ``"parallel:N:proc"`` (or ``"parallel:proc"`` for
+    :func:`available_cpus` executors) for the driver plus ``N - 1`` forked
+    worker processes.  A process spec resolves to one shared runtime per
+    pool size, whichever spelling names it, whose children live as long as
+    the interpreter; an instance passed in is used as it is.
     """
     if spec is None:
         return SerialRuntime()

@@ -194,6 +194,14 @@ class TestCommands:
         assert "timeout=4" in captured
         assert "throughput 0.0 queries/s" in captured
 
+    def test_serve_prints_no_latency_when_no_query_completed(self, capsys):
+        code = main(["serve", "--queries", "4", "--workloads", "Q1",
+                     "--scale", "unit", "--workers", "4", "--timeout", "0"])
+        captured = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "latency:     n/a (no query completed)" in captured
+        assert "p50" not in captured
+
     def test_serve_rejects_unknown_workload(self, capsys):
         code = main(["serve", "--queries", "2", "--workloads", "Q99"])
         assert code == EXIT_USAGE

@@ -266,27 +266,47 @@ def test_numpy_partitions_are_slices_of_one_gathered_block():
     assert again == buckets
 
 
-def test_partitions_past_the_packed_index_limit_take_the_scalar_loop(monkeypatch):
-    """The radix partition keeps the flat row index in 32 bits; an exchange
-    beyond that runs the scalar loop over the block's tuples — same buckets."""
-    query = parse_query("T(x,y,z) :- R(x,y), S(y,z), T(z,x).")
-    mapping = HyperCubeMapping(
-        optimize_config(query, {a.alias: 1000 for a in query.atoms}, 16), seed=4
-    )
-    bound, offsets = mapping.frame_routing(query.atoms[0], query.atoms[0].variables())
-    assert len(offsets) > 1
-    rows = random_rows(300, 2, seed=3)
+#: int64's extremes, their neighbours and values that differ only above bit 32
+EXTREME_VALUES = [
+    2**63 - 1, -(2**63 - 1), -(2**63), 2**63 - 2, 2**32, -(2**32), 2**32 + 1,
+    2**31, -(2**31), 0, -1, 1, 7 << 40, -(7 << 40) + 3,
+]
+
+
+@pytest.mark.parametrize("buckets", [1, 255, 256, 257, 65_537])
+@pytest.mark.parametrize("salt", [2**32, 2**32 + 0xDEADBEEF, 2**62 + 5])
+def test_routing_at_int64_extremes_matches_the_python_backend(buckets, salt):
+    """The vectorized hash runs on each value's low 32 bits in uint32: it
+    must route every int64 value — and salts past 32 bits — where the
+    scalar reference does, whatever the bucket id's width."""
+    rng = random.Random(buckets)
+    rows = [
+        (rng.choice(EXTREME_VALUES), rng.choice(EXTREME_VALUES), i)
+        for i in range(600)
+    ]
     block = kernels.block_from_rows(rows)
-    expected = (
-        _on("python", kernels.shuffle_partition, rows, [0], 4),
-        _on("python", kernels.hypercube_partition, rows, bound, offsets, 16),
-    )
-    for limit in (300, 301, 300 * len(offsets), 300 * len(offsets) + 1):
-        monkeypatch.setattr(kernels, "_INDEX_LIMIT", limit)
-        assert (
-            _on("numpy", kernels.shuffle_partition, block, [0], 4),
-            _on("numpy", kernels.hypercube_partition, block, bound, offsets, 16),
-        ) == expected
+    for key in ([0], [1, 0]):
+        columns = [block.columns[i] for i in key]
+        hashed = kernels._hash_columns(columns, salt, len(rows))
+        assert hashed.tolist() == [
+            kernels.hash_row([row[i] for i in key], salt) for row in rows
+        ]
+        assert _on("numpy", kernels.shuffle_partition, block, key, buckets,
+                   salt=salt) == \
+            _on("python", kernels.shuffle_partition, rows, key, buckets, salt=salt)
+    # one dimension over every bucket, and, where the count has a factor,
+    # one over ``side`` buckets replicated over the rest
+    routings = [([(0, salt, buckets, 1)], [0])]
+    side = next(d for d in range(int(buckets**0.5), 0, -1) if buckets % d == 0)
+    if side > 1:
+        copies = buckets // side
+        routings.append(
+            ([(0, salt, side, copies), (2, salt + 1, 1, 1)], list(range(copies)))
+        )
+    for bound, offsets in routings:
+        assert _on("numpy", kernels.hypercube_partition, block, bound, offsets,
+                   buckets) == \
+            _on("python", kernels.hypercube_partition, rows, bound, offsets, buckets)
 
 
 def test_hypercube_partition_matches_destinations_reference():

@@ -1,13 +1,15 @@
 """The process runtime's pool: forked once per runtime, reused by every plan.
 
 ``parallel:N:proc`` resolves to one shared :class:`ProcessRuntime` per pool
-size, whose children serve every later Round of every query in the
-interpreter.  These tests pin what that lifetime has to keep true: the same
-children answer like serial, whatever kernel backend each plan runs under
-and however many threads share them; a child that died while idle is
-replaced without failing anyone; nothing — a process, or a shared-memory
-segment, which the pool's one transport, its pipe, never makes — outlives
-its use; and every spelling of a pool size names the same pool.
+size, whose ``N - 1`` children serve every later Round of every query in the
+interpreter, beside the driver, which runs the last batch itself.  These
+tests pin what that lifetime has to keep true: the same children answer
+like serial, whatever kernel backend each plan runs under and however many
+threads share them, and so do faults in the driver's own batch; a child
+that died while idle is replaced without failing anyone; nothing — a
+process, or a shared-memory segment, which the pool's one transport, its
+pipe, never makes — outlives its use; and every spelling of a pool size
+names the same pool.
 """
 
 import gc
@@ -17,12 +19,14 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.engine import runtime as runtime_module
+from repro.engine.frame import Frame
 from repro.engine.memory import MemoryBudget
 from repro.engine.runtime import ProcessRuntime, resolve_runtime
 from repro.engine.scheduler import PlanExecution
@@ -36,6 +40,8 @@ from repro.storage.relation import Database
 from repro.workloads import Q1
 
 POOL = "parallel:2:proc"
+#: the smallest pool with two children
+TWO_CHILDREN = "parallel:3:proc"
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +78,12 @@ def test_a_spec_resolves_to_one_runtime_per_pool_size():
 
 
 def test_twelve_plans_are_served_by_the_same_two_children(db):
-    runtime = resolve_runtime(POOL)
+    runtime = resolve_runtime(TWO_CHILDREN)
     seen = set()
     for call in range(12):
         strategy = ("RS_HJ", "HC_TJ")[call % 2]
-        pooled = run_query(Q1, db, strategy=strategy, workers=4, runtime=POOL)
+        pooled = run_query(Q1, db, strategy=strategy, workers=4,
+                           runtime=TWO_CHILDREN)
         serial = run_query(Q1, db, strategy=strategy, workers=4)
         assert _answer(pooled) == _answer(serial)
         seen.update(_pool_pids(runtime))
@@ -86,7 +93,7 @@ def test_twelve_plans_are_served_by_the_same_two_children(db):
 def test_the_first_plan_forks_the_pool_before_it_builds_a_frame(db):
     """A pool forked in mid-plan would keep a private copy of the frames
     the driver held at that moment for as long as it lives."""
-    runtime = ProcessRuntime(processes=2)
+    runtime = ProcessRuntime(processes=3)
     try:
         execution = PlanExecution(
             lower(Q1, "RS_HJ", Catalog(db)), make_cluster(db, workers=4),
@@ -169,8 +176,9 @@ def test_a_child_killed_between_queries_is_replaced(db):
     assert victim.pid not in _pool_pids(runtime)
 
 
-def _collecting_runner(batch):
-    gc.collect()
+def _collecting_runner(batch, driver):
+    if os.getpid() != driver:
+        gc.collect()
     return [(os.getpid(), None) for _ in batch]
 
 
@@ -181,15 +189,16 @@ def test_a_child_that_collects_an_inherited_runtime_spares_its_pool():
     child inherited; collecting it in the driver stops them."""
     gc.disable()
     try:
-        dropped = ProcessRuntime(processes=1)
+        dropped = ProcessRuntime(processes=2)
         dropped.open_session()
         spared = dropped._session[0].process
         dropped.cycle = dropped
         del dropped
-        runtime = ProcessRuntime(processes=1)
+        runtime = ProcessRuntime(processes=2)
         try:
             runtime.map_local(
-                range(2), _collecting_runner, dict.fromkeys(range(2)),
+                range(2), partial(_collecting_runner, driver=os.getpid()),
+                dict.fromkeys(range(2)),
                 ExecutionStats(workers=2), MemoryBudget(per_worker_tuples=None),
             )
             spared.join(timeout=1)
@@ -209,8 +218,8 @@ from repro.storage.generators import twitter_database
 from repro.workloads import Q1
 
 run_query(Q1, twitter_database(nodes=150, edges=600, seed=2),
-          strategy="HC_TJ", workers=4, runtime="parallel:2:proc")
-print(*[child.process.pid for child in resolve_runtime("parallel:2:proc")._session])
+          strategy="HC_TJ", workers=4, runtime="parallel:3:proc")
+print(*[child.process.pid for child in resolve_runtime("parallel:3:proc")._session])
 """
 
 
@@ -248,8 +257,9 @@ def _segments():
 
 
 def test_no_shared_memory_segment_outlives_twenty_plans(monkeypatch):
-    """Each plan ships two python-backend anchor fragments, packed, over the
-    pipe to the same two children; no segment is ever created."""
+    """Each plan ships a python-backend anchor fragment, packed, over the
+    pipe to the same child (the driver keeps the other); no segment is
+    ever created."""
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm to inspect")
     packed = []
@@ -324,13 +334,140 @@ def test_a_child_that_dies_after_encoding_its_reply_leaves_nothing_behind(
 
 
 def test_an_unsized_spec_shares_the_pool_of_its_size(db, monkeypatch):
-    """``parallel:proc`` is sized when it resolves, so on a two-CPU box it
-    is ``parallel:2:proc``: one runtime, one set of children."""
-    monkeypatch.setattr(runtime_module, "available_cpus", lambda: 2)
+    """``parallel:proc`` is sized when it resolves, so on a three-CPU box
+    it is ``parallel:3:proc``: one runtime, one set of children."""
+    monkeypatch.setattr(runtime_module, "available_cpus", lambda: 3)
     runtime = resolve_runtime("parallel:proc")
-    assert runtime is resolve_runtime(POOL)
-    assert runtime.processes == 2
+    assert runtime is resolve_runtime(TWO_CHILDREN)
+    assert runtime.processes == 3
     run_query(Q1, db, strategy="RS_HJ", workers=4, runtime="parallel:proc")
     children = _pool_pids(runtime)
+    run_query(Q1, db, strategy="RS_HJ", workers=4, runtime=TWO_CHILDREN)
+    assert _pool_pids(resolve_runtime(TWO_CHILDREN)) == children
+    assert len(children) == 2
+
+
+# ----------------------------------------------------------------------
+# The driver is an executor: it runs the last batch itself
+# ----------------------------------------------------------------------
+
+
+def _pid_runner(batch):
+    return [(os.getpid(), None) for _ in batch]
+
+
+@pytest.mark.parametrize("strategy", ["HC_TJ", "RS_HJ"])
+def test_one_executor_forks_no_child_and_answers_like_serial(db, strategy):
+    runtime = resolve_runtime("parallel:1:proc")
+    pooled = run_query(Q1, db, strategy=strategy, workers=4, runtime=runtime)
+    assert runtime._session == []
+    assert _answer(pooled) == _answer(run_query(Q1, db, strategy=strategy,
+                                                workers=4))
+
+
+def test_two_executors_fork_one_child_and_ship_only_the_first_batch(
+    db, monkeypatch
+):
+    """Batches ``[0, 2]`` and ``[1, 3]``: the first crosses the pipe, the
+    last stays in the driver and is never encoded."""
+    runtime = resolve_runtime(POOL)
     run_query(Q1, db, strategy="RS_HJ", workers=4, runtime=POOL)
-    assert _pool_pids(resolve_runtime(POOL)) == children and len(children) == 2
+    assert len(runtime._session) == 1
+    assert runtime._session[0].process.is_alive()
+    encoded = []
+    encode = runtime_module._encode_payload
+
+    def spying_encode(item):
+        encoded.append(item)
+        return encode(item)
+
+    monkeypatch.setattr(runtime_module, "_encode_payload", spying_encode)
+    payloads = {
+        worker: {"in": Frame(("x", "y"), [(worker, 0)])} for worker in range(4)
+    }
+    runtime.map_local(
+        range(4), _pid_runner, payloads, ExecutionStats(workers=4),
+        MemoryBudget(per_worker_tuples=None),
+    )
+    assert [id(item) for item in encoded] == [
+        id(payloads[worker]["in"]) for worker in (0, 2)
+    ]
+
+
+TWO_PATH = "P(x,y,z) :- R:Twitter(x,y), S:Twitter(y,z)."
+
+
+@pytest.mark.parametrize(
+    "spec, worker",
+    # the driver runs workers [1, 3] of two executors and [2] of three
+    [(POOL, 3), (TWO_CHILDREN, 2)],
+)
+def test_a_crash_in_the_drivers_batch_retries_like_serial(db, spec, worker):
+    faults = {"faults": [{"kind": "crash", "round": "step 1", "worker": worker}]}
+    answers = [
+        run_query(Q1, db, strategy="RS_HJ", workers=4, runtime=runtime,
+                  faults=faults, recovery="retry")
+        for runtime in ("serial", spec)
+    ]
+    serial, pooled = answers
+    assert serial.stats.retries == 1 and not serial.failed
+    assert _answer(pooled) == _answer(serial)
+    assert pooled.stats.retries == serial.stats.retries
+
+
+@pytest.mark.parametrize(
+    "spec, query, budget, worker",
+    [(POOL, Q1, 1750, 1), (TWO_CHILDREN, TWO_PATH, 1280, 2)],
+)
+def test_an_oom_in_the_drivers_batch_fails_like_serial(
+    db, spec, query, budget, worker
+):
+    serial, pooled = (
+        run_query(query, db, strategy="HC_TJ", workers=4, runtime=runtime,
+                  memory_tuples=budget)
+        for runtime in ("serial", spec)
+    )
+    assert serial.stats.failure.startswith(
+        f"worker {worker} out of memory in phase 'tributary join'"
+    )
+    assert _answer(pooled) == _answer(serial)
+
+
+def _kill_from_the_driver(batch, driver, victim):
+    """The driver's batch kills ``victim`` mid-Round; the victim's batch
+    waits to be killed; every other batch charges 3 per worker."""
+    if os.getpid() == driver:
+        os.kill(victim, signal.SIGKILL)
+    elif any(worker == 1 for worker, _, _ in batch):
+        time.sleep(60)
+    for worker, ledger, _ in batch:
+        ledger.stats.charge(worker, 3, "alive")
+    return [(worker, None) for worker, _, _ in batch]
+
+
+def test_a_child_killed_while_the_driver_runs_its_batch_fails_its_first_worker(
+    db,
+):
+    """Batches ``[0, 3]``, ``[1]`` and ``[2]``: the driver kills worker 1's
+    child while it runs worker 2.  Worker 1 fails, only worker 0 commits —
+    not the driver's worker 2, though it finished — and the next query on
+    the reforked pool answers like serial."""
+    runtime = ProcessRuntime(processes=3)
+    runtime.open_session()
+    stats = ExecutionStats(workers=4)
+    try:
+        victim = runtime._session[1].process.pid
+        runner = partial(_kill_from_the_driver, driver=os.getpid(), victim=victim)
+        with pytest.raises(RuntimeError, match=rf"session child {victim} died"):
+            runtime.map_local(
+                range(4), runner, dict.fromkeys(range(4)), stats,
+                MemoryBudget(per_worker_tuples=None),
+            )
+        assert stats.worker_loads() == {0: 3}
+        assert runtime._session is None
+        pooled = run_query(Q1, db, strategy="RS_HJ", workers=4, runtime=runtime)
+        assert victim not in _pool_pids(runtime) and len(_pool_pids(runtime)) == 2
+    finally:
+        runtime.close_session()
+    assert _answer(pooled) == _answer(run_query(Q1, db, strategy="RS_HJ",
+                                                workers=4))

@@ -480,10 +480,11 @@ def _round(runtime, runner, stats=None):
 
 def test_session_child_dying_mid_round_fails_its_first_worker():
     """Worker 1's child exits under it: that is worker 1 failing — worker 0
-    committed, the surviving child's reply drained, no segment created —
-    and the runtime reforks for the next round."""
+    committed, the surviving child's reply drained, the driver's own worker 2
+    discarded, no segment created — and the runtime reforks for the next
+    round."""
     before = _shm_segments()
-    runtime = ProcessRuntime(processes=2)
+    runtime = ProcessRuntime(processes=3)  # batches [0, 3], [1] and [2]
     stats = ExecutionStats(workers=4)
     runtime.open_session()
     try:
@@ -495,10 +496,10 @@ def test_session_child_dying_mid_round_fails_its_first_worker():
         assert stats.worker_loads() == {0: 3}
         assert not _shm_segments() - before
         assert runtime._session is None
-        assert len(set(_round(runtime, _pid_runner))) == 2  # forked for the call
+        assert len(set(_round(runtime, _pid_runner))) == 3  # forked for the call
         runtime.open_session()
         assert all(child.process.is_alive() for child in runtime._session)
-        assert len(set(_round(runtime, _pid_runner))) == 2
+        assert len(set(_round(runtime, _pid_runner))) == 3
     finally:
         runtime.close_session()
 
@@ -507,7 +508,7 @@ def test_session_child_killed_between_rounds_is_reforked_before_the_next():
     """Nothing was in flight when the child died, so the next Round — which
     may belong to an unrelated query — loses nothing: the dead child is
     replaced before the Round ships, and the live one is kept."""
-    runtime = ProcessRuntime(processes=2)
+    runtime = ProcessRuntime(processes=3)
     runtime.open_session()
     try:
         victim, survivor = (child.process for child in runtime._session)
@@ -515,20 +516,20 @@ def test_session_child_killed_between_rounds_is_reforked_before_the_next():
         victim.join(timeout=10)
         assert victim.exitcode == -signal.SIGKILL
         pids = _round(runtime, _pid_runner)
-        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert len(set(pids)) == 3 and os.getpid() in pids
         assert victim.pid not in pids and survivor.pid in pids
     finally:
         runtime.close_session()
 
 
 def test_a_child_killed_as_the_round_ships_to_it_fails_the_round(monkeypatch):
-    """The second child is killed as its packed row-list input is sent: the
-    write into its pipe fails, its missing reply fails the Round, and
-    nothing is left in ``/dev/shm``."""
+    """The child is killed as its packed row-list input is sent: the write
+    into its pipe fails, its missing reply fails the Round although the
+    driver ran its own batch, and nothing is left in ``/dev/shm``."""
     before = _shm_segments()
     runtime = ProcessRuntime(processes=2)
     runtime.open_session()
-    doomed = runtime._session[1]
+    doomed = runtime._session[0]
     victim = doomed.process
     send = runtime_module._send
 
@@ -599,14 +600,15 @@ def test_session_children_do_not_inherit_freed_heap():
     pins = blocks[::50]
     del blocks
     before = _resident_mb()
-    children = _round(ProcessRuntime(processes=2), _resident_runner)
+    resident = _round(ProcessRuntime(processes=2), _resident_runner)
+    children = resident[::2]  # the child runs workers 0 and 2, the driver 1, 3
     assert len(pins) == 20 and max(children) < before - 30
 
 
 def test_failed_round_leaks_no_shared_memory():
-    """Worker 1 fails; worker 2 — the other child's — ships its 16 384-row
-    result packed over the pipe, and nothing is left in ``/dev/shm``
-    although the value is never delivered."""
+    """Worker 1 fails in the driver's batch; worker 2 — the child's — ships
+    its 16 384-row result packed over the pipe, and nothing is left in
+    ``/dev/shm`` although the value is never delivered."""
     before = _shm_segments()
     side = 128
     assert side * side >= SHARED_MIN_ROWS

@@ -345,7 +345,8 @@ class TestContainment:
         real, driver, calls = runtime_module._encode_value, os.getpid(), []
 
         def fails_for_child_2(value):
-            # two children, four workers: child 1 ships workers 0 and 2 first
+            # three executors, four workers: child 1 ships workers 0 and 3
+            # first, child 2 worker 1, and the driver keeps worker 2
             if os.getpid() == driver:
                 calls.append(None)
                 if len(calls) == 3:
@@ -355,7 +356,7 @@ class TestContainment:
         monkeypatch.setattr(runtime_module, "_encode_value", fails_for_child_2)
         two_way = "P(x,y) :- R:Twitter(x,y), S:Twitter(y,x)."
         service = QueryService(
-            runtime="parallel:2:proc", max_inflight=1, plan_cache=PlanCache()
+            runtime="parallel:3:proc", max_inflight=1, plan_cache=PlanCache()
         )
         for query in (TRIANGLE, two_way):
             service.submit(_tri(query=query, strategy="RS_HJ"))

@@ -78,9 +78,13 @@ class TestTransportThroughRuntime:
     """Frames cross to a session child and back intact, whichever side of
     the packing threshold their row lists fall on."""
 
+    # the child runs workers 0 and 2; the driver keeps worker 1's nothing
     PAYLOADS = {
-        0: {"at": Frame(("x", "y", "z"), _rows(SHARED_MIN_ROWS))},
-        1: {"below": Frame(("x", "y", "z"), _rows(SHARED_MIN_ROWS - 1))},
+        0: {
+            "at": Frame(("x", "y", "z"), _rows(SHARED_MIN_ROWS)),
+            "below": Frame(("x", "y", "z"), _rows(SHARED_MIN_ROWS - 1)),
+        },
+        1: {},
         2: {
             "big": Frame(("x", "y"), _rows(SHARED_MIN_ROWS + 2, width=2)),
             "small": Frame(("x",), _rows(3, width=1)),
@@ -101,7 +105,7 @@ class TestTransportThroughRuntime:
         assert self._echoed() == [self.PAYLOADS[worker] for worker in range(3)]
 
     def test_only_a_frames_large_row_list_is_packed(self):
-        at, below = self.PAYLOADS[0]["at"], self.PAYLOADS[1]["below"]
+        at, below = self.PAYLOADS[0]["at"], self.PAYLOADS[0]["below"]
         packed = _encode_payload(at)
         assert isinstance(packed, _SharedFrame)
         assert _decode_payload(packed) == at

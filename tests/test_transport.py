@@ -155,7 +155,7 @@ def test_a_child_dying_between_header_and_buffers_fails_its_first_worker(
 
     monkeypatch.setattr(runtime_module.os, "write", exit_in_a_child)
     monkeypatch.setattr(runtime_module.os, "readv", recording_readv)
-    runtime = ProcessRuntime(processes=2)
+    runtime = ProcessRuntime(processes=3)  # batches [0, 3], [1] and [2]
     runtime.open_session()
     try:
         doomed = runtime._session[1].process.pid
