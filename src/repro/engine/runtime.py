@@ -18,16 +18,17 @@ ledger.  The three runtimes differ only in who the executors are
   parallel:N:proc``: ``N - 1`` children of a forked, pipe-connected pool
   that lives as long as the runtime, plus the driver itself, which runs
   the last batch in place while the children run theirs — the only mode
-  that escapes the GIL for true multicore wall-clock speedup.  Everything
-  a child needs — the kernel backend, the runner, the slot inputs, the
-  ledgers — is shipped to it with every batch as a protocol-5 pickle
-  whose array buffers of 64 KiB or more follow it out of band
-  (:func:`_send`), one copy each way.  The pipe is the only transport:
-  under numpy every frame is a column block, and a python-backend frame's
-  large row *list* is packed into one such array first
-  (:mod:`~repro.engine.shm`).  Each child's ledgers are pickled back and
-  merged exactly like the thread runtime's; the driver's batch charges its
-  ledgers in place, as the serial runtime does.
+  that escapes the GIL for true multicore wall-clock speedup.  Each
+  executor runs on its own CPU of the process's affinity mask (round-robin
+  when there are more executors than CPUs): a child pins itself when it
+  starts, the driver pins its calling thread only while it runs its batch.
+  Everything a child needs — the kernel backend, the runner, the slot
+  inputs, the ledgers — is shipped to it with every batch as a protocol-5
+  pickle whose array buffers of 64 KiB or more follow it out of band
+  (:func:`_send`), one copy each way; the pipe is the only transport.
+  Each child's ledgers are pickled back and merged exactly like the thread
+  runtime's; the driver's batch charges its ledgers in place, as the
+  serial runtime does.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker
@@ -57,15 +58,14 @@ import struct
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Iterable, Optional, Union
 
 from . import kernels
-from .frame import Frame
 from .memory import MemoryBudget, WorkerMemoryAccount
-from .shm import SharedRows, share_rows
 from .stats import ExecutionStats, WorkerStats
 
 #: a structured local runner: called with a batch of ``(worker id, ledger,
@@ -188,13 +188,19 @@ class WorkerRuntime:
         return f"{type(self).__name__}()"
 
 
+def _affinity() -> list[int]:
+    """The CPUs this process may run on, ascending; empty where the OS
+    keeps no affinity mask."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity on this OS
+        return []
+
+
 def available_cpus() -> int:
     """How many CPUs this process may run on: its affinity mask where the
     OS keeps one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity on this OS
-        return os.cpu_count() or 1
+    return len(_affinity()) or os.cpu_count() or 1
 
 
 class SerialRuntime(WorkerRuntime):
@@ -238,30 +244,12 @@ class ParallelRuntime(WorkerRuntime):
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _SharedFrame:
-    """A :class:`Frame` whose row list crosses the pipe packed."""
-
-    variables: tuple
-    shared: SharedRows
-
-
 def _encode_payload(item: Any) -> Any:
-    """Pack a frame's large row list into one array before pickling.
-
-    A frame whose rows are a column block passes through: :func:`_send`
-    already moves its arrays with one copy each way."""
-    if isinstance(item, Frame) and isinstance(item.rows, list):
-        shared = share_rows(item.rows)
-        if shared is not None:
-            return _SharedFrame(item.variables, shared)
-    return item
-
-
-def _decode_payload(item: Any) -> Any:
-    """Rebuild a packed frame's row list."""
-    if isinstance(item, _SharedFrame):
-        return Frame(item.variables, item.shared.load())
+    """One slot input of a shipped batch, as it crosses the pipe: unchanged,
+    since :func:`_send` already pickles row lists and moves column blocks'
+    arrays with one copy each way.  Kept as the per-frame call of
+    :meth:`ProcessRuntime._run_batches` because tests spy on it through this
+    module's attribute to see which frames cross."""
     return item
 
 
@@ -271,10 +259,34 @@ def _encode_value(value: Any) -> Any:
     return _encode_payload(value)
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {key: _decode_payload(item) for key, item in value.items()}
-    return _decode_payload(value)
+def _pin(cpu: Optional[int]) -> bool:
+    """Bind the calling thread to ``cpu``; False — and nothing changed —
+    where there is no CPU to pin to, no ``sched_setaffinity``, or the
+    kernel refuses the mask."""
+    if cpu is None:
+        return False
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+@contextmanager
+def _pinned(cpu: Optional[int]):
+    """Run the block with the calling thread bound to ``cpu``, then give it
+    back the mask it had; unpinned where ``cpu`` is None, outside the
+    thread's current mask, or cannot be pinned."""
+    saved = set(_affinity())
+    pinned = cpu in saved and _pin(cpu)
+    try:
+        yield
+    finally:
+        if pinned:
+            try:
+                os.sched_setaffinity(0, saved)
+            except OSError:  # pragma: no cover - a CPU went offline meanwhile
+                pass
 
 
 #: an array buffer this large or larger crosses the session pipe out of band
@@ -325,18 +337,19 @@ def _recv(connection) -> Any:
     return pickle.loads(header, buffers=buffers)  # ignores the sizes past it
 
 
-def _session_child_main(connection) -> None:
-    """Serve structured local batches inside one persistent forked child.
+def _session_child_main(connection, cpu: Optional[int]) -> None:
+    """Serve structured local batches inside one persistent forked child,
+    bound to ``cpu`` (see :func:`_pin`).
 
-    Each message is ``(kernel backend, runner, [(worker, ledger, encoded
-    inputs), ...])``; the batch runs as one ``runner`` call under the
-    driver's backend — the child outlives whatever backend it was forked
-    under — and every outcome ships back as ``(worker, encoded value,
-    mutated ledger, error)``: the ledger rides along even when the task
-    raised, so the parent honors the commit-before-lowest-failure contract
-    exactly like the in-process runtimes.  ``None`` (or a closed pipe) ends
-    the loop.
+    Each message is ``(kernel backend, runner, [(worker, ledger, inputs),
+    ...])``; the batch runs as one ``runner`` call under the driver's
+    backend — the child outlives whatever backend it was forked under — and
+    every outcome ships back as ``(worker, value, mutated ledger, error)``:
+    the ledger rides along even when the task raised, so the parent honors
+    the commit-before-lowest-failure contract exactly like the in-process
+    runtimes.  ``None`` (or a closed pipe) ends the loop.
     """
+    _pin(cpu)
     while True:
         try:
             message = _recv(connection)
@@ -346,14 +359,7 @@ def _session_child_main(connection) -> None:
             break
         backend, runner, batch = message
         with kernels.use_backend(backend):
-            batch = [
-                (worker, ledger, _decode_value(payload))
-                for worker, ledger, payload in batch
-            ]
-            results = [
-                (worker, _encode_value(value), ledger, error)
-                for worker, value, ledger, error in _run_batch(runner, batch)
-            ]
+            results = _run_batch(runner, batch)
         try:
             _send(connection, results)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
@@ -373,13 +379,15 @@ def _trim_heap() -> None:
 
 
 class _SessionWorker:
-    """One persistent forked child of a :class:`ProcessRuntime` pool."""
+    """One persistent forked child of a :class:`ProcessRuntime` pool, bound
+    to ``cpu`` (``None``: unpinned) for as long as the slot is refilled."""
 
-    def __init__(self, context) -> None:
+    def __init__(self, context, cpu: Optional[int]) -> None:
         parent, child = context.Pipe()
         self.connection = parent
+        self.cpu = cpu
         self.process = context.Process(
-            target=_session_child_main, args=(child,), daemon=True
+            target=_session_child_main, args=(child, cpu), daemon=True
         )
         self.process.start()
         child.close()
@@ -421,6 +429,19 @@ class ProcessRuntime(WorkerRuntime):
     — no pickling, ledgers charged in place — and only then reads the
     children's replies.
 
+    Executor ``i`` runs on ``cpus[i % len(cpus)]`` of the affinity mask
+    read when the pool forks: children are executors ``0 … N - 2`` and pin
+    themselves for life, and the driver, executor ``N - 1``, pins only its
+    calling thread and only while it runs its own batch of a Round that
+    shipped one, restoring that thread's mask afterwards, whether or not
+    the batch failed.  Left to the scheduler, a child woken by a pipe write
+    tends to run on the writer's CPU, so the two halves of a Round share
+    one core while the other idles.  An executor whose CPU cannot be
+    pinned (no ``sched_setaffinity``, a mask the kernel refuses, a driver
+    CPU outside the thread's current mask) runs unpinned; placement never
+    changes which worker runs where, so rows and counted metrics cannot
+    move with it.
+
     The pool lives as long as the runtime: :meth:`open_session` — which
     every plan calls before its first Round builds a frame — or else the
     first :meth:`map_local` forks it, and every later Round — of any plan, any
@@ -447,6 +468,7 @@ class ProcessRuntime(WorkerRuntime):
             raise ValueError("ProcessRuntime needs at least one pool process")
         self.processes = processes
         self._session: Optional[list[_SessionWorker]] = None
+        self._cpus: list[int] = []
         self._reaper: Optional[weakref.finalize] = None
         self._lock = threading.Lock()
 
@@ -471,7 +493,11 @@ class ProcessRuntime(WorkerRuntime):
         if self._session is None:
             _trim_heap()  # the children inherit the live heap only
             children = (self.processes or available_cpus()) - 1  # + the driver
-            self._session = [_SessionWorker(context) for _ in range(children)]
+            self._cpus = _affinity()
+            self._session = [
+                _SessionWorker(context, self._cpu_of(index))
+                for index in range(children)
+            ]
             self._reaper = weakref.finalize(
                 self, _stop_pool, os.getpid(), self._session
             )
@@ -481,8 +507,14 @@ class ProcessRuntime(WorkerRuntime):
                 child.process.join(timeout=10)
                 child.connection.close()
                 _trim_heap()
-                self._session[index] = _SessionWorker(context)
+                self._session[index] = _SessionWorker(context, child.cpu)
         return True
+
+    def _cpu_of(self, executor: int) -> Optional[int]:
+        """The CPU executor ``executor`` runs on (``None``: unpinned)."""
+        if not self._cpus:
+            return None
+        return self._cpus[executor % len(self._cpus)]
 
     def _stop(self) -> None:
         """Stop and reap every child (the reaper is the one place that does)."""
@@ -533,8 +565,12 @@ class ProcessRuntime(WorkerRuntime):
                     _send(child.connection, (backend, runner, encoded))
                 except OSError:
                     pass  # the child is gone: its missing reply reports it below
-            # the driver's own batch runs while the children run theirs
-            outcomes, broken = [_run_batch(runner, own)], False
+            # the driver's own batch runs while the children run theirs,
+            # on its own CPU when it has company
+            driver_cpu = self._cpu_of(len(self._session)) if shipped else None
+            with _pinned(driver_cpu):
+                outcomes = [_run_batch(runner, own)]
+            broken = False
             for child, batch in zip(self._session, shipped):
                 try:
                     reply = _recv(child.connection)
@@ -547,10 +583,7 @@ class ProcessRuntime(WorkerRuntime):
                         f"(exit code {child.process.exitcode})"
                     )
                     reply = [(worker, None, ledger, died)]
-                outcomes.append([
-                    (worker, _decode_value(value), ledger, error)
-                    for worker, value, ledger, error in reply
-                ])
+                outcomes.append(reply)
         except BaseException:
             self._drop_session()
             raise

@@ -1,28 +1,16 @@
-"""Row-list packing for the process runtime's session pipe.
+"""Row-list packing, kept for a pinned import and the benchmark's probes.
 
-The process runtime (:class:`~repro.engine.runtime.ProcessRuntime`) ships
-each Round's slot inputs to the child that runs them, and its results back,
-over one session pipe: a protocol-5 pickle whose large array buffers follow
-it out of band, each copied once into the pipe and once out of it (see
-:func:`~repro.engine.runtime._send`).  Under numpy every frame is a column
-block, whose arrays take that path as they are.  Only the python kernel
-backend's frames hold a row *list*, which would otherwise pickle tuple by
-tuple; :func:`share_rows` packs a large one into one int64 column-major
-array, which :class:`SharedRows` carries across the pipe like any block's
-arrays, and :meth:`SharedRows.load` rebuilds the list on the far side.
-Nothing is parked outside the message, so a child that dies mid-Round
-leaves nothing behind.
-
-Packing pays on a pipe round trip, where a pickled list is unpickled and
-pickled again tuple by tuple (EXPERIMENTS.md, "One transport"); lists
-below ``SHARED_MIN_ROWS`` keep the plain pickle path, where they have
-always gone.  The module keeps its name, ``SHARED_MIN_ROWS``,
-:func:`share_rows` and :meth:`SharedRows.load` because the differential
-suites and the benchmark's probes address them by these names.
-
-The packing is invisible to the engine: counted metrics, row values, and
-row order are identical either way (``tests/test_wcoj_differential.py``
-and ``tests/test_shm.py`` pin this).
+The process runtime (:class:`~repro.engine.runtime.ProcessRuntime`) no
+longer packs anything: a python-backend frame's row list crosses the
+session pipe pickled as it is, and a numpy frame's column block moves its
+arrays out of band (see :func:`~repro.engine.runtime._send`).  Packing a
+list into one int64 array and rebuilding it on the far side cost more than
+the pickling it replaced at every size measured (EXPERIMENTS.md, "The
+driver is an executor").  ``SHARED_MIN_ROWS``, :class:`SharedRows` and
+:func:`share_rows` stay only because the pinned
+``tests/test_kernels_differential.py`` imports ``SHARED_MIN_ROWS`` (as the
+size of a "large" frame) and ``perf/layers.py`` times :func:`share_rows`
+and :meth:`SharedRows.load` under their metric names.
 """
 
 from __future__ import annotations
@@ -34,7 +22,7 @@ import numpy as np
 
 Row = tuple[int, ...]
 
-#: a row list this long or longer crosses the session pipe packed
+#: the row count from which :func:`share_rows` packs a list
 SHARED_MIN_ROWS = 16384
 
 

@@ -41,6 +41,17 @@ def _as_query(query: QueryLike) -> ConjunctiveQuery:
     return parse_query(query)
 
 
+def _check_relations(query: ConjunctiveQuery, database: Database) -> None:
+    """Reject a query that names a relation ``database`` does not hold: bad
+    input, a :class:`ValueError` like every other (the CLI exits 2)."""
+    for atom in query.atoms:
+        if atom.relation not in database:
+            raise ValueError(
+                f"unknown relation {atom.relation!r}; "
+                f"known: {sorted(database.relations())}"
+            )
+
+
 def _plan(
     query: ConjunctiveQuery,
     strategy: Union[str, Strategy],
@@ -55,8 +66,11 @@ def _plan(
     ``"auto"`` goes through the cost-based optimizer and ``cache``; every
     other spelling :func:`~repro.planner.physical.lower` accepts is lowered
     directly.  Returns the plan, the optimizer's cost report (``None`` for
-    an explicit strategy) and whether the plan cache answered.
+    an explicit strategy) and whether the plan cache answered.  A query
+    naming a relation the catalog's database lacks raises
+    :class:`ValueError`.
     """
+    _check_relations(query, catalog.database)
     if strategy == AUTO_STRATEGY:
         optimized = optimize(
             query, catalog, workers=workers, memory_tuples=memory_tuples,

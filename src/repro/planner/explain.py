@@ -45,7 +45,7 @@ from ..query.atoms import ConjunctiveQuery, Variable
 from ..query.catalog import Catalog, cardinalities_for
 from ..query.hypergraph import Hypergraph
 from ..storage.relation import Database
-from .api import QueryLike, _as_query, _plan, make_cluster
+from .api import QueryLike, _as_query, _check_relations, _plan, make_cluster
 from .binary import LeftDeepPlan, left_deep_plan
 from .executor import ExecutionResult, execute_physical
 from .optimizer import CostReport
@@ -133,6 +133,7 @@ def explain(
     predicted and chosen side by side.
     """
     query = _as_query(query)
+    _check_relations(query, database)
     catalog = Catalog(database)
     cards = dict(cardinalities_for(query, database))
     hypergraph = Hypergraph(query)

@@ -328,6 +328,17 @@ class TestExitCodes:
         assert errors[0].count("\n") == 1 and errors[0].startswith("error: ")
         assert errors == [errors[0]] * 3
 
+    @pytest.mark.parametrize(
+        "command", [["run"], ["explain"], ["explain", "--analyze"]],
+        ids=["run", "explain", "analyze"],
+    )
+    def test_unknown_relation_is_usage_error(self, capsys, command):
+        code = main([*command, "Q(x,y) :- E(x,y).", "--workers", "4"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: unknown relation 'E'; known: ['Twitter']\n"
+        )
+
     def test_bad_recovery_spec_is_usage_error(self, capsys):
         code = main(["run", TRIANGLE, "--workers", "4",
                      "--recovery", "retry:lots"])

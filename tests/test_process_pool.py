@@ -8,8 +8,9 @@ like serial, whatever kernel backend each plan runs under and however many
 threads share them, and so do faults in the driver's own batch; a child
 that died while idle is replaced without failing anyone; nothing — a
 process, or a shared-memory segment, which the pool's one transport, its
-pipe, never makes — outlives its use; and every spelling of a pool size
-names the same pool.
+pipe, never makes — outlives its use; every spelling of a pool size
+names the same pool; and each executor runs on its own CPU, the driver's
+thread only while it runs its batch, whatever the batch does.
 """
 
 import gc
@@ -30,7 +31,7 @@ from repro.engine.frame import Frame
 from repro.engine.memory import MemoryBudget
 from repro.engine.runtime import ProcessRuntime, resolve_runtime
 from repro.engine.scheduler import PlanExecution
-from repro.engine.shm import SHARED_MIN_ROWS, share_rows
+from repro.engine.shm import SHARED_MIN_ROWS
 from repro.engine.stats import ExecutionStats
 from repro.planner.api import make_cluster, run_query
 from repro.planner.physical import lower
@@ -257,19 +258,20 @@ def _segments():
 
 
 def test_no_shared_memory_segment_outlives_twenty_plans(monkeypatch):
-    """Each plan ships a python-backend anchor fragment, packed, over the
-    pipe to the same child (the driver keeps the other); no segment is
-    ever created."""
+    """Each plan ships a python-backend anchor fragment, a plain row list,
+    over the pipe to the same child (the driver keeps the other); no
+    segment is ever created."""
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm to inspect")
-    packed = []
+    large = []
+    encode = runtime_module._encode_payload
 
-    def counting_share_rows(rows):
-        result = share_rows(rows)
-        packed.append(result is not None)
-        return result
+    def counting_encode(item):
+        if isinstance(item, Frame) and isinstance(item.rows, list):
+            large.append(len(item) >= SHARED_MIN_ROWS)
+        return encode(item)
 
-    monkeypatch.setattr(runtime_module, "share_rows", counting_share_rows)
+    monkeypatch.setattr(runtime_module, "_encode_payload", counting_encode)
     database = twitter_database(nodes=2_000, edges=2 * SHARED_MIN_ROWS + 2)
     query = "Q(x,y) :- R:Twitter(x,y), S:Twitter(y,x)."
     serial = run_query(query, database, strategy="BR_HJ", workers=2,
@@ -279,24 +281,29 @@ def test_no_shared_memory_segment_outlives_twenty_plans(monkeypatch):
         pooled = run_query(query, database, strategy="BR_HJ", workers=2,
                            runtime=POOL, kernels="python")
         assert _answer(pooled) == _answer(serial)
-    assert sum(packed) >= 20
+    assert sum(large) >= 20
     assert not _segments() - before
 
 
-def _packs_a_row_list(message):
-    """Whether a child's reply carries a packed row list."""
+def _ships_a_large_row_list(message):
+    """Whether a child's reply carries a row list of ``SHARED_MIN_ROWS``
+    rows or more."""
     values = [value for _, value, _, _ in message]
     items = [
         item for value in values
         for item in (value.values() if isinstance(value, dict) else [value])
     ]
-    return any(isinstance(item, runtime_module._SharedFrame) for item in items)
+    return any(
+        isinstance(item, Frame) and isinstance(item.rows, list)
+        and len(item) >= SHARED_MIN_ROWS
+        for item in items
+    )
 
 
 def test_a_child_that_dies_after_encoding_its_reply_leaves_nothing_behind(
     monkeypatch,
 ):
-    """Each child exits right after it encodes a python-backend reply of at
+    """Each child exits just before it sends a python-backend reply of at
     least ``SHARED_MIN_ROWS`` rows, as one the OOM killer takes would: the
     query fails with that child's death, ``/dev/shm`` holds nothing new,
     and the reforked pool answers the next query like serial."""
@@ -306,7 +313,7 @@ def test_a_child_that_dies_after_encoding_its_reply_leaves_nothing_behind(
     send = runtime_module._send
 
     def dying_send(connection, message):
-        if os.getpid() != driver and _packs_a_row_list(message):
+        if os.getpid() != driver and _ships_a_large_row_list(message):
             os._exit(1)
         send(connection, message)
 
@@ -471,3 +478,194 @@ def test_a_child_killed_while_the_driver_runs_its_batch_fails_its_first_worker(
         runtime.close_session()
     assert _answer(pooled) == _answer(run_query(Q1, db, strategy="RS_HJ",
                                                 workers=4))
+
+
+# ----------------------------------------------------------------------
+# Each executor runs on its own CPU
+# ----------------------------------------------------------------------
+
+#: the CPUs this interpreter may run on, as a pool forked now reads them
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS"
+)
+
+
+def _mask_runner(batch):
+    """Each worker's view of the CPUs its executor's thread may run on."""
+    return [(sorted(os.sched_getaffinity(0)), None) for _ in batch]
+
+
+def _thread_mask():
+    """The calling thread's mask: what the interpreter started with, unless
+    some Round left the thread pinned."""
+    return os.sched_getaffinity(0)
+
+
+def _round(runtime, runner):
+    """One ``map_local`` round over workers 0-3, nothing shipped to them."""
+    return runtime.map_local(
+        range(4), runner, dict.fromkeys(range(4)), ExecutionStats(workers=4),
+        MemoryBudget(per_worker_tuples=None),
+    )
+
+
+@needs_affinity
+@pytest.mark.parametrize("processes", [2, 3])
+def test_each_executor_runs_on_its_own_cpu(db, processes):
+    """Executor ``i`` — children first, the driver last — runs on
+    ``CPUS[i % len(CPUS)]``: each child for life, the driver while it runs
+    its batch, and only then."""
+    runtime = ProcessRuntime(processes=processes)
+    try:
+        run_query(Q1, db, strategy="HC_TJ", workers=4, runtime=runtime)
+        children = [child.process.pid for child in runtime._session]
+        assert [os.sched_getaffinity(pid) for pid in children] == [
+            {CPUS[index % len(CPUS)]} for index in range(processes - 1)
+        ]
+        masks = _round(runtime, _mask_runner)
+    finally:
+        runtime.close_session()
+    assigned = [CPUS[(worker % processes) % len(CPUS)] for worker in range(4)]
+    assert masks == [[cpu] for cpu in assigned]
+    assert _thread_mask() == set(CPUS)
+    if len(CPUS) > 1:
+        used = {CPUS[index % len(CPUS)] for index in range(processes)}
+        assert len(used) == min(processes, len(CPUS))
+
+
+@needs_affinity
+def test_a_driver_without_company_stays_unpinned():
+    """``parallel:1:proc`` ships nothing, so the driver's thread keeps its
+    whole mask while it runs every worker."""
+    runtime = ProcessRuntime(processes=1)
+    try:
+        masks = _round(runtime, _mask_runner)
+    finally:
+        runtime.close_session()
+    assert masks == [sorted(_thread_mask())] * 4
+
+
+class _Abort(BaseException):
+    """Escapes the batch runner's ``except Exception``."""
+
+
+def _failing_in_the_driver(batch, driver, error):
+    if os.getpid() == driver:
+        raise error
+    return [(None, None) for _ in batch]
+
+
+@needs_affinity
+@pytest.mark.parametrize(
+    "error, caught",
+    [(ValueError("driver batch"), ValueError), (_Abort(), _Abort)],
+    ids=["reported", "escaping"],
+)
+def test_the_driver_thread_gets_its_mask_back_when_its_batch_raises(
+    error, caught
+):
+    runtime = ProcessRuntime(processes=2)
+    try:
+        runner = partial(_failing_in_the_driver, driver=os.getpid(), error=error)
+        with pytest.raises(caught):
+            _round(runtime, runner)
+        assert _thread_mask() == set(CPUS)
+    finally:
+        runtime.close_session()
+
+
+@needs_affinity
+def test_the_driver_thread_gets_its_mask_back_after_a_crash_in_its_batch(db):
+    """Worker 3 runs in the driver's batch ``[1, 3]``; the crash fails the
+    query, and leaves the thread as it found it."""
+    faults = {"faults": [{"kind": "crash", "round": "step 1", "worker": 3}]}
+    runtime = ProcessRuntime(processes=2)
+    try:
+        pooled = run_query(Q1, db, strategy="RS_HJ", workers=4, runtime=runtime,
+                           faults=faults, recovery="fail")
+    finally:
+        runtime.close_session()
+    assert pooled.failed and _thread_mask() == set(CPUS)
+
+
+@needs_affinity
+def test_the_driver_thread_gets_its_mask_back_when_a_child_dies_mid_round():
+    runtime = ProcessRuntime(processes=3)
+    runtime.open_session()
+    try:
+        victim = runtime._session[1].process.pid
+        runner = partial(_kill_from_the_driver, driver=os.getpid(), victim=victim)
+        with pytest.raises(RuntimeError, match=rf"session child {victim} died"):
+            _round(runtime, runner)
+        assert _thread_mask() == set(CPUS)
+    finally:
+        runtime.close_session()
+
+
+@needs_affinity
+def test_a_driver_cpu_outside_the_threads_mask_is_not_pinned():
+    """The caller narrowed its thread to CPUs the driver's CPU is not among:
+    the driver runs its batch under the caller's mask, which stays."""
+    if len(CPUS) < 2:
+        pytest.skip("needs two CPUs")
+    runtime = ProcessRuntime(processes=2)  # child on CPUS[0], driver CPUS[1]
+    original = _thread_mask()
+    try:
+        os.sched_setaffinity(0, {CPUS[0]})
+        masks = _round(runtime, _mask_runner)
+        assert _thread_mask() == {CPUS[0]}
+    finally:
+        os.sched_setaffinity(0, original)
+        runtime.close_session()
+    assert masks == [[CPUS[0]]] * 4
+
+
+@needs_affinity
+def test_a_child_killed_between_rounds_returns_to_its_cpu():
+    runtime = ProcessRuntime(processes=3)
+    runtime.open_session()
+    try:
+        victim = runtime._session[1]
+        victim.process.kill()
+        victim.process.join(timeout=10)
+        _round(runtime, _pid_runner)
+        heir = runtime._session[1]
+        assert heir.process.pid != victim.process.pid
+        assert heir.cpu == victim.cpu == CPUS[1 % len(CPUS)]
+        assert os.sched_getaffinity(heir.process.pid) == {heir.cpu}
+    finally:
+        runtime.close_session()
+
+
+def _no_setaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+
+
+def _a_cpu_the_box_lacks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1000},
+                        raising=False)
+
+
+@needs_affinity
+@pytest.mark.parametrize(
+    "unpinnable", [_no_setaffinity, _a_cpu_the_box_lacks],
+    ids=["no-setaffinity", "absent-cpu"],
+)
+@pytest.mark.parametrize("strategy", ["HC_TJ", "RS_HJ"])
+def test_an_unpinnable_pool_runs_unpinned_and_answers_like_serial(
+    db, monkeypatch, unpinnable, strategy
+):
+    serial = run_query(Q1, db, strategy=strategy, workers=4)
+    mask_of = os.sched_getaffinity  # the real one, whatever is patched
+    unpinnable(monkeypatch)
+    runtime = ProcessRuntime(processes=3)
+    try:
+        pooled = run_query(Q1, db, strategy=strategy, workers=4, runtime=runtime)
+        children = [mask_of(pid) for pid in _pool_pids(runtime)]
+    finally:
+        runtime.close_session()
+        monkeypatch.undo()
+    assert _answer(pooled) == _answer(serial)
+    assert children == [set(CPUS)] * 2 and mask_of(0) == set(CPUS)

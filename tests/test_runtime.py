@@ -454,7 +454,7 @@ def test_raising_runner_fails_its_first_worker_and_spares_the_executor(
 
 def _exit_with_worker_1(batch):
     """Kills the executor handed worker 1; any other ships a charge and a
-    row block large enough to be packed per worker."""
+    row list of ``SHARED_MIN_ROWS`` rows per worker."""
     if any(worker == 1 for worker, _, _ in batch):
         os._exit(1)
     for worker, ledger, _ in batch:
@@ -523,7 +523,7 @@ def test_session_child_killed_between_rounds_is_reforked_before_the_next():
 
 
 def test_a_child_killed_as_the_round_ships_to_it_fails_the_round(monkeypatch):
-    """The child is killed as its packed row-list input is sent: the write
+    """The child is killed as its large row-list input is sent: the write
     into its pipe fails, its missing reply fails the Round although the
     driver ran its own batch, and nothing is left in ``/dev/shm``."""
     before = _shm_segments()
@@ -607,7 +607,7 @@ def test_session_children_do_not_inherit_freed_heap():
 
 def test_failed_round_leaks_no_shared_memory():
     """Worker 1 fails in the driver's batch; worker 2 — the child's — ships
-    its 16 384-row result packed over the pipe, and nothing is left in
+    its 16 384-row result over the pipe, and nothing is left in
     ``/dev/shm`` although the value is never delivered."""
     before = _shm_segments()
     side = 128

@@ -305,6 +305,14 @@ class TestContainment:
         assert "planning failed" in failed.detail
         assert "variable order" in failed.detail
 
+    def test_unknown_relation_fails_at_planning(self):
+        failed = self._serve_three(
+            dict(query=parse_query("Q(x,y) :- E(x,y)."), strategy="HC_TJ")
+        )
+        assert failed.detail == (
+            "planning failed: unknown relation 'E'; known: ['Twitter']"
+        )
+
     @pytest.mark.parametrize("method", ["step", "finalize"])
     def test_exception_in_flight_is_that_querys_failure(
         self, method, monkeypatch, caplog

@@ -1,4 +1,8 @@
-"""Unit tests for the row-list packing of the process runtime's pipe."""
+"""Unit tests for ``share_rows`` and for frames crossing the process pipe.
+
+The process runtime pickles a frame's row list as it is; ``share_rows``
+survives only for the benchmark's probes and a pinned import, and packs
+nothing on the pipe."""
 
 import os
 
@@ -8,12 +12,7 @@ from repro.engine import runtime as runtime_module
 from repro.engine.frame import Frame
 from repro.engine.kernels import ColumnBlock
 from repro.engine.memory import MemoryBudget
-from repro.engine.runtime import (
-    ProcessRuntime,
-    _decode_payload,
-    _encode_payload,
-    _SharedFrame,
-)
+from repro.engine.runtime import ProcessRuntime, _encode_payload
 from repro.engine.shm import SHARED_MIN_ROWS, share_rows
 from repro.engine.stats import ExecutionStats
 from repro.planner.api import run_query
@@ -76,7 +75,7 @@ def _echo(batch):
 
 class TestTransportThroughRuntime:
     """Frames cross to a session child and back intact, whichever side of
-    the packing threshold their row lists fall on."""
+    ``SHARED_MIN_ROWS`` their row lists fall on."""
 
     # the child runs workers 0 and 2; the driver keeps worker 1's nothing
     PAYLOADS = {
@@ -101,17 +100,20 @@ class TestTransportThroughRuntime:
         finally:
             runtime.close_session()
 
-    def test_large_row_block_returns_packed(self):
-        assert self._echoed() == [self.PAYLOADS[worker] for worker in range(3)]
+    def test_large_row_lists_return_intact(self):
+        echoed = self._echoed()
+        assert echoed == [self.PAYLOADS[worker] for worker in range(3)]
+        assert all(
+            isinstance(frame.rows, list)
+            for value in echoed for frame in value.values()
+        )
 
-    def test_only_a_frames_large_row_list_is_packed(self):
-        at, below = self.PAYLOADS[0]["at"], self.PAYLOADS[0]["below"]
-        packed = _encode_payload(at)
-        assert isinstance(packed, _SharedFrame)
-        assert _decode_payload(packed) == at
-        assert _encode_payload(below) is below
-        # every slot holds a frame: a bare row list is not a payload kind
-        assert _encode_payload(at.rows) is at.rows
+    def test_frames_cross_unchanged(self):
+        for value in self.PAYLOADS.values():
+            for frame in value.values():
+                assert _encode_payload(frame) is frame
+        rows = self.PAYLOADS[0]["at"].rows
+        assert _encode_payload(rows) is rows
 
     def test_no_segment_is_created(self):
         before = _segments()
@@ -121,36 +123,29 @@ class TestTransportThroughRuntime:
 
 class TestAnchorTransport:
     """A broadcast plan's anchor fragments are never exchanged, so they
-    reach the session children as the scan made them: a row list under
-    python kernels, which crosses packed, and a column block under numpy,
-    which pickles as its arrays and is never packed."""
+    reach the session children as the scan made them — a row list under
+    python kernels, a column block under numpy — and cross unchanged."""
 
     QUERY = "Q(x,y) :- R:Twitter(x,y), S:Twitter(y,x)."
 
     def _forked(self, backend, monkeypatch):
-        """Whether each ``share_rows`` call packed its rows, and the frames
-        the parent encoded for the children; the forked answer must equal
-        the serial one and leave ``/dev/shm`` as it was."""
-        # two workers, each anchor fragment above the packing threshold
+        """Each frame the parent encoded for the children, with what the
+        encoding made of it; the forked answer must equal the serial one
+        and leave ``/dev/shm`` as it was."""
+        # two workers, each anchor fragment at least SHARED_MIN_ROWS long
         database = twitter_database(nodes=2_000, edges=2 * SHARED_MIN_ROWS + 2)
         serial = run_query(
             self.QUERY, database, strategy="BR_HJ", workers=2, kernels=backend
         )
-        packed, sent = [], []
-
-        def spy(rows):
-            result = share_rows(rows)
-            packed.append(result is not None)
-            return result
-
+        sent = []
         encode = runtime_module._encode_payload
 
         def spying_encode(item):
+            encoded = encode(item)
             if isinstance(item, Frame):
-                sent.append(item)
-            return encode(item)
+                sent.append((item, encoded))
+            return encoded
 
-        monkeypatch.setattr(runtime_module, "share_rows", spy)
         monkeypatch.setattr(runtime_module, "_encode_payload", spying_encode)
         before = _segments()
         forked = run_query(
@@ -159,15 +154,18 @@ class TestAnchorTransport:
         )
         assert forked.rows == serial.rows
         assert _segments() - before == set()
-        return packed, sent
+        assert all(encoded is frame for frame, encoded in sent)
+        return [frame for frame, _ in sent]
 
-    def test_anchor_fragments_cross_packed(self, monkeypatch):
-        packed, _ = self._forked("python", monkeypatch)
-        assert any(packed)
+    def test_anchor_fragments_cross_unchanged(self, monkeypatch):
+        sent = self._forked("python", monkeypatch)
+        assert any(
+            isinstance(frame.rows, list) and len(frame) >= SHARED_MIN_ROWS
+            for frame in sent
+        )
 
     def test_numpy_anchor_fragments_reach_the_children_as_blocks(self, monkeypatch):
-        packed, sent = self._forked("numpy", monkeypatch)
-        assert not packed
+        sent = self._forked("numpy", monkeypatch)
         assert any(
             isinstance(frame.rows, ColumnBlock) and len(frame) >= SHARED_MIN_ROWS
             for frame in sent
