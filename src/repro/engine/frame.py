@@ -13,12 +13,17 @@ cluster deals (:meth:`~repro.engine.cluster.Cluster.fragments`) — until the
 result is finalized.
 Either way it is a ``Sequence`` of tuples of Python ints, nothing mutates it
 once a frame holds it, and a frame is what every slot of a plan holds.
+
+A frame a local operator routed for the regular shuffle that alone reads
+it carries its :class:`Routing`: the rows sit in destination order, and
+that exchange only assembles each consumer's runs
+(:func:`~repro.engine.shuffle.regular_shuffle`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ..query.atoms import Atom, Comparison, Variable
 from ..storage.relation import Relation
@@ -27,12 +32,27 @@ from . import kernels
 Encoder = Callable[[Union[int, str]], int]
 
 
+@dataclass(frozen=True)
+class Routing:
+    """How a producer laid out its rows for a regular shuffle: hashed on
+    ``key`` with ``salt`` into ``workers`` destinations, destination ``b``'s
+    rows being ``rows[cuts[b]:cuts[b + 1]]`` in scan order."""
+
+    key: tuple[Variable, ...]
+    salt: int
+    workers: int
+    cuts: tuple[int, ...]
+
+
 @dataclass
 class Frame:
-    """Rows labelled by query variables."""
+    """Rows labelled by query variables, plus their :class:`Routing` once a
+    producer routed them (not compared: two frames holding the same rows
+    are equal however those rows came to be in that order)."""
 
     variables: tuple[Variable, ...]
     rows: Sequence[tuple[int, ...]] = field(default_factory=list)
+    routing: Optional[Routing] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.variables)) != len(self.variables):

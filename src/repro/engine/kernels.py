@@ -266,8 +266,13 @@ def _hash_columns(columns: Sequence[np.ndarray], salt: int, count: int) -> np.nd
     low 32 bits multiplied.  So wrapping uint32 arithmetic over each
     column's low 32 bits is exact for any int64 value.
     """
-    mixed = np.full(count, np.uint32(salt & _MASK), dtype=np.uint32)
-    for column in columns:
+    if not columns:
+        return np.full(count, np.uint32(salt & _MASK), dtype=np.uint32)
+    mixed = _low32(columns[0])
+    if salt & _MASK:
+        mixed ^= np.uint32(salt & _MASK)
+    _mix(mixed)
+    for column in columns[1:]:
         mixed ^= _low32(column)
         _mix(mixed)
     return mixed
@@ -290,8 +295,11 @@ def _bucketize(
     destinations: np.ndarray,
     buckets: int,
     copies: int = 1,
-) -> list[ColumnBlock]:
-    """Split a block into destination buckets, preserving scan order.
+) -> tuple[ColumnBlock, list[int]]:
+    """Gather a block into destination order, preserving scan order; return
+    the gathered block and its ``buckets + 1`` cuts (bucket ``b`` is rows
+    ``cuts[b]:cuts[b + 1]``) — the one partition primitive every exchange
+    and every producer-side routing shares.
 
     ``destinations`` is a flat array of ``len(block) * copies`` destination
     ids in scan-major order (row ``i``'s copies at positions
@@ -300,15 +308,31 @@ def _bucketize(
     65 536 buckets, which numpy's stable argsort sorts by radix.  The ids
     are sorted once; stability keeps the within-bucket order identical to
     the python backend's append order, and the cuts are the running sums
-    of the bucket counts.  The block is gathered once into destination
-    order and the buckets are slices of that one gathered block.
+    of the bucket counts.
     """
     sources = np.argsort(destinations, kind="stable")
     cuts = [0, *np.cumsum(np.bincount(destinations, minlength=buckets)).tolist()]
     if copies != 1:
         sources //= copies
-    gathered = block.take(sources)
-    return [gathered[cuts[b]: cuts[b + 1]] for b in range(buckets)]
+    return block.take(sources), cuts
+
+
+def _split(gathered: ColumnBlock, cuts: Sequence[int]) -> list[ColumnBlock]:
+    """The buckets of a gathered block: slices of it, one per cut pair."""
+    return [gathered[cuts[b]: cuts[b + 1]] for b in range(len(cuts) - 1)]
+
+
+def _shuffle_destinations(
+    block: ColumnBlock, key_indices: Sequence[int], workers: int, salt: int
+) -> np.ndarray:
+    """Every row's regular-shuffle destination, :func:`_narrow`-ed."""
+    columns = [block.columns[i] for i in key_indices]
+    destinations = _hash_columns(columns, salt, block.length)
+    if workers & (workers - 1):
+        destinations %= np.uint32(workers)
+    else:  # a power of two: the remainder is the low bits
+        destinations &= np.uint32(workers - 1)
+    return _narrow(destinations, workers)
 
 
 def shuffle_partition(
@@ -326,16 +350,65 @@ def shuffle_partition(
         block = as_block(rows)
         if not block.length:
             return [block] * workers
-        columns = [block.columns[i] for i in key_indices]
-        destinations = _hash_columns(columns, salt, block.length)
-        destinations %= np.uint32(workers)
-        destinations = _narrow(destinations, workers)
-        return _bucketize(block, destinations, workers)
+        destinations = _shuffle_destinations(block, key_indices, workers, salt)
+        return _split(*_bucketize(block, destinations, workers))
     outputs: list[list[Row]] = [[] for _ in range(workers)]
     for row in rows:
         destination = hash_row([row[i] for i in key_indices], salt) % workers
         outputs[destination].append(row)
     return outputs
+
+
+def route_rows(
+    rows: Sequence[Row],
+    key_indices: Sequence[int],
+    workers: int,
+    salt: int = 0,
+) -> tuple[ColumnBlock, list[int]]:
+    """Route one producer's rows for a regular shuffle, on the producer.
+
+    Numpy backend only.  The rows gathered stably into destination order
+    and the ``workers + 1`` cuts of every destination's run: the buckets
+    :func:`shuffle_partition` would give, kept in one block.
+    """
+    block = as_block(rows)
+    if not block.length:
+        return block, [0] * (workers + 1)
+    destinations = _shuffle_destinations(block, key_indices, workers, salt)
+    return _bucketize(block, destinations, workers)
+
+
+def assemble_routed(
+    parts: Sequence[Sequence[Row]],
+    cuts: Sequence[Sequence[int]],
+    width: int,
+) -> list[ColumnBlock]:
+    """Consumer buckets from parts each routed by :func:`route_rows`.
+
+    Numpy backend only.  Bucket ``b`` is part 0's run ``b``, then part 1's,
+    and so on: exactly :func:`shuffle_partition` of the parts'
+    concatenation, whose stable partition keeps every bucket in
+    (producer, scan) order.  Each part is scattered once into one
+    assembled block — its columns are the rows of a single allocation —
+    of which the buckets are slices; nothing is hashed or sorted.
+    """
+    bounds = np.asarray(cuts, dtype=np.int64)  # parts x (buckets + 1)
+    sizes = np.diff(bounds, axis=1)
+    per_bucket = sizes.sum(axis=0)
+    edges = np.cumsum(per_bucket)
+    # where run (part, bucket) starts in the assembled block, less where it
+    # starts in its part: the shift that carries its rows over
+    shifts = (edges - per_bucket) + (np.cumsum(sizes, axis=0) - sizes) - bounds[:, :-1]
+    columns = np.empty((width, int(edges[-1])), dtype=np.int64)
+    for part, shift, size in zip(parts, shifts, sizes):
+        block = as_block(part)
+        if not block.length:
+            continue
+        targets = np.repeat(shift, size)
+        targets += np.arange(block.length)
+        for column, source in zip(columns, block.columns):
+            column[targets] = source
+    return _split(ColumnBlock(list(columns), int(edges[-1])), [0, *edges.tolist()])
 
 
 def hypercube_partition(
@@ -373,7 +446,7 @@ def hypercube_partition(
             (base[:, None] + np.asarray(offsets, dtype=np.uint32)[None, :]).ravel(),
             workers,
         )  # row-major == (scan order, offset order)
-        return _bucketize(block, destinations, workers, copies=copies)
+        return _split(*_bucketize(block, destinations, workers, copies=copies))
     outputs: list[list[Row]] = [[] for _ in range(workers)]
     for row in rows:
         base = 0

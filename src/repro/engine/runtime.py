@@ -93,6 +93,29 @@ def _open_ledger(worker: int, memory: MemoryBudget) -> WorkerLedger:
     )
 
 
+def _shipped_tuples(payload: Any) -> int:
+    """The tuples a worker's shipped slot inputs hold (0 when it ships no
+    slot map)."""
+    return sum(map(len, payload.values())) if isinstance(payload, dict) else 0
+
+
+def _deal(ids: list[int], sizes: list[int], executors: int) -> list[list[int]]:
+    """Deal worker ids to ``executors`` batches by shipped tuples, largest
+    first: each id goes to the batch with the fewest tuples so far, then
+    the fewest ids, then the lowest index — so equal sizes deal
+    round-robin.  Every batch is in ascending id order."""
+    batches: list[list[int]] = [[] for _ in range(min(executors, len(ids)))]
+    loads = [0] * len(batches)
+    # sorted() is stable: equal sizes keep ascending id order
+    for size, worker in sorted(zip(sizes, ids), key=lambda pair: -pair[0]):
+        target = min(
+            range(len(batches)), key=lambda b: (loads[b], len(batches[b]))
+        )
+        loads[target] += size
+        batches[target].append(worker)
+    return [sorted(batch) for batch in batches]
+
+
 def _run_batch(runner: "LocalRunner", batch: list) -> list:
     """One ``runner`` call over a batch of ``(worker, ledger, inputs)``; its
     outcomes as ``(worker, value, ledger, error)`` — the ledger the task
@@ -146,9 +169,10 @@ class WorkerRuntime:
         if not ids:
             return []
         ledgers = {worker: _open_ledger(worker, memory) for worker in ids}
+        sizes = [_shipped_tuples(payloads[worker]) for worker in ids]
         batches = [
             [(worker, ledgers[worker], payloads[worker]) for worker in group]
-            for group in self._local_batches(ids)
+            for group in self._local_batches(ids, sizes)
         ]
         shipped: dict[int, tuple] = {}
         for outcomes in self._run_batches(runner, batches):
@@ -166,9 +190,10 @@ class WorkerRuntime:
             values.append(value)
         return values
 
-    def _local_batches(self, ids: list[int]) -> list[list[int]]:
-        """How :meth:`map_local` groups worker ids: one batch per executor,
-        each in ascending id order (serial: a single batch)."""
+    def _local_batches(self, ids: list[int], sizes: list[int]) -> list[list[int]]:
+        """How :meth:`map_local` groups worker ids, given the tuples each
+        one's shipped inputs hold: one batch per executor, each in
+        ascending id order (serial: a single batch)."""
         return [ids]
 
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
@@ -225,7 +250,7 @@ class ParallelRuntime(WorkerRuntime):
             raise ValueError("ParallelRuntime needs at least one pool worker")
         self.max_workers = max_workers
 
-    def _local_batches(self, ids: list[int]) -> list[list[int]]:
+    def _local_batches(self, ids: list[int], sizes: list[int]) -> list[list[int]]:
         """Deal worker ids round-robin: one batch per pool thread."""
         size = self.max_workers or min(32, available_cpus())
         return [ids[k::size] for k in range(min(size, len(ids)))]
@@ -424,9 +449,10 @@ class ProcessRuntime(WorkerRuntime):
     plain picklable dataclasses; floats survive the pickle round trip
     exactly).  ``processes`` counts the executors, the driver among them:
     the pool has ``processes - 1`` children (none for one), and
-    ``processes=None`` sizes it to :func:`available_cpus`.  Each Round ships
-    every batch but the last to a child, runs the last one in the driver
-    — no pickling, ledgers charged in place — and only then reads the
+    ``processes=None`` sizes it to :func:`available_cpus`.  Each Round deals
+    the worker ids by the tuples they ship (:func:`_deal`), ships every
+    batch but the last to a child, runs the last one in the driver — no
+    pickling, ledgers charged in place — and only then reads the
     children's replies.
 
     Executor ``i`` runs on ``cpus[i % len(cpus)]`` of the affinity mask
@@ -540,11 +566,10 @@ class ProcessRuntime(WorkerRuntime):
             worker_ids, runner, payloads, stats, memory
         )
 
-    def _local_batches(self, ids: list[int]) -> list[list[int]]:
-        """Deal worker ids round-robin: one batch per executor, the pool's
-        children and the driver."""
-        size = len(self._session) + 1
-        return [ids[k::size] for k in range(min(size, len(ids)))]
+    def _local_batches(self, ids: list[int], sizes: list[int]) -> list[list[int]]:
+        """Deal worker ids by shipped tuples (:func:`_deal`): one batch per
+        executor, the pool's children and the driver."""
+        return _deal(ids, sizes, len(self._session) + 1)
 
     def _run_batches(self, runner: LocalRunner, batches: list) -> list:
         """Ship every batch but the last to its pool child, run the last in

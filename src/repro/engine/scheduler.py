@@ -12,7 +12,8 @@ identical counted metrics.
 
 The scheduler *reads* the plan: everything statically knowable — join
 variables, output schemas, sort orders, phase names, which slots an operator
-reads and binds — was decided at lowering time and is stored on the
+reads and binds, which outputs their producer routes for the next Round's
+regular exchange — was decided at lowering time and is stored on the
 operators, so nothing here is derived a second time.  Its metric stream is
 pinned byte-for-byte by the differential suite against golden seed-executor
 captures: the shuffle record order, the phase insertion order, the memory
@@ -54,7 +55,7 @@ from ..hypercube.config import HyperCubeConfig, optimize_config
 from ..hypercube.mapping import HyperCubeMapping
 from . import kernels
 from .cluster import Cluster
-from .frame import Frame, atom_frames
+from .frame import Frame, Routing, atom_frames
 from .hash_join import apply_comparisons, hash_join_frames, semijoin
 from .local import LocalJoinTask, local_tributary_joins
 from .runtime import WorkerLedger, WorkerRuntime
@@ -141,7 +142,8 @@ def _finish_join(
     write,
 ) -> None:
     """The tail every local join shares: filter the pending comparisons,
-    release what left worker memory, bind the output."""
+    release what left worker memory, bind the output — routed, when one
+    regular exchange alone reads it (:func:`_bind`)."""
     produced = len(out.rows)
     if op.pending:
         # every worker filters against the full pending list; the deferred
@@ -193,6 +195,23 @@ def _run_local_op(
         raise TypeError(f"unknown local operator {op!r}")
 
 
+def _bind(
+    outputs: dict, routes: dict, workers: int, name: str, frame: Frame
+) -> None:
+    """Bind ``frame`` to slot ``name`` of one task's outputs.  A slot that
+    one regular exchange alone reads (``routes`` maps it to that
+    exchange's key) is routed for it first, on this executor and while the
+    operator's output is still hot: hashed on the key (salt 0) into
+    ``workers`` destinations, its rows stably in destination order plus
+    the cuts of each destination's run
+    (:class:`~repro.engine.frame.Routing`)."""
+    key = routes.get(name)
+    if key:
+        rows, cuts = kernels.route_rows(frame.rows, frame.indices_of(key), workers)
+        frame = Frame(frame.variables, rows, Routing(key, 0, workers, tuple(cuts)))
+    outputs[name] = frame
+
+
 def _each_view(step, views: list) -> tuple[int, Optional[Exception]]:
     """Call ``step(worker, ledger, read, write)`` view by view; ``(views
     completed, error)`` like :func:`_run_join_op`."""
@@ -204,7 +223,9 @@ def _each_view(step, views: list) -> tuple[int, Optional[Exception]]:
     return len(views), None
 
 
-def _run_local_batch(tasks: list, ops=(), hooks: Optional[tuple] = None) -> list:
+def _run_local_batch(
+    tasks: list, ops=(), hooks: Optional[tuple] = None, workers: int = 0
+) -> list:
     """Run one round's fused local operators for a batch of workers.
 
     The structured (picklable) local runner every runtime dispatches:
@@ -214,6 +235,11 @@ def _run_local_batch(tasks: list, ops=(), hooks: Optional[tuple] = None) -> list
     another over the whole batch — which is what lets the Tributary joins of
     a batch share trie walks — while each worker's ledger still sees its own
     operators in plan order.
+
+    ``workers`` is the cluster size, which an operator's output is routed
+    for when its ``route`` names the regular exchange that alone reads it
+    (:func:`_bind`; numpy kernels only — under python kernels that exchange
+    partitions the concatenation, as the reference does).
 
     ``hooks`` is ``(fault session, round index, round label, attempt)`` on a
     fault-injected run: the session's worker hooks fire here, on whichever
@@ -226,6 +252,9 @@ def _run_local_batch(tasks: list, ops=(), hooks: Optional[tuple] = None) -> list
     lowest failing id.
     """
     faults, round_index, label, attempt = hooks or (None,) * 4
+    routes = {}
+    if kernels.get_backend() == "numpy":
+        routes = {op.out: op.route for op in ops if op.route}
     produced: list[dict[str, Frame]] = [{} for _ in tasks]
     views = []
     failure: Optional[Exception] = None
@@ -251,7 +280,7 @@ def _run_local_batch(tasks: list, ops=(), hooks: Optional[tuple] = None) -> list
             """Resolve a slot: this task's output, else a shipped input."""
             return outputs[name] if name in outputs else inputs[name]
 
-        views.append((worker, ledger, read, outputs.__setitem__))
+        views.append((worker, ledger, read, partial(_bind, outputs, routes, workers)))
     if faults is not None:
         fire(faults.at_worker)
     for op in ops:
@@ -582,7 +611,7 @@ class PlanExecution:
         hooks = None if faults is None else (faults, round_index, label, attempt)
         outcomes = self.runtime.map_local(
             worker_ids,
-            partial(_run_local_batch, ops=local, hooks=hooks),
+            partial(_run_local_batch, ops=local, hooks=hooks, workers=workers),
             payloads,
             stats,
             cluster.memory,

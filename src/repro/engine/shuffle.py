@@ -17,14 +17,17 @@ sent (producer side) and 1 per tuple received (consumer side) — so consumer
 skew translates into wall-clock penalty exactly as the paper observes — and
 registers received tuples against the consumers' memory budget.
 
-Every exchange is **one** kernel call over the producers' concatenation
-(:mod:`~repro.engine.kernels`), not one per producer: concatenating in
-producer order and partitioning stably leaves every bucket in (producer,
-scan[, offset]) order, which is the order per-producer appends would give.
-The numpy backend concatenates column blocks, hashes the key columns in
+Every bucket holds its rows in (producer, scan[, offset]) order, the order
+per-producer appends would give.  An exchange partitions the producers'
+concatenation with **one** kernel call (:mod:`~repro.engine.kernels`):
+the numpy backend concatenates column blocks, hashes the key columns in
 one vectorized batch, radix-sorts once, gathers once and hands every
 consumer a slice of that gathered block; a broadcast hands every consumer
-the *same* block, which is safe because frames are never mutated.
+the *same* block, which is safe because frames are never mutated.  A
+regular shuffle of frames their producers already routed for it
+(:class:`~repro.engine.frame.Routing`: a local operator whose output only
+this exchange reads) skips the hashing and the sort: it only assembles
+each consumer's runs, producer by producer, into one block.
 """
 
 from __future__ import annotations
@@ -34,7 +37,13 @@ from typing import Optional, Sequence
 from ..hypercube.mapping import HyperCubeMapping
 from ..query.atoms import Atom, Variable
 from .frame import Frame
-from .kernels import concat_rows, hash_row, hypercube_partition, shuffle_partition
+from .kernels import (
+    assemble_routed,
+    concat_rows,
+    hash_row,
+    hypercube_partition,
+    shuffle_partition,
+)
 from .memory import MemoryBudget
 from .stats import ExecutionStats
 
@@ -74,14 +83,33 @@ def regular_shuffle(
     memory: Optional[MemoryBudget] = None,
     salt: int = 0,
 ) -> list[Frame]:
-    """Hash-partition per-worker frames on the key variables."""
+    """Hash-partition per-worker frames on the key variables.
+
+    When every frame was routed for exactly this key, salt and worker
+    count, consumer ``c``'s bucket is producer 0's run ``c``, then producer
+    1's, and so on — the buckets the stable partition of the concatenation
+    gives, assembled without hashing a row.  Counts, and so every record,
+    charge and registration, are the same either way.
+    """
     if not frames:
         raise ValueError("no input frames")
     variables = frames[0].variables
-    rows = concat_rows([frame.rows for frame in frames], len(variables))
-    outputs = shuffle_partition(
-        rows, frames[0].indices_of(key), workers, salt
-    )
+    wanted = (tuple(key), salt, workers)
+    if all(
+        frame.routing is not None
+        and (frame.routing.key, frame.routing.salt, frame.routing.workers) == wanted
+        for frame in frames
+    ):
+        outputs = assemble_routed(
+            [frame.rows for frame in frames],
+            [frame.routing.cuts for frame in frames],
+            len(variables),
+        )
+    else:
+        rows = concat_rows([frame.rows for frame in frames], len(variables))
+        outputs = shuffle_partition(
+            rows, frames[0].indices_of(key), workers, salt
+        )
     sent = [len(frame) for frame in frames]
     received = [len(bucket) for bucket in outputs]
     stats.record_shuffle(name, sent, received)

@@ -62,6 +62,7 @@ from .physical import (
     ScanIntermediate,
     _replicating_exchanges,
     _resolve_order,
+    _route_producers,
     _scan_round,
     _step_rounds,
     _tributary_round,
@@ -450,11 +451,14 @@ def lower_hybrid(
     return PhysicalPlan(
         query=query,
         strategy=HYBRID_STRATEGY,
-        rounds=(
-            scan_round,
-            *step_rounds,
-            boundary_round,
-            _tributary_round(stage2_local, slot_of, order, LOCAL_HC, stage=2),
+        rounds=_route_producers(
+            (
+                scan_round,
+                *step_rounds,
+                boundary_round,
+                _tributary_round(stage2_local, slot_of, order, LOCAL_HC, stage=2),
+            ),
+            "result",
         ),
         result="result",
         dedup_full=True,

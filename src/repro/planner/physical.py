@@ -40,7 +40,7 @@ golden seed-executor captures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -89,7 +89,10 @@ class PhysicalOp:
     :class:`~repro.engine.runtime.WorkerLedger`.  ``phases`` lists the
     statistics phases this operator charges CPU into — the EXPLAIN ANALYZE
     layer uses it to attribute :class:`~repro.engine.stats.ExecutionStats`
-    charges back to operators.
+    charges back to operators.  A local operator's ``route`` is the key of
+    the regular exchange that alone reads its output, recorded by lowering
+    (:func:`_route_producers`): the executor that runs the operator
+    partitions the output for that exchange.
     """
 
     GLOBAL = True
@@ -293,6 +296,7 @@ class _BinaryJoinStep(PhysicalOp):
     step: int
     out_variables: tuple[Variable, ...]
     pending: tuple[Comparison, ...] = ()
+    route: tuple[Variable, ...] = ()
 
     def input_slots(self) -> tuple[str, ...]:
         """The two joined sides, left first."""
@@ -379,6 +383,7 @@ class LocalTributaryJoin(PhysicalOp):
 
     GLOBAL = False
     pending = ()
+    route = ()  # its output is the plan's result, never an exchange's input
 
     query: ConjunctiveQuery
     inputs: tuple[tuple[str, str], ...]  # (atom alias, slot) pairs
@@ -454,6 +459,7 @@ class SemiJoinFilter(PhysicalOp):
     key: tuple[Variable, ...]
     key_indices: tuple[int, ...]
     phase: str
+    route: tuple[Variable, ...] = ()
 
     @property
     def phases(self) -> tuple[str, ...]:
@@ -839,6 +845,37 @@ def _head_indices(
     return tuple(variables.index(v) for v in query.head)
 
 
+def _route_producers(
+    rounds: Sequence[Round], result: str
+) -> tuple[Round, ...]:
+    """Record on every local operator whose output slot one regular exchange
+    alone reads that exchange's key (as ``route``).  The executor running
+    the operator then routes the output, and the exchange only assembles
+    the routed runs (:func:`~repro.engine.shuffle.regular_shuffle`).  A
+    slot with another reader — a later operator, the plan's result — keeps
+    its rows in the order the operator produced them."""
+    readers: dict[str, list[Optional[PhysicalOp]]] = {result: [None]}
+    for round_ in rounds:
+        for op in round_.ops:
+            for name in op.input_slots():
+                readers.setdefault(name, []).append(op)
+
+    def routed(op: PhysicalOp) -> PhysicalOp:
+        if op.GLOBAL:
+            return op
+        (out,) = op.output_slots()
+        (reader, *others) = readers.get(out, [None])
+        if others or not (
+            isinstance(reader, Exchange) and reader.kind is ExchangeKind.REGULAR
+        ):
+            return op
+        return replace(op, route=reader.key)
+
+    return tuple(
+        replace(round_, ops=tuple(map(routed, round_.ops))) for round_ in rounds
+    )
+
+
 def _lower_pipeline(
     query: ConjunctiveQuery,
     strategy: str,
@@ -893,7 +930,7 @@ def _lower_pipeline(
     return PhysicalPlan(
         query=query,
         strategy=strategy,
-        rounds=(*rounds, *steps),
+        rounds=_route_producers((*rounds, *steps), result),
         result=result,
         head_indices=_head_indices(query, variables),
         left_deep=plan,
@@ -970,7 +1007,7 @@ def _lower_replicated(
     return PhysicalPlan(
         query=query,
         strategy=strategy.name,
-        rounds=(scan_round, replicate, *local),
+        rounds=_route_producers((scan_round, replicate, *local), tail["result"]),
         dedup_full=hypercube,
         left_deep=plan,
         **tail,

@@ -6,6 +6,8 @@ import signal
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import runtime as runtime_module
 from repro.engine.faults import (
@@ -98,7 +100,7 @@ class TestDefaultSizes:
     def test_thread_pool_follows_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
                             raising=False)
-        assert len(ParallelRuntime()._local_batches(list(range(10)))) == 3
+        assert len(ParallelRuntime()._local_batches(list(range(10)), [0] * 10)) == 3
         assert runtime_module.available_cpus() == 3
 
     def test_without_an_affinity_mask_the_machine_counts(self, monkeypatch):
@@ -114,6 +116,50 @@ class TestDefaultSizes:
             assert len(set(_round(runtime, _pid_runner))) == 1
         finally:
             runtime.close_session()
+
+
+class TestDeal:
+    """A process pool deals worker ids by shipped tuples, largest first."""
+
+    @given(
+        st.lists(st.integers(0, 50), max_size=40),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_id_lands_once_in_an_ascending_batch(self, sizes, executors):
+        ids = list(range(len(sizes)))
+        batches = runtime_module._deal(ids, sizes, executors)
+        assert len(batches) == min(executors, len(ids))
+        assert sorted(w for batch in batches for w in batch) == ids
+        assert all(batch == sorted(batch) for batch in batches)
+
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    def test_equal_sizes_deal_round_robin(self, size):
+        ids = list(range(10))
+        assert runtime_module._deal(ids, [size] * 10, 3) == [
+            ids[k::3] for k in range(3)
+        ]
+
+    def test_the_largest_goes_first_to_the_lightest_executor(self):
+        # 320 alone outweighs the rest; ties go to the lowest executor
+        sizes = [5, 320, 40, 40, 10, 5]
+        assert runtime_module._deal(list(range(6)), sizes, 2) == [
+            [1], [0, 2, 3, 4, 5]
+        ]
+        assert runtime_module._deal(list(range(6)), sizes, 3) == [
+            [1], [2, 4], [0, 3, 5]
+        ]
+
+    def test_map_local_deals_by_the_payloads_tuples(self):
+        frames = {w: {"in": Frame((X,), [(i,) for i in range(n)])}
+                  for w, n in enumerate([1, 1, 9, 1])}
+        runtime = ProcessRuntime(processes=2)
+        runtime._session = [None]  # two executors, nothing forked
+        try:
+            sizes = [runtime_module._shipped_tuples(frames[w]) for w in range(4)]
+            assert runtime._local_batches(list(range(4)), sizes) == [[2], [0, 1, 3]]
+        finally:
+            runtime._session = None
 
 
 def _per_worker(task, batch):
@@ -338,7 +384,7 @@ def _map_local(runtime, payloads, budget, crash_on=None):
 class _OneWorkerBatches(SerialRuntime):
     """Every worker a batch of its own: no trie walk is shared."""
 
-    def _local_batches(self, ids):
+    def _local_batches(self, ids, sizes):
         return [[worker] for worker in ids]
 
 
