@@ -1,11 +1,12 @@
-"""Runtime backends — the parallel worker runtime reproduces the serial grid.
+"""Runtime backends — the process pool reproduces the serial grid.
 
 Not a paper figure: this guards the tentpole property of the worker-runtime
 seam (see ``repro.engine.runtime``) at workload scale.  The whole Q1 grid is
-executed under both backends; every strategy must return byte-identical
-result rows and exactly equal counted metrics, because the parallel runtime
-only changes the *execution schedule* of the per-worker local-join tasks,
-never the accounting.
+executed under both runtimes, ``serial`` and ``parallel`` (the driver plus
+forked worker processes); every strategy must return byte-identical
+result rows and exactly equal counted metrics, because the process pool
+only changes *where* the per-worker local-join tasks run, never the
+accounting.
 """
 
 from conftest import WORKERS

@@ -33,7 +33,6 @@ from .engine import (
     FaultSpec,
     MemoryBudget,
     OutOfMemoryError,
-    ParallelRuntime,
     RecoveryPolicy,
     SerialRuntime,
     resolve_runtime,
@@ -90,7 +89,6 @@ __all__ = [
     "HyperCubeMapping",
     "MemoryBudget",
     "OutOfMemoryError",
-    "ParallelRuntime",
     "PhysicalPlan",
     "RecoveryPolicy",
     "Relation",

@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags several commands share, each defined once
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument("--runtime", default="serial",
-                           help="worker runtime: 'serial', 'parallel[:N]' (threads), or 'parallel:N:proc' (processes)")
+                           help="worker runtime: 'serial', or 'parallel[:N]' for the driver plus N - 1 forked processes (':proc' suffix optional)")
     execution.add_argument("--kernels", choices=KERNEL_BACKENDS, default=None,
                            help="kernel backend (default: $REPRO_KERNELS or numpy)")
     injection = argparse.ArgumentParser(add_help=False)

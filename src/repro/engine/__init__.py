@@ -23,7 +23,6 @@ from .kernels import (
 from .local import local_tributary_join, scanned_query
 from .memory import MemoryBudget, OutOfMemoryError, WorkerMemoryAccount
 from .runtime import (
-    ParallelRuntime,
     SerialRuntime,
     WorkerLedger,
     WorkerRuntime,
@@ -67,7 +66,6 @@ __all__ = [
     "MemoryGovernor",
     "OperatorTrace",
     "OutOfMemoryError",
-    "ParallelRuntime",
     "PlanExecution",
     "QueryOutcome",
     "QueryRequest",

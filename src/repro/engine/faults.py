@@ -431,10 +431,10 @@ class FaultSession:
     left as ``None`` in the plan are resolved here with the plan's seed, so
     a session is deterministic given (plan, cluster size) — and immutable
     after construction: every hook is a pure function of its arguments, so
-    the session pickles into the local runner and fires identically on the
-    driver, a pool thread, or a session child.  The scheduler calls the
-    hooks at well-defined points; each hook either returns quietly or
-    raises :class:`InjectedFault`:
+    the session pickles into the local runner and fires identically in the
+    driver or in a session child.  The scheduler calls the hooks at
+    well-defined points; each hook either returns quietly or raises
+    :class:`InjectedFault`:
 
     - :meth:`at_worker` — a worker task is starting (Round-boundary crashes
       and injected OOMs fire here);

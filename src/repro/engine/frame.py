@@ -35,11 +35,10 @@ Encoder = Callable[[Union[int, str]], int]
 @dataclass(frozen=True)
 class Routing:
     """How a producer laid out its rows for a regular shuffle: hashed on
-    ``key`` with ``salt`` into ``workers`` destinations, destination ``b``'s
-    rows being ``rows[cuts[b]:cuts[b + 1]]`` in scan order."""
+    ``key`` into ``workers`` destinations, destination ``b``'s rows being
+    ``rows[cuts[b]:cuts[b + 1]]`` in scan order."""
 
     key: tuple[Variable, ...]
-    salt: int
     workers: int
     cuts: tuple[int, ...]
 

@@ -8,27 +8,25 @@ There is one way to run a worker task: :meth:`WorkerRuntime.map_local`
 hands every executor its workers as one *batch* of ``(worker, ledger,
 inputs)`` and calls a picklable runner on it, so the Tributary joins of a
 batch share a trie walk while each worker is still accounted on its own
-ledger.  The three runtimes differ only in who the executors are
+ledger.  The two runtimes differ only in who the executors are
 (:meth:`~WorkerRuntime._local_batches`, :meth:`~WorkerRuntime._run_batches`):
 
-- :class:`SerialRuntime` — the calling thread runs every worker as one batch;
-- :class:`ParallelRuntime` — one batch per thread of a
-  :class:`concurrent.futures.ThreadPoolExecutor`;
+- :class:`SerialRuntime` — the driver runs every worker as one batch;
 - :class:`ProcessRuntime` — ``N`` executors for ``--runtime
-  parallel:N:proc``: ``N - 1`` children of a forked, pipe-connected pool
-  that lives as long as the runtime, plus the driver itself, which runs
-  the last batch in place while the children run theirs — the only mode
-  that escapes the GIL for true multicore wall-clock speedup.  Each
-  executor runs on its own CPU of the process's affinity mask (round-robin
-  when there are more executors than CPUs): a child pins itself when it
-  starts, the driver pins its calling thread only while it runs its batch.
+  parallel[:N]`` (``parallel[:N]:proc`` is the same runtime): ``N - 1``
+  children of a forked, pipe-connected pool that lives as long as the
+  runtime, plus the driver itself, which runs the last batch in place
+  while the children run theirs, on real cores.  Each executor runs on
+  its own CPU of the process's affinity mask (round-robin when there are
+  more executors than CPUs): a child pins itself when it starts, the
+  driver pins its calling thread only while it runs its batch.
   Everything a child needs — the kernel backend, the runner, the slot
   inputs, the ledgers — is shipped to it with every batch as a protocol-5
   pickle whose array buffers of 64 KiB or more follow it out of band
   (:func:`_send`), one copy each way; the pipe is the only transport.
-  Each child's ledgers are pickled back and merged exactly like the thread
-  runtime's; the driver's batch charges its ledgers in place, as the
-  serial runtime does.
+  Each child's ledgers are pickled back and merged in worker-id order;
+  the driver's batch charges its ledgers in place, as the serial runtime
+  does.
 
 Determinism is guaranteed by construction rather than by locking: every
 worker task receives an isolated :class:`WorkerLedger` — a per-worker
@@ -57,10 +55,8 @@ import pickle
 import struct
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Iterable, Optional, Union
 
@@ -138,8 +134,6 @@ class WorkerRuntime:
     Subclasses only choose the executors (:meth:`_local_batches`,
     :meth:`_run_batches`); the base runs one batch on the calling thread.
     """
-
-    name = "abstract"
 
     def map_local(
         self,
@@ -230,38 +224,6 @@ def available_cpus() -> int:
 
 class SerialRuntime(WorkerRuntime):
     """Run every worker as one batch on the calling thread."""
-
-    name = "serial"
-
-
-class ParallelRuntime(WorkerRuntime):
-    """Run worker batches concurrently on a thread pool.
-
-    ``max_workers=None`` sizes the pool to :func:`available_cpus`.  The
-    ledger isolation + ordered merge makes results and counted metrics
-    identical to :class:`SerialRuntime`; only real ``elapsed_seconds``
-    changes with available cores.
-    """
-
-    name = "parallel"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("ParallelRuntime needs at least one pool worker")
-        self.max_workers = max_workers
-
-    def _local_batches(self, ids: list[int], sizes: list[int]) -> list[list[int]]:
-        """Deal worker ids round-robin: one batch per pool thread."""
-        size = self.max_workers or min(32, available_cpus())
-        return [ids[k::size] for k in range(min(size, len(ids)))]
-
-    def _run_batches(self, runner: LocalRunner, batches: list) -> list:
-        """Run each batch on its own pool thread."""
-        with ThreadPoolExecutor(max_workers=len(batches)) as pool:
-            return list(pool.map(partial(_run_batch, runner), batches))
-
-    def __repr__(self) -> str:
-        return f"ParallelRuntime(max_workers={self.max_workers})"
 
 
 # ----------------------------------------------------------------------
@@ -441,13 +403,12 @@ def _stop_pool(owner: int, children: list[_SessionWorker]) -> None:
 
 class ProcessRuntime(WorkerRuntime):
     """Run worker batches on the driver and the children of one forked,
-    pipe-connected pool.
+    pipe-connected pool: ``--runtime parallel[:N]``, or ``parallel[:N]:proc``.
 
-    The only runtime that escapes the GIL: worker-local joins run on real
-    cores, so wall-clock time drops with core count while every counted
-    metric stays bit-identical to :class:`SerialRuntime` (the ledgers are
-    plain picklable dataclasses; floats survive the pickle round trip
-    exactly).  ``processes`` counts the executors, the driver among them:
+    Worker-local joins run on real cores, so wall-clock time drops with
+    core count while every counted metric stays bit-identical to
+    :class:`SerialRuntime` (the ledgers are plain picklable dataclasses;
+    floats survive the pickle round trip exactly).  ``processes`` counts the executors, the driver among them:
     the pool has ``processes - 1`` children (none for one), and
     ``processes=None`` sizes it to :func:`available_cpus`.  Each Round deals
     the worker ids by the tuples they ship (:func:`_deal`), ships every
@@ -483,11 +444,9 @@ class ProcessRuntime(WorkerRuntime):
     still alive when the runtime is collected, or the interpreter exits,
     are stopped and reaped.
 
-    Requires the ``fork`` start method; on platforms without it, falls back
-    to the thread pool with identical semantics.
+    Requires the ``fork`` start method; on platforms without it, the
+    driver runs every worker itself, as :class:`SerialRuntime` does.
     """
-
-    name = "process"
 
     def __init__(self, processes: Optional[int] = None) -> None:
         if processes is not None and processes < 1:
@@ -557,14 +516,11 @@ class ProcessRuntime(WorkerRuntime):
         memory: MemoryBudget,
     ) -> list:
         """:meth:`WorkerRuntime.map_local` over the pool's children, forked
-        on first use; off-fork platforms run the batches on the thread pool.
-        """
+        on first use; off-fork platforms run every worker in the driver."""
         with self._lock:
             if self._start():
                 return super().map_local(worker_ids, runner, payloads, stats, memory)
-        return ParallelRuntime(max_workers=self.processes).map_local(
-            worker_ids, runner, payloads, stats, memory
-        )
+        return SerialRuntime().map_local(worker_ids, runner, payloads, stats, memory)
 
     def _local_batches(self, ids: list[int], sizes: list[int]) -> list[list[int]]:
         """Deal worker ids by shipped tuples (:func:`_deal`): one batch per
@@ -649,12 +605,12 @@ def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
     """Turn a runtime spec into a runtime instance.
 
     Accepts an existing :class:`WorkerRuntime`, ``None`` (→ serial), or the
-    CLI spellings ``"serial"``, ``"parallel"`` / ``"parallel:N"`` for a
-    thread pool, and ``"parallel:N:proc"`` (or ``"parallel:proc"`` for
-    :func:`available_cpus` executors) for the driver plus ``N - 1`` forked
-    worker processes.  A process spec resolves to one shared runtime per
-    pool size, whichever spelling names it, whose children live as long as
-    the interpreter; an instance passed in is used as it is.
+    CLI spellings ``serial | parallel[:N][:proc]``: ``"serial"``, or the
+    driver plus ``N - 1`` forked worker processes (:func:`available_cpus`
+    executors without ``N``), with or without the ``:proc`` suffix.  A
+    parallel spec resolves to one shared runtime per pool size, whichever
+    spelling names it, whose children live as long as the interpreter; an
+    instance passed in is used as it is.
     """
     if spec is None:
         return SerialRuntime()
@@ -663,29 +619,12 @@ def resolve_runtime(spec: RuntimeLike) -> WorkerRuntime:
     text = str(spec).strip().lower()
     if text == "serial":
         return SerialRuntime()
-    if text == "parallel":
-        return ParallelRuntime()
-    if text == "parallel:proc":
+    parts = text.removesuffix(":proc").split(":")
+    if parts == ["parallel"]:
         return _shared_process_runtime(None)
-    if text.startswith("parallel:") and text.endswith(":proc"):
-        try:
-            count = int(text[len("parallel:"): -len(":proc")])
-        except ValueError:
-            raise ValueError(
-                f"bad runtime spec {spec!r}; "
-                "use 'serial', 'parallel[:N]', or 'parallel:N:proc'"
-            ) from None
-        return _shared_process_runtime(count)
-    if text.startswith("parallel:"):
-        try:
-            count = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(
-                f"bad runtime spec {spec!r}; "
-                "use 'serial', 'parallel[:N]', or 'parallel:N:proc'"
-            ) from None
-        return ParallelRuntime(max_workers=count)
+    if (len(parts) == 2 and parts[0] == "parallel" and parts[1].isdecimal()
+            and int(parts[1]) >= 1):
+        return _shared_process_runtime(int(parts[1]))
     raise ValueError(
-        f"unknown runtime {spec!r}; "
-        "use 'serial', 'parallel[:N]', or 'parallel:N:proc'"
+        f"bad runtime spec {spec!r}; use 'serial' or 'parallel[:N][:proc]'"
     )

@@ -201,14 +201,13 @@ def _bind(
     """Bind ``frame`` to slot ``name`` of one task's outputs.  A slot that
     one regular exchange alone reads (``routes`` maps it to that
     exchange's key) is routed for it first, on this executor and while the
-    operator's output is still hot: hashed on the key (salt 0) into
-    ``workers`` destinations, its rows stably in destination order plus
-    the cuts of each destination's run
-    (:class:`~repro.engine.frame.Routing`)."""
+    operator's output is still hot: hashed on the key into ``workers``
+    destinations, its rows stably in destination order plus the cuts of
+    each destination's run (:class:`~repro.engine.frame.Routing`)."""
     key = routes.get(name)
     if key:
         rows, cuts = kernels.route_rows(frame.rows, frame.indices_of(key), workers)
-        frame = Frame(frame.variables, rows, Routing(key, 0, workers, tuple(cuts)))
+        frame = Frame(frame.variables, rows, Routing(key, workers, tuple(cuts)))
     outputs[name] = frame
 
 

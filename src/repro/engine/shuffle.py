@@ -81,23 +81,22 @@ def regular_shuffle(
     name: str,
     phase: str,
     memory: Optional[MemoryBudget] = None,
-    salt: int = 0,
 ) -> list[Frame]:
     """Hash-partition per-worker frames on the key variables.
 
-    When every frame was routed for exactly this key, salt and worker
-    count, consumer ``c``'s bucket is producer 0's run ``c``, then producer
-    1's, and so on — the buckets the stable partition of the concatenation
+    When every frame was routed for exactly this key and worker count,
+    consumer ``c``'s bucket is producer 0's run ``c``, then producer 1's,
+    and so on — the buckets the stable partition of the concatenation
     gives, assembled without hashing a row.  Counts, and so every record,
     charge and registration, are the same either way.
     """
     if not frames:
         raise ValueError("no input frames")
     variables = frames[0].variables
-    wanted = (tuple(key), salt, workers)
+    wanted = (tuple(key), workers)
     if all(
         frame.routing is not None
-        and (frame.routing.key, frame.routing.salt, frame.routing.workers) == wanted
+        and (frame.routing.key, frame.routing.workers) == wanted
         for frame in frames
     ):
         outputs = assemble_routed(
@@ -107,9 +106,7 @@ def regular_shuffle(
         )
     else:
         rows = concat_rows([frame.rows for frame in frames], len(variables))
-        outputs = shuffle_partition(
-            rows, frames[0].indices_of(key), workers, salt
-        )
+        outputs = shuffle_partition(rows, frames[0].indices_of(key), workers)
     sent = [len(frame) for frame in frames]
     received = [len(bucket) for bucket in outputs]
     stats.record_shuffle(name, sent, received)

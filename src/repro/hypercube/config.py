@@ -70,9 +70,9 @@ class HyperCubeConfig:
 
 
 def enumerate_configs(
-    variables: Sequence[Variable], max_workers: int
+    variables: Sequence[Variable], workers: int
 ) -> Iterator[tuple[int, ...]]:
-    """All integral dimension-size vectors whose product is <= max_workers."""
+    """All integral dimension-size vectors whose product is <= workers."""
 
     def extend(prefix: tuple[int, ...], budget: int, remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -81,7 +81,7 @@ def enumerate_configs(
         for size in range(1, budget + 1):
             yield from extend(prefix + (size,), budget // size, remaining - 1)
 
-    yield from extend((), max_workers, len(variables))
+    yield from extend((), workers, len(variables))
 
 
 @lru_cache(maxsize=64)

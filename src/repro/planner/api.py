@@ -114,9 +114,9 @@ def run_query(
     (:mod:`~repro.planner.optimizer`) pick the cheapest strategy — pure
     or hybrid — from catalog statistics; the result then carries the
     per-strategy cost table as ``result.cost_report``.
-    ``runtime`` is ``"serial"`` (default), ``"parallel[:N]"`` (threads),
-    ``"parallel:N:proc"`` (forked worker processes — the mode with real
-    multicore speedup), or a
+    ``runtime`` is ``"serial"`` (default), ``"parallel[:N]"`` (the driver
+    plus ``N - 1`` forked worker processes; ``"parallel[:N]:proc"`` names
+    the same runtime), or a
     :class:`~repro.engine.runtime.WorkerRuntime` instance.  ``kernels``
     pins the kernel backend (``"python"``/``"numpy"``) for this call;
     ``None`` keeps the process default (``REPRO_KERNELS``).

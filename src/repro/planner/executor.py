@@ -239,7 +239,8 @@ def execute(
     Lowers the query to a :class:`~repro.planner.physical.PhysicalPlan`
     and executes it via :func:`execute_physical`.  ``runtime`` selects how
     the per-worker local-join phases execute: ``"serial"`` (default),
-    ``"parallel"``/``"parallel:N"``, or a
+    ``"parallel"``/``"parallel:N"`` (the driver plus ``N - 1`` forked
+    processes; ``"parallel:N:proc"`` is the same runtime), or a
     :class:`~repro.engine.runtime.WorkerRuntime` instance.  ``kernels``
     pins the kernel backend (``"python"``/``"numpy"``) for this execution;
     ``None`` keeps the process-wide default (``REPRO_KERNELS``).  Result
